@@ -5,21 +5,23 @@ and sqrt(1 + 2 r2) e^{i theta} with m-fold symmetric, even perturbations r1, r2.
 The rotating-patch equation F(Omega, r) = Omega r' + d/dtheta F0[r] = 0 is
 evaluated spectrally: the convolution part of the kernel is reduced to
 boundary integrals by the divergence theorem, its angular singularities are
-integrated with exact Fourier weights, and the smooth kernel part of bounded
-domains is integrated over the patch area.  Newton continuation in the
-kernel-mode amplitude produces the local bifurcation branches.
+integrated with exact Fourier weights, and the smooth kernel part K1 of
+bounded domains enters through its Green-function series, whose radial
+factors are integrated across the patch in closed form.  Newton
+continuation in the kernel-mode amplitude produces the local bifurcation
+branches.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special as _sp
 
 from .cmkernel import c_beta
-from .models import KernelModel
+from .models import KernelModel, k1_series
 from . import dispersion as _dispersion
 
 __all__ = [
@@ -37,7 +39,6 @@ __all__ = [
 _SUPPORTED = ("EulerPlane", "GsqgPlane", "QgswPlane", "EulerDisc",
               "EulerAnnulus", "EulerExterior")
 
-_RHO_NODES = 24
 _EULER_GAMMA = 0.5772156649015328606
 
 
@@ -117,8 +118,6 @@ class ResidualVector:
     n_modes: int
     s1: np.ndarray
     s2: np.ndarray
-    grid1: np.ndarray = field(repr=False, default=None)
-    grid2: np.ndarray = field(repr=False, default=None)
 
     def norm(self) -> float:
         return max(float(np.max(np.abs(self.s1))),
@@ -325,82 +324,45 @@ def _k0_stream_integral(kind: str, param: float, z: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# smooth kernel part of bounded domains (area integrals)
+# smooth kernel part of bounded domains
 # ---------------------------------------------------------------------------
 
-def _k1_batch(model: KernelModel, z: np.ndarray, y: np.ndarray,
-              want_grad: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """K1(z_i, y_q) and optionally its z-gradient, broadcast over (i, q)."""
-    v = model.variant
-    if v in ("EulerDisc", "EulerExterior"):
-        r = model.params["r"]
-        f = r - z[:, None] * np.conj(y)[None, :] / r
-        val = np.log(np.abs(f)) / (2.0 * np.pi)
-        grad = None
-        if want_grad:
-            grad = np.conj((-np.conj(y)[None, :] / r) / f) / (2.0 * np.pi)
-        return val, grad
-    if v == "EulerAnnulus":
-        return _annulus_k1_batch(model.params["r1"], model.params["r2"],
-                                 z, y, want_grad)
-    raise ValueError(f"no smooth kernel part for {v!r}")
+def _k1_area_terms(model: KernelModel, theta: np.ndarray, ra: np.ndarray,
+                   rb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stream and velocity of K1 over the patch, on both boundaries.
 
-
-def _annulus_k1_batch(rd1: float, rd2: float, z: np.ndarray, y: np.ndarray,
-                      want_grad: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    rho = np.abs(z)[:, None]
-    theta = np.angle(z)[:, None]
-    ry = np.abs(y)[None, :]
-    dang = theta - np.angle(y)[None, :]
-    denom_log = math.log(rd1 / rd2)
-    val = (math.log(rd2) * np.log(rd1 / ry) / denom_log
-           + (np.log(ry / rd2) / denom_log) * np.log(rho))
-    d_rho = np.broadcast_to(np.log(ry / rd2) / denom_log / rho,
-                            val.shape).copy()
-    d_theta = np.zeros_like(val)
-    # term ratios (rho ry / rd2^2)^m and (rd1^2/(rho ry))^m set the cap
-    qmax = max(float(np.max(rho) * np.max(ry)) / rd2 ** 2,
-               rd1 ** 2 / float(np.min(rho) * np.min(ry)))
-    cap = min(400, max(8, int(math.ceil(-16.0 * math.log(10.0)
-                                        / math.log(qmax)))))
-    for m in range(1, cap + 1):
-        den = rd2 ** (2 * m) - rd1 ** (2 * m)
-        am = (ry ** m - (rd1 * rd1 / ry) ** m) / den
-        bm = rd1 ** (2 * m) * ((rd2 * rd2 / ry) ** m - ry ** m) / den
-        cos_m, sin_m = np.cos(m * dang), np.sin(m * dang)
-        pw, ipw = rho ** m, rho ** (-m)
-        val -= (am * pw + bm * ipw) / m * cos_m
-        if want_grad:
-            d_rho -= (am * pw / rho - bm * ipw / rho) * cos_m
-            d_theta += (am * pw + bm * ipw) * sin_m
-    val = val / (2.0 * np.pi)
-    grad = None
-    if want_grad:
-        grad = (np.exp(1j * theta) * (d_rho + 1j * d_theta / rho)
-                / (2.0 * np.pi))
-    return val, grad
-
-
-def _k1_area_terms(model: KernelModel, z: np.ndarray,
-                   state: PerturbationState,
-                   want_grad: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Stream and velocity contributions of K1 integrated over the patch."""
+    Every term of the K1 series is a radial factor times cos k(theta - eta),
+    so the patch integral takes each radial factor from ra(eta) to rb(eta)
+    in closed form and sums the columns by the trapezoid rule in eta.
+    Rows 0 and 1 of the results belong to the inner and outer boundary.
+    """
+    size = len(theta)
     if model.variant in ("EulerPlane", "GsqgPlane", "QgswPlane"):
-        zero = np.zeros(len(z))
-        return zero, np.zeros(len(z), dtype=complex)
-    eta = state.theta_grid()
-    ra, rb = state.radii(eta)
-    gx, gw = np.polynomial.legendre.leggauss(_RHO_NODES)
-    mid = 0.5 * (ra + rb)
-    half = 0.5 * (rb - ra)
-    rho = mid[:, None] + half[:, None] * gx[None, :]       # (M, R)
-    wgt = (half[:, None] * gw[None, :]) * rho              # rho drho jacobian
-    y = (rho * np.exp(1j * eta)[:, None]).ravel()
-    wy = (wgt * (2.0 * np.pi / len(eta))).ravel()
-    val, grad = _k1_batch(model, z, y, want_grad)
-    psi = val @ wy
-    vel = grad @ wy if want_grad else np.zeros(len(z), dtype=complex)
-    return psi, vel
+        return np.zeros((2, size)), np.zeros((2, size), dtype=complex)
+    step = 2.0 * np.pi / size
+
+    def primitives(t, r1, r2, kk):
+        # antiderivatives in t of t, t log t and t e_k(t)
+        t = t[:, None]
+        t2 = t * t
+        base = np.hstack([t2 / 2.0, t2 * (np.log(t) - 0.5) / 2.0])
+        # t (R1/t)^k integrates to t^2 (R1/t)^k / (2 - k); R1^2 log t at k = 2
+        inner = t2 * (r1 / t) ** kk / np.where(kk == 2, 1, 2 - kk)
+        inner[:, 1] = r1 * r1 * np.log(t[:, 0])
+        outer = t2 * (t / r2) ** kk / (kk + 2.0)
+        return base, np.stack([outer, inner], axis=-1)
+
+    def source(r1, r2, kk):
+        base_a, modes_a = primitives(ra, r1, r2, kk)
+        base_b, modes_b = primitives(rb, r1, r2, kk)
+        rot = np.exp(-1j * np.outer(theta, kk)) * step
+        return (step * (base_b - base_a).sum(axis=0),
+                np.einsum("mk,mkj->kj", rot, modes_b - modes_a))
+
+    z = np.concatenate([ra, rb]) * np.tile(np.exp(1j * theta), 2)
+    psi, vel = k1_series(model, z, float(np.min(ra)), float(np.max(rb)),
+                         source)
+    return psi.reshape(2, size), vel.reshape(2, size)
 
 
 # ---------------------------------------------------------------------------
@@ -450,9 +412,9 @@ def eval_f0(model: KernelModel, state: PerturbationState
         v1 = -1j * w1p
         s = (_k0_stream_integral(kind, param, z, w2, w2p, v2, outer_self)
              - _k0_stream_integral(kind, param, z, w1, w1p, v1, inner_self))
-        psi1, _ = _k1_area_terms(model, z, state, want_grad=False)
-        out.append(s + psi1)
-    return out[0], out[1]
+        out.append(s)
+    psi1, _ = _k1_area_terms(model, theta, ra, rb)
+    return out[0] + psi1[0], out[1] + psi1[1]
 
 
 def _velocity(model: KernelModel, state: PerturbationState
@@ -468,9 +430,9 @@ def _velocity(model: KernelModel, state: PerturbationState
                                    outer_self)
              - _k0_velocity_integral(kind, param, z, w1, w1p, 1j * w1p,
                                      inner_self))
-        _, vel = _k1_area_terms(model, z, state, want_grad=True)
-        out.append(u + vel)
-    return out[0], out[1]
+        out.append(u)
+    _, vel1 = _k1_area_terms(model, theta, ra, rb)
+    return out[0] + vel1[0], out[1] + vel1[1]
 
 
 def _sine_project(values: np.ndarray, m: int, n_modes: int) -> np.ndarray:
@@ -489,8 +451,7 @@ def eval_f(model: KernelModel, state: PerturbationState) -> ResidualVector:
     f2 = state.omega * d2 + np.real(u2 * np.conj(w2p))
     return ResidualVector(m=state.m, n_modes=state.n_modes,
                           s1=_sine_project(f1, state.m, state.n_modes),
-                          s2=_sine_project(f2, state.m, state.n_modes),
-                          grid1=f1, grid2=f2)
+                          s2=_sine_project(f2, state.m, state.n_modes))
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +475,8 @@ def branch_continue(model: KernelModel, b: float, m: int, branch: str = "+",
     """Amplitude-parameterized branch of m-fold V-states near the annulus.
 
     Solves {F = 0, kernel-direction amplitude = s} for the 2*n_modes cosine
-    coefficients and Omega by damped Newton with a finite-difference
-    Jacobian, marching s from 0 to s_max.
+    coefficients and Omega by undamped Newton with a central
+    finite-difference Jacobian, marching s from 0 to s_max.
     """
     point = _dispersion.dispersion_point(model, m, b)
     if point.delta <= _dispersion.DEGENERACY_TOL:

@@ -350,8 +350,8 @@ def exterior_fold_inequality(model: KernelModel, b: float, m: int) -> bool:
     return m > rhs
 
 
-def _tail_certified(model: KernelModel, b: float, m: int, k_max: int,
-                    tol: float, d_inf: float) -> bool:
+def _tail_gaps_decrease(model: KernelModel, b: float, m: int, k_max: int,
+                        tol: float, d_inf: float) -> bool:
     # beyond k_max: accept if |Delta_{km} - Delta_inf| decreased monotonically
     # over the last 5 samples and the limit is safely positive
     if d_inf <= 4.0 * tol:
@@ -367,9 +367,9 @@ def min_fold(model: KernelModel, b: float, k_max: int = 10,
 
     Conditions per candidate m: Delta_{km,b} > tol for k = 1..k_max, all
     Omega^{+/-}_{km} pairwise distinct beyond tol (including the limit
-    values -V^1, -V^2), and the tail |Delta_{km} - Delta_inf| certified to
-    converge monotonically.  Annulus and exterior models are additionally
-    cross-checked against their closed inequalities.
+    values -V^1, -V^2), and the gaps |Delta_{km} - Delta_inf| decreasing
+    over the last five k up to k_max.  Annulus and exterior models are
+    additionally cross-checked against their closed inequalities.
     """
     if not s_membership(model, b, tol):
         raise ValueError("b lies outside the admissible set: V^1 = V^2")
@@ -386,7 +386,7 @@ def min_fold(model: KernelModel, b: float, k_max: int = 10,
                         for j in range(i + 1, len(omegas)))
         if collision:
             continue
-        if not _tail_certified(model, b, m, k_max, tol, d_inf):
+        if not _tail_gaps_decrease(model, b, m, k_max, tol, d_inf):
             continue
         if model.variant == "EulerAnnulus":
             if not all(annulus_fold_inequality(model, b, k * m)

@@ -49,6 +49,7 @@ __all__ = [
     "gsqg_disc_v_terms",
     "qgsw_disc_v_terms",
     "qgsw_disc_v_series",
+    "k1_series",
     "k1_eval",
     "k1_grad",
 ]
@@ -354,16 +355,8 @@ def v1_v2(model: KernelModel, b: float) -> tuple[float, float]:
     lamt_b = closed_tilde_lambda(model, 1, b)
     lam_1 = closed_lambda(model, 1, 1.0)
     if lam_b is None:
-        from .universal import phi_n, phi_nb
-        from .cmkernel import spectral_integral
-        mu = model.measure()
-        if mu is None:
-            raise ValueError("model has neither closed forms nor a measure")
-        lam_b = spectral_integral(lambda x: phi_n(1, b * x), mu,
-                                  decay=min(b, 0.999))
-        lamt_b = spectral_integral(lambda x: phi_nb(1, b, x), mu,
-                                   decay=max(1.0 - b, 1e-3))
-        lam_1 = spectral_integral(lambda x: phi_n(1, x), mu, decay=1.0)
+        raise ValueError(f"v1_v2 has no closed form for {v!r}; "
+                         "use dispersion.v_constants")
     v1 = lam_b - lamt_b / b
     v2 = -lam_1 + b * lamt_b
     return (v1, v2)
@@ -620,58 +613,86 @@ def qgsw_disc_v_series(eps: float, r: float, b: float,
 # smooth kernel part K1 (needed by the contour functional)
 # ---------------------------------------------------------------------------
 
-_ANNULUS_SERIES_TOL = 1e-15
-_ANNULUS_SERIES_CAP = 400
+# K1 is the regular part of the Green function of the annulus R1 < |x| < R2,
+# with (R1, R2) = (0, R) for the disc and (R, inf) for the exterior:
+#   2 pi K1(rho e^{i theta}, t e^{i eta}) = [1, log rho] C0 [1, log t]^T
+#       - sum_{k>=1} (1/k) e_k(rho)^T C_k e_k(t) cos k(theta - eta),
+# e_k(t) = ((t/R2)^k, (R1/t)^k), C_k = [[1, -s^k], [-s^k, 1]] / (1 - s^{2k}),
+# s = R1/R2.  A source enters only through its weights on [1, log t] and its
+# mode sums of e_k(t) e^{-i k eta}, so a point and a patch share the series.
+
+_K1_TERM_TOL = 1e-16
+_K1_TERM_CAP = 400
+
+
+def _k1_domain(model: KernelModel) -> tuple[float, float, np.ndarray]:
+    """(R1, R2, C0) of the annulus whose Green function has regular part K1."""
+    p = model.params
+    if model.variant == "EulerDisc":
+        return 0.0, p["r"], np.array([[math.log(p["r"]), 0.0], [0.0, 0.0]])
+    if model.variant == "EulerExterior":
+        return p["r"], math.inf, np.array([[-math.log(p["r"]), 1.0],
+                                          [1.0, 0.0]])
+    if model.variant == "EulerAnnulus":
+        l1, l2 = math.log(p["r1"]), math.log(p["r2"])
+        return p["r1"], p["r2"], (np.array([[l1 * l2, -l2], [-l2, 1.0]])
+                                  / (l1 - l2))
+    raise ValueError(f"no closed kernel part for {model.variant!r}")
+
+
+def k1_series(model: KernelModel, x: np.ndarray, t_min: float, t_max: float,
+              source) -> tuple[np.ndarray, np.ndarray]:
+    """Stream and velocity (vx + i vy) of K1 against a source, at points x.
+
+    The source lies at radii in [t_min, t_max].  ``source(r1, r2, kk)``
+    returns its weights on [1, log t] and, one row per mode k in kk, its
+    sums of e_k(t) e^{-i k eta}.  The series stops once the largest term
+    ratio q has q^k < 1e-16, after at most 400 terms.
+    """
+    r1, r2, c0 = _k1_domain(model)
+    rho, theta = np.abs(x), np.angle(x)
+    q = max(float(np.max(rho)) * t_max / r2 ** 2,
+            r1 ** 2 / (float(np.min(rho)) * t_min))
+    cap = min(_K1_TERM_CAP, max(8, math.ceil(math.log(_K1_TERM_TOL)
+                                             / math.log(q))))
+    kk = np.arange(1, cap + 1)
+    s0, sk = source(r1, r2, kk)
+    s = (r1 / r2) ** kk
+    u_out = (sk[:, 0] - s * sk[:, 1]) / (1.0 - s * s)
+    u_in = (sk[:, 1] - s * sk[:, 0]) / (1.0 - s * s)
+    rot = np.exp(1j * np.outer(theta, kk))
+    e_out = (rho[:, None] / r2) ** kk * rot
+    e_in = (r1 / rho[:, None]) ** kk * rot
+    val = (c0[0] @ s0 + (c0[1] @ s0) * np.log(rho)
+           - np.real(e_out @ (u_out / kk) + e_in @ (u_in / kk)))
+    # rho d/drho + i d/dtheta of the mode sums: e_in u_in - conj(e_out u_out)
+    grad = (np.exp(1j * theta) / rho
+            * (c0[1] @ s0 + e_in @ u_in - np.conj(e_out @ u_out)))
+    return val / (2.0 * math.pi), grad / (2.0 * math.pi)
+
+
+def _k1_point(model: KernelModel, x: complex,
+              y: complex) -> tuple[float, complex]:
+    t, eta = abs(y), math.atan2(y.imag, y.real)
+
+    def source(r1, r2, kk):
+        e_k = np.stack([(t / r2) ** kk, (r1 / t) ** kk], axis=1)
+        return (np.array([1.0, math.log(t)]),
+                e_k * np.exp(-1j * kk * eta)[:, None])
+
+    val, grad = k1_series(model, np.array([complex(x)]), t, t, source)
+    return float(val[0]), complex(grad[0])
 
 
 def k1_eval(model: KernelModel, x: complex, y: complex) -> float:
     """K1(x, y) for models with an explicit smooth kernel part."""
-    v = model.variant
-    if v in _PLANE:
+    if model.variant in _PLANE:
         return 0.0
-    if v in ("EulerDisc", "EulerExterior"):
-        r = model.params["r"]
-        return math.log(abs(r - x * y.conjugate() / r)) / (2.0 * math.pi)
-    if v == "EulerAnnulus":
-        g = AnnulusGreenCoefficients(model.params["r1"], model.params["r2"])
-        rho, ry = abs(x), abs(y)
-        dang = math.atan2(x.imag, x.real) - math.atan2(y.imag, y.real)
-        total = g.a0(ry) + g.b0(ry) * math.log(rho)
-        for m in range(1, _ANNULUS_SERIES_CAP + 1):
-            term = (g.a_m(m, ry) * rho ** m + g.b_m(m, ry) * rho ** -m)
-            total -= term / m * math.cos(m * dang)
-            if abs(term) < _ANNULUS_SERIES_TOL:
-                break
-        return total / (2.0 * math.pi)
-    raise ValueError(f"k1_eval: no closed kernel part for {v!r}")
+    return _k1_point(model, x, y)[0]
 
 
 def k1_grad(model: KernelModel, x: complex, y: complex) -> complex:
     """Gradient of K1 in x, returned as a complex number (vx + i vy)."""
-    v = model.variant
-    if v in _PLANE:
+    if model.variant in _PLANE:
         return 0.0 + 0.0j
-    if v in ("EulerDisc", "EulerExterior"):
-        r = model.params["r"]
-        f = r - x * y.conjugate() / r
-        fp = -y.conjugate() / r
-        return (fp / f).conjugate() / (2.0 * math.pi)
-    if v == "EulerAnnulus":
-        g = AnnulusGreenCoefficients(model.params["r1"], model.params["r2"])
-        rho, ry = abs(x), abs(y)
-        theta = math.atan2(x.imag, x.real)
-        dang = theta - math.atan2(y.imag, y.real)
-        d_rho = g.b0(ry) / rho
-        d_theta = 0.0
-        for m in range(1, _ANNULUS_SERIES_CAP + 1):
-            am, bm = g.a_m(m, ry), g.b_m(m, ry)
-            term_r = am * rho ** (m - 1) - bm * rho ** (-m - 1)
-            term_t = am * rho ** m + bm * rho ** -m
-            d_rho -= term_r * math.cos(m * dang)
-            d_theta += term_t * math.sin(m * dang)
-            if abs(term_t) < _ANNULUS_SERIES_TOL:
-                break
-        grad = complex(math.cos(theta), math.sin(theta)) * (
-            d_rho + 1j * d_theta / rho)
-        return grad / (2.0 * math.pi)
-    raise ValueError(f"k1_grad: no closed kernel part for {v!r}")
+    return _k1_point(model, x, y)[1]

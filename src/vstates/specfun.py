@@ -1,8 +1,8 @@
 """Special functions backing the closed-form spectra.
 
-Gamma, Bessel J/I/K, Bessel zeros, the Gauss hypergeometric function,
-Chebyshev polynomials and the Pochhammer symbol.  Only integer Bessel
-orders are needed; arguments are real.
+Gamma, Bessel J/I/K, Bessel zeros, the Gauss hypergeometric function and
+the Pochhammer symbol.  Only integer Bessel orders are needed; arguments
+are real.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ __all__ = [
     "bessel_k",
     "bessel_zeros",
     "hyp2f1",
-    "chebyshev_t",
-    "chebyshev_u",
 ]
 
 # math.gamma overflows just above 171.6; keep a round threshold below it
@@ -203,27 +201,3 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     if z <= 0.75:
         return _hyp2f1_series(a, b, c, z)
     return float(_sp.hyp2f1(a, b, c, z))
-
-
-def chebyshev_t(n: int, x: float) -> float:
-    """Chebyshev polynomial of the first kind via the stable recurrence."""
-    if n < 0:
-        raise ValueError("chebyshev_t requires n >= 0")
-    if n == 0:
-        return 1.0
-    tm, t = 1.0, x
-    for _ in range(n - 1):
-        tm, t = t, 2.0 * x * t - tm
-    return t
-
-
-def chebyshev_u(n: int, x: float) -> float:
-    """Chebyshev polynomial of the second kind via the stable recurrence."""
-    if n < 0:
-        raise ValueError("chebyshev_u requires n >= 0")
-    if n == 0:
-        return 1.0
-    um, u = 1.0, 2.0 * x
-    for _ in range(n - 1):
-        um, u = u, 2.0 * x * u - um
-    return u

@@ -8,12 +8,9 @@ are doubled until two successive levels agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "UniversalEval",
     "periodic_trapezoid",
     "phi_n",
     "phi_nb",
@@ -21,15 +18,6 @@ __all__ = [
     "psi_b",
     "psi_b_prime0",
 ]
-
-
-@dataclass(frozen=True)
-class UniversalEval:
-    n: int
-    b: float
-    x: float
-    value: float
-    method: str  # {"trig-quadrature", "closed-n1", "rodrigues-oracle"}
 
 
 def periodic_trapezoid(f, tol: float = 1e-12, n0: int = 64,

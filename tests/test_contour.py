@@ -89,6 +89,68 @@ def test_annulus_is_equilibrium(model):
     assert contour.eval_f(model, st).norm() < 1e-12
 
 
+def _k1_brute(model, z, y):
+    """K1(z_i, y_q) and its z-gradient, from the image log kernel or the
+    AnnulusGreenCoefficients series."""
+    z, y = z[:, None], y[None, :]
+    if model.variant != "EulerAnnulus":
+        r = model.params["r"]
+        f = r - z * np.conj(y) / r
+        return (np.log(np.abs(f)) / (2.0 * np.pi),
+                np.conj(-np.conj(y) / r / f) / (2.0 * np.pi))
+    g = models.AnnulusGreenCoefficients(model.params["r1"], model.params["r2"])
+    rho, ry, dang = np.abs(z), np.abs(y), np.angle(z) - np.angle(y)
+    b0 = np.array([g.b0(t) for t in ry[0]])
+    val = np.array([g.a0(t) for t in ry[0]]) + b0 * np.log(rho)
+    d_rho = b0 / rho
+    d_theta = 0.0
+    for k in range(1, 101):
+        am, bm = g.a_m(k, ry), g.b_m(k, ry)
+        term = am * rho ** k + bm * rho ** -k
+        val = val - term / k * np.cos(k * dang)
+        d_rho = d_rho - (am * rho ** k - bm * rho ** -k) / rho * np.cos(k * dang)
+        d_theta = d_theta + term * np.sin(k * dang)
+    grad = np.exp(1j * np.angle(z)) * (d_rho + 1j * d_theta / rho)
+    return val / (2.0 * np.pi), grad / (2.0 * np.pi)
+
+
+@pytest.mark.parametrize("model", [
+    models.euler_disc(2.0), models.euler_exterior(0.3),
+    models.euler_annulus(0.3, 1.6)])
+def test_k1_area_term_off_the_annulus(model):
+    # the K0 parts of the bounded and plane Euler models agree, so the
+    # differences of eval_f0 and eval_f are the K1 stream and its residual;
+    # the brute-force sum uses the state's own eta trapezoid and 40-node
+    # radial Gauss per column; m = 2 keeps the k = 2 mode, whose radial
+    # integral is the logarithmic case
+    st = replace(_state(b=0.6, m=2, n=6, omega=0.2),
+                 a1=np.array([0.02, -0.02, 0.015, 0.01, 0.0, 0.0]),
+                 a2=np.array([-0.02, 0.015, 0.0, 0.02, 0.0, 0.0]))
+    eta = st.theta_grid()
+    ra, rb = st.radii(eta)
+    gx, gw = np.polynomial.legendre.leggauss(40)
+    t = 0.5 * (ra + rb)[:, None] + 0.5 * (rb - ra)[:, None] * gx
+    wts = (0.5 * (rb - ra)[:, None] * gw * t
+           * (2.0 * np.pi / len(eta))).ravel()
+    y = (t * np.exp(1j * eta)[:, None]).ravel()
+    d1, d2 = st.r_derivatives(eta)
+    sines = np.sin(np.outer(st.m * np.arange(1, st.n_modes + 1), eta))
+    f0_model = contour.eval_f0(model, st)
+    f0_plane = contour.eval_f0(EULER, st)
+    f_k1 = (contour.eval_f(model, st).stacked()
+            - contour.eval_f(EULER, st).stacked())
+    want_f = []
+    for i, (r, dr) in enumerate(((ra, d1), (rb, d2))):
+        z = r * np.exp(1j * eta)
+        val, grad = _k1_brute(model, z, y)
+        got = f0_model[i] - f0_plane[i]
+        assert np.max(np.abs(got - val @ wts)) < 1e-13
+        zp = (dr / r + 1j * r) * np.exp(1j * eta)
+        want_f.append((2.0 / len(eta))
+                      * sines @ np.real((grad @ wts) * np.conj(zp)))
+    assert np.max(np.abs(f_k1 - np.concatenate(want_f))) < 1e-13
+
+
 def test_f0_even_symmetry():
     # cosine perturbations keep F0 even in theta
     st = _state()

@@ -212,6 +212,26 @@ def test_k1_grad_matches_finite_differences(model):
     assert g.imag == pytest.approx(fd_im, abs=1e-8)
 
 
+@pytest.mark.parametrize("model, radii", [
+    # q = rho t / R^2 for the disc, R^2 / (rho t) for the exterior; the
+    # last pair of each sits at q >= 0.9, where the series runs ~360 terms
+    (models.euler_disc(2.0), [(0.3, 1.2), (1.0, 1.0), (1.5, 1.8),
+                              (1.9, 1.9)]),
+    (models.euler_exterior(0.3), [(0.9, 2.0), (0.5, 0.6), (0.35, 0.4),
+                                  (0.3154, 0.3154)]),
+])
+def test_k1_matches_image_log_kernel(model, radii):
+    r = model.params["r"]
+    for rho, t in radii:
+        for dang in (0.0, 0.4, 2.5):
+            x, y = rho * cmath.exp(0.3j + 1j * dang), t * cmath.exp(0.3j)
+            f = r - x * y.conjugate() / r
+            want = math.log(abs(f)) / (2.0 * math.pi)
+            want_grad = (-y.conjugate() / r / f).conjugate() / (2.0 * math.pi)
+            assert abs(models.k1_eval(model, x, y) - want) < 1e-13
+            assert abs(models.k1_grad(model, x, y) - want_grad) < 1e-13
+
+
 def test_annulus_c_frak_closed_form():
     r1, r2, b = 0.1, 10.0, 0.5
     want = ((-(b * b / 2.0) * math.log(b) - (1.0 - b * b) / 4.0

@@ -115,15 +115,3 @@ def test_hyp2f1_rejects_bad_input():
         specfun.hyp2f1(0.5, 0.5, 1.5, 1.2)
     with pytest.raises(ValueError):
         specfun.hyp2f1(0.5, 2.0, 1.5, 1.0)  # c - a - b < 0 at z = 1
-
-
-@given(st.integers(0, 8), st.floats(-1.0, 1.0))
-def test_chebyshev_recurrences(n, x):
-    assert specfun.chebyshev_t(n, x) == pytest.approx(
-        float(np.polynomial.chebyshev.chebval(x, [0] * n + [1])), abs=1e-12)
-    want_u = float(np.polynomial.Chebyshev.basis(n, domain=[-1, 1])(x))
-    # U_n via the trigonometric identity at a safe interior point
-    if abs(x) < 0.999:
-        t = math.acos(x)
-        want = math.sin((n + 1) * t) / math.sin(t)
-        assert specfun.chebyshev_u(n, x) == pytest.approx(want, abs=1e-10)
