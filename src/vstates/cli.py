@@ -77,7 +77,7 @@ def _parse_float_list(text: str, name: str) -> list[float]:
             count = int(count)
             if count < 1:
                 raise ValueError
-            return [float(v) for v in np.linspace(float(lo), float(hi), count)]
+            return [float(x) for x in np.linspace(float(lo), float(hi), count)]
         return [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise UsageError(f"cannot parse {name} specification {text!r}") from exc
@@ -138,7 +138,7 @@ def write_csv(path: str, metadata: dict, header: list[str],
             fh.write(f"# {key} = {metadata[key]}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(_fmt(cell) for cell in row) + "\n")
 
 
 def _out_dir(cfg: RunConfig) -> str:
@@ -216,7 +216,7 @@ def cmd_threshold(cfg: RunConfig) -> int:
     bs = cfg.b_values()
     k_max = int(cfg.get("k_max", 10))
     header = ["b", "min_fold", "delta_inf", "v1", "v2", "in_s", "found"]
-    closed_check = model.variant in ("EulerAnnulus", "EulerExterior")
+    closed_check = dispersion.has_closed_fold(model)
     if closed_check:
         header.append("closed_threshold")
     rows = []
@@ -241,11 +241,8 @@ def cmd_threshold(cfg: RunConfig) -> int:
 
 
 def _closed_threshold(model: models.KernelModel, b: float) -> int | None:
-    test = (dispersion.annulus_fold_inequality
-            if model.variant == "EulerAnnulus"
-            else dispersion.exterior_fold_inequality)
     for n in range(1, 201):
-        if test(model, b, n):
+        if dispersion.annulus_fold_inequality(model, b, n):
             return n
     return None
 
@@ -421,8 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    flag_values = {k: v for k, v in vars(args).items()
-                   if k not in ("command", "config", "param")}
+    flag_values = {key: val for key, val in vars(args).items()
+                   if key not in ("command", "config", "param")}
     try:
         file_values = _load_config(args.config)
         if args.param:

@@ -36,9 +36,6 @@ __all__ = [
     "boundary_export",
 ]
 
-_SUPPORTED = ("EulerPlane", "GsqgPlane", "QgswPlane", "EulerDisc",
-              "EulerAnnulus", "EulerExterior")
-
 _EULER_GAMMA = 0.5772156649015328606
 
 
@@ -135,19 +132,8 @@ def trivial_state(b: float, m: int, n_modes: int = 64,
 
 
 # ---------------------------------------------------------------------------
-# kernel family dispatch
+# boundary integrals of the convolution kernel
 # ---------------------------------------------------------------------------
-
-def _kernel_family(model: KernelModel) -> tuple[str, float]:
-    v = model.variant
-    if v in ("EulerPlane", "EulerDisc", "EulerAnnulus", "EulerExterior"):
-        return ("euler", 0.0)
-    if v == "GsqgPlane":
-        return ("gsqg", model.params["beta"])
-    if v == "QgswPlane":
-        return ("qgsw", model.params["eps"])
-    raise ValueError(f"contour dynamics not supported for {v!r}")
-
 
 def _log_weight_hat(size: int) -> np.ndarray:
     # Fourier coefficients of log(2|sin(u/2)|): -pi/|k|, zero mean
@@ -227,10 +213,6 @@ def _i1_over_z(z: np.ndarray) -> np.ndarray:
     return out
 
 
-# ---------------------------------------------------------------------------
-# boundary integrals of the convolution kernel
-# ---------------------------------------------------------------------------
-
 def _geometry_matrices(z: np.ndarray, w: np.ndarray, wp: np.ndarray,
                        self_interaction: bool):
     """Distance d_ij = |z_i - w_j| and, for self-interaction, the smooth
@@ -258,18 +240,18 @@ def _k0_velocity_integral(kind: str, param: float, z: np.ndarray,
     h = 2.0 * np.pi / size
     diff, d, g = _geometry_matrices(z, w, wp, self_interaction)
     if not self_interaction:
-        if kind == "euler":
+        if kind == "log":
             kern = -np.log(d) / (2.0 * np.pi)
-        elif kind == "gsqg":
+        elif kind == "power":
             kern = c_beta(param) * d ** (-param)
         else:
             kern = _sp.k0(param * d) / (2.0 * np.pi)
         return (kern * v[None, :]).sum(axis=1) * h
-    if kind == "euler":
+    if kind == "log":
         smooth = (-np.log(g) / (2.0 * np.pi)) * v[None, :]
         sing = np.broadcast_to(v, g.shape) * (-1.0 / (2.0 * np.pi))
         w_hat = _log_weight_hat(size)
-    elif kind == "gsqg":
+    elif kind == "power":
         smooth = None
         sing = c_beta(param) * g ** (-param) * v[None, :]
         w_hat = _pow_weight_hat(size, param)
@@ -295,19 +277,19 @@ def _k0_stream_integral(kind: str, param: float, z: np.ndarray,
     # dot_ij = (w_j - z_i) . v_j as plane vectors
     dot = (-diff.real) * v.real[None, :] + (-diff.imag) * v.imag[None, :]
     if not self_interaction:
-        if kind == "euler":
+        if kind == "log":
             ratio = -(np.log(d) - 0.5) / (4.0 * np.pi)
-        elif kind == "gsqg":
+        elif kind == "power":
             ratio = c_beta(param) / (2.0 - param) * d ** (-param)
         else:
             ed = param * d
             ratio = (1.0 - ed * _sp.k1(ed)) / (ed * ed) / (2.0 * np.pi)
         return (ratio * dot).sum(axis=1) * step
-    if kind == "euler":
+    if kind == "log":
         smooth = -(np.log(g) - 0.5) / (4.0 * np.pi) * dot
         sing = -dot / (4.0 * np.pi)
         w_hat = _log_weight_hat(size)
-    elif kind == "gsqg":
+    elif kind == "power":
         smooth = None
         sing = c_beta(param) / (2.0 - param) * g ** (-param) * dot
         w_hat = _pow_weight_hat(size, param)
@@ -337,7 +319,7 @@ def _k1_area_terms(model: KernelModel, theta: np.ndarray, ra: np.ndarray,
     Rows 0 and 1 of the results belong to the inner and outer boundary.
     """
     size = len(theta)
-    if model.variant in ("EulerPlane", "GsqgPlane", "QgswPlane"):
+    if model.k1 is None:
         return np.zeros((2, size)), np.zeros((2, size), dtype=complex)
     step = 2.0 * np.pi / size
 
@@ -371,16 +353,25 @@ def _k1_area_terms(model: KernelModel, theta: np.ndarray, ra: np.ndarray,
 
 def _check_geometry(model: KernelModel, ra: np.ndarray,
                     rb: np.ndarray) -> None:
-    if np.any(rb - ra <= 0.0):
-        raise GeometryError("boundary curves intersect")
-    v = model.variant
-    if v in ("EulerDisc",) and np.any(rb >= model.params["r"]):
-        raise GeometryError("outer boundary left the domain disc")
-    if v == "EulerAnnulus":
-        if np.any(ra <= model.params["r1"]) or np.any(rb >= model.params["r2"]):
-            raise GeometryError("patch left the annular domain")
-    if v == "EulerExterior" and np.any(ra <= model.params["r"]):
-        raise GeometryError("inner boundary entered the excluded disc")
+    gap = float(np.min(rb - ra))
+    if gap <= 0.0:
+        raise GeometryError(f"boundary curves intersect (by {-gap:.1e})")
+    r1, r2 = model.domain
+    lo, hi = float(np.min(ra)), float(np.max(rb))
+    if lo <= r1:
+        raise GeometryError(f"inner boundary reaches {lo:.5g} <= R1 = {r1:g} "
+                            f"(by {r1 - lo:.1e})")
+    if hi >= r2:
+        raise GeometryError(f"outer boundary reaches {hi:.5g} >= R2 = {r2:g} "
+                            f"(by {hi - r2:.1e})")
+
+
+def _kernel(model: KernelModel) -> tuple[str, float]:
+    """model.k0, for the kernels whose boundary integrals are coded here."""
+    if model.k0[0] == "measure" or model.k1 == "bessel_zeros":
+        raise ValueError(
+            f"contour dynamics not supported for {model.variant!r}")
+    return model.k0
 
 
 def _boundary_data(state: PerturbationState):
@@ -400,9 +391,7 @@ def _boundary_data(state: PerturbationState):
 def eval_f0(model: KernelModel, state: PerturbationState
             ) -> tuple[np.ndarray, np.ndarray]:
     """Stream function F0[r] sampled on the theta grid for both boundaries."""
-    if model.variant not in _SUPPORTED:
-        raise ValueError(f"contour dynamics not supported for {model.variant!r}")
-    kind, param = _kernel_family(model)
+    kind, param = _kernel(model)
     theta, ra, rb, w1, w2, w1p, w2p, _, _ = _boundary_data(state)
     _check_geometry(model, ra, rb)
     out = []
@@ -420,7 +409,7 @@ def eval_f0(model: KernelModel, state: PerturbationState
 def _velocity(model: KernelModel, state: PerturbationState
               ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of the stream function on the two boundaries (complex)."""
-    kind, param = _kernel_family(model)
+    kind, param = _kernel(model)
     theta, ra, rb, w1, w2, w1p, w2p, _, _ = _boundary_data(state)
     _check_geometry(model, ra, rb)
     out = []

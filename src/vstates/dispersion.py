@@ -30,6 +30,7 @@ __all__ = [
     "delta_inf",
     "s_membership",
     "min_fold",
+    "has_closed_fold",
     "annulus_fold_inequality",
     "exterior_fold_inequality",
     "monotonicity_scan",
@@ -40,6 +41,9 @@ __all__ = [
 
 # absolute tolerance identifying a degenerate discriminant
 DEGENERACY_TOL = 1e-9
+
+# how SpectralRow.source names the route of p for each kind of K1
+_P_SOURCE = {None: "zero", "green": "closed", "bessel_zeros": "series"}
 
 
 class FoldNotFound(RuntimeError):
@@ -217,8 +221,9 @@ def spectral_row(model: KernelModel, n: int, b: float) -> SpectralRow:
     if n < 1:
         raise ValueError("spectral_row requires n >= 1")
     if not model.contains_b(b):
-        raise ValueError(f"b = {b} outside the admissible interval {model.s_max}")
-    source: dict = {}
+        raise ValueError(f"b = {b} outside the admissible interval "
+                         f"{(model.domain[0], 1.0)}")
+    source: dict = {"p": _P_SOURCE[model.k1]}
     lam_nb = _models.closed_lambda(model, n, b)
     lam_n1 = _models.closed_lambda(model, n, 1.0)
     lamt_nb = _models.closed_tilde_lambda(model, n, b)
@@ -226,18 +231,10 @@ def spectral_row(model: KernelModel, n: int, b: float) -> SpectralRow:
         source["lambda"] = "closed"
     else:
         mu = model.measure()
-        if mu is None:
-            raise ValueError("model provides neither closed forms nor a measure")
         lam_nb = _lambda_quadrature(mu, n, b)
         lam_n1 = _lambda_quadrature(mu, n, 1.0)
         lamt_nb = _lambda_tilde_quadrature(mu, n, b)
         source["lambda"] = "quadrature"
-    if model.variant in ("GsqgDisc", "QgswDisc"):
-        source["p"] = "series"
-    elif model.variant in _models._PLANE:
-        source["p"] = "zero"
-    else:
-        source["p"] = "closed"
     p_nb, p_n1, pt_nb = _models.closed_p(model, n, b)
     c_b, ct_b = _models.c_terms(model, b)
     return SpectralRow(n=n, b=b, lam_nb=lam_nb, lam_n1=lam_n1, lamt_nb=lamt_nb,
@@ -273,7 +270,7 @@ def dispersion_point(model: KernelModel, n: int, b: float,
 
 def v_constants(model: KernelModel, b: float) -> tuple[float, float]:
     """(V^1, V^2), falling back to quadrature for custom measures."""
-    if model.variant == "CustomConvolution":
+    if model.k0[0] == "measure":
         mu = model.measure()
         lam_b = _lambda_quadrature(mu, 1, b)
         lam_1 = _lambda_quadrature(mu, 1, 1.0)
@@ -293,8 +290,6 @@ def delta_inf(model: KernelModel, b: float, via_psi: bool = False) -> float:
         v1, v2 = v_constants(model, b)
         return (v1 - v2) ** 2
     mu = model.measure()
-    if mu is None:
-        raise ValueError("Psi-integral form needs a convolution measure")
     x_cut = 300.0 / min(b, 1.0)
     total = sum(m * psi_b(b, x) / x for x, m in mu.atoms if x > 0)
     if mu.family is not None:
@@ -325,29 +320,34 @@ def s_membership(model: KernelModel, b: float,
 # fold selection
 # ---------------------------------------------------------------------------
 
+def has_closed_fold(model: KernelModel) -> bool:
+    """True when the closed fold inequality applies: a Green-series K1 on a
+    domain with an inner boundary (annulus, exterior of a disc)."""
+    return model.k1 == "green" and model.domain[0] > 0.0
+
+
 def annulus_fold_inequality(model: KernelModel, b: float, n: int) -> bool:
-    """Closed positivity condition for the annulus discriminant at mode n."""
-    if model.variant != "EulerAnnulus":
-        raise ValueError("annulus_fold_inequality needs an EulerAnnulus model")
-    r1, r2 = model.params["r1"], model.params["r2"]
-    cf = _models.annulus_c_frak(r1, r2, b)
-    q = (r1 / r2) ** (2 * n)
-    rhs = (b * b / ((1.0 - b * b) * (b * b + 2.0 * cf))) / (1.0 - q) * (
-        2.0 - r1 ** (2 * n) - (r1 / b) ** (2 * n)
-        - (b ** (2 * n) + 1.0 - 2.0 * r1 ** (2 * n)) / r2 ** (2 * n)
-        + 2.0 * (1.0 - r2 ** (-2 * n)) * b ** n * (1.0 - (r1 / b) ** (2 * n)))
+    """Closed positivity condition for the discriminant at mode n.
+
+    Written for the domain (R1, R2) with R2 entering only through 1/R2, so
+    the exterior R2 = inf is its limit; c is the K1 constant of `c_terms`.
+    """
+    if not has_closed_fold(model):
+        raise ValueError("the closed fold inequality needs an annulus or "
+                         "exterior domain with a log kernel")
+    r1, r2 = model.domain
+    c = _models.c_terms(model, b)[1]
+    u = 1.0 / r2
+    s2n = (r1 * u) ** (2 * n)
+    inner = (r1 / b) ** (2 * n)
+    rhs = (b * b / ((1.0 - b * b) * (b * b + 2.0 * c))) / (1.0 - s2n) * (
+        2.0 - r1 ** (2 * n) - inner
+        - (b * u) ** (2 * n) - u ** (2 * n) + 2.0 * s2n
+        + 2.0 * (1.0 - u ** (2 * n)) * b ** n * (1.0 - inner))
     return n > rhs
 
 
-def exterior_fold_inequality(model: KernelModel, b: float, m: int) -> bool:
-    """Closed positivity condition for the exterior-domain discriminant."""
-    if model.variant != "EulerExterior":
-        raise ValueError("exterior_fold_inequality needs an EulerExterior model")
-    r = model.params["r"]
-    rhs = (b * b / (1.0 - b * b)) * (
-        2.0 - r ** (2 * m) + (r / b) ** (2 * m)
-        + 2.0 * b ** m * (1.0 - (r / b) ** (2 * m)))
-    return m > rhs
+exterior_fold_inequality = annulus_fold_inequality
 
 
 def _tail_gaps_decrease(model: KernelModel, b: float, m: int, k_max: int,
@@ -368,8 +368,8 @@ def min_fold(model: KernelModel, b: float, k_max: int = 10,
     Conditions per candidate m: Delta_{km,b} > tol for k = 1..k_max, all
     Omega^{+/-}_{km} pairwise distinct beyond tol (including the limit
     values -V^1, -V^2), and the gaps |Delta_{km} - Delta_inf| decreasing
-    over the last five k up to k_max.  Annulus and exterior models are
-    additionally cross-checked against their closed inequalities.
+    over the last five k up to k_max.  Models with a closed fold inequality
+    (see `has_closed_fold`) are additionally cross-checked against it.
     """
     if not s_membership(model, b, tol):
         raise ValueError("b lies outside the admissible set: V^1 = V^2")
@@ -388,16 +388,11 @@ def min_fold(model: KernelModel, b: float, k_max: int = 10,
             continue
         if not _tail_gaps_decrease(model, b, m, k_max, tol, d_inf):
             continue
-        if model.variant == "EulerAnnulus":
-            if not all(annulus_fold_inequality(model, b, k * m)
-                       for k in range(1, k_max + 1)):
-                raise RuntimeError(
-                    "annulus closed inequality disagrees with the Delta scan")
-        if model.variant == "EulerExterior":
-            if not all(exterior_fold_inequality(model, b, k * m)
-                       for k in range(1, k_max + 1)):
-                raise RuntimeError(
-                    "exterior closed inequality disagrees with the Delta scan")
+        if has_closed_fold(model) and not all(
+                annulus_fold_inequality(model, b, k * m)
+                for k in range(1, k_max + 1)):
+            raise RuntimeError(
+                "closed fold inequality disagrees with the Delta scan")
         return m
     raise FoldNotFound(f"no fold m <= {m_cap} satisfies the conditions")
 

@@ -1,17 +1,20 @@
 """Catalog of geophysical kernel models with closed-form spectral data.
 
-Each model names a kernel K(x, y) = K0(|x - y|) + K1(x, y) on a domain
-(whole plane, disc of radius R, annulus R1 < |x| < R2, or the exterior of
-a disc) and carries the closed forms needed by the dispersion relation:
-the convolution coefficients lambda / lambda-tilde, the interaction
-coefficients p / p-tilde, and the velocity constants V^1, V^2 of the
-unperturbed annulus 1_{D \\ b D}.
+A model is its convolution kernel K0 plus its domain (R1, R2): the region
+R1 < |x| < R2, with R1 = 0 when there is no inner boundary and R2 = inf
+when there is no outer one.  So (0, inf) is the whole plane, (0, R) a
+disc, (r1, r2) an annulus and (r, inf) the exterior of a disc.  The
+kernel is K(x, y) = K0(|x - y|) + K1(x, y), where K1 is the regular part
+of the domain's Green function; both fields fix every closed form the
+dispersion relation needs: the convolution coefficients lambda /
+lambda-tilde, the interaction coefficients p / p-tilde, and the velocity
+constants V^1, V^2 of the unperturbed annulus 1_{D \\ b D}.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -19,8 +22,8 @@ from scipy import integrate as _integrate
 from scipy import special as _sp
 
 from .cmkernel import Measure, c_beta, euler_flat, gsqg_power, qgsw_shifted
-from .specfun import (bessel_i, bessel_j, bessel_k, bessel_zeros, gamma_fn,
-                      hyp2f1, pochhammer)
+from .specfun import (bessel_i, bessel_k, bessel_zeros, gamma_fn, hyp2f1,
+                      pochhammer)
 
 __all__ = [
     "KernelModel",
@@ -54,41 +57,48 @@ __all__ = [
     "k1_grad",
 ]
 
-_EULER_FAMILY = ("EulerPlane", "EulerDisc", "EulerAnnulus", "EulerExterior")
-_PLANE = ("EulerPlane", "GsqgPlane", "QgswPlane", "CustomConvolution")
+_LOG = ("log", 0.0)
 
 
 @dataclass(frozen=True)
 class KernelModel:
-    """Tagged kernel model with its parameters and admissible b-interval."""
+    """A kernel model: its convolution kernel K0 on the domain (R1, R2).
+
+    k0 is ("log", 0), ("power", beta), ("bessel", eps) or ("measure", mu):
+    -log(r)/(2 pi), c_beta r^-beta, K_0(eps r)/(2 pi) or the kernel of a
+    Bernstein measure.  The patch b < |x| < 1 needs R1 < b and R2 > 1.
+    """
 
     variant: str
-    params: dict = field(default_factory=dict)
-    measure_obj: Measure | None = None
+    params: dict
+    k0: tuple
+    domain: tuple[float, float] = (0.0, math.inf)
 
     @property
-    def s_max(self) -> tuple[float, float]:
-        if self.variant == "EulerAnnulus":
-            return (self.params["r1"], 1.0)
-        if self.variant == "EulerExterior":
-            return (self.params["r"], 1.0)
-        return (0.0, 1.0)
+    def k1(self) -> str | None:
+        """Kind of the regular part K1: None on the plane, "green" for the
+        log kernel's Green series, "bessel_zeros" for the series over the
+        zeros of J_n of the other disc kernels."""
+        if self.domain == (0.0, math.inf):
+            return None
+        return "green" if self.k0[0] == "log" else "bessel_zeros"
+
+    @property
+    def measure_obj(self) -> Measure | None:
+        """The user-supplied Bernstein measure of a custom convolution."""
+        return self.k0[1] if self.k0[0] == "measure" else None
 
     def contains_b(self, b: float) -> bool:
-        lo, hi = self.s_max
-        return lo < b < hi
+        return self.domain[0] < b < 1.0
 
-    def measure(self) -> Measure | None:
-        """Bernstein measure of the convolution part K0, when built in."""
-        if self.measure_obj is not None:
-            return self.measure_obj
-        if self.variant in _EULER_FAMILY:
+    def measure(self) -> Measure:
+        """Bernstein measure of the convolution part K0."""
+        kind, arg = self.k0
+        if kind == "measure":
+            return arg
+        if kind == "log":
             return euler_flat()
-        if self.variant in ("GsqgPlane", "GsqgDisc"):
-            return gsqg_power(self.params["beta"])
-        if self.variant in ("QgswPlane", "QgswDisc"):
-            return qgsw_shifted(self.params["eps"])
-        return None
+        return gsqg_power(arg) if kind == "power" else qgsw_shifted(arg)
 
     def describe(self) -> str:
         if self.params:
@@ -98,54 +108,56 @@ class KernelModel:
 
 
 def euler_plane() -> KernelModel:
-    return KernelModel("EulerPlane")
+    return KernelModel("EulerPlane", {}, _LOG)
 
 
 def gsqg_plane(beta: float) -> KernelModel:
     if not 0.0 < beta < 1.0:
         raise ValueError("gsqg_plane requires beta in (0, 1)")
-    return KernelModel("GsqgPlane", {"beta": beta})
+    return KernelModel("GsqgPlane", {"beta": beta}, ("power", beta))
 
 
 def qgsw_plane(eps: float) -> KernelModel:
     if eps <= 0:
         raise ValueError("qgsw_plane requires eps > 0")
-    return KernelModel("QgswPlane", {"eps": eps})
+    return KernelModel("QgswPlane", {"eps": eps}, ("bessel", eps))
 
 
 def euler_disc(r: float) -> KernelModel:
     if r <= 1.0:
         raise ValueError("euler_disc requires R > 1")
-    return KernelModel("EulerDisc", {"r": r})
+    return KernelModel("EulerDisc", {"r": r}, _LOG, (0.0, r))
 
 
 def gsqg_disc(beta: float, r: float) -> KernelModel:
     if not 0.0 < beta < 1.0 or r <= 1.0:
         raise ValueError("gsqg_disc requires beta in (0, 1) and R > 1")
-    return KernelModel("GsqgDisc", {"beta": beta, "r": r})
+    return KernelModel("GsqgDisc", {"beta": beta, "r": r}, ("power", beta),
+                       (0.0, r))
 
 
 def qgsw_disc(eps: float, r: float) -> KernelModel:
     if eps <= 0 or r <= 1.0:
         raise ValueError("qgsw_disc requires eps > 0 and R > 1")
-    return KernelModel("QgswDisc", {"eps": eps, "r": r})
+    return KernelModel("QgswDisc", {"eps": eps, "r": r}, ("bessel", eps),
+                       (0.0, r))
 
 
 def euler_annulus(r1: float, r2: float) -> KernelModel:
     if not 0.0 < r1 < 1.0 < r2:
         raise ValueError("euler_annulus requires 0 < R1 < 1 < R2")
-    return KernelModel("EulerAnnulus", {"r1": r1, "r2": r2})
+    return KernelModel("EulerAnnulus", {"r1": r1, "r2": r2}, _LOG, (r1, r2))
 
 
 def euler_exterior(r: float) -> KernelModel:
     if not 0.0 < r < 1.0:
         raise ValueError("euler_exterior requires R in (0, 1)")
-    return KernelModel("EulerExterior", {"r": r})
+    return KernelModel("EulerExterior", {"r": r}, _LOG, (r, math.inf))
 
 
 def custom_convolution(measure: Measure, alpha: float = 0.5) -> KernelModel:
     return KernelModel("CustomConvolution", {"alpha": alpha},
-                       measure_obj=measure)
+                       ("measure", measure))
 
 
 _VARIANT_BUILDERS = {
@@ -192,14 +204,13 @@ def closed_lambda(model: KernelModel, n: int, b: float) -> float | None:
     """lambda_{n,b} of the model's K0, when a closed form exists."""
     if n < 1:
         raise ValueError("closed_lambda requires n >= 1")
-    if model.variant in _EULER_FAMILY:
+    kind, arg = model.k0
+    if kind == "log":
         return 1.0 / (2.0 * n)
-    if model.variant in ("GsqgPlane", "GsqgDisc"):
-        beta = model.params["beta"]
-        return b ** (-beta) * gsqg_capital_lambda(n, 1.0, beta)
-    if model.variant in ("QgswPlane", "QgswDisc"):
-        eps = model.params["eps"]
-        return bessel_i(n, b * eps) * bessel_k(n, b * eps)
+    if kind == "power":
+        return b ** (-arg) * gsqg_capital_lambda(n, 1.0, arg)
+    if kind == "bessel":
+        return bessel_i(n, b * arg) * bessel_k(n, b * arg)
     return None
 
 
@@ -207,13 +218,13 @@ def closed_tilde_lambda(model: KernelModel, n: int, b: float) -> float | None:
     """lambda-tilde_{n,b} of the model's K0, when a closed form exists."""
     if n < 1:
         raise ValueError("closed_tilde_lambda requires n >= 1")
-    if model.variant in _EULER_FAMILY:
+    kind, arg = model.k0
+    if kind == "log":
         return b ** n / (2.0 * n)
-    if model.variant in ("GsqgPlane", "GsqgDisc"):
-        return gsqg_capital_lambda(n, b, model.params["beta"])
-    if model.variant in ("QgswPlane", "QgswDisc"):
-        eps = model.params["eps"]
-        return bessel_i(n, b * eps) * bessel_k(n, eps)
+    if kind == "power":
+        return gsqg_capital_lambda(n, b, arg)
+    if kind == "bessel":
+        return bessel_i(n, b * arg) * bessel_k(n, arg)
     return None
 
 
@@ -260,34 +271,29 @@ def closed_p(model: KernelModel, n: int, b: float,
              truncation: int = 500) -> tuple[float, float, float]:
     """(p_{n,b}, p_{n,1}, p-tilde_{n,b}) of the model's K1.
 
-    Plane models have K1 = 0.  Euler disc/annulus/exterior use the explicit
-    log-kernel Fourier coefficients; the gSQG/QGSW disc variants route to
-    the Bessel-zero series of `series_p`.
+    Plane models have K1 = 0.  The Green series of the domain (R1, R2)
+    gives, with s = R1/R2 and every power taken of a ratio at most 1,
+      p_{n,x} = -[(x/R2)^2n + (R1/x)^2n - 2 s^2n] / (2n (1 - s^2n)),
+      p-tilde_{n,b} = -[(b/R2^2)^n + (R1^2/b)^n - s^2n b^n
+                        - (R1^2/(R2^2 b))^n] / (2n (1 - s^2n)).
+    The gSQG/QGSW discs route to the Bessel-zero series of `series_p`.
     """
     if n < 1:
         raise ValueError("closed_p requires n >= 1")
-    v = model.variant
-    if v in _PLANE:
+    if model.k1 is None:
         return (0.0, 0.0, 0.0)
-    if v == "EulerDisc":
-        q = model.params["r"] ** -2
-        return (-(q * b * b) ** n / (2.0 * n),
-                -(q) ** n / (2.0 * n),
-                -(q * b) ** n / (2.0 * n))
-    if v == "EulerAnnulus":
-        g = AnnulusGreenCoefficients(model.params["r1"], model.params["r2"])
-        p_nb = -(g.a_m(n, b) * b ** n + g.b_m(n, b) * b ** -n) / (2.0 * n)
-        p_n1 = -(g.a_m(n, 1.0) + g.b_m(n, 1.0)) / (2.0 * n)
-        pt_nb = -(g.a_m(n, 1.0) * b ** n + g.b_m(n, 1.0) * b ** -n) / (2.0 * n)
-        return (p_nb, p_n1, pt_nb)
-    if v == "EulerExterior":
-        r2n = model.params["r"] ** (2 * n)
-        return (-r2n * b ** (-2 * n) / (2.0 * n),
-                -r2n / (2.0 * n),
-                -r2n * b ** (-n) / (2.0 * n))
-    if v in ("GsqgDisc", "QgswDisc"):
+    if model.k1 == "bessel_zeros":
         return series_p(model, n, b, truncation)
-    raise ValueError(f"closed_p: unsupported variant {v!r}")
+    r1, r2 = model.domain
+    s2n = (r1 / r2) ** (2 * n)
+    den = 2.0 * n * (1.0 - s2n)
+
+    def p(x: float) -> float:
+        return -((x / r2) ** (2 * n) + (r1 / x) ** (2 * n) - 2.0 * s2n) / den
+
+    pt_nb = -((b / (r2 * r2)) ** n + (r1 * r1 / b) ** n - s2n * b ** n
+              - (r1 * r1 / (r2 * r2 * b)) ** n) / den
+    return (p(b), p(1.0), pt_nb)
 
 
 def series_p(model: KernelModel, n: int, b: float,
@@ -298,37 +304,24 @@ def series_p(model: KernelModel, n: int, b: float,
     a series over the zeros of J_n; subtracting the whole-plane coefficient
     lambda_{n,b} leaves p_{n,b}.
     """
-    r = model.params["r"]
-    if model.variant == "QgswDisc":
-        eps = model.params["eps"]
-
+    if model.k1 != "bessel_zeros":
+        raise ValueError("series_p is defined for GsqgDisc / QgswDisc only")
+    kind, arg = model.k0
+    r = model.domain[1]
+    if kind == "bessel":
         def coeff(a1: float, a2: float) -> float:
             return 2.0 * _jn_zero_series(
-                n, n, a1, a2, lambda x: 1.0 / (x * x + eps * eps * r * r),
+                n, n, a1, a2, lambda x: 1.0 / (x * x + arg * arg * r * r),
                 truncation)
-
-        lam_b = bessel_i(n, b * eps) * bessel_k(n, b * eps)
-        lam_1 = bessel_i(n, eps) * bessel_k(n, eps)
-        lamt = bessel_i(n, b * eps) * bessel_k(n, eps)
-        return (coeff(b / r, b / r) - lam_b,
-                coeff(1.0 / r, 1.0 / r) - lam_1,
-                coeff(b / r, 1.0 / r) - lamt)
-    if model.variant == "GsqgDisc":
-        beta = model.params["beta"]
-        q = 2.0 - beta
-        pref = 2.0 * r ** (-beta)
-
+    else:
         def coeff(a1: float, a2: float) -> float:
             lo, hi = min(a1, a2), max(a1, a2)
-            return pref * sneddon_integral(n, n, n, q, lo, hi)
+            return 2.0 * r ** (-arg) * sneddon_integral(n, n, n, 2.0 - arg,
+                                                        lo, hi)
 
-        lam_b = b ** (-beta) * gsqg_capital_lambda(n, 1.0, beta)
-        lam_1 = gsqg_capital_lambda(n, 1.0, beta)
-        lamt = gsqg_capital_lambda(n, b, beta)
-        return (coeff(b / r, b / r) - lam_b,
-                coeff(1.0 / r, 1.0 / r) - lam_1,
-                coeff(b / r, 1.0 / r) - lamt)
-    raise ValueError("series_p is defined for GsqgDisc / QgswDisc only")
+    return (coeff(b / r, b / r) - closed_lambda(model, n, b),
+            coeff(1.0 / r, 1.0 / r) - closed_lambda(model, n, 1.0),
+            coeff(b / r, 1.0 / r) - closed_tilde_lambda(model, n, b))
 
 
 # ---------------------------------------------------------------------------
@@ -338,40 +331,37 @@ def series_p(model: KernelModel, n: int, b: float,
 def v1_v2(model: KernelModel, b: float) -> tuple[float, float]:
     """(V^1_b[0], V^2_b[0]) for the model."""
     if not model.contains_b(b):
-        raise ValueError(f"b = {b} outside the admissible interval {model.s_max}")
-    v = model.variant
-    if v == "GsqgDisc":
-        return gsqg_disc_v_terms(model.params["beta"], model.params["r"], b)
-    if v == "QgswDisc":
-        return qgsw_disc_v_terms(model.params["eps"], model.params["r"], b)
-    if v == "EulerAnnulus":
-        cf = annulus_c_frak(model.params["r1"], model.params["r2"], b)
-        return (cf / (b * b), -(1.0 - b * b) / 2.0 + cf)
-    if v == "EulerExterior":
-        return ((1.0 - b * b) / (2.0 * b * b), 0.0)
-    # convolution part only (plane models and the Euler disc, whose
-    # K1-induced c-terms vanish)
+        raise ValueError(f"b = {b} outside the admissible interval "
+                         f"{(model.domain[0], 1.0)}")
+    if model.k1 == "bessel_zeros":
+        kind, arg = model.k0
+        v_terms = gsqg_disc_v_terms if kind == "power" else qgsw_disc_v_terms
+        return v_terms(arg, model.domain[1], b)
     lam_b = closed_lambda(model, 1, b)
     lamt_b = closed_tilde_lambda(model, 1, b)
     lam_1 = closed_lambda(model, 1, 1.0)
     if lam_b is None:
-        raise ValueError(f"v1_v2 has no closed form for {v!r}; "
+        raise ValueError(f"v1_v2 has no closed form for {model.variant!r}; "
                          "use dispersion.v_constants")
-    v1 = lam_b - lamt_b / b
-    v2 = -lam_1 + b * lamt_b
-    return (v1, v2)
+    c_b, ct_b = c_terms(model, b)
+    return (lam_b - lamt_b / b + c_b, -lam_1 + b * lamt_b + ct_b)
 
 
 def c_terms(model: KernelModel, b: float) -> tuple[float, float]:
-    """(c_b, c-tilde_b): the K1 contributions inside V^1, V^2."""
-    v = model.variant
-    if v in _PLANE or v == "EulerDisc":
+    """(c_b, c-tilde_b): the K1 contributions inside V^1, V^2.
+
+    For a Green-series K1 they are (c / b^2, c), where c is the constant
+    mode of K1 over the patch, C0[1, 0] (1 - b^2)/2
+    + C0[1, 1] (-(1 - b^2)/4 - (b^2/2) log b).
+    """
+    if model.k1 is None:
         return (0.0, 0.0)
-    if v == "EulerAnnulus":
-        cf = annulus_c_frak(model.params["r1"], model.params["r2"], b)
-        return (cf / (b * b), cf)
-    if v == "EulerExterior":
-        return ((1.0 - b * b) / (2.0 * b * b), (1.0 - b * b) / 2.0)
+    if model.k1 == "green":
+        c0 = _k1_domain(model)[2]
+        c = float(c0[1, 0] * (1.0 - b * b) / 2.0
+                  + c0[1, 1] * (-(1.0 - b * b) / 4.0
+                                - (b * b / 2.0) * math.log(b)))
+        return (c / (b * b), c)
     # gSQG / QGSW disc: difference between the full V and its convolution part
     v1, v2 = v1_v2(model, b)
     lam_b = closed_lambda(model, 1, b)
@@ -626,18 +616,14 @@ _K1_TERM_CAP = 400
 
 
 def _k1_domain(model: KernelModel) -> tuple[float, float, np.ndarray]:
-    """(R1, R2, C0) of the annulus whose Green function has regular part K1."""
-    p = model.params
-    if model.variant == "EulerDisc":
-        return 0.0, p["r"], np.array([[math.log(p["r"]), 0.0], [0.0, 0.0]])
-    if model.variant == "EulerExterior":
-        return p["r"], math.inf, np.array([[-math.log(p["r"]), 1.0],
-                                          [1.0, 0.0]])
-    if model.variant == "EulerAnnulus":
-        l1, l2 = math.log(p["r1"]), math.log(p["r2"])
-        return p["r1"], p["r2"], (np.array([[l1 * l2, -l2], [-l2, 1.0]])
-                                  / (l1 - l2))
-    raise ValueError(f"no closed kernel part for {model.variant!r}")
+    """(R1, R2, C0) of the domain whose Green function has regular part K1."""
+    r1, r2 = model.domain
+    if r1 == 0.0:
+        return r1, r2, np.array([[math.log(r2), 0.0], [0.0, 0.0]])
+    if r2 == math.inf:
+        return r1, r2, np.array([[-math.log(r1), 1.0], [1.0, 0.0]])
+    l1, l2 = math.log(r1), math.log(r2)
+    return r1, r2, np.array([[l1 * l2, -l2], [-l2, 1.0]]) / (l1 - l2)
 
 
 def k1_series(model: KernelModel, x: np.ndarray, t_min: float, t_max: float,
@@ -686,13 +672,13 @@ def _k1_point(model: KernelModel, x: complex,
 
 def k1_eval(model: KernelModel, x: complex, y: complex) -> float:
     """K1(x, y) for models with an explicit smooth kernel part."""
-    if model.variant in _PLANE:
+    if model.k1 is None:
         return 0.0
     return _k1_point(model, x, y)[0]
 
 
 def k1_grad(model: KernelModel, x: complex, y: complex) -> complex:
     """Gradient of K1 in x, returned as a complex number (vx + i vy)."""
-    if model.variant in _PLANE:
+    if model.k1 is None:
         return 0.0 + 0.0j
     return _k1_point(model, x, y)[1]

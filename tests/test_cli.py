@@ -145,6 +145,28 @@ def test_threshold_exterior_values(tmp_path):
     assert rows[0][header.index("in_s")] == "true"
 
 
+def test_threshold_exterior_fold_matches_closed_route(tmp_path):
+    out = str(tmp_path)
+    code = run_cli(["threshold", "--model", "EulerExterior",
+                    "--param", "r=0.3", "--b", "0.52", "--out", out])
+    assert code == 0
+    _, header, rows = read_csv(os.path.join(out, "threshold.csv"))
+    assert rows[0][header.index("min_fold")] == "1"
+    assert rows[0][header.index("closed_threshold")] == "1"
+
+
+def test_spectra_annulus_high_modes_near_inner_boundary(tmp_path):
+    # (r2^2/b)^n overflowed here before the closed forms were scaled
+    out = str(tmp_path)
+    code = run_cli(["spectra", "--model", "EulerAnnulus", "--param", "r1=0.1",
+                    "--param", "r2=10", "--b", "0.2", "--n", "1:128",
+                    "--out", out])
+    assert code == 0
+    _, header, rows = read_csv(os.path.join(out, "spectra.csv"))
+    assert len(rows) == 128
+    assert all(np.isfinite(float(row[header.index("delta")])) for row in rows)
+
+
 def test_verify_passes(tmp_path):
     out = str(tmp_path)
     assert run_cli(["verify", "--out", out]) == 0

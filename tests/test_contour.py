@@ -1,6 +1,7 @@
 """Contour-dynamics discretization, linearization checks and branches."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -58,6 +59,26 @@ def test_domain_violation_detected():
     bad = replace(st, a2=st.a2 + np.array([0.25] + [0.0] * 7))
     with pytest.raises(contour.GeometryError):
         contour.eval_f0(model, bad)
+
+
+@pytest.mark.parametrize("model, b, a1, a2, message", [
+    # m = 2, one mode: the radii peak at theta = 0 as sqrt(b^2 + 2 a1) and
+    # sqrt(1 + 2 a2)
+    (models.euler_disc(1.2), 0.5, 0.0, 0.25,
+     "outer boundary reaches 1.2247 >= R2 = 1.2 (by 2.5e-02)"),
+    (models.euler_annulus(0.45, 1.6), 0.5, -0.03, 0.0,
+     "inner boundary reaches 0.43589 <= R1 = 0.45 (by 1.4e-02)"),
+    (models.euler_annulus(0.3, 1.2), 0.5, 0.0, 0.25,
+     "outer boundary reaches 1.2247 >= R2 = 1.2 (by 2.5e-02)"),
+    (models.euler_exterior(0.45), 0.5, -0.03, 0.0,
+     "inner boundary reaches 0.43589 <= R1 = 0.45 (by 1.4e-02)"),
+    (EULER, 0.9, 0.12, 0.0, "boundary curves intersect (by 2.5e-02)"),
+], ids=["disc", "annulus-inner", "annulus-outer", "exterior", "intersect"])
+def test_geometry_error_names_constraint_and_margin(model, b, a1, a2,
+                                                    message):
+    st = contour.PerturbationState(b=b, m=2, n_modes=1, a1=[a1], a2=[a2])
+    with pytest.raises(contour.GeometryError, match=re.escape(message)):
+        contour.eval_f0(model, st)
 
 
 def test_unsupported_model_rejected():

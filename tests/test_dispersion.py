@@ -138,6 +138,24 @@ def test_min_fold_dual_route_exterior():
     assert m == 1
 
 
+@pytest.mark.parametrize("model", [
+    models.euler_exterior(0.1), models.euler_exterior(0.3),
+    models.euler_exterior(0.6), models.euler_annulus(0.1, 10.0),
+    models.euler_annulus(0.3, 4.0), models.euler_annulus(0.6, 1.3)])
+def test_fold_inequality_is_the_sign_of_delta(model):
+    # the exterior is the R2 -> inf limit of the annulus inequality; an
+    # exterior formula with +(r/b)^2n in place of -(r/b)^2n fails here.
+    # The narrow annulus (0.6, 1.3) is where the (R1/R2)^2n terms matter.
+    r1 = model.domain[0]
+    for b in np.linspace(r1, 1.0, 102)[1:-1]:
+        for n in range(1, 41):
+            delta = dispersion.dispersion_point(model, n, b).delta
+            if abs(delta) < 1e-8:
+                continue
+            assert dispersion.annulus_fold_inequality(model, b, n) == (
+                delta > 0), (b, n, delta)
+
+
 def test_fold_inequality_wrong_model():
     with pytest.raises(ValueError):
         dispersion.annulus_fold_inequality(EULER, 0.5, 3)

@@ -179,6 +179,44 @@ def test_closed_p_against_kernel_fourier(model):
                                       rel=1e-10, abs=1e-12)
 
 
+@pytest.mark.parametrize("model, b", [
+    (models.euler_annulus(0.1, 10.0), 0.100001),
+    (models.euler_annulus(0.1, 10.0), 0.2),
+    (models.euler_annulus(0.1, 10.0), 0.999),
+    (models.euler_exterior(0.3), 0.300001),
+])
+def test_closed_forms_finite_at_the_largest_fold_mode(model, b):
+    """n = 640 = k_max * m_cap is the largest mode min_fold reaches."""
+    import mpmath
+    from vstates import dispersion
+    n = 640
+    p = models.closed_p(model, n, b)
+    assert all(math.isfinite(v) for v in p)
+    assert all(math.isfinite(v) for v in models.c_terms(model, b))
+    assert dispersion.annulus_fold_inequality(model, b, n) in (True, False)
+
+    # unscaled a_m / b_m formula at 50 digits; R2 = 10^400 for the exterior
+    # leaves relative corrections of 10^-512000
+    with mpmath.workdps(50):
+        r1, bb = mpmath.mpf(model.domain[0]), mpmath.mpf(b)
+        r2 = (mpmath.mpf(model.domain[1]) if model.domain[1] < math.inf
+              else mpmath.mpf(10) ** 400)
+        den = r2 ** (2 * n) - r1 ** (2 * n)
+
+        def a_m(r):
+            return (r ** n - (r1 * r1 / r) ** n) / den
+
+        def b_m(r):
+            return r1 ** (2 * n) * ((r2 * r2 / r) ** n - r ** n) / den
+
+        want = (-(a_m(bb) * bb ** n + b_m(bb) * bb ** -n) / (2 * n),
+                -(a_m(1) + b_m(1)) / (2 * n),
+                -(a_m(1) * bb ** n + b_m(1) * bb ** -n) / (2 * n))
+        for got, ref in zip(p, want):
+            # values below the double range underflow to zero
+            assert abs(got - ref) <= 1e-13 * abs(ref) + 1e-300, (got, ref)
+
+
 def test_plane_models_have_no_smooth_part():
     assert models.closed_p(models.euler_plane(), 3, 0.5) == (0.0, 0.0, 0.0)
     assert models.k1_eval(models.euler_plane(), 0.5, 0.3 + 0.1j) == 0.0
