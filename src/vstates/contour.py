@@ -5,17 +5,19 @@ and sqrt(1 + 2 r2) e^{i theta} with m-fold symmetric, even perturbations r1, r2.
 The rotating-patch equation F(Omega, r) = Omega r' + d/dtheta F0[r] = 0 is
 evaluated spectrally: the convolution part of the kernel is reduced to
 boundary integrals by the divergence theorem, its angular singularities are
-integrated with exact Fourier weights, and the smooth kernel part K1 of
-bounded domains enters through its Green-function series, whose radial
-factors are integrated across the patch in closed form.  Newton
-continuation in the kernel-mode amplitude produces the local bifurcation
-branches.
+integrated with exact Fourier weights (a circulant cached per grid), and
+the smooth kernel part K1 of bounded domains enters through its
+Green-function series, whose radial factors are integrated across the
+patch in closed form.  F is odd and 2 pi/m-periodic, so its targets are
+the grid points on [0, pi/m] only.  Newton continuation in the
+kernel-mode amplitude produces the local bifurcation branches.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy import special as _sp
@@ -153,10 +155,24 @@ def _pow_weight_hat(size: int, beta: float) -> np.ndarray:
     return np.exp(log_pref + lg(k + beta / 2.0) - lg(k + 1.0 - beta / 2.0))
 
 
-def _sing_conv(s_matrix: np.ndarray, w_hat: np.ndarray) -> np.ndarray:
-    """diag of the spectral product: sum_k s-hat_{i,k} W-hat_k e^{i k theta_i}."""
-    transformed = np.fft.ifft(np.fft.fft(s_matrix, axis=1) * w_hat, axis=1)
-    return np.diagonal(transformed)
+@lru_cache(maxsize=32)
+def _singular_tables(size: int, rows: int, weight: str,
+                     beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """|2 sin((theta_i - eta_j)/2)|, with 1 where i = j, and the circulant
+    c[(i - j) mod size] of the singular weight, for targets i < rows.
+
+    c = ifft(W-hat) is real because W-hat is even, and the row sum
+    sum_j S_ij c[(i - j) mod size] is the spectral product
+    sum_k S-hat_{i,k} W-hat_k e^{i k theta_i}.
+    """
+    lag = (np.arange(rows)[:, None] - np.arange(size)[None, :]) % size
+    sin_fac = 2.0 * np.sin(np.pi * lag / size)
+    sin_fac[lag == 0] = 1.0
+    w_hat = (_pow_weight_hat(size, beta) if weight == "power"
+             else _log_weight_hat(size))
+    circ = np.fft.ifft(w_hat).real[lag]
+    sin_fac.flags.writeable = circ.flags.writeable = False
+    return sin_fac, circ
 
 
 def _qgsw_q0(z: np.ndarray) -> np.ndarray:
@@ -213,32 +229,29 @@ def _i1_over_z(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _geometry_matrices(z: np.ndarray, w: np.ndarray, wp: np.ndarray,
-                       self_interaction: bool):
-    """Distance d_ij = |z_i - w_j| and, for self-interaction, the smooth
-    quotient g_ij = d_ij / |2 sin((theta_i - eta_j)/2)| with g_ii = |w'_i|."""
+def _geometry_matrices(kind: str, param: float, z: np.ndarray,
+                       w: np.ndarray, wp: np.ndarray, self_interaction: bool):
+    """Distance d_ij = |z_i - w_j| and, for self-interaction (z_i = w_i),
+    the smooth quotient g_ij = d_ij / |2 sin((theta_i - eta_j)/2)| with
+    g_ii = |w'_i| and the circulant of the singular weight."""
     diff = z[:, None] - w[None, :]
     d = np.abs(diff)
     if not self_interaction:
-        return diff, d, None
-    size = len(z)
-    idx = np.arange(size)
-    u = (idx[:, None] - idx[None, :]) * (2.0 * np.pi / size)
-    sin_fac = 2.0 * np.abs(np.sin(u / 2.0))
-    g = np.empty_like(d)
-    off = sin_fac > 0
-    g[off] = d[off] / sin_fac[off]
-    g[idx, idx] = np.abs(wp)
-    return diff, d, g
+        return diff, d, None, None
+    weight = ("power", param) if kind == "power" else ("log", 0.0)
+    sin_fac, circ = _singular_tables(len(w), len(z), *weight)
+    g = d / sin_fac
+    np.fill_diagonal(g, np.abs(wp[:len(z)]))
+    return diff, d, g, circ
 
 
 def _k0_velocity_integral(kind: str, param: float, z: np.ndarray,
                           w: np.ndarray, wp: np.ndarray, v: np.ndarray,
                           self_interaction: bool) -> np.ndarray:
     """int K0(|z_i - w(eta)|) v(eta) d eta, complex-valued."""
-    size = len(w)
-    h = 2.0 * np.pi / size
-    diff, d, g = _geometry_matrices(z, w, wp, self_interaction)
+    h = 2.0 * np.pi / len(w)
+    diff, d, g, circ = _geometry_matrices(kind, param, z, w, wp,
+                                          self_interaction)
     if not self_interaction:
         if kind == "log":
             kern = -np.log(d) / (2.0 * np.pi)
@@ -250,18 +263,15 @@ def _k0_velocity_integral(kind: str, param: float, z: np.ndarray,
     if kind == "log":
         smooth = (-np.log(g) / (2.0 * np.pi)) * v[None, :]
         sing = np.broadcast_to(v, g.shape) * (-1.0 / (2.0 * np.pi))
-        w_hat = _log_weight_hat(size)
     elif kind == "power":
         smooth = None
         sing = c_beta(param) * g ** (-param) * v[None, :]
-        w_hat = _pow_weight_hat(size, param)
     else:
         ed = param * d
         smooth = ((_qgsw_q0(ed) - np.log(param * g) * _sp.i0(ed))
                   / (2.0 * np.pi)) * v[None, :]
         sing = (-_sp.i0(ed) / (2.0 * np.pi)) * v[None, :]
-        w_hat = _log_weight_hat(size)
-    total = _sing_conv(sing, w_hat).copy()
+    total = (sing * circ).sum(axis=1)
     if smooth is not None:
         total += smooth.sum(axis=1) * h
     return total
@@ -271,9 +281,9 @@ def _k0_stream_integral(kind: str, param: float, z: np.ndarray,
                         w: np.ndarray, wp: np.ndarray, v: np.ndarray,
                         self_interaction: bool) -> np.ndarray:
     """int (h(d)/d) (w(eta) - z_i) . v(eta) d eta  with h' + h/rho = K0."""
-    size = len(w)
-    step = 2.0 * np.pi / size
-    diff, d, g = _geometry_matrices(z, w, wp, self_interaction)
+    step = 2.0 * np.pi / len(w)
+    diff, d, g, circ = _geometry_matrices(kind, param, z, w, wp,
+                                          self_interaction)
     # dot_ij = (w_j - z_i) . v_j as plane vectors
     dot = (-diff.real) * v.real[None, :] + (-diff.imag) * v.imag[None, :]
     if not self_interaction:
@@ -288,18 +298,15 @@ def _k0_stream_integral(kind: str, param: float, z: np.ndarray,
     if kind == "log":
         smooth = -(np.log(g) - 0.5) / (4.0 * np.pi) * dot
         sing = -dot / (4.0 * np.pi)
-        w_hat = _log_weight_hat(size)
     elif kind == "power":
         smooth = None
         sing = c_beta(param) / (2.0 - param) * g ** (-param) * dot
-        w_hat = _pow_weight_hat(size, param)
     else:
         ed = param * d
         i1z = _i1_over_z(ed)
         smooth = (_qgsw_s0(ed) - np.log(param * g / 2.0) * i1z) / (2.0 * np.pi) * dot
         sing = -i1z / (2.0 * np.pi) * dot
-        w_hat = _log_weight_hat(size)
-    total = np.real(_sing_conv(sing.astype(complex), w_hat)).copy()
+    total = (sing * circ).sum(axis=1)
     if smooth is not None:
         total += smooth.sum(axis=1) * step
     return total
@@ -310,18 +317,18 @@ def _k0_stream_integral(kind: str, param: float, z: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _k1_area_terms(model: KernelModel, theta: np.ndarray, ra: np.ndarray,
-                   rb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                   rb: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
     """Stream and velocity of K1 over the patch, on both boundaries.
 
     Every term of the K1 series is a radial factor times cos k(theta - eta),
     so the patch integral takes each radial factor from ra(eta) to rb(eta)
-    in closed form and sums the columns by the trapezoid rule in eta.
-    Rows 0 and 1 of the results belong to the inner and outer boundary.
+    in closed form and sums all columns by the trapezoid rule in eta.
+    Rows 0 and 1 of the results hold the first ``rows`` points of the inner
+    and outer boundary.
     """
-    size = len(theta)
     if model.k1 is None:
-        return np.zeros((2, size)), np.zeros((2, size), dtype=complex)
-    step = 2.0 * np.pi / size
+        return np.zeros((2, rows)), np.zeros((2, rows), dtype=complex)
+    step = 2.0 * np.pi / len(theta)
 
     def primitives(t, r1, r2, kk):
         # antiderivatives in t of t, t log t and t e_k(t)
@@ -341,10 +348,11 @@ def _k1_area_terms(model: KernelModel, theta: np.ndarray, ra: np.ndarray,
         return (step * (base_b - base_a).sum(axis=0),
                 np.einsum("mk,mkj->kj", rot, modes_b - modes_a))
 
-    z = np.concatenate([ra, rb]) * np.tile(np.exp(1j * theta), 2)
+    z = (np.concatenate([ra[:rows], rb[:rows]])
+         * np.tile(np.exp(1j * theta[:rows]), 2))
     psi, vel = k1_series(model, z, float(np.min(ra)), float(np.max(rb)),
                          source)
-    return psi.reshape(2, size), vel.reshape(2, size)
+    return psi.reshape(2, rows), vel.reshape(2, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +382,10 @@ def _kernel(model: KernelModel) -> tuple[str, float]:
     return model.k0
 
 
-def _boundary_data(state: PerturbationState):
+def _boundary_data(model: KernelModel, state: PerturbationState):
     theta = state.theta_grid()
     ra, rb = state.radii(theta)
+    _check_geometry(model, ra, rb)
     d1, d2 = state.r_derivatives(theta)
     rap = d1 / ra
     rbp = d2 / rb
@@ -392,8 +401,7 @@ def eval_f0(model: KernelModel, state: PerturbationState
             ) -> tuple[np.ndarray, np.ndarray]:
     """Stream function F0[r] sampled on the theta grid for both boundaries."""
     kind, param = _kernel(model)
-    theta, ra, rb, w1, w2, w1p, w2p, _, _ = _boundary_data(state)
-    _check_geometry(model, ra, rb)
+    theta, ra, rb, w1, w2, w1p, w2p, _, _ = _boundary_data(model, state)
     out = []
     for z, selfs in ((w1, (True, False)), (w2, (False, True))):
         inner_self, outer_self = selfs
@@ -402,45 +410,48 @@ def eval_f0(model: KernelModel, state: PerturbationState
         s = (_k0_stream_integral(kind, param, z, w2, w2p, v2, outer_self)
              - _k0_stream_integral(kind, param, z, w1, w1p, v1, inner_self))
         out.append(s)
-    psi1, _ = _k1_area_terms(model, theta, ra, rb)
+    psi1, _ = _k1_area_terms(model, theta, ra, rb, len(theta))
     return out[0] + psi1[0], out[1] + psi1[1]
 
 
-def _velocity(model: KernelModel, state: PerturbationState
+def _velocity(model: KernelModel, data: tuple, rows: int
               ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of the stream function on the two boundaries (complex)."""
+    """Gradient of the stream function (complex) at the first ``rows``
+    points of the two boundaries; the sources are the whole grid."""
     kind, param = _kernel(model)
-    theta, ra, rb, w1, w2, w1p, w2p, _, _ = _boundary_data(state)
-    _check_geometry(model, ra, rb)
+    theta, ra, rb, w1, w2, w1p, w2p, _, _ = data
     out = []
-    for z, selfs in ((w1, (True, False)), (w2, (False, True))):
+    for z, selfs in ((w1[:rows], (True, False)), (w2[:rows], (False, True))):
         inner_self, outer_self = selfs
         u = (_k0_velocity_integral(kind, param, z, w2, w2p, 1j * w2p,
                                    outer_self)
              - _k0_velocity_integral(kind, param, z, w1, w1p, 1j * w1p,
                                      inner_self))
         out.append(u)
-    _, vel1 = _k1_area_terms(model, theta, ra, rb)
+    _, vel1 = _k1_area_terms(model, theta, ra, rb, rows)
     return out[0] + vel1[0], out[1] + vel1[1]
 
 
-def _sine_project(values: np.ndarray, m: int, n_modes: int) -> np.ndarray:
-    size = len(values)
-    theta = 2.0 * np.pi * np.arange(size) / size
-    kk = m * np.arange(1, n_modes + 1)
-    return (2.0 / size) * (np.sin(np.outer(kk, theta)) @ values)
-
-
 def eval_f(model: KernelModel, state: PerturbationState) -> ResidualVector:
-    """F(Omega, r) = Omega r' + d/dtheta F0[r], projected on the sine basis."""
-    theta, ra, rb, w1, w2, w1p, w2p, d1, d2 = _boundary_data(state)
-    u1, u2 = _velocity(model, state)
+    """F(Omega, r) = Omega r' + d/dtheta F0[r], projected on the sine basis.
+
+    F is odd and 2 pi/m-periodic, so it is evaluated only on the cell
+    [0, pi/m], at theta_0..theta_H with H = N/(2m), and projected there by
+    the trapezoid rule, which equals the full-grid projection.
+    """
+    data = _boundary_data(model, state)
+    theta, _, _, _, _, w1p, w2p, d1, d2 = data
+    half = state.grid_size // (2 * state.m)
+    cell = slice(0, half + 1)
+    u1, u2 = _velocity(model, data, half + 1)
     # d/dtheta F0_j = grad psi(z_j) . z_j'
-    f1 = state.omega * d1 + np.real(u1 * np.conj(w1p))
-    f2 = state.omega * d2 + np.real(u2 * np.conj(w2p))
+    f1 = state.omega * d1[cell] + np.real(u1 * np.conj(w1p[cell]))
+    f2 = state.omega * d2[cell] + np.real(u2 * np.conj(w2p[cell]))
+    weights = np.full(half + 1, 2.0 / half)
+    weights[[0, half]] /= 2.0
+    basis = np.sin(np.outer(state._modes(), theta[cell])) * weights
     return ResidualVector(m=state.m, n_modes=state.n_modes,
-                          s1=_sine_project(f1, state.m, state.n_modes),
-                          s2=_sine_project(f2, state.m, state.n_modes))
+                          s1=basis @ f1, s2=basis @ f2)
 
 
 # ---------------------------------------------------------------------------

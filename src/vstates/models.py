@@ -526,6 +526,7 @@ def _ii_over_i0_ratio(n1: int, x1: float, n2: int, x2: float,
                  * math.exp(x1 + x2 - 2.0 * r * rho))
 
 
+@lru_cache(maxsize=256)
 def gsqg_disc_v_terms(beta: float, r: float, b: float) -> tuple[float, float]:
     """(V^1, V^2) for the gSQG equation on the disc R*D via Sneddon integrals."""
     if not 0.0 < beta < 1.0 or r <= 1.0 or not 0.0 < b < 1.0:
@@ -568,6 +569,7 @@ def gsqg_disc_v_terms(beta: float, r: float, b: float) -> tuple[float, float]:
     return (v1, v2)
 
 
+@lru_cache(maxsize=256)
 def qgsw_disc_v_terms(eps: float, r: float, b: float) -> tuple[float, float]:
     """(V^1, V^2) for the QGSW equation on the disc R*D, closed form."""
     if eps <= 0 or r <= 1.0 or not 0.0 < b < 1.0:

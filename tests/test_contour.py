@@ -191,6 +191,47 @@ def test_residual_vector_shape_and_norm():
     assert len(res.stacked()) == 16
 
 
+@pytest.mark.parametrize("m", [2, 5])
+@pytest.mark.parametrize("model", [
+    EULER, models.gsqg_plane(0.5), models.qgsw_plane(2.0),
+    models.euler_disc(2.0), models.euler_exterior(0.3),
+    models.euler_annulus(0.1, 10.0)])
+def test_eval_f_on_the_cell_matches_full_grid_projection(model, m):
+    # eval_f evaluates F on theta in [0, pi/m] only; the oracle evaluates
+    # the velocity at every grid point and projects over the whole grid
+    st = replace(_state(b=0.6, m=m, n=4, omega=0.2),
+                 a1=np.array([0.015, -0.01, 0.005, 0.002]),
+                 a2=np.array([-0.02, 0.01, 0.004, -0.003]))
+    eta = st.theta_grid()
+    ra, rb = st.radii(eta)
+    d1, d2 = st.r_derivatives(eta)
+    u1, u2 = contour._velocity(model, contour._boundary_data(model, st),
+                               st.grid_size)
+    kk = st.m * np.arange(1, st.n_modes + 1)
+    want = []
+    for r, dr, u in ((ra, d1, u1), (rb, d2, u2)):
+        zp = (dr / r + 1j * r) * np.exp(1j * eta)
+        f = st.omega * dr + np.real(u * np.conj(zp))
+        want.append((2.0 / len(eta)) * np.sin(np.outer(kk, eta)) @ f)
+    got = contour.eval_f(model, st).stacked()
+    assert np.max(np.abs(got - np.concatenate(want))) < 1e-13
+
+
+@pytest.mark.parametrize("size", [40, 160])
+@pytest.mark.parametrize("weight, beta", [("log", 0.0), ("power", 0.5)])
+def test_circulant_row_sum_is_the_spectral_product(size, weight, beta):
+    rng = np.random.default_rng(size)
+    w_hat = (contour._pow_weight_hat(size, beta) if weight == "power"
+             else contour._log_weight_hat(size))
+    for rows in (size, size // 8 + 1):
+        s = (rng.standard_normal((rows, size))
+             + 1j * rng.standard_normal((rows, size)))
+        _, circ = contour._singular_tables(size, rows, weight, beta)
+        want = np.diagonal(np.fft.ifft(np.fft.fft(s, axis=1) * w_hat,
+                                       axis=1))
+        assert np.max(np.abs((s * circ).sum(axis=1) - want)) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # linearization against the dispersion multipliers
 # ---------------------------------------------------------------------------

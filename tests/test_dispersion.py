@@ -112,6 +112,26 @@ def test_delta_inf_is_velocity_gap_squared():
         (v1 - v2) ** 2, rel=1e-14)
 
 
+def test_disc_v_constants_computed_once_per_b(monkeypatch):
+    # V^1, V^2 of the Bessel-zero discs depend on b only; the per-mode
+    # Sneddon integrals of p are not counted here
+    calls = []
+    quad = models._integrate.quad
+
+    def counting_quad(f, *args, **kwargs):
+        calls.append(f.__qualname__)
+        return quad(f, *args, **kwargs)
+
+    monkeypatch.setattr(models._integrate, "quad", counting_quad)
+    models.gsqg_disc_v_terms.cache_clear()
+    model = models.gsqg_disc(0.5, 2.0)
+    for n in range(1, 5):
+        dispersion.dispersion_point(model, n, 0.4321)
+    v_calls = [name for name in calls
+               if name.startswith("gsqg_disc_v_terms.")]
+    assert 0 < len(v_calls) <= 8
+
+
 def test_s_membership():
     assert dispersion.s_membership(EULER, 0.3)
     assert dispersion.s_membership(EULER, 0.9)
