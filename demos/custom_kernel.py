@@ -24,9 +24,8 @@ def main():
     print("\ntruncated measure (density 1 on (0, 2), nothing closed-form):")
     mu = cmkernel.truncated_low(None, 2.0)
     model = models.custom_convolution(mu)
-    for n in (1, 2, 3, 4):
-        p = dispersion.dispersion_point(model, n, 0.5)
-        print(f"  n = {n}: Delta = {p.delta:.6e}  ({p.classification})")
+    for p in dispersion.dispersion_points(model, (1, 2, 3, 4), 0.5):
+        print(f"  n = {p.n}: Delta = {p.delta:.6e}  ({p.classification})")
     v1, v2 = dispersion.v_constants(model, 0.5)
     print(f"  velocity constants: V1 = {v1:.8f}, V2 = {v2:.8f}")
     print(f"  large-n discriminant limit: "

@@ -12,11 +12,10 @@ def table(model, b, n_max=8):
     print(f"\n{model.describe()}  at b = {b}")
     print(f"{'n':>3} {'A':>11} {'B':>11} {'Delta':>12} "
           f"{'Omega+':>10} {'Omega-':>10}  class")
-    for n in range(1, n_max + 1):
-        p = dispersion.dispersion_point(model, n, b)
+    for p in dispersion.dispersion_points(model, range(1, n_max + 1), b):
         op = f"{p.omega_plus:.6f}" if p.omega_plus is not None else "   --"
         om = f"{p.omega_minus:.6f}" if p.omega_minus is not None else "   --"
-        print(f"{n:>3} {p.a_nb:>11.6f} {p.b_nb:>11.6f} {p.delta:>12.3e} "
+        print(f"{p.n:>3} {p.a_nb:>11.6f} {p.b_nb:>11.6f} {p.delta:>12.3e} "
               f"{op:>10} {om:>10}  {p.classification}")
 
 

@@ -169,12 +169,11 @@ def cmd_spectra(cfg: RunConfig) -> int:
               "classification"]
     rows = []
     for b in bs:
-        for n in ns:
-            pt = dispersion.dispersion_point(model, n, b)
+        for pt in dispersion.dispersion_points(model, ns, b):
             r = pt.row
             source = "closed-form" if r.source.get("lambda") == "closed" \
                 else r.source.get("lambda", "")
-            rows.append([n, b, r.lam_nb, r.lam_n1, r.lamt_nb, r.p_nb,
+            rows.append([pt.n, b, r.lam_nb, r.lam_n1, r.lamt_nb, r.p_nb,
                          r.p_n1, r.pt_nb, r.c_b, r.ct_b, source, pt.a_nb,
                          pt.b_nb, pt.delta, pt.omega_plus, pt.omega_minus,
                          pt.classification])

@@ -1,7 +1,8 @@
 """Spectral engine for the linearized patch dynamics.
 
 Assembles the coefficient rows and dispersion points of the annulus
-1_{D \\ b D}, evaluates the discriminant and its large-n limit, locates the
+1_{D \\ b D}, with the velocity constants V^1, V^2 computed once per b for a
+list of modes, evaluates the discriminant and its large-n limit, locates the
 smallest symmetry fold m admitting simple real eigenvalues, scans the
 monotone ordering of the two branches, and classifies stability.
 """
@@ -17,7 +18,7 @@ from scipy import integrate as _integrate
 from . import models as _models
 from .cmkernel import Measure
 from .models import KernelModel
-from .universal import phi_n, phi_nb, psi_b
+from .universal import _gauss_rule, _phi_gauss, phi_n, phi_nb, psi_b
 
 __all__ = [
     "DEGENERACY_TOL",
@@ -27,6 +28,7 @@ __all__ = [
     "FoldNotFound",
     "spectral_row",
     "dispersion_point",
+    "dispersion_points",
     "delta_inf",
     "s_membership",
     "min_fold",
@@ -105,8 +107,6 @@ def _phi_tail_model(n: int, y: float) -> float:
 
 def _phi_batch(n: int, ys: np.ndarray) -> np.ndarray:
     """phi_n over an array of arguments via the graded Gauss-Legendre rule."""
-    from .universal import _phi_gauss
-    ys = np.asarray(ys, dtype=float)
     coarse = _phi_gauss(n, ys, 48)
     fine = _phi_gauss(n, ys, 96)
     if np.max(np.abs(fine - coarse)) > 1e-10:
@@ -144,7 +144,7 @@ def _density_nodes(mu: Measure, x_hi: float,
     the lower endpoint; the shifted family integrates in u with
     x = eps cosh(u), which removes its inverse-square-root singularity.
     """
-    gx, gw = np.polynomial.legendre.leggauss(order)
+    gx, gw = _gauss_rule(order)
 
     def panels(lo: float, hi: float, geometric: bool = True) -> np.ndarray:
         if geometric:
@@ -242,30 +242,40 @@ def spectral_row(model: KernelModel, n: int, b: float) -> SpectralRow:
                       source=source)
 
 
+def dispersion_points(model: KernelModel, ns, b: float,
+                      tol: float = DEGENERACY_TOL) -> list[DispersionPoint]:
+    """`dispersion_point` at each mode of ns, with V^1, V^2 computed once."""
+    points = []
+    for n in ns:
+        row = spectral_row(model, n, b)
+        if not points:  # after the first row has checked n and b
+            v1, v2 = v_constants(model, b)
+        a_nb = -v1 + row.lam_nb + row.p_nb
+        b_nb = -v2 - row.lam_n1 - row.p_n1
+        off = row.lamt_nb + row.pt_nb
+        delta = (a_nb - b_nb) ** 2 - 4.0 * off * off
+        if delta >= 0.0:
+            half_gap = math.sqrt(delta) / 2.0
+            omega_p = (a_nb + b_nb) / 2.0 + half_gap
+            omega_m = (a_nb + b_nb) / 2.0 - half_gap
+        else:
+            omega_p = omega_m = None
+        if delta > tol:
+            cls = "stable"
+        elif delta < -tol:
+            cls = "unstable"
+        else:
+            cls = "degenerate"
+        points.append(DispersionPoint(
+            n=n, b=b, a_nb=a_nb, b_nb=b_nb, delta=delta, omega_plus=omega_p,
+            omega_minus=omega_m, classification=cls, row=row))
+    return points
+
+
 def dispersion_point(model: KernelModel, n: int, b: float,
                      tol: float = DEGENERACY_TOL) -> DispersionPoint:
     """Quadratic coefficients A, B, discriminant and roots at mode n."""
-    row = spectral_row(model, n, b)
-    v1, v2 = v_constants(model, b)
-    a_nb = -v1 + row.lam_nb + row.p_nb
-    b_nb = -v2 - row.lam_n1 - row.p_n1
-    off = row.lamt_nb + row.pt_nb
-    delta = (a_nb - b_nb) ** 2 - 4.0 * off * off
-    if delta >= 0.0:
-        half_gap = math.sqrt(delta) / 2.0
-        omega_p = (a_nb + b_nb) / 2.0 + half_gap
-        omega_m = (a_nb + b_nb) / 2.0 - half_gap
-    else:
-        omega_p = omega_m = None
-    if delta > tol:
-        cls = "stable"
-    elif delta < -tol:
-        cls = "unstable"
-    else:
-        cls = "degenerate"
-    return DispersionPoint(n=n, b=b, a_nb=a_nb, b_nb=b_nb, delta=delta,
-                           omega_plus=omega_p, omega_minus=omega_m,
-                           classification=cls, row=row)
+    return dispersion_points(model, (n,), b, tol)[0]
 
 
 def v_constants(model: KernelModel, b: float) -> tuple[float, float]:
@@ -350,15 +360,12 @@ def annulus_fold_inequality(model: KernelModel, b: float, n: int) -> bool:
 exterior_fold_inequality = annulus_fold_inequality
 
 
-def _tail_gaps_decrease(model: KernelModel, b: float, m: int, k_max: int,
-                        tol: float, d_inf: float) -> bool:
-    # beyond k_max: accept if |Delta_{km} - Delta_inf| decreased monotonically
-    # over the last 5 samples and the limit is safely positive
-    if d_inf <= 4.0 * tol:
-        return False
-    ks = range(max(1, k_max - 4), k_max + 1)
-    gaps = [abs(dispersion_point(model, k * m, b).delta - d_inf) for k in ks]
-    return all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1))
+def _tail_gaps_decrease(points: list, tol: float, d_inf: float) -> bool:
+    # beyond the points of modes km, k <= k_max: accept if |Delta_{km} -
+    # Delta_inf| decreased over the last 5 and the limit is safely positive
+    gaps = [abs(p.delta - d_inf) for p in points[-5:]]
+    return d_inf > 4.0 * tol and all(gaps[i + 1] < gaps[i]
+                                     for i in range(len(gaps) - 1))
 
 
 def min_fold(model: KernelModel, b: float, k_max: int = 10,
@@ -376,7 +383,7 @@ def min_fold(model: KernelModel, b: float, k_max: int = 10,
     v1, v2 = v_constants(model, b)
     d_inf = (v1 - v2) ** 2
     for m in range(1, m_cap + 1):
-        points = [dispersion_point(model, k * m, b) for k in range(1, k_max + 1)]
+        points = dispersion_points(model, range(m, k_max * m + 1, m), b)
         if any(p.delta <= tol for p in points):
             continue
         omegas = [p.omega_plus for p in points] + [p.omega_minus for p in points]
@@ -386,7 +393,7 @@ def min_fold(model: KernelModel, b: float, k_max: int = 10,
                         for j in range(i + 1, len(omegas)))
         if collision:
             continue
-        if not _tail_gaps_decrease(model, b, m, k_max, tol, d_inf):
+        if not _tail_gaps_decrease(points, tol, d_inf):
             continue
         if has_closed_fold(model) and not all(
                 annulus_fold_inequality(model, b, k * m)
@@ -414,8 +421,7 @@ def monotonicity_scan(model: KernelModel, b: float, m_start: int,
     lo, hi = (-v1, -v2) if v1 > v2 else (-v2, -v1)
     ns = tuple(range(m_start, m_start + count))
     plus, minus = [], []
-    for n in ns:
-        p = dispersion_point(model, n, b)
+    for n, p in zip(ns, dispersion_points(model, ns, b)):
         if p.omega_plus is None:
             raise ValueError(f"Delta < 0 at n = {n}: scan needs a real spectrum")
         plus.append(p.omega_plus)

@@ -8,6 +8,8 @@ are doubled until two successive levels agree.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -41,6 +43,14 @@ def periodic_trapezoid(f, tol: float = 1e-12, n0: int = 64,
     return total
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    # Gauss-Legendre rule on [-1, 1], one eigenvalue solve per order, read-only
+    gx, gw = np.polynomial.legendre.leggauss(order)
+    gx.flags.writeable = gw.flags.writeable = False
+    return gx, gw
+
+
 def _phi_panel_edges(x: float) -> np.ndarray:
     # geometric grading toward u = 0, where the integrand peaks on a
     # scale ~ 1/(2x); the corner of the periodic extension sits there too
@@ -52,7 +62,7 @@ def _phi_gauss(n: int, x, order: int) -> float | np.ndarray:
     # phi_n(x) = 4 int_0^{pi/2} exp(-2x sin u) cos(2n u) du  (eta = 2u and
     # the reflection u -> pi - u); composite Gauss-Legendre per panel
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    gx, gw = np.polynomial.legendre.leggauss(order)
+    gx, gw = _gauss_rule(order)
     edges = _phi_panel_edges(np.max(xs))
     total = np.zeros_like(xs)
     for a, c in zip(edges[:-1], edges[1:]):

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from vstates import cli
+from vstates import cli, dispersion, universal
 
 
 def run_cli(args):
@@ -118,6 +118,35 @@ def test_universal_multiple_b(tmp_path):
     assert code == 0
     assert os.path.exists(os.path.join(out, "universal_b0.3.csv"))
     assert os.path.exists(os.path.join(out, "universal_b0.7.csv"))
+
+
+def test_universal_builds_each_gauss_rule_once(tmp_path, monkeypatch):
+    orders = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting_leggauss(order):
+        orders.append(order)
+        return leggauss(order)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting_leggauss)
+    universal._gauss_rule.cache_clear()
+    assert run_cli(["universal", "--out", str(tmp_path)]) == 0
+    assert orders and len(orders) == len(set(orders))
+
+
+def test_spectra_computes_v_constants_once_per_b(tmp_path, monkeypatch):
+    calls = []
+    v_constants = dispersion.v_constants
+
+    def counting_v(model, b):
+        calls.append(b)
+        return v_constants(model, b)
+
+    monkeypatch.setattr(dispersion, "v_constants", counting_v)
+    code = run_cli(["spectra", "--model", "GsqgPlane", "--param", "beta=0.5",
+                    "--b", "0.3,0.6", "--n", "1:32", "--out", str(tmp_path)])
+    assert code == 0
+    assert calls == [0.3, 0.6]
 
 
 def test_threshold_annulus_dual_route(tmp_path):

@@ -132,6 +132,41 @@ def test_disc_v_constants_computed_once_per_b(monkeypatch):
     assert 0 < len(v_calls) <= 8
 
 
+# (model, n_max): every row of the closed-form models is cheap, the
+# quadrature models are checked on the low modes only
+BATCH_CASES = [
+    (EULER, 128), (models.gsqg_plane(0.5), 128), (models.qgsw_plane(2.0), 128),
+    (models.euler_disc(2.0), 128), (models.euler_annulus(0.1, 10.0), 128),
+    (models.euler_exterior(0.3), 128), (models.gsqg_disc(0.5, 2.0), 12),
+    (models.qgsw_disc(2.0, 2.0), 12),
+    (models.custom_convolution(cmkernel.truncated_low(None, 2.0)), 12)]
+
+
+@pytest.mark.parametrize("model,n_max", BATCH_CASES,
+                         ids=[m.variant for m, _ in BATCH_CASES])
+def test_dispersion_points_equal_single_points(model, n_max):
+    ns = range(1, n_max + 1)
+    for b in (0.4, 0.7):
+        points = dispersion.dispersion_points(model, ns, b)
+        assert points == [dispersion.dispersion_point(model, n, b)
+                          for n in ns]
+
+
+def test_min_fold_one_row_per_mode_of_each_candidate_fold(monkeypatch):
+    # the tail check reuses the points of the candidate fold
+    ns = []
+    spectral_row = dispersion.spectral_row
+
+    def counting_row(model, n, b):
+        ns.append(n)
+        return spectral_row(model, n, b)
+
+    monkeypatch.setattr(dispersion, "spectral_row", counting_row)
+    fold = dispersion.min_fold(models.euler_plane(), 0.5)
+    assert fold == 4
+    assert ns == [k * m for m in range(1, fold + 1) for k in range(1, 11)]
+
+
 def test_s_membership():
     assert dispersion.s_membership(EULER, 0.3)
     assert dispersion.s_membership(EULER, 0.9)

@@ -1,6 +1,8 @@
 """Universal trigonometric integrals: oracles, bounds and limits."""
 
+import ast
 import math
+import pathlib
 
 import mpmath
 import numpy as np
@@ -138,3 +140,34 @@ def test_periodic_trapezoid_spectral():
     got = universal.periodic_trapezoid(lambda t: np.exp(np.cos(t)))
     want = 2.0 * math.pi * float(mpmath.besseli(0, 1))
     assert got == pytest.approx(want, rel=1e-13)
+
+
+def test_gauss_rule_is_cached_and_read_only():
+    gx, gw = universal._gauss_rule(24)
+    assert universal._gauss_rule(24)[0] is gx
+    with pytest.raises(ValueError):
+        gx[0] = 0.0
+    with pytest.raises(ValueError):
+        gw[0] = 0.0
+
+
+def test_leggauss_is_called_only_in_gauss_rule():
+    # each leggauss call is an eigenvalue solve; the package takes every
+    # Gauss-Legendre rule from the per-order cache of _gauss_rule
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "vstates"
+    inside, outside = 0, []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        spans = [(node.lineno, node.end_lineno)
+                 for node in ast.walk(ast.parse(text))
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "_gauss_rule"]
+        for lineno, line in enumerate(text.splitlines(), 1):
+            if "leggauss(" not in line:
+                continue
+            if any(lo <= lineno <= hi for lo, hi in spans):
+                inside += 1
+            else:
+                outside.append(f"{path.name}:{lineno}")
+    assert outside == []
+    assert inside == 1
