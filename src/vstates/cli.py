@@ -119,26 +119,35 @@ def _load_config(path: str | None) -> dict:
     return out
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, float):
-        return f"{value:.15g}"
-    return str(value)
+def _column_format(column) -> tuple[str, list]:
+    """Row-format field and values of one column: '%.15g' for floats, and
+    text for the rest, with true/false for booleans and an empty cell for
+    None or a masked entry.  A constant column is formatted once."""
+    values = column.tolist() if hasattr(column, "tolist") else list(column)
+    first = next((v for v in values if v is not None), None)
+    if first is None:
+        return "%s", [""] * len(values)
+    if isinstance(first, bool):
+        fmt = {True: "true", False: "false"}.__getitem__
+    else:
+        fmt = "%.15g".__mod__ if isinstance(first, float) else str
+    if values.count(first) == len(values):
+        return "%s", [fmt(first)] * len(values)
+    if isinstance(first, float) and None not in values:
+        return "%.15g", values
+    return "%s", ["" if v is None else fmt(v) for v in values]
 
 
 def write_csv(path: str, metadata: dict, header: list[str],
-              rows: list[list]) -> None:
+              columns: list) -> None:
+    """Write one table given as columns, each a sequence or array with one
+    entry per row; the format of each field is chosen per column."""
+    fields, values = zip(*map(_column_format, columns))
+    lines = [f"# {key} = {metadata[key]}" for key in metadata]
+    lines.append(",".join(header))
+    lines += map(",".join(fields).__mod__, zip(*values))
     with open(path, "w") as fh:
-        for key in metadata:
-            fh.write(f"# {key} = {metadata[key]}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(cell) for cell in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def _out_dir(cfg: RunConfig) -> str:
@@ -167,20 +176,24 @@ def cmd_spectra(cfg: RunConfig) -> int:
               "p_nb", "p_n1", "p_tilde_nb", "c_b", "c_tilde_b", "source",
               "a_nb", "b_nb", "delta", "omega_plus", "omega_minus",
               "classification"]
-    rows = []
+    columns = [[] for _ in header]
     for b in bs:
-        for pt in dispersion.dispersion_points(model, ns, b):
-            r = pt.row
-            source = "closed-form" if r.source.get("lambda") == "closed" \
-                else r.source.get("lambda", "")
-            rows.append([pt.n, b, r.lam_nb, r.lam_n1, r.lamt_nb, r.p_nb,
-                         r.p_n1, r.pt_nb, r.c_b, r.ct_b, source, pt.a_nb,
-                         pt.b_nb, pt.delta, pt.omega_plus, pt.omega_minus,
-                         pt.classification])
+        p = dispersion.dispersion_point(model, np.array(ns), b)
+        r = p.row
+        source = "closed-form" if r.source["lambda"] == "closed" \
+            else r.source["lambda"]
+        no_root, k = p.delta < 0.0, len(ns)
+        block = [p.n, [b] * k, r.lam_nb, r.lam_n1, r.lamt_nb, r.p_nb,
+                 r.p_n1, r.pt_nb, [r.c_b] * k, [r.ct_b] * k, [source] * k,
+                 p.a_nb, p.b_nb, p.delta,
+                 np.ma.array(p.omega_plus, mask=no_root),
+                 np.ma.array(p.omega_minus, mask=no_root), p.classification]
+        for column, values in zip(columns, block):
+            column += values if isinstance(values, list) else values.tolist()
     path = os.path.join(_out_dir(cfg), "spectra.csv")
     meta = {"command": "spectra", **_model_metadata(cfg),
             "b": cfg.get("b"), "n": cfg.get("n")}
-    write_csv(path, meta, header, rows)
+    write_csv(path, meta, header, columns)
     print(path)
     return 0
 
@@ -198,14 +211,13 @@ def cmd_universal(cfg: RunConfig) -> int:
     for b in bs:
         if not 0.0 < b < 1.0:
             raise UsageError("universal needs b in (0, 1)")
-        rows = []
-        for x in xs:
-            rows.append([float(x), universal.phi_n(n, x),
-                         universal.phi_nb(n, b, x), universal.psi_b(b, x)])
+        columns = [xs, [universal.phi_n(n, x) for x in xs],
+                   [universal.phi_nb(n, b, x) for x in xs],
+                   [universal.psi_b(b, x) for x in xs]]
         path = os.path.join(out, f"universal_b{b:g}.csv")
         write_csv(path, {"command": "universal", "fold": n, "b": f"{b:g}",
                          "x_max": f"{x_max:g}", "x_points": points},
-                  header, rows)
+                  header, columns)
         print(path)
     return 0
 
@@ -221,29 +233,27 @@ def cmd_threshold(cfg: RunConfig) -> int:
     rows = []
     for b in bs:
         v1, v2 = dispersion.v_constants(model, b)
-        dinf = dispersion.delta_inf(model, b)
-        in_s = dispersion.s_membership(model, b)
         try:
-            fold = dispersion.min_fold(model, b, k_max=k_max)
+            fold = dispersion.min_fold(model, b, k_max=k_max, v=(v1, v2))
             found = True
         except dispersion.FoldNotFound:
             fold, found = None, False
-        row = [b, fold, dinf, v1, v2, in_s, found]
+        row = [b, fold, (v1 - v2) ** 2, v1, v2,
+               abs(v1 - v2) > dispersion.DEGENERACY_TOL, found]
         if closed_check:
             row.append(_closed_threshold(model, b))
         rows.append(row)
     path = os.path.join(_out_dir(cfg), "threshold.csv")
     meta = {"command": "threshold", **_model_metadata(cfg), "b": cfg.get("b")}
-    write_csv(path, meta, header, rows)
+    write_csv(path, meta, header, list(zip(*rows)))
     print(path)
     return 0
 
 
 def _closed_threshold(model: models.KernelModel, b: float) -> int | None:
-    for n in range(1, 201):
-        if dispersion.annulus_fold_inequality(model, b, n):
-            return n
-    return None
+    ns = np.arange(1, 201)
+    hits = ns[dispersion.annulus_fold_inequality(model, b, ns)]
+    return int(hits[0]) if hits.size else None
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -312,7 +322,7 @@ def cmd_verify(cfg: RunConfig) -> int:
               f"(max error {err:.3e}, tolerance {tol:g})")
     path = os.path.join(_out_dir(cfg), "verify.csv")
     write_csv(path, {"command": "verify"},
-              ["suite", "max_error", "tolerance", "passed"], rows)
+              ["suite", "max_error", "tolerance", "passed"], list(zip(*rows)))
     print(path)
     return 1 if failed else 0
 
@@ -349,23 +359,24 @@ def cmd_branch(cfg: RunConfig) -> int:
     header = (["s", "omega"]
               + [f"a1_{k}" for k in range(1, n_modes + 1)]
               + [f"a2_{k}" for k in range(1, n_modes + 1)])
-    rows = [[s, st.omega, *st.a1, *st.a2] for s, st in table]
+    columns = [[s for s, _ in table], [st.omega for _, st in table]]
+    columns += [[st.a1[k] for _, st in table] for k in range(n_modes)]
+    columns += [[st.a2[k] for _, st in table] for k in range(n_modes)]
     meta = {"command": "branch", **_model_metadata(cfg), "b": f"{b:g}",
             "m": m, "branch": branch, "s_max": f"{s_max:g}", "steps": steps,
             "modes": n_modes}
     if partial:
         meta["warning"] = (f"continuation stopped early: last converged "
                           f"s = {table[-1][0]:g}")
-    write_csv(os.path.join(out, "branch.csv"), meta, header, rows)
+    write_csv(os.path.join(out, "branch.csv"), meta, header, columns)
     print(os.path.join(out, "branch.csv"))
     for idx, (s, st) in enumerate(table):
         inner, outer = contour.boundary_export(st)
-        theta = st.theta_grid()
-        rows = [[t, z1.real, z1.imag, z2.real, z2.imag]
-                for t, z1, z2 in zip(theta, inner, outer)]
         path = os.path.join(out, f"boundary_{idx:03d}.csv")
-        write_csv(path, {"command": "branch", "s": _fmt(float(s))},
-                  ["theta", "x_inner", "y_inner", "x_outer", "y_outer"], rows)
+        write_csv(path, {"command": "branch", "s": "%.15g" % s},
+                  ["theta", "x_inner", "y_inner", "x_outer", "y_outer"],
+                  [st.theta_grid(), inner.real, inner.imag, outer.real,
+                   outer.imag])
     if partial:
         print(partial, file=sys.stderr)
         return 1

@@ -1,10 +1,15 @@
 """Spectral engine for the linearized patch dynamics.
 
 Assembles the coefficient rows and dispersion points of the annulus
-1_{D \\ b D}, with the velocity constants V^1, V^2 computed once per b for a
-list of modes, evaluates the discriminant and its large-n limit, locates the
-smallest symmetry fold m admitting simple real eigenvalues, scans the
-monotone ordering of the two branches, and classifies stability.
+1_{D \\ b D}.  Given an array of modes, `dispersion_point` returns them as
+columns: the closed forms of `models` give each coefficient for every mode
+in one array call, the velocity constants V^1, V^2 are computed once per b,
+and A, B, the discriminant, both roots and the classification follow as
+arrays.  Custom measures and the gSQG/QGSW discs fill the columns one
+`spectral_row` at a time (quadrature and Bessel-zero series).  The module
+also evaluates the discriminant's large-n limit, locates the smallest
+symmetry fold m admitting simple real eigenvalues, scans the monotone
+ordering of the two branches, and classifies stability.
 """
 
 from __future__ import annotations
@@ -54,7 +59,8 @@ class FoldNotFound(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectralRow:
-    """Coefficients entering the n-th Fourier block of the linearization."""
+    """Coefficients entering the n-th Fourier block of the linearization;
+    columns over the modes when n is an array."""
 
     n: int
     b: float
@@ -71,7 +77,11 @@ class SpectralRow:
 
 @dataclass(frozen=True)
 class DispersionPoint:
-    """Dispersion data at mode n: quadratic coefficients, discriminant, roots."""
+    """Dispersion data at mode n: quadratic coefficients, discriminant, roots.
+
+    When n is an array of modes every field is a column, and the roots are
+    NaN where the discriminant is negative (None for a single mode).
+    """
 
     n: int
     b: float
@@ -220,9 +230,7 @@ def spectral_row(model: KernelModel, n: int, b: float) -> SpectralRow:
     """Assemble the six coefficients and two constants of the n-th block."""
     if n < 1:
         raise ValueError("spectral_row requires n >= 1")
-    if not model.contains_b(b):
-        raise ValueError(f"b = {b} outside the admissible interval "
-                         f"{(model.domain[0], 1.0)}")
+    model.require_b(b)
     source: dict = {"p": _P_SOURCE[model.k1]}
     lam_nb = _models.closed_lambda(model, n, b)
     lam_n1 = _models.closed_lambda(model, n, 1.0)
@@ -242,51 +250,103 @@ def spectral_row(model: KernelModel, n: int, b: float) -> SpectralRow:
                       source=source)
 
 
+_COEFFS = ("lam_nb", "lam_n1", "lamt_nb", "p_nb", "p_n1", "pt_nb")
+
+
+def dispersion_point(model: KernelModel, n, b: float,
+                     tol: float = DEGENERACY_TOL,
+                     v: tuple[float, float] | None = None) -> DispersionPoint:
+    """Quadratic coefficients A, B, discriminant and roots at mode n.
+
+    n may be an integer array of modes, which gives a point of columns.
+    V^1, V^2 are computed once, or taken from v.  A non-finite coefficient
+    raises ArithmeticError naming the model, the mode and b.
+    """
+    ns = np.atleast_1d(np.asarray(n, dtype=int))
+    if ns.ndim != 1 or ns.size == 0 or ns.min() < 1:
+        raise ValueError("dispersion_point requires modes n >= 1")
+    model.require_b(b)
+    if model.k0[0] != "measure" and model.k1 != "bessel_zeros":
+        cols = dict(zip(_COEFFS, (
+            _models.closed_lambda(model, ns, b),
+            _models.closed_lambda(model, ns, 1.0),
+            _models.closed_tilde_lambda(model, ns, b),
+            *_models.closed_p(model, ns, b))))
+        c_b, ct_b = _models.c_terms(model, b)
+        source = {"p": _P_SOURCE[model.k1], "lambda": "closed"}
+    else:  # quadrature or Bessel-zero series, one mode at a time
+        rows = [spectral_row(model, k, b) for k in ns.tolist()]
+        cols = {k: np.array([getattr(r, k) for r in rows]) for k in _COEFFS}
+        c_b, ct_b, source = rows[0].c_b, rows[0].ct_b, rows[0].source
+        if v is None and model.k0[0] == "measure" and rows[0].n == 1:
+            v = _v_from_mode_1(rows[0].lam_nb, rows[0].lam_n1,
+                               rows[0].lamt_nb, b)
+    v1, v2 = v_constants(model, b) if v is None else v
+    a_nb = -v1 + cols["lam_nb"] + cols["p_nb"]
+    b_nb = -v2 - cols["lam_n1"] - cols["p_n1"]
+    off = cols["lamt_nb"] + cols["pt_nb"]
+    # float_power rounds like the scalar x ** 2, which is not always x * x
+    delta = np.float_power(a_nb - b_nb, 2) - 4.0 * off * off
+    # Delta is finite exactly when V and every coefficient are
+    if not (np.isfinite(delta).all() and math.isfinite(c_b + ct_b)):
+        names = [*cols, "Delta"]
+        bad = ~np.isfinite([*cols.values(), delta + c_b + ct_b])
+        i, j = np.argwhere(bad)[0]
+        raise ArithmeticError(f"non-finite {names[i]} for {model.describe()} "
+                              f"at n = {ns[j]}, b = {b}")
+    half_gap = np.sqrt(np.where(delta >= 0.0, delta, np.nan)) / 2.0
+    kind = (delta > tol).astype(int) - (delta < -tol) + 1
+    point = DispersionPoint(
+        n=ns, b=b, a_nb=a_nb, b_nb=b_nb, delta=delta,
+        omega_plus=(a_nb + b_nb) / 2.0 + half_gap,
+        omega_minus=(a_nb + b_nb) / 2.0 - half_gap,
+        classification=np.array(["unstable", "degenerate", "stable"])[kind],
+        row=SpectralRow(n=ns, b=b, **cols, c_b=c_b, ct_b=ct_b, source=source))
+    return point if np.ndim(n) else _split(point)[0]
+
+
+def _split(point: DispersionPoint) -> list[DispersionPoint]:
+    # one DispersionPoint of floats per mode of a point of columns
+    r = point.row
+    return [DispersionPoint(
+        n=n, b=point.b, a_nb=a, b_nb=bb, delta=d,
+        omega_plus=wp if d >= 0.0 else None,
+        omega_minus=wm if d >= 0.0 else None, classification=cls,
+        row=SpectralRow(n=n, b=r.b, lam_nb=lnb, lam_n1=ln1, lamt_nb=ltnb,
+                        p_nb=pnb, p_n1=pn1, pt_nb=ptnb, c_b=r.c_b,
+                        ct_b=r.ct_b, source=dict(r.source)))
+        for n, lnb, ln1, ltnb, pnb, pn1, ptnb, a, bb, d, wp, wm, cls
+        in zip(*(c.tolist() for c in (
+            point.n, r.lam_nb, r.lam_n1, r.lamt_nb, r.p_nb, r.p_n1, r.pt_nb,
+            point.a_nb, point.b_nb, point.delta, point.omega_plus,
+            point.omega_minus, point.classification)))]
+
+
 def dispersion_points(model: KernelModel, ns, b: float,
                       tol: float = DEGENERACY_TOL) -> list[DispersionPoint]:
-    """`dispersion_point` at each mode of ns, with V^1, V^2 computed once."""
-    points = []
-    for n in ns:
-        row = spectral_row(model, n, b)
-        if not points:  # after the first row has checked n and b
-            v1, v2 = v_constants(model, b)
-        a_nb = -v1 + row.lam_nb + row.p_nb
-        b_nb = -v2 - row.lam_n1 - row.p_n1
-        off = row.lamt_nb + row.pt_nb
-        delta = (a_nb - b_nb) ** 2 - 4.0 * off * off
-        if delta >= 0.0:
-            half_gap = math.sqrt(delta) / 2.0
-            omega_p = (a_nb + b_nb) / 2.0 + half_gap
-            omega_m = (a_nb + b_nb) / 2.0 - half_gap
-        else:
-            omega_p = omega_m = None
-        if delta > tol:
-            cls = "stable"
-        elif delta < -tol:
-            cls = "unstable"
-        else:
-            cls = "degenerate"
-        points.append(DispersionPoint(
-            n=n, b=b, a_nb=a_nb, b_nb=b_nb, delta=delta, omega_plus=omega_p,
-            omega_minus=omega_m, classification=cls, row=row))
-    return points
-
-
-def dispersion_point(model: KernelModel, n: int, b: float,
-                     tol: float = DEGENERACY_TOL) -> DispersionPoint:
-    """Quadratic coefficients A, B, discriminant and roots at mode n."""
-    return dispersion_points(model, (n,), b, tol)[0]
+    """`dispersion_point` at each mode of ns, from one call on all of them."""
+    return _split(dispersion_point(model, np.array(list(ns), dtype=int), b,
+                                   tol))
 
 
 def v_constants(model: KernelModel, b: float) -> tuple[float, float]:
-    """(V^1, V^2), falling back to quadrature for custom measures."""
+    """(V^1, V^2), falling back to quadrature for custom measures.
+
+    b is checked first, so an inadmissible b never reaches a quadrature.
+    """
+    model.require_b(b)
     if model.k0[0] == "measure":
         mu = model.measure()
-        lam_b = _lambda_quadrature(mu, 1, b)
-        lam_1 = _lambda_quadrature(mu, 1, 1.0)
-        lamt_b = _lambda_tilde_quadrature(mu, 1, b)
-        return (lam_b - lamt_b / b, -lam_1 + b * lamt_b)
+        return _v_from_mode_1(_lambda_quadrature(mu, 1, b),
+                              _lambda_quadrature(mu, 1, 1.0),
+                              _lambda_tilde_quadrature(mu, 1, b), b)
     return _models.v1_v2(model, b)
+
+
+def _v_from_mode_1(lam_b: float, lam_1: float, lamt_b: float,
+                   b: float) -> tuple[float, float]:
+    # (V^1, V^2) of a kernel without K1 from its mode-1 coefficients
+    return (lam_b - lamt_b / b, -lam_1 + b * lamt_b)
 
 
 def delta_inf(model: KernelModel, b: float, via_psi: bool = False) -> float:
@@ -336,40 +396,37 @@ def has_closed_fold(model: KernelModel) -> bool:
     return model.k1 == "green" and model.domain[0] > 0.0
 
 
-def annulus_fold_inequality(model: KernelModel, b: float, n: int) -> bool:
+def annulus_fold_inequality(model: KernelModel, b: float, n):
     """Closed positivity condition for the discriminant at mode n.
 
+    n is one mode (giving a bool) or an integer array (a bool column).
     Written for the domain (R1, R2) with R2 entering only through 1/R2, so
     the exterior R2 = inf is its limit; c is the K1 constant of `c_terms`.
     """
     if not has_closed_fold(model):
         raise ValueError("the closed fold inequality needs an annulus or "
                          "exterior domain with a log kernel")
+    ns = np.asarray(n)
     r1, r2 = model.domain
     c = _models.c_terms(model, b)[1]
     u = 1.0 / r2
-    s2n = (r1 * u) ** (2 * n)
-    inner = (r1 / b) ** (2 * n)
+    # float_power rounds like the scalar x ** n
+    s2n = np.float_power(r1 * u, 2 * ns)
+    inner = np.float_power(r1 / b, 2 * ns)
+    u2n = np.float_power(u, 2 * ns)
     rhs = (b * b / ((1.0 - b * b) * (b * b + 2.0 * c))) / (1.0 - s2n) * (
-        2.0 - r1 ** (2 * n) - inner
-        - (b * u) ** (2 * n) - u ** (2 * n) + 2.0 * s2n
-        + 2.0 * (1.0 - u ** (2 * n)) * b ** n * (1.0 - inner))
-    return n > rhs
+        2.0 - np.float_power(r1, 2 * ns) - inner
+        - np.float_power(b * u, 2 * ns) - u2n + 2.0 * s2n
+        + 2.0 * (1.0 - u2n) * np.float_power(b, ns) * (1.0 - inner))
+    return ns > rhs if ns.ndim else bool(ns > rhs)
 
 
 exterior_fold_inequality = annulus_fold_inequality
 
 
-def _tail_gaps_decrease(points: list, tol: float, d_inf: float) -> bool:
-    # beyond the points of modes km, k <= k_max: accept if |Delta_{km} -
-    # Delta_inf| decreased over the last 5 and the limit is safely positive
-    gaps = [abs(p.delta - d_inf) for p in points[-5:]]
-    return d_inf > 4.0 * tol and all(gaps[i + 1] < gaps[i]
-                                     for i in range(len(gaps) - 1))
-
-
 def min_fold(model: KernelModel, b: float, k_max: int = 10,
-             tol: float = DEGENERACY_TOL, m_cap: int = 64) -> int:
+             tol: float = DEGENERACY_TOL, m_cap: int = 64,
+             v: tuple[float, float] | None = None) -> int:
     """Smallest symmetry fold m with a simple real spectrum on all modes km.
 
     Conditions per candidate m: Delta_{km,b} > tol for k = 1..k_max, all
@@ -377,27 +434,28 @@ def min_fold(model: KernelModel, b: float, k_max: int = 10,
     values -V^1, -V^2), and the gaps |Delta_{km} - Delta_inf| decreasing
     over the last five k up to k_max.  Models with a closed fold inequality
     (see `has_closed_fold`) are additionally cross-checked against it.
+    V^1, V^2 are computed once, or taken from v.
     """
-    if not s_membership(model, b, tol):
+    v1, v2 = v_constants(model, b) if v is None else v
+    if not abs(v1 - v2) > tol:
         raise ValueError("b lies outside the admissible set: V^1 = V^2")
-    v1, v2 = v_constants(model, b)
     d_inf = (v1 - v2) ** 2
     for m in range(1, m_cap + 1):
-        points = dispersion_points(model, range(m, k_max * m + 1, m), b)
-        if any(p.delta <= tol for p in points):
+        p = dispersion_point(model, np.arange(m, k_max * m + 1, m), b,
+                             v=(v1, v2))
+        if (p.delta <= tol).any():
             continue
-        omegas = [p.omega_plus for p in points] + [p.omega_minus for p in points]
-        omegas += [-v1, -v2]
-        collision = any(abs(omegas[i] - omegas[j]) <= tol
-                        for i in range(len(omegas))
-                        for j in range(i + 1, len(omegas)))
-        if collision:
+        omegas = np.sort(np.concatenate([p.omega_plus, p.omega_minus,
+                                         [-v1, -v2]]))
+        if np.any(np.diff(omegas) <= tol):  # a collision of two roots
             continue
-        if not _tail_gaps_decrease(points, tol, d_inf):
+        # beyond the modes km, k <= k_max: accept if |Delta_{km} - Delta_inf|
+        # decreased over the last 5 and the limit is safely positive
+        if d_inf <= 4.0 * tol or np.any(np.diff(abs(p.delta[-5:] - d_inf))
+                                        >= 0.0):
             continue
-        if has_closed_fold(model) and not all(
-                annulus_fold_inequality(model, b, k * m)
-                for k in range(1, k_max + 1)):
+        if has_closed_fold(model) and not np.all(
+                annulus_fold_inequality(model, b, p.n)):
             raise RuntimeError(
                 "closed fold inequality disagrees with the Delta scan")
         return m
@@ -417,30 +475,23 @@ def monotonicity_scan(model: KernelModel, b: float, m_start: int,
     V^1 < V^2.
     """
     v1, v2 = v_constants(model, b)
+    p = dispersion_point(model, np.arange(m_start, m_start + count), b,
+                         v=(v1, v2))
+    if np.any(p.delta < 0.0):
+        n = p.n[np.argmax(p.delta < 0.0)]
+        raise ValueError(f"Delta < 0 at n = {n}: scan needs a real spectrum")
+    plus, minus = p.omega_plus, p.omega_minus
     case = "V1>V2" if v1 > v2 else "V1<V2"
     lo, hi = (-v1, -v2) if v1 > v2 else (-v2, -v1)
-    ns = tuple(range(m_start, m_start + count))
-    plus, minus = [], []
-    for n, p in zip(ns, dispersion_points(model, ns, b)):
-        if p.omega_plus is None:
-            raise ValueError(f"Delta < 0 at n = {n}: scan needs a real spectrum")
-        plus.append(p.omega_plus)
-        minus.append(p.omega_minus)
-    first_violation = None
-    for i, n in enumerate(ns):
-        inside = lo < minus[i] <= plus[i] < hi
-        ordered = True
-        if i > 0:
-            if v1 > v2:
-                ordered = plus[i] > plus[i - 1] and minus[i] < minus[i - 1]
-            else:
-                ordered = plus[i] < plus[i - 1] and minus[i] > minus[i - 1]
-        if not (inside and ordered):
-            first_violation = n
-            break
+    ok = (lo < minus) & (minus <= plus) & (plus < hi)
+    sign = 1.0 if v1 > v2 else -1.0
+    ok[1:] &= (sign * np.diff(plus) > 0.0) & (sign * np.diff(minus) < 0.0)
+    first_violation = None if ok.all() else int(p.n[np.argmin(ok)])
     return MonotonicityReport(case=case, ok=first_violation is None,
-                              first_violation=first_violation, n_values=ns,
-                              omega_plus=tuple(plus), omega_minus=tuple(minus),
+                              first_violation=first_violation,
+                              n_values=tuple(p.n.tolist()),
+                              omega_plus=tuple(plus.tolist()),
+                              omega_minus=tuple(minus.tolist()),
                               v1=v1, v2=v2)
 
 

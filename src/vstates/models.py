@@ -9,6 +9,9 @@ of the domain's Green function; both fields fix every closed form the
 dispersion relation needs: the convolution coefficients lambda /
 lambda-tilde, the interaction coefficients p / p-tilde, and the velocity
 constants V^1, V^2 of the unperturbed annulus 1_{D \\ b D}.
+
+The closed forms take one mode n or an integer array of modes and return a
+float or a column; their numerics neither over- nor underflow at large n.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from scipy import integrate as _integrate
 from scipy import special as _sp
 
 from .cmkernel import Measure, c_beta, euler_flat, gsqg_power, qgsw_shifted
-from .specfun import (bessel_i, bessel_k, bessel_zeros, gamma_fn, hyp2f1,
-                      pochhammer)
+from .specfun import (bessel_i, bessel_ik, bessel_k, bessel_zeros, gamma_fn,
+                      hyp2f1)
 
 __all__ = [
     "KernelModel",
@@ -90,6 +93,12 @@ class KernelModel:
 
     def contains_b(self, b: float) -> bool:
         return self.domain[0] < b < 1.0
+
+    def require_b(self, b: float) -> None:
+        """Raise ValueError unless the patch b < |x| < 1 fits the domain."""
+        if not self.contains_b(b):
+            raise ValueError(f"b = {b} outside the admissible interval "
+                             f"{(self.domain[0], 1.0)}")
 
     def measure(self) -> Measure:
         """Bernstein measure of the convolution part K0."""
@@ -189,42 +198,88 @@ def model_from_dict(d: dict) -> KernelModel:
 # convolution coefficients lambda, lambda-tilde
 # ---------------------------------------------------------------------------
 
-def gsqg_capital_lambda(n: int, b: float, beta: float) -> float:
-    """Lambda_{n,b}(beta) = 2 pi c_beta b^n (beta/2)_n / n! F(beta/2, n+beta/2; n+1; b^2)."""
-    if n < 0:
-        raise ValueError("gsqg_capital_lambda requires n >= 0")
+def _modes(n, name: str, least: int = 1) -> tuple[np.ndarray, type]:
+    # the modes as an array, and the type of the result: a float for one
+    # mode, a column for an array of modes
+    ns = np.asarray(n)
+    if ns.min() < least:
+        raise ValueError(f"{name} requires n >= {least}")
+    return ns, (np.asarray if ns.ndim else float)
+
+
+def gsqg_capital_lambda(n, b: float, beta: float):
+    """Lambda_{n,b}(beta) = 2 pi c_beta b^n (beta/2)_n / n! F(beta/2, n+beta/2; n+1; b^2).
+
+    With a = beta/2, (a)_n / n! is the running product of (k+a)/(k+1) over
+    k < n.  At b = 1 Gauss's sum F(.; 1) = n! Gamma(1-beta) /
+    (Gamma(n+1-a) Gamma(1-a)) joins it, and Lambda_{n,1} is
+    Gamma(1-beta)/Gamma(1-a)^2 times the product of (k+a)/(k+1-a).  Both
+    products are O(n^(beta-1)) and exact to rounding, so nothing overflows.
+    """
+    ns, out = _modes(n, "gsqg_capital_lambda", least=0)
     if not 0.0 < b <= 1.0:
         raise ValueError("gsqg_capital_lambda requires b in (0, 1]")
-    pref = (2.0 * math.pi * c_beta(beta) * b ** n
-            * pochhammer(beta / 2.0, n) / math.factorial(n))
-    return pref * hyp2f1(beta / 2.0, n + beta / 2.0, n + 1.0, b * b)
+    a, z = beta / 2.0, b * b
+    k = np.arange(float(ns.max()))
+    at_one = (math.gamma(1.0 - beta) / math.gamma(1.0 - a) ** 2
+              * np.concatenate(([1.0], np.cumprod((k + a) / (k + 1.0 - a)))))
+    val = np.atleast_1d(at_one[ns])
+    if b < 1.0:
+        poch = np.concatenate(([1.0], np.cumprod((k + a) / (k + 1.0))))[ns]
+        val = np.atleast_1d(poch * hyp2f1(a, ns + a, ns + 1.0, z))
+        far = ~np.isfinite(val)
+        if far.any():
+            # scipy's F forms Gamma(n+1) near z = 1, past n = 170 it
+            # overflows; there the 1 - z connection formula has (a)_n / n!
+            # times its two Gamma ratios equal to Lambda_{n,1} / (2 pi
+            # c_beta) and Gamma(beta-1) / Gamma(a)^2
+            m, w = np.atleast_1d(ns)[far], 1.0 - z
+            val[far] = (at_one[m] * _positive_series(a, m + a, beta, w)
+                        + math.gamma(beta - 1.0) / math.gamma(a) ** 2
+                        * w ** (1.0 - beta)
+                        * _positive_series(m + 1.0 - a, 1.0 - a, 2.0 - beta, w))
+        val = val * np.float_power(b, np.atleast_1d(ns))
+    return out(2.0 * math.pi * c_beta(beta) * val.reshape(ns.shape))
 
 
-def closed_lambda(model: KernelModel, n: int, b: float) -> float | None:
+def _positive_series(p, q, r: float, w: float) -> np.ndarray:
+    # F(p, q; r; w) = sum_k (p)_k (q)_k / ((r)_k k!) w^k for p, q, r, w > 0,
+    # elementwise: the terms are positive and end below half an ulp of each
+    # entry's sum, so later terms leave every entry unchanged
+    p, q = np.broadcast_arrays(np.asarray(p, dtype=float),
+                               np.asarray(q, dtype=float))
+    total, term, k = np.ones(p.shape), np.ones(p.shape), 0
+    while (term > 1e-17 * total).any():
+        term = term * ((p + k) * (q + k) / ((r + k) * (k + 1.0)) * w)
+        total = total + term
+        k += 1
+    return total
+
+
+def closed_lambda(model: KernelModel, n, b: float):
     """lambda_{n,b} of the model's K0, when a closed form exists."""
-    if n < 1:
-        raise ValueError("closed_lambda requires n >= 1")
+    ns, out = _modes(n, "closed_lambda")
     kind, arg = model.k0
     if kind == "log":
-        return 1.0 / (2.0 * n)
+        return out(1.0 / (2.0 * ns))
     if kind == "power":
-        return b ** (-arg) * gsqg_capital_lambda(n, 1.0, arg)
+        return b ** (-arg) * gsqg_capital_lambda(ns, 1.0, arg)
     if kind == "bessel":
-        return bessel_i(n, b * arg) * bessel_k(n, b * arg)
+        return bessel_ik(ns, b * arg, b * arg)
     return None
 
 
-def closed_tilde_lambda(model: KernelModel, n: int, b: float) -> float | None:
+def closed_tilde_lambda(model: KernelModel, n, b: float):
     """lambda-tilde_{n,b} of the model's K0, when a closed form exists."""
-    if n < 1:
-        raise ValueError("closed_tilde_lambda requires n >= 1")
+    ns, out = _modes(n, "closed_tilde_lambda")
     kind, arg = model.k0
     if kind == "log":
-        return b ** n / (2.0 * n)
+        # float_power rounds like the scalar b ** n
+        return out(np.float_power(b, ns) / (2.0 * ns))
     if kind == "power":
-        return gsqg_capital_lambda(n, b, arg)
+        return gsqg_capital_lambda(ns, b, arg)
     if kind == "bessel":
-        return bessel_i(n, b * arg) * bessel_k(n, arg)
+        return bessel_ik(ns, b * arg, arg)
     return None
 
 
@@ -267,8 +322,8 @@ def annulus_c_frak(r1: float, r2: float, b: float) -> float:
 # interaction coefficients p, p-tilde
 # ---------------------------------------------------------------------------
 
-def closed_p(model: KernelModel, n: int, b: float,
-             truncation: int = 500) -> tuple[float, float, float]:
+def closed_p(model: KernelModel, n, b: float,
+             truncation: int = 500) -> tuple:
     """(p_{n,b}, p_{n,1}, p-tilde_{n,b}) of the model's K1.
 
     Plane models have K1 = 0.  The Green series of the domain (R1, R2)
@@ -276,24 +331,30 @@ def closed_p(model: KernelModel, n: int, b: float,
       p_{n,x} = -[(x/R2)^2n + (R1/x)^2n - 2 s^2n] / (2n (1 - s^2n)),
       p-tilde_{n,b} = -[(b/R2^2)^n + (R1^2/b)^n - s^2n b^n
                         - (R1^2/(R2^2 b))^n] / (2n (1 - s^2n)).
-    The gSQG/QGSW discs route to the Bessel-zero series of `series_p`.
+    The gSQG/QGSW discs route to the Bessel-zero series of `series_p`,
+    one mode at a time.
     """
-    if n < 1:
-        raise ValueError("closed_p requires n >= 1")
+    ns, out = _modes(n, "closed_p")
     if model.k1 is None:
-        return (0.0, 0.0, 0.0)
+        return (out(np.zeros(ns.shape)),) * 3
     if model.k1 == "bessel_zeros":
-        return series_p(model, n, b, truncation)
+        if not ns.ndim:
+            return series_p(model, int(ns), b, truncation)
+        cols = np.array([series_p(model, int(k), b, truncation) for k in ns])
+        return tuple(cols.reshape(-1, 3).T)
     r1, r2 = model.domain
-    s2n = (r1 / r2) ** (2 * n)
-    den = 2.0 * n * (1.0 - s2n)
+    # float_power rounds like the scalar x ** n
+    s2n = np.float_power(r1 / r2, 2 * ns)
+    den = 2.0 * ns * (1.0 - s2n)
 
-    def p(x: float) -> float:
-        return -((x / r2) ** (2 * n) + (r1 / x) ** (2 * n) - 2.0 * s2n) / den
+    def p(x: float):
+        return -(np.float_power(x / r2, 2 * ns)
+                 + np.float_power(r1 / x, 2 * ns) - 2.0 * s2n) / den
 
-    pt_nb = -((b / (r2 * r2)) ** n + (r1 * r1 / b) ** n - s2n * b ** n
-              - (r1 * r1 / (r2 * r2 * b)) ** n) / den
-    return (p(b), p(1.0), pt_nb)
+    pt_nb = -(np.float_power(b / (r2 * r2), ns)
+              + np.float_power(r1 * r1 / b, ns) - s2n * np.float_power(b, ns)
+              - np.float_power(r1 * r1 / (r2 * r2 * b), ns)) / den
+    return (out(p(b)), out(p(1.0)), out(pt_nb))
 
 
 def series_p(model: KernelModel, n: int, b: float,
@@ -330,9 +391,7 @@ def series_p(model: KernelModel, n: int, b: float,
 
 def v1_v2(model: KernelModel, b: float) -> tuple[float, float]:
     """(V^1_b[0], V^2_b[0]) for the model."""
-    if not model.contains_b(b):
-        raise ValueError(f"b = {b} outside the admissible interval "
-                         f"{(model.domain[0], 1.0)}")
+    model.require_b(b)
     if model.k1 == "bessel_zeros":
         kind, arg = model.k0
         v_terms = gsqg_disc_v_terms if kind == "power" else qgsw_disc_v_terms

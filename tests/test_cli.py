@@ -149,6 +149,41 @@ def test_spectra_computes_v_constants_once_per_b(tmp_path, monkeypatch):
     assert calls == [0.3, 0.6]
 
 
+def test_threshold_computes_v_constants_once_per_b(tmp_path, monkeypatch):
+    calls = []
+    v_constants = dispersion.v_constants
+
+    def counting_v(model, b):
+        calls.append((model.variant, b))
+        return v_constants(model, b)
+
+    monkeypatch.setattr(dispersion, "v_constants", counting_v)
+    bs = [0.3, 0.5, 0.8]
+    for argv in (["--model", "EulerAnnulus", "--param", "r1=0.1",
+                  "--param", "r2=10"],
+                 ["--model", "QgswPlane", "--param", "eps=2"]):
+        calls.clear()
+        code = run_cli(["threshold", *argv, "--b", "0.3,0.5,0.8",
+                        "--out", str(tmp_path)])
+        assert code == 0
+        assert [b for _, b in calls] == bs
+
+
+def test_write_csv_formats_each_column(tmp_path):
+    path = tmp_path / "table.csv"
+    cli.write_csv(str(path), {"command": "test", "b": 0.5},
+                  ["none", "flag", "int", "np_int", "float", "text", "omega"],
+                  [[None, 7], [True, False], [3, 12], np.array([4, 5]),
+                   [0.1 + 0.2, -0.0], ["closed-form", "quadrature"],
+                   np.ma.array([0.25, 1.0 / 3.0], mask=[True, False])])
+    assert path.read_text() == (
+        "# command = test\n"
+        "# b = 0.5\n"
+        "none,flag,int,np_int,float,text,omega\n"
+        ",true,3,4,0.3,closed-form,\n"
+        "7,false,12,5,-0,quadrature,0.333333333333333\n")
+
+
 def test_threshold_annulus_dual_route(tmp_path):
     out = str(tmp_path)
     code = run_cli(["threshold", "--model", "EulerAnnulus",

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy import integrate, special as sp
 
-from vstates import cmkernel
-from vstates.universal import phi_n
+from vstates import cmkernel, dispersion
+from vstates.universal import phi_n, phi_nb
 
 
 def test_c_beta_value():
@@ -138,3 +138,27 @@ def test_measure_from_dict_roundtrip():
     assert mu2.family is None
     with pytest.raises(ValueError):
         cmkernel.measure_from_dict({"family": "bogus"})
+
+
+@pytest.mark.parametrize("mu", [
+    cmkernel.truncated_low(None, 2.0),
+    cmkernel.Measure(atoms=((0.5, 0.3),), family="truncated_low",
+                     params={"x_star": 3.0}, f=lambda x: math.exp(-x)),
+])
+def test_spectral_integral_matches_lambda_quadrature(mu):
+    # scipy quad over the measure against the Gauss-panel route of the
+    # spectral rows; the supports are finite, so no tail model enters
+    for n, scale in ((1, 0.5), (3, 1.0), (6, 0.8)):
+        want = cmkernel.spectral_integral(lambda x: phi_n(n, scale * x), mu)
+        got = dispersion._lambda_quadrature(mu, n, scale)
+        assert got == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("mu, rel", [(cmkernel.qgsw_shifted(2.0), 1e-12),
+                                     (cmkernel.gsqg_power(0.5), 1e-8)])
+def test_spectral_integral_matches_lambda_tilde_quadrature(mu, rel):
+    for n, b in ((1, 0.5), (4, 0.7)):
+        want = cmkernel.spectral_integral(lambda x: phi_nb(n, b, x), mu,
+                                          decay=1.0 - b)
+        got = dispersion._lambda_tilde_quadrature(mu, n, b)
+        assert got == pytest.approx(want, rel=rel)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from vstates import cmkernel, dispersion, models
+from vstates import cli, cmkernel, dispersion, models
 
 
 EULER = models.euler_plane()
@@ -153,18 +153,64 @@ def test_dispersion_points_equal_single_points(model, n_max):
 
 
 def test_min_fold_one_row_per_mode_of_each_candidate_fold(monkeypatch):
-    # the tail check reuses the points of the candidate fold
+    # the tail check reuses the points of the candidate fold; each fold is
+    # one dispersion_point call on its array of modes, counted there
     ns = []
-    spectral_row = dispersion.spectral_row
+    dispersion_point = dispersion.dispersion_point
 
-    def counting_row(model, n, b):
-        ns.append(n)
-        return spectral_row(model, n, b)
+    def counting_point(model, modes, b, *args, **kwargs):
+        ns.extend(np.atleast_1d(modes).tolist())
+        return dispersion_point(model, modes, b, *args, **kwargs)
 
-    monkeypatch.setattr(dispersion, "spectral_row", counting_row)
+    monkeypatch.setattr(dispersion, "dispersion_point", counting_point)
     fold = dispersion.min_fold(models.euler_plane(), 0.5)
     assert fold == 4
     assert ns == [k * m for m in range(1, fold + 1) for k in range(1, 11)]
+
+
+def test_non_finite_coefficient_names_model_mode_and_b(monkeypatch, tmp_path,
+                                                       capsys):
+    closed_lambda = models.closed_lambda
+
+    def nan_at_mode_7(model, n, b):
+        out = np.array(closed_lambda(model, n, b), dtype=float)
+        out[np.asarray(n) == 7] = np.nan
+        return out if np.ndim(n) else float(out)
+
+    monkeypatch.setattr(models, "closed_lambda", nan_at_mode_7)
+    with pytest.raises(ArithmeticError,
+                       match=r"lam_nb for EulerPlane at n = 7, b = 0\.5"):
+        dispersion.dispersion_point(EULER, np.arange(1, 11), 0.5)
+    code = cli.main(["spectra", "--model", "EulerPlane", "--b", "0.5",
+                     "--n", "1:10", "--out", str(tmp_path)])
+    assert code == 1
+    assert "EulerPlane at n = 7, b = 0.5" in capsys.readouterr().err
+    # min_fold at b = 0.5 reaches mode 7 with the first candidate fold
+    code = cli.main(["threshold", "--model", "EulerPlane", "--b", "0.5",
+                     "--out", str(tmp_path)])
+    assert code == 1
+
+
+@pytest.mark.parametrize("b", [0.0, 1.0, 1.2])
+def test_custom_v_constants_checks_b_before_any_quadrature(monkeypatch, b):
+    # at b = 1 the trapezoid of phi_{n,b} would double to ~4 GB; the guards
+    # make a regression fail here instead of allocating
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature reached for an inadmissible b")
+
+    monkeypatch.setattr(dispersion, "_phi_batch", no_quadrature)
+    monkeypatch.setattr(dispersion, "_phi_nb_batch", no_quadrature)
+    model = models.custom_convolution(cmkernel.truncated_low(None, 2.0))
+    with pytest.raises(ValueError, match="outside the admissible interval"):
+        dispersion.v_constants(model, b)
+
+
+def test_custom_points_take_v_from_their_mode_1_row(monkeypatch):
+    model = models.custom_convolution(cmkernel.truncated_low(None, 2.0))
+    want = dispersion.v_constants(model, 0.5)
+    monkeypatch.setattr(dispersion, "v_constants", None)
+    points = dispersion.dispersion_points(model, (1, 2), 0.5)
+    assert points[0].a_nb == -want[0] + points[0].row.lam_nb
 
 
 def test_s_membership():

@@ -217,6 +217,115 @@ def test_closed_forms_finite_at_the_largest_fold_mode(model, b):
             assert abs(got - ref) <= 1e-13 * abs(ref) + 1e-300, (got, ref)
 
 
+# modes of the column checks: small, around the old factorial overflow at
+# 171, and n = 640 = k_max * m_cap, the largest mode min_fold reaches
+COLUMN_MODES = np.array([1, 2, 64, 128, 171, 640])
+
+# (model, b): QGSW at x = b eps in {0.02, 0.6, 4, 40} and gSQG up to b = 1;
+# from b^2 = 0.9973 on, scipy's F overflows for n > 170 and gSQG takes the
+# 1 - z connection formula there
+PLANE_COLUMN_CASES = [
+    (models.qgsw_plane(2.0), 0.01), (models.qgsw_plane(2.0), 0.3),
+    (models.qgsw_plane(5.0), 0.8), (models.qgsw_plane(50.0), 0.8),
+    (models.gsqg_plane(0.5), 0.3), (models.gsqg_plane(0.5), 0.9),
+    (models.gsqg_plane(0.5), 0.99), (models.gsqg_plane(0.5), 0.999709),
+    (models.gsqg_plane(0.5), 0.9999), (models.gsqg_plane(0.5), 1.0),
+]
+
+
+def _plane_lambdas_mpmath(model, n, b):
+    """(lambda_{n,b}, lambda_{n,1}, lambda-tilde_{n,b}) at 40 digits."""
+    import mpmath
+    with mpmath.workdps(40):
+        b = mpmath.mpf(b)
+        if model.k0[0] == "bessel":
+            eps = mpmath.mpf(model.params["eps"])
+            i_b = mpmath.besseli(n, b * eps)
+            return (i_b * mpmath.besselk(n, b * eps),
+                    mpmath.besseli(n, eps) * mpmath.besselk(n, eps),
+                    i_b * mpmath.besselk(n, eps))
+        beta = mpmath.mpf(model.params["beta"])
+        a = beta / 2
+
+        def cap(x):
+            return (2 * mpmath.pi * cmkernel.c_beta(model.params["beta"])
+                    * x ** n * mpmath.rf(a, n) / mpmath.factorial(n)
+                    * mpmath.hyp2f1(a, n + a, n + 1, x * x))
+
+        return b ** -beta * cap(mpmath.mpf(1)), cap(mpmath.mpf(1)), cap(b)
+
+
+@pytest.mark.parametrize("model, b", PLANE_COLUMN_CASES,
+                         ids=[f"{m.variant}-{b}" for m, b in PLANE_COLUMN_CASES])
+def test_closed_lambda_columns_against_mpmath(model, b):
+    got = (models.closed_lambda(model, COLUMN_MODES, b),
+           models.closed_lambda(model, COLUMN_MODES, 1.0),
+           models.closed_tilde_lambda(model, COLUMN_MODES, b))
+    for i, n in enumerate(COLUMN_MODES):
+        want = _plane_lambdas_mpmath(model, int(n), b)
+        for col, ref in zip(got, want):
+            # values below the double range underflow to zero
+            assert abs(col[i] - ref) <= 1e-12 * abs(ref) + 1e-300, (n, col[i])
+
+
+@pytest.mark.parametrize("model, b", [
+    (models.euler_annulus(0.1, 10.0), 0.5),
+    (models.euler_annulus(0.6, 1.3), 0.9),
+    (models.euler_exterior(0.3), 0.300001),
+    (models.euler_exterior(0.3), 0.7),
+])
+def test_closed_p_columns_against_mpmath(model, b):
+    import mpmath
+    got = models.closed_p(model, COLUMN_MODES, b)
+    with mpmath.workdps(50):
+        r1, bb = mpmath.mpf(model.domain[0]), mpmath.mpf(b)
+        r2 = (mpmath.mpf(model.domain[1]) if model.domain[1] < math.inf
+              else mpmath.mpf(10) ** 400)
+        for i, n in enumerate(COLUMN_MODES.tolist()):
+            den = r2 ** (2 * n) - r1 ** (2 * n)
+
+            def a_m(r):
+                return (r ** n - (r1 * r1 / r) ** n) / den
+
+            def b_m(r):
+                return r1 ** (2 * n) * ((r2 * r2 / r) ** n - r ** n) / den
+
+            want = (-(a_m(bb) * bb ** n + b_m(bb) * bb ** -n) / (2 * n),
+                    -(a_m(1) + b_m(1)) / (2 * n),
+                    -(a_m(1) * bb ** n + b_m(1) * bb ** -n) / (2 * n))
+            for col, ref in zip(got, want):
+                assert abs(col[i] - ref) <= 1e-12 * abs(ref) + 1e-300, (n,)
+
+
+@pytest.mark.parametrize("model, b", PLANE_COLUMN_CASES + [
+    (models.euler_plane(), 0.4), (models.euler_disc(2.0), 0.7),
+    (models.euler_annulus(0.1, 10.0), 0.2), (models.euler_exterior(0.3), 0.5),
+], ids=lambda v: getattr(v, "variant", str(v)))
+def test_array_calls_equal_scalar_calls(model, b):
+    ns = COLUMN_MODES
+    cols = [models.closed_lambda(model, ns, b),
+            models.closed_tilde_lambda(model, ns, b)]
+    scalars = [[models.closed_lambda(model, int(n), b) for n in ns],
+               [models.closed_tilde_lambda(model, int(n), b) for n in ns]]
+    if b < 1.0:
+        cols += list(models.closed_p(model, ns, b))
+        scalars += [list(p) for p in zip(*(models.closed_p(model, int(n), b)
+                                           for n in ns))]
+    for col, ref in zip(cols, scalars):
+        assert isinstance(ref[0], float)
+        np.testing.assert_allclose(col, ref, rtol=1e-12, atol=1e-300)
+
+
+def test_overflow_cases_are_finite():
+    from vstates import dispersion
+    assert math.isfinite(models.gsqg_capital_lambda(171, 1.0, 0.5))
+    assert math.isfinite(
+        dispersion.dispersion_point(models.qgsw_plane(2.0), 128, 0.01).delta)
+    # a vstate threshold job of the benchmark: min_fold tries modes to 640
+    ns = np.arange(641)
+    assert np.isfinite(models.gsqg_capital_lambda(ns, 0.999709, 0.5)).all()
+
+
 def test_plane_models_have_no_smooth_part():
     assert models.closed_p(models.euler_plane(), 3, 0.5) == (0.0, 0.0, 0.0)
     assert models.k1_eval(models.euler_plane(), 0.5, 0.3 + 0.1j) == 0.0
