@@ -29,7 +29,7 @@ def main():
     for b in (0.3, 0.5, 0.7, 0.9):
         scan = dispersion.min_fold(exterior, b)
         closed = next(m for m in range(1, 100)
-                      if dispersion.exterior_fold_inequality(exterior, b, m))
+                      if dispersion.annulus_fold_inequality(exterior, b, m))
         print(f"{b:>5.2f} {scan:>6} {closed:>8}")
 
     print("\nEuler plane for comparison (no smooth kernel part):")

@@ -211,9 +211,8 @@ def cmd_universal(cfg: RunConfig) -> int:
     for b in bs:
         if not 0.0 < b < 1.0:
             raise UsageError("universal needs b in (0, 1)")
-        columns = [xs, [universal.phi_n(n, x) for x in xs],
-                   [universal.phi_nb(n, b, x) for x in xs],
-                   [universal.psi_b(b, x) for x in xs]]
+        columns = [xs, universal.phi_n(n, xs), universal.phi_nb(n, b, xs),
+                   universal.psi_b(b, xs)]
         path = os.path.join(out, f"universal_b{b:g}.csv")
         write_csv(path, {"command": "universal", "fold": n, "b": f"{b:g}",
                          "x_max": f"{x_max:g}", "x_points": points},
@@ -288,26 +287,13 @@ def cmd_verify(cfg: RunConfig) -> int:
     suites.append(("dual-bessel-summation", err, 1e-5))
 
     # finite-difference Jacobian of the contour functional vs dispersion
-    from dataclasses import replace
     model = models.euler_plane()
     b, m, n_modes, omega = 0.5, 4, 4, 0.3
     state = contour.trivial_state(b, m, n_modes, omega)
-    eps = 1e-5
     err = 0.0
     for k in range(1, n_modes + 1):
-        n = k * m
-        target = -n * dispersion.q_matrix(model, n, b, omega)
-        block = np.zeros((2, 2))
-        for col in range(2):
-            coeffs = [state.a1.copy(), state.a2.copy()]
-            coeffs[col][k - 1] = eps
-            rp = contour.eval_f(model, replace(state, a1=coeffs[0],
-                                               a2=coeffs[1]))
-            coeffs[col][k - 1] = -eps
-            rm = contour.eval_f(model, replace(state, a1=coeffs[0],
-                                               a2=coeffs[1]))
-            block[0, col] = (rp.s1[k - 1] - rm.s1[k - 1]) / (2 * eps)
-            block[1, col] = (rp.s2[k - 1] - rm.s2[k - 1]) / (2 * eps)
+        target = -k * m * dispersion.q_matrix(model, k * m, b, omega)
+        block = contour.fd_jacobian_block(model, state, k)
         err = max(err, float(np.max(np.abs(block - target))
                              / np.max(np.abs(target))))
     suites.append(("contour-jacobian", err, 1e-4))

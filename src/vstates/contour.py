@@ -34,6 +34,7 @@ __all__ = [
     "trivial_state",
     "eval_f0",
     "eval_f",
+    "fd_jacobian_block",
     "branch_continue",
     "boundary_export",
 ]
@@ -452,6 +453,24 @@ def eval_f(model: KernelModel, state: PerturbationState) -> ResidualVector:
     basis = np.sin(np.outer(state._modes(), theta[cell])) * weights
     return ResidualVector(m=state.m, n_modes=state.n_modes,
                           s1=basis @ f1, s2=basis @ f2)
+
+
+def fd_jacobian_block(model: KernelModel, state: PerturbationState,
+                      k: int) -> np.ndarray:
+    """Central-difference block d(s1_k, s2_k)/d(a1_k, a2_k) of eval_f.
+
+    The step is 1e-5.  At the annulus the block approaches -n Q_{n,b}(Omega)
+    of `dispersion.q_matrix`, n = k m.
+    """
+    eps = 1e-5
+    block = np.zeros((2, 2))
+    for col in range(2):
+        for sign in (1.0, -1.0):
+            coeffs = [state.a1.copy(), state.a2.copy()]
+            coeffs[col][k - 1] += sign * eps
+            r = eval_f(model, replace(state, a1=coeffs[0], a2=coeffs[1]))
+            block[:, col] += sign * np.array([r.s1[k - 1], r.s2[k - 1]])
+    return block / (2 * eps)
 
 
 # ---------------------------------------------------------------------------

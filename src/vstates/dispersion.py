@@ -23,7 +23,7 @@ from scipy import integrate as _integrate
 from . import models as _models
 from .cmkernel import Measure
 from .models import KernelModel
-from .universal import _gauss_rule, _phi_gauss, phi_n, phi_nb, psi_b
+from .universal import _gauss_rule, phi_n, phi_nb, psi_b
 
 __all__ = [
     "DEGENERACY_TOL",
@@ -39,7 +39,6 @@ __all__ = [
     "min_fold",
     "has_closed_fold",
     "annulus_fold_inequality",
-    "exterior_fold_inequality",
     "monotonicity_scan",
     "classify",
     "q_matrix",
@@ -115,58 +114,24 @@ def _phi_tail_model(n: int, y: float) -> float:
     return 2.0 / y - (2.0 * n * n - 0.25) / y ** 3
 
 
-def _phi_batch(n: int, ys: np.ndarray) -> np.ndarray:
-    """phi_n over an array of arguments via the graded Gauss-Legendre rule."""
-    coarse = _phi_gauss(n, ys, 48)
-    fine = _phi_gauss(n, ys, 96)
-    if np.max(np.abs(fine - coarse)) > 1e-10:
-        fine = _phi_gauss(n, ys, 192)
-    return fine
-
-
-def _phi_nb_batch(n: int, b: float, xs: np.ndarray) -> np.ndarray:
-    """phi_{n,b} over an array of arguments, shared trapezoid grid."""
-    xs = np.asarray(xs, dtype=float)
-    m = 64
-    h = 2.0 * np.pi / m
-
-    def level_sum(eta: np.ndarray) -> np.ndarray:
-        dist = np.sqrt(1.0 + b * b - 2.0 * b * np.cos(eta))
-        return (np.exp(-xs[:, None] * dist) * np.cos(n * eta)).sum(axis=1)
-
-    total = level_sum(np.arange(m) * h) * h
-    while m < (1 << 21):
-        mid = np.arange(m) * h + 0.5 * h
-        total_new = 0.5 * total + level_sum(mid) * (0.5 * h)
-        m *= 2
-        h *= 0.5
-        if np.max(np.abs(total_new - total)) <= 1e-12:
-            return total_new
-        total = total_new
-    return total
-
-
-def _density_nodes(mu: Measure, x_hi: float,
+def _measure_nodes(mu: Measure, x_hi: float,
                    order: int = 32) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights for the density part of mu on (0, x_hi).
+    """Nodes and weights of mu on (0, x_hi): its atoms, then Gauss-Legendre
+    nodes of its density part.  An atom at 0 raises ValueError.
 
     Weights include the density value.  Panels refine geometrically toward
     the lower endpoint; the shifted family integrates in u with
     x = eps cosh(u), which removes its inverse-square-root singularity.
     """
+    if any(x == 0.0 for x, _ in mu.atoms):
+        raise ValueError("spectral coefficient undefined for atom at 0")
+    atoms = np.reshape(mu.atoms, (-1, 2))
+    if mu.family is None:
+        return atoms[:, 0], atoms[:, 1]
     gx, gw = _gauss_rule(order)
 
-    def panels(lo: float, hi: float, geometric: bool = True) -> np.ndarray:
-        if geometric:
-            frac = hi - lo
-            edges = [lo]
-            scales = [2.0 ** -k for k in range(14, 0, -1)]
-            edges += [lo + frac * s for s in scales] + [hi]
-            return np.array(edges)
-        return np.linspace(lo, hi, 17)
-
     def assemble(edges: np.ndarray, fun_x, fun_w) -> tuple[np.ndarray, np.ndarray]:
-        xs, ws = [], []
+        xs, ws = [atoms[:, 0]], [atoms[:, 1]]
         for a, c in zip(edges[:-1], edges[1:]):
             mid, half = 0.5 * (a + c), 0.5 * (c - a)
             u = mid + half * gx
@@ -177,7 +142,7 @@ def _density_nodes(mu: Measure, x_hi: float,
     if mu.family == "qgsw_shifted":
         eps = mu.params["eps"]
         u_hi = math.acosh(max(x_hi / eps, 1.5))
-        return assemble(panels(0.0, u_hi, geometric=False),
+        return assemble(np.linspace(0.0, u_hi, 17),
                         lambda u: eps * np.cosh(u),
                         lambda u: eps * np.cosh(u) / (2.0 * math.pi))
     if mu.family == "truncated_low":
@@ -186,22 +151,18 @@ def _density_nodes(mu: Measure, x_hi: float,
         lo, hi = mu.params["x_star"], max(x_hi, mu.params["x_star"] + 10.0)
     else:
         lo, hi = 0.0, x_hi
-    dens = np.vectorize(mu.density)
-    return assemble(panels(lo, hi), lambda u: u, lambda u: dens(u))
+    edges = lo + (hi - lo) * 2.0 ** np.arange(-14.0, 0.0)
+    return assemble(np.concatenate([[lo], edges, [hi]]), lambda u: u,
+                    np.vectorize(mu.density))
 
 
 def _lambda_quadrature(mu: Measure, n: int, scale: float) -> float:
     """int phi_n(scale * x) dmu(x)/x with the algebraic tail summed by model."""
     x_cut = 300.0 / scale
-    total = 0.0
-    for x, m in mu.atoms:
-        if x == 0.0:
-            raise ValueError("spectral coefficient undefined for atom at 0")
-        total += m * phi_n(n, scale * x) / x
+    xs, ws = _measure_nodes(mu, x_cut)
+    total = float(np.sum(phi_n(n, scale * xs) * ws / xs))
     if mu.family is None:
         return total
-    xs, ws = _density_nodes(mu, x_cut)
-    total += float(np.sum(_phi_batch(n, scale * xs) * ws / xs))
     tail, _ = _integrate.quad(
         lambda x: _phi_tail_model(n, scale * x) * mu.density(x) / x,
         x_cut, np.inf, limit=200)
@@ -212,14 +173,8 @@ def _lambda_tilde_quadrature(mu: Measure, n: int, b: float) -> float:
     """int phi_{n,b}(x) dmu(x)/x; the integrand decays like e^{-(1-b)x}."""
     decay = max(1.0 - b, 1e-3)
     x_cut = math.log(2.0 * math.pi / 1e-14) / decay + 10.0
-    total = 0.0
-    for x, m in mu.atoms:
-        total += m * phi_nb(n, b, x) / x
-    if mu.family is None:
-        return total
-    xs, ws = _density_nodes(mu, x_cut)
-    total += float(np.sum(_phi_nb_batch(n, b, xs) * ws / xs))
-    return total
+    xs, ws = _measure_nodes(mu, x_cut)
+    return float(np.sum(phi_nb(n, b, xs) * ws / xs))
 
 
 # ---------------------------------------------------------------------------
@@ -361,19 +316,13 @@ def delta_inf(model: KernelModel, b: float, via_psi: bool = False) -> float:
         return (v1 - v2) ** 2
     mu = model.measure()
     x_cut = 300.0 / min(b, 1.0)
-    total = sum(m * psi_b(b, x) / x for x, m in mu.atoms if x > 0)
+    xs, ws = _measure_nodes(mu, x_cut)
+    total = float(np.sum(psi_b(b, xs) * ws / xs))
     if mu.family is not None:
-        xs, ws = _density_nodes(mu, x_cut)
-        psi = (_phi_batch(1, xs) + _phi_batch(1, b * xs)
-               - (b + 1.0 / b) * _phi_nb_batch(1, b, xs))
-        total += float(np.sum(psi * ws / xs))
-
         # phi_{1,b} is exponentially small beyond the cut
-        def tail_model(x: float) -> float:
-            return (_phi_tail_model(1, x) + _phi_tail_model(1, b * x)) / x
-
-        tail, _ = _integrate.quad(lambda x: tail_model(x) * mu.density(x),
-                                  x_cut, np.inf, limit=200)
+        tail, _ = _integrate.quad(
+            lambda x: (_phi_tail_model(1, x) + _phi_tail_model(1, b * x)) / x
+            * mu.density(x), x_cut, np.inf, limit=200)
         total += tail
     c_b, ct_b = _models.c_terms(model, b)
     return (total + c_b - ct_b) ** 2
@@ -419,9 +368,6 @@ def annulus_fold_inequality(model: KernelModel, b: float, n):
         - np.float_power(b * u, 2 * ns) - u2n + 2.0 * s2n
         + 2.0 * (1.0 - u2n) * np.float_power(b, ns) * (1.0 - inner))
     return ns > rhs if ns.ndim else bool(ns > rhs)
-
-
-exterior_fold_inequality = annulus_fold_inequality
 
 
 def min_fold(model: KernelModel, b: float, k_max: int = 10,

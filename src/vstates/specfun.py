@@ -1,9 +1,9 @@
 """Special functions backing the closed-form spectra.
 
-Gamma, Bessel J/I/K and the products I_n K_n, Bessel zeros, the Gauss
-hypergeometric function and the Pochhammer symbol.  Only integer Bessel
-orders are needed; arguments are real.  `bessel_ik` and `hyp2f1` take a
-whole column of orders or parameters at once.
+Gamma, Bessel J/I/K and the products I_n K_n, Bessel zeros and the Gauss
+hypergeometric function.  Only integer Bessel orders are needed; arguments
+are real.  `bessel_ik` and `hyp2f1` take a whole column of orders or
+parameters at once.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from scipy import special as _sp
 __all__ = [
     "BesselZeroTable",
     "gamma_fn",
-    "pochhammer",
     "bessel_j",
     "bessel_jp",
     "bessel_i",
@@ -39,16 +38,6 @@ def gamma_fn(x: float) -> float:
     if x > _GAMMA_OVERFLOW:
         raise OverflowError(f"gamma_fn overflow for x = {x}")
     return math.gamma(x)
-
-
-def pochhammer(x: float, n: int) -> float:
-    """Rising factorial (x)_n = x (x+1) ... (x+n-1), with (x)_0 = 1."""
-    if n < 0:
-        raise ValueError("pochhammer requires n >= 0")
-    out = 1.0
-    for k in range(n):
-        out *= x + k
-    return out
 
 
 def bessel_j(n: int, x: float) -> float:

@@ -1,9 +1,11 @@
 """Universal trigonometric-integral functions.
 
 phi_n(x), phi_{n,b}(x) and Psi_b(x) factorize the spectral coefficients of
-every completely monotone convolution kernel.  The integrands are smooth
-2*pi-periodic functions, so the trapezoid rule converges spectrally; nodes
-are doubled until two successive levels agree.
+every completely monotone convolution kernel.  Each takes one x (giving a
+float) or an array of x, which converges when all its entries have; x = 0
+gives exactly 0.  phi_n doubles a Gauss order until two agree to 1e-13
+relative; the smooth periodic integrands of phi_{n,b} take trapezoid sums
+whose nodes are doubled until two levels agree to 1e-12 relative.
 """
 
 from __future__ import annotations
@@ -21,26 +23,58 @@ __all__ = [
     "psi_b_prime0",
 ]
 
+# most values one integrand call of periodic_trapezoid may return (1 MiB)
+_TRAPEZOID_CHUNK = 1 << 17
+
+
+def _level_sum(f, eta: np.ndarray, chunk: int):
+    # sum of f over the nodes eta along the last axis, in chunks of angles;
+    # power-of-two chunk sums are added pairwise as numpy sums one long row,
+    # so chunking leaves a one-row sum unchanged
+    sums = np.stack([np.sum(f(eta[i:i + chunk]), axis=-1)
+                     for i in range(0, eta.size, chunk)], axis=-1)
+    while sums.shape[-1] % 2 == 0:
+        sums = sums[..., 0::2] + sums[..., 1::2]
+    return np.sum(sums, axis=-1)
+
 
 def periodic_trapezoid(f, tol: float = 1e-12, n0: int = 64,
-                       n_max: int = 1 << 21) -> float:
+                       n_max: int = 1 << 21):
     """Trapezoid rule over one period [0, 2*pi) with node doubling.
 
-    `f` maps an array of angles to an array of values.
+    `f` maps an array of angles to values along its last axis, one row per
+    leading index; the result has the leading shape, a float for one row.
+    `f` is called on at most _TRAPEZOID_CHUNK values at a time.
     """
+    rows = max(1, np.size(f(np.zeros(1))))
+    chunk = 1 << max(0, (_TRAPEZOID_CHUNK // rows).bit_length() - 1)
     m = n0
     h = 2.0 * np.pi / m
-    total = float(np.sum(f(np.arange(m) * h))) * h
+    total = _level_sum(f, np.arange(m) * h, chunk) * h
     while m < n_max:
         # refine by evaluating only the new midpoints of the uniform grid
-        mid = np.arange(m) * h + 0.5 * h
-        total_new = 0.5 * total + float(np.sum(f(mid))) * (0.5 * h)
+        level = _level_sum(f, np.arange(m) * h + 0.5 * h, chunk)
+        prev, total = total, 0.5 * total + level * (0.5 * h)
         m *= 2
         h *= 0.5
-        if abs(total_new - total) <= tol * max(1.0, abs(total_new)):
-            return total_new
-        total = total_new
-    return total
+        if np.all(np.abs(total - prev)
+                  <= tol * np.maximum(1.0, np.abs(total))):
+            break
+    return total if np.ndim(total) else float(total)
+
+
+def _values(x, name: str) -> np.ndarray:
+    # x >= 0 as a flat array, for a float or an array argument
+    xs = np.ravel(np.asarray(x, dtype=float))
+    if np.any(xs < 0):
+        raise ValueError(f"{name} requires x >= 0")
+    return xs
+
+
+def _shaped(vals: np.ndarray, x):
+    # a float for a float x, else an array shaped like x; exact 0 at x = 0
+    vals = np.where(np.ravel(x) == 0.0, 0.0, vals)
+    return vals.reshape(np.shape(x)) if np.ndim(x) else float(vals[0])
 
 
 @functools.lru_cache(maxsize=None)
@@ -51,70 +85,58 @@ def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return gx, gw
 
 
-def _phi_panel_edges(x: float) -> np.ndarray:
-    # geometric grading toward u = 0, where the integrand peaks on a
-    # scale ~ 1/(2x); the corner of the periodic extension sits there too
-    k = max(6, int(np.ceil(np.log2(max(float(x), 1.0)))) + 3)
-    return np.concatenate([[0.0], (np.pi / 2.0) * 2.0 ** np.arange(-k, 1.0)])
-
-
-def _phi_gauss(n: int, x, order: int) -> float | np.ndarray:
+def _phi_gauss(n: int, xs: np.ndarray, order: int) -> np.ndarray:
     # phi_n(x) = 4 int_0^{pi/2} exp(-2x sin u) cos(2n u) du  (eta = 2u and
     # the reflection u -> pi - u); composite Gauss-Legendre per panel
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
     gx, gw = _gauss_rule(order)
-    edges = _phi_panel_edges(np.max(xs))
+    # geometric grading toward u = 0, where the integrand peaks on a scale
+    # ~ 1/(2x) for the largest x; the corner of the periodic extension sits
+    # there too
+    k = max(6, int(np.ceil(np.log2(max(np.max(xs, initial=0.0), 1.0)))) + 3)
+    edges = np.concatenate([[0.0], (np.pi / 2.0) * 2.0 ** np.arange(-k, 1.0)])
     total = np.zeros_like(xs)
     for a, c in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (a + c), 0.5 * (c - a)
         u = mid + half * gx
         vals = np.exp(-2.0 * xs[:, None] * np.sin(u)) * np.cos(2.0 * n * u)
         total += half * vals @ gw
-    total *= 4.0
-    return total if np.ndim(x) else float(total[0])
+    return total * 4.0
 
 
-def phi_n(n: int, x: float) -> float:
+def phi_n(n: int, x):
     """phi_n(x) = int_0^{2pi} exp(-2 x sin(eta/2)) cos(n eta) d eta.
 
     The periodic integrand has a corner at eta = 0 (the kernel argument is
     2x|sin(eta/2)|), so the plain trapezoid rule degrades to O(h^2) there;
-    graded Gauss-Legendre panels restore rapid convergence.  The order is
-    doubled until two evaluations agree.
+    Gauss-Legendre panels graded for the largest x restore rapid
+    convergence.  The order is doubled until two evaluations agree.
     """
     if n < 1:
         raise ValueError("phi_n requires n >= 1")
-    if x < 0:
-        raise ValueError("phi_n requires x >= 0")
-    if x == 0.0:
-        return 0.0
+    xs = _values(x, "phi_n")
     order = 24
-    val = _phi_gauss(n, x, order)
+    val = _phi_gauss(n, xs, order)
     while order < 200:
         order *= 2
-        val_new = _phi_gauss(n, x, order)
-        if abs(val_new - val) <= 1e-13 * max(1.0, abs(val_new)):
-            return val_new
-        val = val_new
-    return val
+        prev, val = val, _phi_gauss(n, xs, order)
+        if np.all(np.abs(val - prev) <= 1e-13 * np.maximum(1.0, np.abs(val))):
+            break
+    return _shaped(val, x)
 
 
-def phi_nb(n: int, b: float, x: float) -> float:
+def phi_nb(n: int, b: float, x):
     """phi_{n,b}(x) = int_0^{2pi} exp(-x |b - e^{i eta}|) cos(n eta) d eta."""
     if n < 1:
         raise ValueError("phi_nb requires n >= 1")
     if not 0.0 < b <= 1.0:
         raise ValueError("phi_nb requires b in (0, 1]")
-    if x < 0:
-        raise ValueError("phi_nb requires x >= 0")
-    if x == 0.0:
-        return 0.0
+    xs = _values(x, "phi_nb")[:, None]
 
     def integrand(eta):
         dist = np.sqrt(1.0 + b * b - 2.0 * b * np.cos(eta))
-        return np.exp(-x * dist) * np.cos(n * eta)
+        return np.exp(-xs * dist) * np.cos(n * eta)
 
-    return periodic_trapezoid(integrand)
+    return _shaped(periodic_trapezoid(integrand), x)
 
 
 def phi_1b_closed(b: float, x: float) -> float:
@@ -142,13 +164,12 @@ def phi_1b_closed(b: float, x: float) -> float:
     return 2.0 * b * x * 0.5 * periodic_trapezoid(lambda t: integrand(t))
 
 
-def psi_b(b: float, x: float) -> float:
+def psi_b(b: float, x):
     """Psi_b(x) = phi_1(x) + phi_1(b x) - (b + 1/b) phi_{1,b}(x)."""
     if not 0.0 < b < 1.0:
         raise ValueError("psi_b requires b in (0, 1)")
-    if x == 0.0:
-        return 0.0
-    return phi_n(1, x) + phi_n(1, b * x) - (b + 1.0 / b) * phi_nb(1, b, x)
+    return (phi_n(1, x) + phi_n(1, b * np.asarray(x))
+            - (b + 1.0 / b) * phi_nb(1, b, x))
 
 
 def psi_b_prime0(b: float) -> tuple[float, float]:

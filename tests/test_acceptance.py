@@ -4,7 +4,6 @@ Run with -s to see the per-criterion lines."""
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -185,21 +184,10 @@ def test_criterion_11_contour_jacobian():
         b, m, n_modes = 0.5, 4, 8
         omega = 0.3
         st = contour.trivial_state(b, m, n_modes, omega)
-        eps = 1e-5
         for k in range(1, n_modes + 1):
             n = k * m
             target = -n * dispersion.q_matrix(model, n, b, omega)
-            block = np.zeros((2, 2))
-            for col in range(2):
-                coeffs = [st.a1.copy(), st.a2.copy()]
-                coeffs[col][k - 1] = eps
-                rp = contour.eval_f(model, replace(st, a1=coeffs[0],
-                                                   a2=coeffs[1]))
-                coeffs[col][k - 1] = -eps
-                rm = contour.eval_f(model, replace(st, a1=coeffs[0],
-                                                   a2=coeffs[1]))
-                block[0, col] = (rp.s1[k - 1] - rm.s1[k - 1]) / (2 * eps)
-                block[1, col] = (rp.s2[k - 1] - rm.s2[k - 1]) / (2 * eps)
+            block = contour.fd_jacobian_block(model, st, k)
             worst = max(worst, float(np.max(np.abs(block - target))
                                      / np.max(np.abs(target))))
     elapsed = time.monotonic() - start

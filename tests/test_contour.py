@@ -236,19 +236,6 @@ def test_circulant_row_sum_is_the_spectral_product(size, weight, beta):
 # linearization against the dispersion multipliers
 # ---------------------------------------------------------------------------
 
-def _fd_block(model, st, k, eps=1e-5):
-    block = np.zeros((2, 2))
-    for col in range(2):
-        coeffs = [st.a1.copy(), st.a2.copy()]
-        coeffs[col][k - 1] = eps
-        rp = contour.eval_f(model, replace(st, a1=coeffs[0], a2=coeffs[1]))
-        coeffs[col][k - 1] = -eps
-        rm = contour.eval_f(model, replace(st, a1=coeffs[0], a2=coeffs[1]))
-        block[0, col] = (rp.s1[k - 1] - rm.s1[k - 1]) / (2 * eps)
-        block[1, col] = (rp.s2[k - 1] - rm.s2[k - 1]) / (2 * eps)
-    return block
-
-
 @pytest.mark.parametrize("model", [
     EULER, models.gsqg_plane(0.5), models.qgsw_plane(2.0),
     models.euler_disc(2.0), models.euler_exterior(0.1)])
@@ -258,7 +245,7 @@ def test_fd_jacobian_matches_multiplier_blocks(model):
     for k in (1, 2, 3):
         n = k * m
         target = -n * dispersion.q_matrix(model, n, b, omega)
-        block = _fd_block(model, st, k)
+        block = contour.fd_jacobian_block(model, st, k)
         rel = np.max(np.abs(block - target)) / np.max(np.abs(target))
         assert rel < 1e-6
 

@@ -198,8 +198,8 @@ def test_custom_v_constants_checks_b_before_any_quadrature(monkeypatch, b):
     def no_quadrature(*args, **kwargs):
         raise AssertionError("quadrature reached for an inadmissible b")
 
-    monkeypatch.setattr(dispersion, "_phi_batch", no_quadrature)
-    monkeypatch.setattr(dispersion, "_phi_nb_batch", no_quadrature)
+    monkeypatch.setattr(dispersion, "phi_n", no_quadrature)
+    monkeypatch.setattr(dispersion, "phi_nb", no_quadrature)
     model = models.custom_convolution(cmkernel.truncated_low(None, 2.0))
     with pytest.raises(ValueError, match="outside the admissible interval"):
         dispersion.v_constants(model, b)
@@ -235,7 +235,7 @@ def test_min_fold_dual_route_annulus():
 def test_min_fold_dual_route_exterior():
     model = models.euler_exterior(0.1)
     m = dispersion.min_fold(model, 0.5)
-    assert dispersion.exterior_fold_inequality(model, 0.5, m)
+    assert dispersion.annulus_fold_inequality(model, 0.5, m)
     assert m == 1
 
 
@@ -261,7 +261,7 @@ def test_fold_inequality_wrong_model():
     with pytest.raises(ValueError):
         dispersion.annulus_fold_inequality(EULER, 0.5, 3)
     with pytest.raises(ValueError):
-        dispersion.exterior_fold_inequality(EULER, 0.5, 3)
+        dispersion.annulus_fold_inequality(models.euler_disc(2.0), 0.5, 3)
 
 
 @pytest.mark.parametrize("model", [

@@ -27,17 +27,6 @@ def test_gamma_domain_errors():
         specfun.gamma_fn(500.0)
 
 
-@given(st.floats(0.05, 20.0), st.integers(0, 12))
-def test_pochhammer_vs_mpmath(x, n):
-    want = float(mpmath.rf(x, n))
-    assert specfun.pochhammer(x, n) == pytest.approx(want, rel=1e-12)
-
-
-def test_pochhammer_base_cases():
-    assert specfun.pochhammer(3.7, 0) == 1.0
-    assert specfun.pochhammer(2.0, 3) == 2.0 * 3.0 * 4.0
-
-
 @pytest.mark.parametrize("n", [0, 1, 2, 5])
 def test_bessel_j_vs_mpmath(n):
     for x in (0.1, 1.0, 3.7, 12.0):

@@ -171,3 +171,97 @@ def test_leggauss_is_called_only_in_gauss_rule():
                 outside.append(f"{path.name}:{lineno}")
     assert outside == []
     assert inside == 1
+
+
+_XS = np.array([0.0, 0.05, 0.5, 1.0, 2.5, 7.0, 20.0, 60.0, 150.0, 300.0])
+
+
+@pytest.mark.parametrize("b", [0.2, 0.5, 0.9, 1.0])
+def test_array_calls_match_scalar_calls(b):
+    cases = [lambda x: universal.phi_n(3, x),
+             lambda x: universal.phi_nb(2, b, x)]
+    if b < 1.0:
+        cases.append(lambda x: universal.psi_b(b, x))
+    for fun in cases:
+        got = fun(_XS)
+        assert got.shape == _XS.shape and got[0] == 0.0
+        want = np.array([fun(float(x)) for x in _XS])
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, abs(want)))
+    assert universal.phi_nb(1, b, 0.0) == 0.0
+
+
+def _plain_trapezoid(f, n_max):
+    # the node-doubling recurrence with one unchunked sum per level
+    m, h = 64, 2.0 * np.pi / 64
+    total = np.sum(f(np.arange(m) * h), axis=-1) * h
+    while m < n_max:
+        mid = np.arange(m) * h + 0.5 * h
+        total = 0.5 * total + np.sum(f(mid), axis=-1) * (0.5 * h)
+        m, h = 2 * m, 0.5 * h
+    return total
+
+
+@pytest.mark.parametrize("x,n_max", [(np.linspace(0.0, 20.0, 201), 1 << 12),
+                                     (np.array([1.6]), 1 << 20)])
+def test_trapezoid_chunks_keep_integrand_arrays_under_the_cap(x, n_max):
+    # b = 1 puts a corner at eta = 0, so the sum never converges and runs
+    # to n_max; the last levels are wider than the cap.  At x = 1.6 the
+    # four chunk sums of the widest level, added in a row instead of
+    # pairwise, would change the last bit of the result
+    rows, xs = x.size, x[:, None]
+    sizes = []
+
+    def integrand(eta):
+        vals = np.exp(-2.0 * xs * np.abs(np.sin(eta / 2.0)))
+        vals *= np.cos(2 * eta)
+        sizes.append(vals.size)
+        return vals
+
+    got = universal.periodic_trapezoid(integrand, n_max=n_max)
+    assert max(sizes) <= universal._TRAPEZOID_CHUNK
+    assert rows * n_max // 2 > universal._TRAPEZOID_CHUNK
+    want = _plain_trapezoid(integrand, n_max)
+    if rows == 1:  # chunk sums are added as numpy adds one long row
+        assert got == want
+    else:
+        assert np.max(np.abs(got - want)) < 1e-13
+
+
+def _calls_and_loops():
+    # per source file: the function around each _phi_gauss call, and the
+    # function around each loop that doubles a counter (*= 2 or <<= 1)
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "vstates"
+    calls, loops = [], []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+
+        def owner(node):
+            around = [f for f in funcs
+                      if f.lineno <= node.lineno <= f.end_lineno]
+            if not around:
+                return "<module>"
+            return min(around, key=lambda f: f.end_lineno - f.lineno).name
+
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)  # a Name or an Attribute
+            if getattr(func, "id", getattr(func, "attr", "")) == "_phi_gauss":
+                calls.append(f"{path.name}:{owner(node)}")
+            if isinstance(node, (ast.While, ast.For)) and any(
+                    isinstance(s, ast.AugAssign)
+                    and isinstance(s.value, ast.Constant)
+                    and (isinstance(s.op, ast.Mult) and s.value.value == 2
+                         or isinstance(s.op, ast.LShift)
+                         and s.value.value == 1)
+                    for s in ast.walk(node)):
+                loops.append(f"{path.name}:{owner(node)}")
+    return calls, loops
+
+
+def test_one_doubling_loop_per_universal_function():
+    # phi_n's order doubling and periodic_trapezoid's node doubling are the
+    # only adaptive loops; a private batch copy of either fails here
+    calls, loops = _calls_and_loops()
+    assert set(calls) == {"universal.py:phi_n"}
+    assert sorted(loops) == ["universal.py:periodic_trapezoid",
+                             "universal.py:phi_n"]
