@@ -270,12 +270,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     from .cmkernel import euler_flat
     closed = models.euler_plane()
     custom = models.custom_convolution(euler_flat())
-    err = 0.0
-    for n in range(1, 8):
-        rc = dispersion.spectral_row(closed, n, 0.5)
-        rq = dispersion.spectral_row(custom, n, 0.5)
-        err = max(err, abs(rc.lam_nb - rq.lam_nb), abs(rc.lam_n1 - rq.lam_n1),
-                  abs(rc.lamt_nb - rq.lamt_nb))
+    rc, rq = (dispersion.spectral_row(mdl, np.arange(1, 8), 0.5)
+              for mdl in (closed, custom))
+    err = float(max(np.max(abs(getattr(rc, k) - getattr(rq, k)))
+                    for k in ("lam_nb", "lam_n1", "lamt_nb")))
     suites.append(("closed-vs-quadrature", err, 1e-7))
 
     # dual-Bessel summation against the hypergeometric-plus-integral form

@@ -176,58 +176,53 @@ def _singular_tables(size: int, rows: int, weight: str,
     return sin_fac, circ
 
 
-def _qgsw_q0(z: np.ndarray) -> np.ndarray:
-    """Q(z) = K_0(z) + log(z) I_0(z), analytic; series below z = 0.5."""
+def _by_size(z: np.ndarray, cut: float, small, large) -> np.ndarray:
+    # small(z) below the cut and large(z) from it on, elementwise
     z = np.asarray(z, dtype=float)
     out = np.empty_like(z)
-    small = z < 0.5
-    zs = z[small]
-    qs = zs * zs / 4.0
-    # Q = (log 2 - gamma) I0(z) + sum_{k>=1} H_k (z^2/4)^k / (k!)^2
-    acc = np.zeros_like(zs)
-    term = np.ones_like(zs)
-    harmonic = 0.0
-    for k in range(1, 12):
-        term = term * qs / (k * k)
-        harmonic += 1.0 / k
-        acc = acc + term * harmonic
-    out[small] = (math.log(2.0) - _EULER_GAMMA) * _sp.i0(zs) + acc
-    big = ~small
-    zb = z[big]
-    out[big] = _sp.k0(zb) + np.log(zb) * _sp.i0(zb)
+    below = z < cut
+    out[below] = small(z[below])
+    out[~below] = large(z[~below])
     return out
+
+
+def _qgsw_q0(z: np.ndarray) -> np.ndarray:
+    """Q(z) = K_0(z) + log(z) I_0(z), analytic; series below z = 0.5."""
+    def series(zs):
+        # Q = (log 2 - gamma) I0(z) + sum_{k>=1} H_k (z^2/4)^k / (k!)^2
+        qs = zs * zs / 4.0
+        acc, term, harmonic = np.zeros_like(zs), np.ones_like(zs), 0.0
+        for k in range(1, 12):
+            term = term * qs / (k * k)
+            harmonic += 1.0 / k
+            acc = acc + term * harmonic
+        return (math.log(2.0) - _EULER_GAMMA) * _sp.i0(zs) + acc
+
+    return _by_size(z, 0.5, series,
+                    lambda zb: _sp.k0(zb) + np.log(zb) * _sp.i0(zb))
 
 
 def _qgsw_s0(z: np.ndarray) -> np.ndarray:
     """S(z) with (1 - z K_1(z))/z^2 = -log(z/2) I_1(z)/z + S(z)."""
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    small = z < 0.5
-    zs = z[small]
-    qs = zs * zs / 4.0
-    acc = np.zeros_like(zs)
-    term = np.ones_like(zs)
-    for k in range(0, 12):
-        if k > 0:
-            term = term * qs / (k * (k + 1.0))
-        psi1 = -_EULER_GAMMA + sum(1.0 / j for j in range(1, k + 1))
-        psi2 = -_EULER_GAMMA + sum(1.0 / j for j in range(1, k + 2))
-        acc = acc + term * (psi1 + psi2)
-    out[small] = acc / 4.0
-    big = ~small
-    zb = z[big]
-    t_direct = (1.0 - zb * _sp.k1(zb)) / (zb * zb)
-    out[big] = t_direct + np.log(zb / 2.0) * _sp.i1(zb) / zb
-    return out
+    def series(zs):
+        qs = zs * zs / 4.0
+        acc, term = np.zeros_like(zs), np.ones_like(zs)
+        for k in range(0, 12):
+            if k > 0:
+                term = term * qs / (k * (k + 1.0))
+            psi1 = -_EULER_GAMMA + sum(1.0 / j for j in range(1, k + 1))
+            psi2 = -_EULER_GAMMA + sum(1.0 / j for j in range(1, k + 2))
+            acc = acc + term * (psi1 + psi2)
+        return acc / 4.0
+
+    return _by_size(z, 0.5, series,
+                    lambda zb: ((1.0 - zb * _sp.k1(zb)) / (zb * zb)
+                                + np.log(zb / 2.0) * _sp.i1(zb) / zb))
 
 
 def _i1_over_z(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    small = z < 1e-6
-    out[small] = 0.5 + z[small] ** 2 / 16.0
-    out[~small] = _sp.i1(z[~small]) / z[~small]
-    return out
+    return _by_size(z, 1e-6, lambda zs: 0.5 + zs ** 2 / 16.0,
+                    lambda zb: _sp.i1(zb) / zb)
 
 
 def _geometry_matrices(kind: str, param: float, z: np.ndarray,
@@ -246,70 +241,58 @@ def _geometry_matrices(kind: str, param: float, z: np.ndarray,
     return diff, d, g, circ
 
 
-def _k0_velocity_integral(kind: str, param: float, z: np.ndarray,
-                          w: np.ndarray, wp: np.ndarray, v: np.ndarray,
-                          self_interaction: bool) -> np.ndarray:
-    """int K0(|z_i - w(eta)|) v(eta) d eta, complex-valued."""
+def _k0_factors(kind: str, param: float, d: np.ndarray, g: np.ndarray | None,
+                stream: bool):
+    """Factors of the velocity kernel K0(d), or with stream=True of the
+    stream kernel h(d)/d, where h' + h/rho = K0.
+
+    Without g the first factor is the whole kernel and the second is None.
+    With g (self-interaction) the kernel is the first factor times the
+    singular weight of `_singular_tables` plus the second, smooth factor
+    (None where it vanishes).
+    """
+    if kind == "power":
+        pref = c_beta(param) / (2.0 - param) if stream else c_beta(param)
+        return pref * (d if g is None else g) ** (-param), None
+    if kind == "log":
+        # K0 = -log(d)/(2 pi), h(d)/d = -(log(d) - 1/2)/(4 pi)
+        shift, den = (0.5, 4.0 * np.pi) if stream else (0.0, 2.0 * np.pi)
+        if g is None:
+            return -(np.log(d) - shift) / den, None
+        return -1.0 / den, -(np.log(g) - shift) / den
+    ed = param * d
+    if stream:
+        if g is None:
+            return (1.0 - ed * _sp.k1(ed)) / (ed * ed) / (2.0 * np.pi), None
+        i1z = _i1_over_z(ed)
+        return (-i1z / (2.0 * np.pi),
+                (_qgsw_s0(ed) - np.log(param * g / 2.0) * i1z) / (2.0 * np.pi))
+    if g is None:
+        return _sp.k0(ed) / (2.0 * np.pi), None
+    i0 = _sp.i0(ed)
+    return (-i0 / (2.0 * np.pi),
+            (_qgsw_q0(ed) - np.log(param * g) * i0) / (2.0 * np.pi))
+
+
+def _k0_integral(kind: str, param: float, z: np.ndarray, w: np.ndarray,
+                 wp: np.ndarray, v: np.ndarray, self_interaction: bool,
+                 stream: bool) -> np.ndarray:
+    """int K0(|z_i - w(eta)|) v(eta) d eta (complex), or with stream=True
+    int (h(d)/d) (w(eta) - z_i) . v(eta) d eta."""
     h = 2.0 * np.pi / len(w)
     diff, d, g, circ = _geometry_matrices(kind, param, z, w, wp,
                                           self_interaction)
-    if not self_interaction:
-        if kind == "log":
-            kern = -np.log(d) / (2.0 * np.pi)
-        elif kind == "power":
-            kern = c_beta(param) * d ** (-param)
-        else:
-            kern = _sp.k0(param * d) / (2.0 * np.pi)
-        return (kern * v[None, :]).sum(axis=1) * h
-    if kind == "log":
-        smooth = (-np.log(g) / (2.0 * np.pi)) * v[None, :]
-        sing = np.broadcast_to(v, g.shape) * (-1.0 / (2.0 * np.pi))
-    elif kind == "power":
-        smooth = None
-        sing = c_beta(param) * g ** (-param) * v[None, :]
+    if stream:
+        # (w_j - z_i) . v_j as plane vectors
+        v = (-diff.real) * v.real[None, :] + (-diff.imag) * v.imag[None, :]
     else:
-        ed = param * d
-        smooth = ((_qgsw_q0(ed) - np.log(param * g) * _sp.i0(ed))
-                  / (2.0 * np.pi)) * v[None, :]
-        sing = (-_sp.i0(ed) / (2.0 * np.pi)) * v[None, :]
-    total = (sing * circ).sum(axis=1)
+        v = v[None, :]
+    sing, smooth = _k0_factors(kind, param, d, g, stream)
+    if g is None:
+        return (sing * v).sum(axis=1) * h
+    total = (sing * v * circ).sum(axis=1)
     if smooth is not None:
-        total += smooth.sum(axis=1) * h
-    return total
-
-
-def _k0_stream_integral(kind: str, param: float, z: np.ndarray,
-                        w: np.ndarray, wp: np.ndarray, v: np.ndarray,
-                        self_interaction: bool) -> np.ndarray:
-    """int (h(d)/d) (w(eta) - z_i) . v(eta) d eta  with h' + h/rho = K0."""
-    step = 2.0 * np.pi / len(w)
-    diff, d, g, circ = _geometry_matrices(kind, param, z, w, wp,
-                                          self_interaction)
-    # dot_ij = (w_j - z_i) . v_j as plane vectors
-    dot = (-diff.real) * v.real[None, :] + (-diff.imag) * v.imag[None, :]
-    if not self_interaction:
-        if kind == "log":
-            ratio = -(np.log(d) - 0.5) / (4.0 * np.pi)
-        elif kind == "power":
-            ratio = c_beta(param) / (2.0 - param) * d ** (-param)
-        else:
-            ed = param * d
-            ratio = (1.0 - ed * _sp.k1(ed)) / (ed * ed) / (2.0 * np.pi)
-        return (ratio * dot).sum(axis=1) * step
-    if kind == "log":
-        smooth = -(np.log(g) - 0.5) / (4.0 * np.pi) * dot
-        sing = -dot / (4.0 * np.pi)
-    elif kind == "power":
-        smooth = None
-        sing = c_beta(param) / (2.0 - param) * g ** (-param) * dot
-    else:
-        ed = param * d
-        i1z = _i1_over_z(ed)
-        smooth = (_qgsw_s0(ed) - np.log(param * g / 2.0) * i1z) / (2.0 * np.pi) * dot
-        sing = -i1z / (2.0 * np.pi) * dot
-    total = (sing * circ).sum(axis=1)
-    if smooth is not None:
-        total += smooth.sum(axis=1) * step
+        total += (smooth * v).sum(axis=1) * h
     return total
 
 
@@ -375,14 +358,6 @@ def _check_geometry(model: KernelModel, ra: np.ndarray,
                             f"(by {hi - r2:.1e})")
 
 
-def _kernel(model: KernelModel) -> tuple[str, float]:
-    """model.k0, for the kernels whose boundary integrals are coded here."""
-    if model.k0[0] == "measure" or model.k1 == "bessel_zeros":
-        raise ValueError(
-            f"contour dynamics not supported for {model.variant!r}")
-    return model.k0
-
-
 def _boundary_data(model: KernelModel, state: PerturbationState):
     theta = state.theta_grid()
     ra, rb = state.radii(theta)
@@ -398,39 +373,34 @@ def _boundary_data(model: KernelModel, state: PerturbationState):
     return theta, ra, rb, w1, w2, w1p, w2p, d1, d2
 
 
+def _boundary_field(model: KernelModel, data: tuple, rows: int,
+                    stream: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Stream function (stream=True) or its gradient (complex) at the first
+    ``rows`` points of the two boundaries; the sources are the whole grid.
+
+    The divergence theorem turns the patch integral into boundary integrals
+    against the tangent w' rotated by -i (stream) or i (gradient).
+    """
+    kind, param = model.k0
+    if kind == "measure" or model.k1 == "bessel_zeros":
+        raise ValueError(
+            f"contour dynamics not supported for {model.variant!r}")
+    theta, ra, rb, w1, w2, w1p, w2p, _, _ = data
+    rot = -1j if stream else 1j
+    out = [_k0_integral(kind, param, z[:rows], w2, w2p, rot * w2p,
+                        not on_inner, stream)
+           - _k0_integral(kind, param, z[:rows], w1, w1p, rot * w1p,
+                          on_inner, stream)
+           for z, on_inner in ((w1, True), (w2, False))]
+    k1 = _k1_area_terms(model, theta, ra, rb, rows)[0 if stream else 1]
+    return out[0] + k1[0], out[1] + k1[1]
+
+
 def eval_f0(model: KernelModel, state: PerturbationState
             ) -> tuple[np.ndarray, np.ndarray]:
     """Stream function F0[r] sampled on the theta grid for both boundaries."""
-    kind, param = _kernel(model)
-    theta, ra, rb, w1, w2, w1p, w2p, _, _ = _boundary_data(model, state)
-    out = []
-    for z, selfs in ((w1, (True, False)), (w2, (False, True))):
-        inner_self, outer_self = selfs
-        v2 = -1j * w2p
-        v1 = -1j * w1p
-        s = (_k0_stream_integral(kind, param, z, w2, w2p, v2, outer_self)
-             - _k0_stream_integral(kind, param, z, w1, w1p, v1, inner_self))
-        out.append(s)
-    psi1, _ = _k1_area_terms(model, theta, ra, rb, len(theta))
-    return out[0] + psi1[0], out[1] + psi1[1]
-
-
-def _velocity(model: KernelModel, data: tuple, rows: int
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of the stream function (complex) at the first ``rows``
-    points of the two boundaries; the sources are the whole grid."""
-    kind, param = _kernel(model)
-    theta, ra, rb, w1, w2, w1p, w2p, _, _ = data
-    out = []
-    for z, selfs in ((w1[:rows], (True, False)), (w2[:rows], (False, True))):
-        inner_self, outer_self = selfs
-        u = (_k0_velocity_integral(kind, param, z, w2, w2p, 1j * w2p,
-                                   outer_self)
-             - _k0_velocity_integral(kind, param, z, w1, w1p, 1j * w1p,
-                                     inner_self))
-        out.append(u)
-    _, vel1 = _k1_area_terms(model, theta, ra, rb, rows)
-    return out[0] + vel1[0], out[1] + vel1[1]
+    return _boundary_field(model, _boundary_data(model, state),
+                           state.grid_size, stream=True)
 
 
 def eval_f(model: KernelModel, state: PerturbationState) -> ResidualVector:
@@ -444,7 +414,7 @@ def eval_f(model: KernelModel, state: PerturbationState) -> ResidualVector:
     theta, _, _, _, _, w1p, w2p, d1, d2 = data
     half = state.grid_size // (2 * state.m)
     cell = slice(0, half + 1)
-    u1, u2 = _velocity(model, data, half + 1)
+    u1, u2 = _boundary_field(model, data, half + 1, stream=False)
     # d/dtheta F0_j = grad psi(z_j) . z_j'
     f1 = state.omega * d1[cell] + np.real(u1 * np.conj(w1p[cell]))
     f2 = state.omega * d2[cell] + np.real(u2 * np.conj(w2p[cell]))

@@ -1,15 +1,16 @@
 """Spectral engine for the linearized patch dynamics.
 
 Assembles the coefficient rows and dispersion points of the annulus
-1_{D \\ b D}.  Given an array of modes, `dispersion_point` returns them as
-columns: the closed forms of `models` give each coefficient for every mode
-in one array call, the velocity constants V^1, V^2 are computed once per b,
-and A, B, the discriminant, both roots and the classification follow as
-arrays.  Custom measures and the gSQG/QGSW discs fill the columns one
-`spectral_row` at a time (quadrature and Bessel-zero series).  The module
-also evaluates the discriminant's large-n limit, locates the smallest
-symmetry fold m admitting simple real eigenvalues, scans the monotone
-ordering of the two branches, and classifies stability.
+1_{D \\ b D}.  `spectral_row` is the one assembly route: given an array of
+modes it returns columns, from one array call per closed form of `models`,
+from quadrature for a custom measure (nodes built once per coefficient),
+and from the Bessel-zero series of `models.closed_p` for the gSQG/QGSW
+discs.  `dispersion_point` takes the row, the velocity constants V^1, V^2
+(once per b) and forms A, B, the discriminant, both roots and the
+classification as arrays.  The module also evaluates the discriminant's
+large-n limit, locates the smallest symmetry fold m admitting simple real
+eigenvalues, scans the monotone ordering of the two branches, and
+classifies stability.
 """
 
 from __future__ import annotations
@@ -156,56 +157,78 @@ def _measure_nodes(mu: Measure, x_hi: float,
                     np.vectorize(mu.density))
 
 
-def _lambda_quadrature(mu: Measure, n: int, scale: float) -> float:
+def _per_mode(n, value):
+    # value(k) as a float for one mode, as a column for an array of modes
+    vals = [value(k) for k in np.atleast_1d(n).tolist()]
+    return np.array(vals) if np.ndim(n) else vals[0]
+
+
+def _lambda_quadrature(mu: Measure, n, scale: float):
     """int phi_n(scale * x) dmu(x)/x with the algebraic tail summed by model."""
     x_cut = 300.0 / scale
     xs, ws = _measure_nodes(mu, x_cut)
-    total = float(np.sum(phi_n(n, scale * xs) * ws / xs))
-    if mu.family is None:
-        return total
-    tail, _ = _integrate.quad(
-        lambda x: _phi_tail_model(n, scale * x) * mu.density(x) / x,
-        x_cut, np.inf, limit=200)
-    return total + tail
+
+    def value(k: int) -> float:
+        total = float(np.sum(phi_n(k, scale * xs) * ws / xs))
+        if mu.family is None:
+            return total
+        tail, _ = _integrate.quad(
+            lambda x: _phi_tail_model(k, scale * x) * mu.density(x) / x,
+            x_cut, np.inf, limit=200)
+        return total + tail
+
+    return _per_mode(n, value)
 
 
-def _lambda_tilde_quadrature(mu: Measure, n: int, b: float) -> float:
+def _lambda_tilde_quadrature(mu: Measure, n, b: float):
     """int phi_{n,b}(x) dmu(x)/x; the integrand decays like e^{-(1-b)x}."""
     decay = max(1.0 - b, 1e-3)
     x_cut = math.log(2.0 * math.pi / 1e-14) / decay + 10.0
     xs, ws = _measure_nodes(mu, x_cut)
-    return float(np.sum(phi_nb(n, b, xs) * ws / xs))
+    return _per_mode(n, lambda k: float(np.sum(phi_nb(k, b, xs) * ws / xs)))
 
 
 # ---------------------------------------------------------------------------
 # row / point assembly
 # ---------------------------------------------------------------------------
 
-def spectral_row(model: KernelModel, n: int, b: float) -> SpectralRow:
-    """Assemble the six coefficients and two constants of the n-th block."""
-    if n < 1:
-        raise ValueError("spectral_row requires n >= 1")
-    model.require_b(b)
-    source: dict = {"p": _P_SOURCE[model.k1]}
-    lam_nb = _models.closed_lambda(model, n, b)
-    lam_n1 = _models.closed_lambda(model, n, 1.0)
-    lamt_nb = _models.closed_tilde_lambda(model, n, b)
-    if lam_nb is not None:
-        source["lambda"] = "closed"
-    else:
-        mu = model.measure()
-        lam_nb = _lambda_quadrature(mu, n, b)
-        lam_n1 = _lambda_quadrature(mu, n, 1.0)
-        lamt_nb = _lambda_tilde_quadrature(mu, n, b)
-        source["lambda"] = "quadrature"
-    p_nb, p_n1, pt_nb = _models.closed_p(model, n, b)
-    c_b, ct_b = _models.c_terms(model, b)
-    return SpectralRow(n=n, b=b, lam_nb=lam_nb, lam_n1=lam_n1, lamt_nb=lamt_nb,
-                      p_nb=p_nb, p_n1=p_n1, pt_nb=pt_nb, c_b=c_b, ct_b=ct_b,
-                      source=source)
-
-
 _COEFFS = ("lam_nb", "lam_n1", "lamt_nb", "p_nb", "p_n1", "pt_nb")
+
+
+def spectral_row(model: KernelModel, n, b: float) -> SpectralRow:
+    """Assemble the six coefficients and two constants of the n-th block.
+
+    n may be an integer array of modes, which gives a row of columns.  The
+    closed forms take all modes in one call; a custom measure's lambdas come
+    from quadrature, on nodes built once per coefficient.
+    """
+    ns = np.atleast_1d(np.asarray(n, dtype=int))
+    if ns.ndim != 1 or ns.size == 0 or ns.min() < 1:
+        raise ValueError("spectral_row requires modes n >= 1")
+    model.require_b(b)
+    if model.k0[0] == "measure":
+        mu = model.measure()
+        lams = (_lambda_quadrature(mu, ns, b), _lambda_quadrature(mu, ns, 1.0),
+                _lambda_tilde_quadrature(mu, ns, b))
+        route = "quadrature"
+    else:
+        lams = (_models.closed_lambda(model, ns, b),
+                _models.closed_lambda(model, ns, 1.0),
+                _models.closed_tilde_lambda(model, ns, b))
+        route = "closed"
+    c_b, ct_b = _models.c_terms(model, b)
+    row = SpectralRow(n=ns, b=b, **dict(zip(_COEFFS, (
+        *lams, *_models.closed_p(model, ns, b)))), c_b=c_b, ct_b=ct_b,
+        source={"p": _P_SOURCE[model.k1], "lambda": route})
+    return row if np.ndim(n) else _split_row(row)[0]
+
+
+def _split_row(row: SpectralRow) -> list[SpectralRow]:
+    # one SpectralRow of floats per mode of a row of columns
+    return [SpectralRow(n, row.b, *vals, c_b=row.c_b, ct_b=row.ct_b,
+                        source=dict(row.source))
+            for n, *vals in zip(*(getattr(row, k).tolist()
+                                  for k in ("n", *_COEFFS)))]
 
 
 def dispersion_point(model: KernelModel, n, b: float,
@@ -214,28 +237,15 @@ def dispersion_point(model: KernelModel, n, b: float,
     """Quadratic coefficients A, B, discriminant and roots at mode n.
 
     n may be an integer array of modes, which gives a point of columns.
-    V^1, V^2 are computed once, or taken from v.  A non-finite coefficient
-    raises ArithmeticError naming the model, the mode and b.
+    V^1, V^2 are computed once, or taken from v; a custom measure whose
+    first mode is 1 takes them from that column of its row.  A non-finite
+    coefficient raises ArithmeticError naming the model, the mode and b.
     """
     ns = np.atleast_1d(np.asarray(n, dtype=int))
-    if ns.ndim != 1 or ns.size == 0 or ns.min() < 1:
-        raise ValueError("dispersion_point requires modes n >= 1")
-    model.require_b(b)
-    if model.k0[0] != "measure" and model.k1 != "bessel_zeros":
-        cols = dict(zip(_COEFFS, (
-            _models.closed_lambda(model, ns, b),
-            _models.closed_lambda(model, ns, 1.0),
-            _models.closed_tilde_lambda(model, ns, b),
-            *_models.closed_p(model, ns, b))))
-        c_b, ct_b = _models.c_terms(model, b)
-        source = {"p": _P_SOURCE[model.k1], "lambda": "closed"}
-    else:  # quadrature or Bessel-zero series, one mode at a time
-        rows = [spectral_row(model, k, b) for k in ns.tolist()]
-        cols = {k: np.array([getattr(r, k) for r in rows]) for k in _COEFFS}
-        c_b, ct_b, source = rows[0].c_b, rows[0].ct_b, rows[0].source
-        if v is None and model.k0[0] == "measure" and rows[0].n == 1:
-            v = _v_from_mode_1(rows[0].lam_nb, rows[0].lam_n1,
-                               rows[0].lamt_nb, b)
+    row = spectral_row(model, ns, b)
+    cols = {k: getattr(row, k) for k in _COEFFS}
+    if v is None and model.k0[0] == "measure" and ns[0] == 1:
+        v = _v_from_mode_1(_split_row(row)[0])
     v1, v2 = v_constants(model, b) if v is None else v
     a_nb = -v1 + cols["lam_nb"] + cols["p_nb"]
     b_nb = -v2 - cols["lam_n1"] - cols["p_n1"]
@@ -243,9 +253,9 @@ def dispersion_point(model: KernelModel, n, b: float,
     # float_power rounds like the scalar x ** 2, which is not always x * x
     delta = np.float_power(a_nb - b_nb, 2) - 4.0 * off * off
     # Delta is finite exactly when V and every coefficient are
-    if not (np.isfinite(delta).all() and math.isfinite(c_b + ct_b)):
+    if not (np.isfinite(delta).all() and math.isfinite(row.c_b + row.ct_b)):
         names = [*cols, "Delta"]
-        bad = ~np.isfinite([*cols.values(), delta + c_b + ct_b])
+        bad = ~np.isfinite([*cols.values(), delta + row.c_b + row.ct_b])
         i, j = np.argwhere(bad)[0]
         raise ArithmeticError(f"non-finite {names[i]} for {model.describe()} "
                               f"at n = {ns[j]}, b = {b}")
@@ -256,23 +266,18 @@ def dispersion_point(model: KernelModel, n, b: float,
         omega_plus=(a_nb + b_nb) / 2.0 + half_gap,
         omega_minus=(a_nb + b_nb) / 2.0 - half_gap,
         classification=np.array(["unstable", "degenerate", "stable"])[kind],
-        row=SpectralRow(n=ns, b=b, **cols, c_b=c_b, ct_b=ct_b, source=source))
+        row=row)
     return point if np.ndim(n) else _split(point)[0]
 
 
 def _split(point: DispersionPoint) -> list[DispersionPoint]:
     # one DispersionPoint of floats per mode of a point of columns
-    r = point.row
     return [DispersionPoint(
-        n=n, b=point.b, a_nb=a, b_nb=bb, delta=d,
+        n=row.n, b=point.b, a_nb=a, b_nb=bb, delta=d,
         omega_plus=wp if d >= 0.0 else None,
-        omega_minus=wm if d >= 0.0 else None, classification=cls,
-        row=SpectralRow(n=n, b=r.b, lam_nb=lnb, lam_n1=ln1, lamt_nb=ltnb,
-                        p_nb=pnb, p_n1=pn1, pt_nb=ptnb, c_b=r.c_b,
-                        ct_b=r.ct_b, source=dict(r.source)))
-        for n, lnb, ln1, ltnb, pnb, pn1, ptnb, a, bb, d, wp, wm, cls
-        in zip(*(c.tolist() for c in (
-            point.n, r.lam_nb, r.lam_n1, r.lamt_nb, r.p_nb, r.p_n1, r.pt_nb,
+        omega_minus=wm if d >= 0.0 else None, classification=cls, row=row)
+        for row, a, bb, d, wp, wm, cls
+        in zip(_split_row(point.row), *(c.tolist() for c in (
             point.a_nb, point.b_nb, point.delta, point.omega_plus,
             point.omega_minus, point.classification)))]
 
@@ -285,23 +290,21 @@ def dispersion_points(model: KernelModel, ns, b: float,
 
 
 def v_constants(model: KernelModel, b: float) -> tuple[float, float]:
-    """(V^1, V^2), falling back to quadrature for custom measures.
+    """(V^1, V^2): the gSQG/QGSW disc terms of `models` on those discs,
+    else the mode-1 combination of the model's spectral row.
 
     b is checked first, so an inadmissible b never reaches a quadrature.
     """
     model.require_b(b)
-    if model.k0[0] == "measure":
-        mu = model.measure()
-        return _v_from_mode_1(_lambda_quadrature(mu, 1, b),
-                              _lambda_quadrature(mu, 1, 1.0),
-                              _lambda_tilde_quadrature(mu, 1, b), b)
-    return _models.v1_v2(model, b)
+    if model.k1 == "bessel_zeros":
+        return _models._disc_v_terms(model, b)
+    return _v_from_mode_1(spectral_row(model, 1, b))
 
 
-def _v_from_mode_1(lam_b: float, lam_1: float, lamt_b: float,
-                   b: float) -> tuple[float, float]:
-    # (V^1, V^2) of a kernel without K1 from its mode-1 coefficients
-    return (lam_b - lamt_b / b, -lam_1 + b * lamt_b)
+def _v_from_mode_1(row: SpectralRow) -> tuple[float, float]:
+    # (V^1, V^2) from a row of the single mode 1
+    return _models._mode_1_v(row.lam_nb, row.lam_n1, row.lamt_nb, row.b,
+                            row.c_b, row.ct_b)
 
 
 def delta_inf(model: KernelModel, b: float, via_psi: bool = False) -> float:

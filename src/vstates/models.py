@@ -47,7 +47,6 @@ __all__ = [
     "closed_p",
     "series_p",
     "c_terms",
-    "v1_v2",
     "annulus_c_frak",
     "qgsw_disc_identity",
     "sneddon_series",
@@ -322,8 +321,7 @@ def annulus_c_frak(r1: float, r2: float, b: float) -> float:
 # interaction coefficients p, p-tilde
 # ---------------------------------------------------------------------------
 
-def closed_p(model: KernelModel, n, b: float,
-             truncation: int = 500) -> tuple:
+def closed_p(model: KernelModel, n, b: float) -> tuple:
     """(p_{n,b}, p_{n,1}, p-tilde_{n,b}) of the model's K1.
 
     Plane models have K1 = 0.  The Green series of the domain (R1, R2)
@@ -331,17 +329,16 @@ def closed_p(model: KernelModel, n, b: float,
       p_{n,x} = -[(x/R2)^2n + (R1/x)^2n - 2 s^2n] / (2n (1 - s^2n)),
       p-tilde_{n,b} = -[(b/R2^2)^n + (R1^2/b)^n - s^2n b^n
                         - (R1^2/(R2^2 b))^n] / (2n (1 - s^2n)).
-    The gSQG/QGSW discs route to the Bessel-zero series of `series_p`,
-    one mode at a time.
+    The gSQG/QGSW discs route to the Bessel-zero series of `series_p` at
+    its default truncation, one mode at a time.
     """
     ns, out = _modes(n, "closed_p")
     if model.k1 is None:
         return (out(np.zeros(ns.shape)),) * 3
     if model.k1 == "bessel_zeros":
-        if not ns.ndim:
-            return series_p(model, int(ns), b, truncation)
-        cols = np.array([series_p(model, int(k), b, truncation) for k in ns])
-        return tuple(cols.reshape(-1, 3).T)
+        cols = np.array([series_p(model, k, b)
+                         for k in np.atleast_1d(ns).tolist()])
+        return tuple(out(c.reshape(ns.shape)) for c in cols.T)
     r1, r2 = model.domain
     # float_power rounds like the scalar x ** n
     s2n = np.float_power(r1 / r2, 2 * ns)
@@ -389,21 +386,17 @@ def series_p(model: KernelModel, n: int, b: float,
 # velocity constants V^1, V^2
 # ---------------------------------------------------------------------------
 
-def v1_v2(model: KernelModel, b: float) -> tuple[float, float]:
-    """(V^1_b[0], V^2_b[0]) for the model."""
-    model.require_b(b)
-    if model.k1 == "bessel_zeros":
-        kind, arg = model.k0
-        v_terms = gsqg_disc_v_terms if kind == "power" else qgsw_disc_v_terms
-        return v_terms(arg, model.domain[1], b)
-    lam_b = closed_lambda(model, 1, b)
-    lamt_b = closed_tilde_lambda(model, 1, b)
-    lam_1 = closed_lambda(model, 1, 1.0)
-    if lam_b is None:
-        raise ValueError(f"v1_v2 has no closed form for {model.variant!r}; "
-                         "use dispersion.v_constants")
-    c_b, ct_b = c_terms(model, b)
+def _mode_1_v(lam_b: float, lam_1: float, lamt_b: float, b: float,
+              c_b: float = 0.0, ct_b: float = 0.0) -> tuple[float, float]:
+    # (V^1, V^2) from the mode-1 coefficients and the K1 constants
     return (lam_b - lamt_b / b + c_b, -lam_1 + b * lamt_b + ct_b)
+
+
+def _disc_v_terms(model: KernelModel, b: float) -> tuple[float, float]:
+    # (V^1, V^2) of a gSQG/QGSW disc, whose K1 is a Bessel-zero series
+    kind, arg = model.k0
+    v_terms = gsqg_disc_v_terms if kind == "power" else qgsw_disc_v_terms
+    return v_terms(arg, model.domain[1], b)
 
 
 def c_terms(model: KernelModel, b: float) -> tuple[float, float]:
@@ -422,11 +415,11 @@ def c_terms(model: KernelModel, b: float) -> tuple[float, float]:
                                 - (b * b / 2.0) * math.log(b)))
         return (c / (b * b), c)
     # gSQG / QGSW disc: difference between the full V and its convolution part
-    v1, v2 = v1_v2(model, b)
-    lam_b = closed_lambda(model, 1, b)
-    lamt_b = closed_tilde_lambda(model, 1, b)
-    lam_1 = closed_lambda(model, 1, 1.0)
-    return (v1 - (lam_b - lamt_b / b), v2 - (-lam_1 + b * lamt_b))
+    v1, v2 = _disc_v_terms(model, b)
+    conv1, conv2 = _mode_1_v(closed_lambda(model, 1, b),
+                             closed_lambda(model, 1, 1.0),
+                             closed_tilde_lambda(model, 1, b), b)
+    return (v1 - conv1, v2 - conv2)
 
 
 # ---------------------------------------------------------------------------
@@ -592,39 +585,30 @@ def gsqg_disc_v_terms(beta: float, r: float, b: float) -> tuple[float, float]:
         raise ValueError("gsqg_disc_v_terms: invalid parameters")
     pref = -2.0 * math.sin(math.pi * beta / 2.0) / math.pi
 
-    def int1_v1(rho: float) -> float:
-        if rho == 0.0:
-            return 0.0
-        val = (_ik_prod(1, b * rho, 1, rho) / b - _ik_prod(1, b * rho, 1, b * rho))
-        return val * rho ** (beta - 1.0)
-
-    def int2_v1(rho: float) -> float:
-        if rho == 0.0:
-            return 0.0
-        val = (_ii_over_i0_ratio(1, b * rho, 1, rho, r, rho) / b
-               - _ii_over_i0_ratio(1, b * rho, 1, b * rho, r, rho))
-        return val * rho ** (beta - 1.0)
-
-    def int1_v2(rho: float) -> float:
-        if rho == 0.0:
-            return 0.0
-        val = (_ik_prod(1, rho, 1, rho) - b * _ik_prod(1, b * rho, 1, rho))
-        return val * rho ** (beta - 1.0)
-
-    def int2_v2(rho: float) -> float:
-        if rho == 0.0:
-            return 0.0
-        val = (_ii_over_i0_ratio(1, rho, 1, rho, r, rho)
-               - b * _ii_over_i0_ratio(1, rho, 1, b * rho, r, rho))
-        return val * rho ** (beta - 1.0)
+    def integrand(prod, second: bool):
+        # rho^(beta-1) times the V^1 combination
+        # prod(b rho, rho)/b - prod(b rho, b rho), or the V^2 one
+        # prod(rho, rho) - b prod(b rho, rho)
+        def f(rho: float) -> float:
+            if rho == 0.0:
+                return 0.0
+            br = b * rho
+            val = (prod(rho, rho, rho) - b * prod(br, rho, rho) if second
+                   else prod(br, rho, rho) / b - prod(br, br, rho))
+            return val * rho ** (beta - 1.0)
+        return f
 
     def quad_full(f) -> float:
         v1, _ = _integrate.quad(f, 0.0, 1.0, limit=400, epsabs=1e-13)
         v2, _ = _integrate.quad(f, 1.0, np.inf, limit=400, epsabs=1e-13)
         return v1 + v2
 
-    v1 = pref * (quad_full(int1_v1) + quad_full(int2_v1))
-    v2 = pref * (quad_full(int1_v2) + quad_full(int2_v2))
+    # the K0 part, I_1 K_1, and the K1 part, I_1 I_1 K_0(R rho)/I_0(R rho)
+    prods = (lambda x1, x2, rho: _ik_prod(1, x1, 1, x2),
+             lambda x1, x2, rho: _ii_over_i0_ratio(1, x1, 1, x2, r, rho))
+    v1, v2 = (pref * (quad_full(integrand(prods[0], second))
+                      + quad_full(integrand(prods[1], second)))
+              for second in (False, True))
     return (v1, v2)
 
 

@@ -149,7 +149,7 @@ def test_criterion_09_gsqg_disc_signs_and_plane_limit():
                 v1, v2 = models.gsqg_disc_v_terms(beta, r, b)
                 signs_ok = signs_ok and v2 < 0.0 and v1 - v2 > 0.0
     v1d, v2d = models.gsqg_disc_v_terms(0.5, 50.0, 0.5)
-    v1p, v2p = models.v1_v2(models.gsqg_plane(0.5), 0.5)
+    v1p, v2p = dispersion.v_constants(models.gsqg_plane(0.5), 0.5)
     limit_err = max(abs(v1d - v1p), abs(v2d - v2p))
     _report(9, "gSQG disc signs and large-domain limit",
             signs_ok and limit_err < 1e-4, f"(limit err {limit_err:.2e})")

@@ -191,6 +191,28 @@ def test_residual_vector_shape_and_norm():
     assert len(res.stacked()) == 16
 
 
+@pytest.mark.parametrize("model", [
+    EULER, models.gsqg_plane(0.5), models.qgsw_plane(2.0),
+    models.euler_disc(2.0), models.euler_exterior(0.3),
+    models.euler_annulus(0.1, 10.0)], ids=lambda m: m.variant)
+def test_stream_derivative_matches_velocity(model):
+    # the stream route (eval_f0) and the velocity route of eval_f share one
+    # K0 boundary integral; d/dtheta psi(w) = Re(grad psi . conj(w')) ties
+    # their kernel factors together for each kernel kind
+    st = replace(_state(b=0.6, m=4, n=8),
+                 a1=np.r_[0.015, -0.01, 0.005, 0.002, [0.0] * 4],
+                 a2=np.r_[-0.02, 0.01, 0.004, -0.003, [0.0] * 4])
+    size = st.grid_size
+    data = contour._boundary_data(model, st)
+    velocity = contour._boundary_field(model, data, size, stream=False)
+    k = np.fft.fftfreq(size, d=1.0 / size)
+    k[size // 2] = 0.0
+    for f0, u, wp in zip(contour.eval_f0(model, st), velocity,
+                         (data[5], data[6])):
+        df0 = np.fft.ifft(1j * k * np.fft.fft(f0)).real
+        assert np.max(np.abs(df0 - np.real(u * np.conj(wp)))) < 1e-7
+
+
 @pytest.mark.parametrize("m", [2, 5])
 @pytest.mark.parametrize("model", [
     EULER, models.gsqg_plane(0.5), models.qgsw_plane(2.0),
@@ -205,8 +227,8 @@ def test_eval_f_on_the_cell_matches_full_grid_projection(model, m):
     eta = st.theta_grid()
     ra, rb = st.radii(eta)
     d1, d2 = st.r_derivatives(eta)
-    u1, u2 = contour._velocity(model, contour._boundary_data(model, st),
-                               st.grid_size)
+    u1, u2 = contour._boundary_field(model, contour._boundary_data(model, st),
+                                     st.grid_size, stream=False)
     kk = st.m * np.arange(1, st.n_modes + 1)
     want = []
     for r, dr, u in ((ra, d1, u1), (rb, d2, u2)):

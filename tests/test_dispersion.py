@@ -1,5 +1,6 @@
 """Dispersion relation: spectral rows, discriminants, fold selection."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -132,6 +133,8 @@ def test_disc_v_constants_computed_once_per_b(monkeypatch):
     assert 0 < len(v_calls) <= 8
 
 
+COLUMN_FIELDS = ("n", "lam_nb", "lam_n1", "lamt_nb", "p_nb", "p_n1", "pt_nb")
+
 # (model, n_max): every row of the closed-form models is cheap, the
 # quadrature models are checked on the low modes only
 BATCH_CASES = [
@@ -150,6 +153,36 @@ def test_dispersion_points_equal_single_points(model, n_max):
         points = dispersion.dispersion_points(model, ns, b)
         assert points == [dispersion.dispersion_point(model, n, b)
                           for n in ns]
+
+
+@pytest.mark.parametrize("model,n_max", BATCH_CASES,
+                         ids=[m.variant for m, _ in BATCH_CASES])
+def test_spectral_row_columns_equal_scalar_rows(model, n_max):
+    ns = np.arange(1, n_max + 1)
+    for b in (0.4, 0.7):
+        col = dispersion.spectral_row(model, ns, b)
+        for i, n in enumerate(ns.tolist()):
+            row = dispersion.spectral_row(model, n, b)
+            assert row == dispersion.SpectralRow(**{
+                f.name: getattr(col, f.name)[i] if f.name in COLUMN_FIELDS
+                else getattr(col, f.name) for f in dataclasses.fields(col)})
+
+
+def test_custom_column_builds_measure_nodes_once_per_coefficient(
+        monkeypatch):
+    # lam_nb, lam_n1 and lamt_nb each build their nodes once for all modes,
+    # and V^1, V^2 come from the mode-1 column
+    calls = []
+    measure_nodes = dispersion._measure_nodes
+
+    def counting_nodes(*args, **kwargs):
+        calls.append(args)
+        return measure_nodes(*args, **kwargs)
+
+    monkeypatch.setattr(dispersion, "_measure_nodes", counting_nodes)
+    model = models.custom_convolution(cmkernel.truncated_low(None, 2.0))
+    dispersion.dispersion_point(model, np.arange(1, 5), 0.5)
+    assert len(calls) == 3
 
 
 def test_min_fold_one_row_per_mode_of_each_candidate_fold(monkeypatch):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from vstates import cmkernel, models
+from vstates import cmkernel, dispersion, models
 from vstates.universal import periodic_trapezoid
 
 
@@ -391,7 +391,7 @@ def test_annulus_c_frak_against_kernel_quadrature():
     # smooth-kernel gradient over the inner circle against the patch
     r1, r2, b = 0.3, 4.0, 0.5
     model = models.euler_annulus(r1, r2)
-    v1, _ = models.v1_v2(model, b)
+    v1, _ = dispersion.v_constants(model, b)
     gl_x, gl_w = np.polynomial.legendre.leggauss(64)
     rho = 0.5 * (1.0 + b) + 0.5 * (1.0 - b) * gl_x
     wts = 0.5 * (1.0 - b) * gl_w * rho
@@ -465,7 +465,7 @@ def test_gsqg_disc_large_domain_recovers_plane():
     beta, b = 0.5, 0.5
     v1d, v2d = models.gsqg_disc_v_terms(beta, 50.0, b)
     plane = models.gsqg_plane(beta)
-    v1p, v2p = models.v1_v2(plane, b)
+    v1p, v2p = dispersion.v_constants(plane, b)
     assert abs(v1d - v1p) < 1e-4
     assert abs(v2d - v2p) < 1e-4
 
@@ -480,12 +480,12 @@ def test_euler_disc_p_terms_closed_values():
 
 
 def test_euler_plane_v_constants():
-    v1, v2 = models.v1_v2(models.euler_plane(), 0.5)
+    v1, v2 = dispersion.v_constants(models.euler_plane(), 0.5)
     assert v1 == 0.0
     assert v2 == pytest.approx((0.25 - 1.0) / 2.0, rel=1e-15)
 
 
 def test_exterior_v_constants():
-    v1, v2 = models.v1_v2(models.euler_exterior(0.1), 0.5)
+    v1, v2 = dispersion.v_constants(models.euler_exterior(0.1), 0.5)
     assert v1 == pytest.approx((1.0 - 0.25) / (2.0 * 0.25), rel=1e-14)
     assert v2 == 0.0
