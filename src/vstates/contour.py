@@ -41,6 +41,10 @@ __all__ = [
 
 _EULER_GAMMA = 0.5772156649015328606
 
+# branch_continue's Newton loop: residual sup-norm to accept, iteration cap
+_NEWTON_TOL = 1e-11
+_NEWTON_MAX_ITER = 30
+
 
 class GeometryError(ValueError):
     """Boundary curves left the admissible configuration."""
@@ -459,8 +463,7 @@ def _augmented_residual(model: KernelModel, base: PerturbationState,
 
 def branch_continue(model: KernelModel, b: float, m: int, branch: str = "+",
                     s_max: float = 1e-2, steps: int = 10,
-                    n_modes: int = 8, newton_tol: float = 1e-11,
-                    max_iter: int = 30) -> list[tuple[float, PerturbationState]]:
+                    n_modes: int = 8) -> list[tuple[float, PerturbationState]]:
     """Amplitude-parameterized branch of m-fold V-states near the annulus.
 
     Solves {F = 0, kernel-direction amplitude = s} for the 2*n_modes cosine
@@ -489,12 +492,12 @@ def branch_continue(model: KernelModel, b: float, m: int, branch: str = "+",
             guess = 2.0 * u - u_prev
         cur = guess
         converged = False
-        for _ in range(max_iter):
+        for _ in range(_NEWTON_MAX_ITER):
             try:
                 r0 = _augmented_residual(model, base, cur, s, kvec)
             except GeometryError:
                 break
-            if np.max(np.abs(r0)) < newton_tol:
+            if np.max(np.abs(r0)) < _NEWTON_TOL:
                 converged = True
                 break
             jac = np.empty((2 * n + 1, 2 * n + 1))

@@ -49,6 +49,9 @@ __all__ = [
 # absolute tolerance identifying a degenerate discriminant
 DEGENERACY_TOL = 1e-9
 
+# the largest symmetry fold min_fold tries
+_FOLD_CAP = 64
+
 # how SpectralRow.source names the route of p for each kind of K1
 _P_SOURCE = {None: "zero", "green": "closed", "bessel_zeros": "series"}
 
@@ -374,7 +377,7 @@ def annulus_fold_inequality(model: KernelModel, b: float, n):
 
 
 def min_fold(model: KernelModel, b: float, k_max: int = 10,
-             tol: float = DEGENERACY_TOL, m_cap: int = 64,
+             tol: float = DEGENERACY_TOL,
              v: tuple[float, float] | None = None) -> int:
     """Smallest symmetry fold m with a simple real spectrum on all modes km.
 
@@ -389,7 +392,7 @@ def min_fold(model: KernelModel, b: float, k_max: int = 10,
     if not abs(v1 - v2) > tol:
         raise ValueError("b lies outside the admissible set: V^1 = V^2")
     d_inf = (v1 - v2) ** 2
-    for m in range(1, m_cap + 1):
+    for m in range(1, _FOLD_CAP + 1):
         p = dispersion_point(model, np.arange(m, k_max * m + 1, m), b,
                              v=(v1, v2))
         if (p.delta <= tol).any():
@@ -408,7 +411,7 @@ def min_fold(model: KernelModel, b: float, k_max: int = 10,
             raise RuntimeError(
                 "closed fold inequality disagrees with the Delta scan")
         return m
-    raise FoldNotFound(f"no fold m <= {m_cap} satisfies the conditions")
+    raise FoldNotFound(f"no fold m <= {_FOLD_CAP} satisfies the conditions")
 
 
 # ---------------------------------------------------------------------------

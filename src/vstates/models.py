@@ -25,8 +25,7 @@ from scipy import integrate as _integrate
 from scipy import special as _sp
 
 from .cmkernel import Measure, c_beta, euler_flat, gsqg_power, qgsw_shifted
-from .specfun import (bessel_i, bessel_ik, bessel_k, bessel_zeros, gamma_fn,
-                      hyp2f1)
+from .specfun import bessel_i, bessel_ik, bessel_k, gamma_fn, hyp2f1
 
 __all__ = [
     "KernelModel",
@@ -369,7 +368,7 @@ def series_p(model: KernelModel, n: int, b: float,
     if kind == "bessel":
         def coeff(a1: float, a2: float) -> float:
             return 2.0 * _jn_zero_series(
-                n, n, a1, a2, lambda x: 1.0 / (x * x + arg * arg * r * r),
+                n, n, n, a1, a2, lambda x: 1.0 / (x * x + arg * arg * r * r),
                 truncation)
     else:
         def coeff(a1: float, a2: float) -> float:
@@ -428,7 +427,10 @@ def c_terms(model: KernelModel, b: float) -> tuple[float, float]:
 
 @lru_cache(maxsize=64)
 def _cached_zeros(n: int, count: int) -> np.ndarray:
-    return bessel_zeros(n, count).zeros
+    # the first `count` positive zeros of J_n, read-only
+    zeros = _sp.jn_zeros(n, count)
+    zeros.flags.writeable = False
+    return zeros
 
 
 def _mcmahon_tail_sum(n: int, k_start: int, weight) -> float:
@@ -449,22 +451,23 @@ def _mcmahon_tail_sum(n: int, k_start: int, weight) -> float:
     return val + d1 / 24.0
 
 
-def _jn_zero_series(n: int, nu: int, a1: float, a2: float, weight,
-                    truncation: int) -> float:
-    """sum_k J_nu(a1 x_{n,k}) J_nu(a2 x_{n,k}) weight(x_{n,k}) / J_{n+1}^2(x_{n,k}).
+def _jn_zero_series(n: int, beta: int, gamma: int, a1: float, a2: float,
+                    weight, truncation: int) -> float:
+    """sum_k J_beta(a1 x_k) J_gamma(a2 x_k) weight(x_k) / J_{n+1}^2(x_k).
 
-    The sum runs over the zeros of J_n.  Truncated at `truncation` terms;
-    when a1 == a2 the tail has the non-oscillating mean
-    J_nu(a x)^2 / J_{n+1}(x)^2 ~ 1/(2a), summed analytically through the
-    McMahon asymptotics of the remaining zeros.
+    The sum runs over the first `truncation` zeros x_k of J_n; `weight`
+    takes the array of zeros (and a float, for the tail).  When both
+    factors coincide (a1 == a2, beta == gamma) the tail has the
+    non-oscillating mean J_beta(a x)^2 / J_{n+1}(x)^2 ~ 1/(2a), summed
+    analytically through the McMahon asymptotics of the remaining zeros.
     """
     zeros = _cached_zeros(n, truncation)
-    j1 = _sp.jv(nu, a1 * zeros)
-    j2 = j1 if a1 == a2 else _sp.jv(nu, a2 * zeros)
+    same = a1 == a2 and beta == gamma
+    j1 = _sp.jv(beta, a1 * zeros)
+    j2 = j1 if same else _sp.jv(gamma, a2 * zeros)
     jden = _sp.jv(n + 1, zeros)
-    w = np.array([weight(float(x)) for x in zeros])
-    total = float(np.sum(j1 * j2 * w / (jden * jden)))
-    if a1 == a2:
+    total = float(np.sum(j1 * j2 * weight(zeros) / (jden * jden)))
+    if same:
         total += _mcmahon_tail_sum(n, truncation + 1, weight) / (2.0 * a1)
     return total
 
@@ -482,7 +485,7 @@ def qgsw_disc_identity(x_outer: float, y_inner: float, eps: float,
         return (0.0, 0.0)
     if not 0.0 < y_inner <= x_outer <= 1.0:
         raise ValueError("qgsw_disc_identity requires 0 < Y <= X <= 1")
-    series = _jn_zero_series(0, 1, x_outer, y_inner,
+    series = _jn_zero_series(0, 1, 1, x_outer, y_inner,
                              lambda x: 1.0 / (x * x + eps * eps), truncation)
     closed = 0.5 * (bessel_i(1, y_inner * eps) / bessel_i(0, eps)) * (
         bessel_i(1, x_outer * eps) * bessel_k(0, eps)
@@ -504,16 +507,8 @@ def sneddon_series(beta_idx: int, gamma_idx: int, n: int, q: float,
         raise ValueError("sneddon_series requires a <= b")
     if not 1.0 < q < beta_idx + gamma_idx - 2 * n + 2:
         raise ValueError("sneddon_series requires 1 < q < beta+gamma-2n+2")
-    zeros = _cached_zeros(n, truncation)
-    ja = _sp.jv(beta_idx, a * zeros)
-    jb = _sp.jv(gamma_idx, b * zeros)
-    jden = _sp.jv(n + 1, zeros)
-    total = float(np.sum(ja * jb / (zeros ** q * jden * jden)))
-    if a == b and beta_idx == gamma_idx:
-        # non-oscillating tail mean: J_beta(a x)^2 / J_{n+1}^2(x) ~ 1/(2a x^{q-1})
-        total += _mcmahon_tail_sum(n, truncation + 1,
-                                   lambda x: x ** (-q)) / (2.0 * a)
-    return total
+    return _jn_zero_series(n, beta_idx, gamma_idx, a, b,
+                           lambda x: x ** (-q), truncation)
 
 
 def sneddon_integral(beta_idx: int, gamma_idx: int, n: int, q: float,
@@ -636,7 +631,7 @@ def qgsw_disc_v_series(eps: float, r: float, b: float,
 
     # the series run over the zeros of J_0 with J_1 numerators
     def s0(a1: float, a2: float) -> float:
-        return _jn_zero_series(0, 1, a1, a2,
+        return _jn_zero_series(0, 1, 1, a1, a2,
                                lambda x: 1.0 / (x * x + c2), truncation)
 
     v1 = -2.0 * (s0(b / r, 1.0 / r) / b - s0(b / r, b / r))

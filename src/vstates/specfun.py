@@ -1,29 +1,25 @@
 """Special functions backing the closed-form spectra.
 
-Gamma, Bessel J/I/K and the products I_n K_n, Bessel zeros and the Gauss
-hypergeometric function.  Only integer Bessel orders are needed; arguments
-are real.  `bessel_ik` and `hyp2f1` take a whole column of orders or
-parameters at once.
+Gamma, the modified Bessel functions I/K and the products I_n K_n, and
+the Gauss hypergeometric function.  Only integer Bessel orders are needed;
+arguments are real.  `bessel_ik` and `hyp2f1` take a whole column of orders
+or parameters at once.  Bessel J and its zeros come straight from scipy
+(`models._cached_zeros`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy import special as _sp
 
 __all__ = [
-    "BesselZeroTable",
     "gamma_fn",
-    "bessel_j",
-    "bessel_jp",
     "bessel_i",
     "bessel_k",
     "bessel_ik",
-    "bessel_zeros",
     "hyp2f1",
 ]
 
@@ -38,20 +34,6 @@ def gamma_fn(x: float) -> float:
     if x > _GAMMA_OVERFLOW:
         raise OverflowError(f"gamma_fn overflow for x = {x}")
     return math.gamma(x)
-
-
-def bessel_j(n: int, x: float) -> float:
-    """Bessel function of the first kind, integer order n >= 0."""
-    if n < 0:
-        raise ValueError("bessel_j requires n >= 0")
-    return float(_sp.jv(n, x))
-
-
-def bessel_jp(n: int, x: float) -> float:
-    """Derivative J_n'(x), used by the zero-finder Newton polish."""
-    if n == 0:
-        return -bessel_j(1, x)
-    return 0.5 * (bessel_j(n - 1, x) - bessel_j(n + 1, x))
 
 
 def bessel_i(n: int, x: float) -> float:
@@ -117,92 +99,6 @@ def bessel_ik(n, y: float, x: float):
         steps = _bessel_ratios(y, size)[0][:top] / rho_x[:top]
         val = val * (i0 * np.concatenate(([1.0], np.cumprod(steps))))[ns]
     return val if ns.ndim else float(val)
-
-
-@dataclass(frozen=True)
-class BesselZeroTable:
-    """First zeros x_{n,1} < x_{n,2} < ... of J_n."""
-
-    order: int
-    zeros: np.ndarray
-
-    def __post_init__(self) -> None:
-        z = np.asarray(self.zeros, dtype=float)
-        object.__setattr__(self, "zeros", z)
-        if z.size and not np.all(np.diff(z) > 0):
-            raise ValueError("Bessel zeros must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.zeros)
-
-    def __getitem__(self, k: int) -> float:
-        return float(self.zeros[k])
-
-
-def _mcmahon_guess(n: int, k: int) -> float:
-    """McMahon's large-k asymptotic for the k-th positive zero of J_n."""
-    beta = (k + 0.5 * n - 0.25) * math.pi
-    mu = 4.0 * n * n
-    # first three correction terms of the McMahon expansion
-    b8 = 8.0 * beta
-    guess = beta - (mu - 1.0) / b8
-    guess -= 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * b8**3)
-    guess -= (32.0 * (mu - 1.0) * (83.0 * mu * mu - 982.0 * mu + 3779.0)
-              / (15.0 * b8**5))
-    return guess
-
-
-def bessel_zeros(n: int, count: int, tol: float = 1e-13,
-                 max_iter: int = 60) -> BesselZeroTable:
-    """First `count` positive zeros of J_n.
-
-    McMahon asymptotic initial guess, then a safeguarded Newton polish
-    (bisection fallback when the Newton step leaves the bracket).
-    """
-    if count < 1:
-        raise ValueError("bessel_zeros requires count >= 1")
-    zeros = np.empty(count)
-    for k in range(1, count + 1):
-        x = _mcmahon_guess(n, k)
-        # bracket the root around the asymptotic guess
-        lo, hi = x - 1.2, x + 1.2
-        if lo <= max(n, 0.0):
-            lo = max(n * 0.5, 1e-3)
-        flo, fhi = bessel_j(n, lo), bessel_j(n, hi)
-        widen = 0
-        while flo * fhi > 0 and widen < 30:
-            lo = max(lo - 0.5, 1e-3)
-            hi += 0.5
-            flo, fhi = bessel_j(n, lo), bessel_j(n, hi)
-            widen += 1
-        if flo * fhi > 0:
-            raise RuntimeError(f"bessel_zeros: bracketing failed at (n={n}, k={k})")
-        converged = False
-        for _ in range(max_iter):
-            f = bessel_j(n, x)
-            if abs(f) < tol:
-                converged = True
-                break
-            fp = bessel_jp(n, x)
-            step_ok = fp != 0.0
-            if step_ok:
-                x_new = x - f / fp
-                step_ok = lo < x_new < hi
-            if not step_ok:
-                x_new = 0.5 * (lo + hi)
-            if f * flo < 0:
-                hi = x
-            else:
-                lo, flo = x, f
-            if abs(x_new - x) < 1e-15 * max(1.0, abs(x)):
-                x = x_new
-                converged = abs(bessel_j(n, x)) < 1e-12
-                break
-            x = x_new
-        if not converged and abs(bessel_j(n, x)) > 1e-12:
-            raise RuntimeError(f"bessel_zeros: no convergence at (n={n}, k={k})")
-        zeros[k - 1] = x
-    return BesselZeroTable(order=n, zeros=zeros)
 
 
 def hyp2f1(a, b, c, z: float):

@@ -231,6 +231,19 @@ def test_spectra_annulus_high_modes_near_inner_boundary(tmp_path):
     assert all(np.isfinite(float(row[header.index("delta")])) for row in rows)
 
 
+def test_qgsw_disc_reaches_high_bessel_orders(tmp_path, capsys):
+    # the p series of modes n >= 25 runs over the zeros of J_n for such n
+    model = ["--model", "QgswDisc", "--param", "eps=2", "--param", "r=2",
+             "--b", "0.5"]
+    out = str(tmp_path)
+    assert run_cli(["spectra", *model, "--n", "1:40", "--out", out]) == 0
+    assert run_cli(["threshold", *model, "--out", out]) == 0
+    assert "no convergence" not in capsys.readouterr().err
+    _, header, rows = read_csv(os.path.join(out, "spectra.csv"))
+    assert len(rows) == 40
+    assert all(np.isfinite(float(row[header.index("p_nb")])) for row in rows)
+
+
 def test_verify_passes(tmp_path):
     out = str(tmp_path)
     assert run_cli(["verify", "--out", out]) == 0

@@ -186,7 +186,7 @@ def test_closed_p_against_kernel_fourier(model):
     (models.euler_exterior(0.3), 0.300001),
 ])
 def test_closed_forms_finite_at_the_largest_fold_mode(model, b):
-    """n = 640 = k_max * m_cap is the largest mode min_fold reaches."""
+    """n = 640 = k_max * _FOLD_CAP is the largest mode min_fold reaches."""
     import mpmath
     from vstates import dispersion
     n = 640
@@ -218,7 +218,7 @@ def test_closed_forms_finite_at_the_largest_fold_mode(model, b):
 
 
 # modes of the column checks: small, around the old factorial overflow at
-# 171, and n = 640 = k_max * m_cap, the largest mode min_fold reaches
+# 171, and n = 640 = k_max * _FOLD_CAP, the largest mode min_fold reaches
 COLUMN_MODES = np.array([1, 2, 64, 128, 171, 640])
 
 # (model, b): QGSW at x = b eps in {0.02, 0.6, 4, 40} and gSQG up to b = 1;
@@ -440,6 +440,26 @@ def test_sneddon_admissibility_window():
         models.sneddon_series(1, 1, 1, 0.5, 0.5, 0.6)   # q <= 1
     with pytest.raises(ValueError):
         models.sneddon_series(1, 1, 1, 1.5, 0.7, 0.6)   # a > b
+
+
+@pytest.mark.parametrize("eps,r", [(1.0, 2.0), (2.0, 1.5), (0.5, 3.0)])
+@pytest.mark.parametrize("n", [1, 3, 8])
+@pytest.mark.parametrize("b", [0.3, 0.7])
+def test_qgsw_disc_series_p_converges_to_closed_form(eps, r, n, b):
+    # the QGSW disc Green function has the closed radial coefficients
+    # p_{n,x} = -(K_n(eps R)/I_n(eps R)) I_n(eps x)^2 and
+    # p-tilde_{n,b} = -(K_n(eps R)/I_n(eps R)) I_n(eps b) I_n(eps);
+    # the zero series approaches them like 1/truncation^2
+    ratio = sp.kv(n, eps * r) / sp.iv(n, eps * r)
+    i_b, i_1 = sp.iv(n, eps * b), sp.iv(n, eps)
+    want = -ratio * np.array([i_b * i_b, i_1 * i_1, i_b * i_1])
+    model = models.qgsw_disc(eps, r)
+    err_500, err_4000 = (
+        np.max(np.abs(np.array(models.series_p(model, n, b, truncation=t))
+                      - want))
+        for t in (500, 4000))
+    assert err_4000 <= 2e-7
+    assert err_500 >= 20.0 * err_4000
 
 
 def test_qgsw_disc_v_terms_closed_vs_series():

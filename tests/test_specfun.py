@@ -1,6 +1,12 @@
-"""Special-function layer, checked against mpmath and scipy oracles."""
+"""Special-function layer, checked against mpmath and scipy oracles.
 
+The Bessel-zero tables of the disc series (`models._cached_zeros`) are
+checked here too.
+"""
+
+import ast
 import math
+import pathlib
 
 import mpmath
 import numpy as np
@@ -8,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special as sp
 
-from vstates import specfun
+from vstates import models, specfun
 
 mpmath.mp.dps = 30
 
@@ -27,13 +33,6 @@ def test_gamma_domain_errors():
         specfun.gamma_fn(500.0)
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 5])
-def test_bessel_j_vs_mpmath(n):
-    for x in (0.1, 1.0, 3.7, 12.0):
-        assert specfun.bessel_j(n, x) == pytest.approx(
-            float(mpmath.besselj(n, x)), rel=1e-12, abs=1e-14)
-
-
 @pytest.mark.parametrize("n", [0, 1, 3])
 def test_bessel_ik_vs_mpmath(n):
     for x in (0.2, 1.0, 5.0):
@@ -41,14 +40,6 @@ def test_bessel_ik_vs_mpmath(n):
             float(mpmath.besseli(n, x)), rel=1e-12)
         assert specfun.bessel_k(n, x) == pytest.approx(
             float(mpmath.besselk(n, x)), rel=1e-12)
-
-
-def test_bessel_jp_is_derivative():
-    h = 1e-6
-    for n in (0, 1, 4):
-        for x in (0.5, 2.0, 9.0):
-            fd = (specfun.bessel_j(n, x + h) - specfun.bessel_j(n, x - h)) / (2 * h)
-            assert specfun.bessel_jp(n, x) == pytest.approx(fd, abs=1e-8)
 
 
 def test_bessel_ik_wronskian():
@@ -60,26 +51,54 @@ def test_bessel_ik_wronskian():
             assert w == pytest.approx(1.0 / x, rel=1e-12)
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 5, 10])
-def test_bessel_zeros_vs_scipy(n):
-    table = specfun.bessel_zeros(n, 30)
-    want = sp.jn_zeros(n, 30)
-    assert np.max(np.abs(table.zeros - want)) < 1e-10
-    # the zeros must actually annihilate J_n
-    assert max(abs(specfun.bessel_j(n, z)) for z in table.zeros) < 1e-11
-
-
 def test_bessel_zero_interlacing():
-    z0 = specfun.bessel_zeros(0, 20).zeros
-    z1 = specfun.bessel_zeros(1, 20).zeros
+    z0 = models._cached_zeros(0, 20)
+    z1 = models._cached_zeros(1, 20)
     assert np.all(z0[:-1] < z1[:-1])
     assert np.all(z1[:-1] < z0[1:])
 
 
 def test_bessel_zero_spacing_approaches_pi():
-    zeros = specfun.bessel_zeros(2, 60).zeros
+    zeros = models._cached_zeros(2, 60)
     gaps = np.diff(zeros)[-10:]
     assert np.max(np.abs(gaps - np.pi)) < 1e-3
+
+
+@pytest.mark.parametrize("n", [25, 64, 128])
+def test_bessel_zeros_of_high_orders(n):
+    # the QGSW disc spectra reach these orders; each zero annihilates J_n
+    zeros = models._cached_zeros(n, 500)
+    assert zeros.shape == (500,)
+    assert np.all(np.diff(zeros) > 0)
+    assert np.max(np.abs(sp.jv(n, zeros))) < 1e-13
+
+
+def test_cached_zeros_are_shared_and_read_only():
+    zeros = models._cached_zeros(3, 40)
+    assert models._cached_zeros(3, 40) is zeros
+    with pytest.raises(ValueError):
+        zeros[0] = 0.0
+
+
+def test_jn_zeros_is_called_only_in_cached_zeros():
+    # the package takes every table of Bessel zeros from _cached_zeros
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "vstates"
+    inside, outside = 0, []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        spans = [(node.lineno, node.end_lineno)
+                 for node in ast.walk(ast.parse(text))
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "_cached_zeros"]
+        for lineno, line in enumerate(text.splitlines(), 1):
+            if "jn_zeros(" not in line:
+                continue
+            if any(lo <= lineno <= hi for lo, hi in spans):
+                inside += 1
+            else:
+                outside.append(f"{path.name}:{lineno}")
+    assert outside == []
+    assert inside == 1
 
 
 @given(st.floats(0.1, 2.0), st.floats(0.1, 2.0), st.floats(2.5, 6.0),
