@@ -25,7 +25,7 @@ def main():
         print(f"\nbranch {branch}:")
         print(f"{'s':>9} {'Omega':>12} {'Omega-Omega0':>13} "
               f"{'|a1_1|':>10} {'|a2_1|':>10} {'residual':>10}")
-        for s, st in pts:
+        for s, st in pts[1:]:  # pts[0] is the annulus itself
             res = contour.eval_f(model, st).norm()
             print(f"{s:>9.2e} {st.omega:>12.8f} "
                   f"{st.omega - omega0:>13.3e} {abs(st.a1[0]):>10.2e} "

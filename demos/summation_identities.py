@@ -8,7 +8,7 @@ for power-law kernels.  This script compares truncated series against the
 closed expressions.
 """
 
-from vstates import models
+from vstates import dispersion, models
 
 
 def main():
@@ -34,7 +34,7 @@ def main():
 
     print("\nvelocity constants on the QGSW disc: closed form vs series")
     for eps, r, b in ((1.0, 2.0, 0.5), (2.0, 1.5, 0.3)):
-        closed = models.qgsw_disc_v_terms(eps, r, b)
+        closed = dispersion.v_constants(models.qgsw_disc(eps, r), b)
         series = models.qgsw_disc_v_series(eps, r, b)
         print(f"  eps={eps}, R={r}, b={b}: "
               f"V1 {closed[0]:.8f} / {series[0]:.8f}, "

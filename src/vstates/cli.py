@@ -180,8 +180,7 @@ def cmd_spectra(cfg: RunConfig) -> int:
     for b in bs:
         p = dispersion.dispersion_point(model, np.array(ns), b)
         r = p.row
-        source = "closed-form" if r.source["lambda"] == "closed" \
-            else r.source["lambda"]
+        source = _source_text(r.source)
         no_root, k = p.delta < 0.0, len(ns)
         block = [p.n, [b] * k, r.lam_nb, r.lam_n1, r.lamt_nb, r.p_nb,
                  r.p_n1, r.pt_nb, [r.c_b] * k, [r.ct_b] * k, [source] * k,
@@ -196,6 +195,14 @@ def cmd_spectra(cfg: RunConfig) -> int:
     write_csv(path, meta, header, columns)
     print(path)
     return 0
+
+
+def _source_text(source: dict) -> str:
+    # the lambda route, "closed-form" or "quadrature", plus the p route
+    # where p is neither zero nor closed: "closed-form/p-quadrature"
+    text = "closed-form" if source["lambda"] == "closed" else source["lambda"]
+    return text if source["p"] in ("zero", "closed") else \
+        f"{text}/p-{source['p']}"
 
 
 def cmd_universal(cfg: RunConfig) -> int:
@@ -325,21 +332,15 @@ def cmd_branch(cfg: RunConfig) -> int:
     steps = int(cfg.get("steps", 8))
     n_modes = int(cfg.get("modes", 8))
     out = _out_dir(cfg)
-    point = dispersion.dispersion_point(model, m, b)
-    if point.delta <= dispersion.DEGENERACY_TOL:
-        raise UsageError(f"Delta at fold {m} is not positive; no branch")
-    omega0 = point.omega_plus if branch == "+" else point.omega_minus
-
     partial = None
     try:
-        pts = contour.branch_continue(model, b, m, branch=branch,
-                                      s_max=s_max, steps=steps,
-                                      n_modes=n_modes)
+        table = contour.branch_continue(model, b, m, branch=branch,
+                                        s_max=s_max, steps=steps,
+                                        n_modes=n_modes)
     except contour.BranchError as exc:
-        pts = exc.points
+        table = exc.points
         partial = str(exc)
 
-    table = [(0.0, contour.trivial_state(b, m, n_modes, omega0))] + pts
     header = (["s", "omega"]
               + [f"a1_{k}" for k in range(1, n_modes + 1)]
               + [f"a2_{k}" for k in range(1, n_modes + 1)])

@@ -386,7 +386,7 @@ def _boundary_field(model: KernelModel, data: tuple, rows: int,
     against the tangent w' rotated by -i (stream) or i (gradient).
     """
     kind, param = model.k0
-    if kind == "measure" or model.k1 == "bessel_zeros":
+    if kind == "measure" or model.k1 not in (None, "green"):
         raise ValueError(
             f"contour dynamics not supported for {model.variant!r}")
     theta, ra, rb, w1, w2, w1p, w2p, _, _ = data
@@ -468,7 +468,9 @@ def branch_continue(model: KernelModel, b: float, m: int, branch: str = "+",
 
     Solves {F = 0, kernel-direction amplitude = s} for the 2*n_modes cosine
     coefficients and Omega by undamped Newton with a central
-    finite-difference Jacobian, marching s from 0 to s_max.
+    finite-difference Jacobian, marching s from 0 to s_max.  The first
+    point is the annulus itself, s = 0 at the dispersion root Omega^{+/-};
+    a BranchError carries the points accepted before it, that one first.
     """
     point = _dispersion.dispersion_point(model, m, b)
     if point.delta <= _dispersion.DEGENERACY_TOL:
@@ -479,7 +481,7 @@ def branch_continue(model: KernelModel, b: float, m: int, branch: str = "+",
     n = n_modes
     u = np.zeros(2 * n + 1)
     u[2 * n] = omega0
-    results: list[tuple[float, PerturbationState]] = []
+    results: list[tuple[float, PerturbationState]] = [(0.0, base)]
     s_grid = np.linspace(0.0, s_max, steps + 1)[1:]
     u_prev = None
     for s in s_grid:

@@ -2,15 +2,16 @@
 
 Assembles the coefficient rows and dispersion points of the annulus
 1_{D \\ b D}.  `spectral_row` is the one assembly route: given an array of
-modes it returns columns, from one array call per closed form of `models`,
-from quadrature for a custom measure (nodes built once per coefficient),
-and from the Bessel-zero series of `models.closed_p` for the gSQG/QGSW
-discs.  `dispersion_point` takes the row, the velocity constants V^1, V^2
-(once per b) and forms A, B, the discriminant, both roots and the
-classification as arrays.  The module also evaluates the discriminant's
-large-n limit, locates the smallest symmetry fold m admitting simple real
-eigenvalues, scans the monotone ordering of the two branches, and
-classifies stability.
+modes it returns columns, the lambdas from one array call per closed form
+of `models` or from quadrature for a custom measure (nodes built once per
+coefficient), p from `models.closed_p` and the K1 constants from
+`models.c_terms`.  `v_constants` is the mode-1 combination of the same
+lambdas plus those constants, for every model.  `dispersion_point` takes
+the row, the velocity constants V^1, V^2 (once per b) and forms A, B, the
+discriminant, both roots and the classification as arrays.  The module
+also evaluates the discriminant's large-n limit, locates the smallest
+symmetry fold m admitting simple real eigenvalues, and scans the monotone
+ordering of the two branches.
 """
 
 from __future__ import annotations
@@ -36,12 +37,10 @@ __all__ = [
     "dispersion_point",
     "dispersion_points",
     "delta_inf",
-    "s_membership",
     "min_fold",
     "has_closed_fold",
     "annulus_fold_inequality",
     "monotonicity_scan",
-    "classify",
     "q_matrix",
     "kernel_vector",
 ]
@@ -53,7 +52,8 @@ DEGENERACY_TOL = 1e-9
 _FOLD_CAP = 64
 
 # how SpectralRow.source names the route of p for each kind of K1
-_P_SOURCE = {None: "zero", "green": "closed", "bessel_zeros": "series"}
+_P_SOURCE = {None: "zero", "green": "closed", "bessel_ik": "closed",
+             "bessel_zeros": "quadrature"}
 
 
 class FoldNotFound(RuntimeError):
@@ -83,7 +83,9 @@ class DispersionPoint:
     """Dispersion data at mode n: quadratic coefficients, discriminant, roots.
 
     When n is an array of modes every field is a column, and the roots are
-    NaN where the discriminant is negative (None for a single mode).
+    NaN where the discriminant is negative (None for a single mode).  The
+    eigenvalue pair -i n Omega^{+/-} leaves the imaginary axis, and the
+    mode is "unstable", exactly when the discriminant is negative.
     """
 
     n: int
@@ -112,11 +114,6 @@ class MonotonicityReport:
 # ---------------------------------------------------------------------------
 # quadrature fallback for convolution models without closed forms
 # ---------------------------------------------------------------------------
-
-def _phi_tail_model(n: int, y: float) -> float:
-    # large-argument expansion phi_n(y) = 2/y - (2 n^2 - 1/4)/y^3 + O(y^-5)
-    return 2.0 / y - (2.0 * n * n - 0.25) / y ** 3
-
 
 def _measure_nodes(mu: Measure, x_hi: float,
                    order: int = 32) -> tuple[np.ndarray, np.ndarray]:
@@ -160,35 +157,45 @@ def _measure_nodes(mu: Measure, x_hi: float,
                     np.vectorize(mu.density))
 
 
-def _per_mode(n, value):
-    # value(k) as a float for one mode, as a column for an array of modes
-    vals = [value(k) for k in np.atleast_1d(n).tolist()]
-    return np.array(vals) if np.ndim(n) else vals[0]
+def _tail_moments(mu: Measure, x_cut: float) -> tuple[float, float]:
+    """(int x^-2 dmu, int x^-4 dmu) over x > x_cut, the density part only.
+
+    `_tail_integral` needs no other integral of the measure beyond the cut.
+    """
+    if mu.family is None:
+        return (0.0, 0.0)
+    return tuple(_integrate.quad(lambda x: mu.density(x) * x ** -p, x_cut,
+                                 np.inf, limit=200, epsabs=0.0,
+                                 epsrel=1e-12)[0] for p in (2, 4))
 
 
-def _lambda_quadrature(mu: Measure, n, scale: float):
-    """int phi_n(scale * x) dmu(x)/x with the algebraic tail summed by model."""
+def _tail_integral(n, scale: float, moments: tuple[float, float]):
+    # int phi_n(scale x) dmu(x)/x over x > x_cut, from the large-argument
+    # expansion phi_n(y) = 2/y - (2 n^2 - 1/4)/y^3 + O(y^-5), linear in n^2
+    m2, m4 = moments
+    return 2.0 / scale * m2 - (2.0 * n * n - 0.25) / scale ** 3 * m4
+
+
+def _lambda_quadrature(mu: Measure, ns: np.ndarray,
+                       scale: float) -> np.ndarray:
+    """int phi_n(scale * x) dmu(x)/x at an array of modes; the algebraic
+    tail beyond the cut is summed by model."""
     x_cut = 300.0 / scale
     xs, ws = _measure_nodes(mu, x_cut)
-
-    def value(k: int) -> float:
-        total = float(np.sum(phi_n(k, scale * xs) * ws / xs))
-        if mu.family is None:
-            return total
-        tail, _ = _integrate.quad(
-            lambda x: _phi_tail_model(k, scale * x) * mu.density(x) / x,
-            x_cut, np.inf, limit=200)
-        return total + tail
-
-    return _per_mode(n, value)
+    head = np.array([np.sum(phi_n(k, scale * xs) * ws / xs)
+                     for k in ns.tolist()])
+    return head + _tail_integral(ns, scale, _tail_moments(mu, x_cut))
 
 
-def _lambda_tilde_quadrature(mu: Measure, n, b: float):
-    """int phi_{n,b}(x) dmu(x)/x; the integrand decays like e^{-(1-b)x}."""
+def _lambda_tilde_quadrature(mu: Measure, ns: np.ndarray,
+                             b: float) -> np.ndarray:
+    """int phi_{n,b}(x) dmu(x)/x at an array of modes; the integrand
+    decays like e^{-(1-b)x}."""
     decay = max(1.0 - b, 1e-3)
     x_cut = math.log(2.0 * math.pi / 1e-14) / decay + 10.0
     xs, ws = _measure_nodes(mu, x_cut)
-    return _per_mode(n, lambda k: float(np.sum(phi_nb(k, b, xs) * ws / xs)))
+    return np.array([np.sum(phi_nb(k, b, xs) * ws / xs)
+                     for k in ns.tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +203,17 @@ def _lambda_tilde_quadrature(mu: Measure, n, b: float):
 # ---------------------------------------------------------------------------
 
 _COEFFS = ("lam_nb", "lam_n1", "lamt_nb", "p_nb", "p_n1", "pt_nb")
+
+
+def _lambdas(model: KernelModel, ns: np.ndarray, b: float) -> tuple:
+    # ((lambda_{n,b}, lambda_{n,1}, lambda-tilde_{n,b}) columns, their route)
+    if model.k0[0] == "measure":
+        mu = model.measure()
+        return (_lambda_quadrature(mu, ns, b), _lambda_quadrature(mu, ns, 1.0),
+                _lambda_tilde_quadrature(mu, ns, b)), "quadrature"
+    return (_models.closed_lambda(model, ns, b),
+            _models.closed_lambda(model, ns, 1.0),
+            _models.closed_tilde_lambda(model, ns, b)), "closed"
 
 
 def spectral_row(model: KernelModel, n, b: float) -> SpectralRow:
@@ -209,16 +227,7 @@ def spectral_row(model: KernelModel, n, b: float) -> SpectralRow:
     if ns.ndim != 1 or ns.size == 0 or ns.min() < 1:
         raise ValueError("spectral_row requires modes n >= 1")
     model.require_b(b)
-    if model.k0[0] == "measure":
-        mu = model.measure()
-        lams = (_lambda_quadrature(mu, ns, b), _lambda_quadrature(mu, ns, 1.0),
-                _lambda_tilde_quadrature(mu, ns, b))
-        route = "quadrature"
-    else:
-        lams = (_models.closed_lambda(model, ns, b),
-                _models.closed_lambda(model, ns, 1.0),
-                _models.closed_tilde_lambda(model, ns, b))
-        route = "closed"
+    lams, route = _lambdas(model, ns, b)
     c_b, ct_b = _models.c_terms(model, b)
     row = SpectralRow(n=ns, b=b, **dict(zip(_COEFFS, (
         *lams, *_models.closed_p(model, ns, b)))), c_b=c_b, ct_b=ct_b,
@@ -235,7 +244,6 @@ def _split_row(row: SpectralRow) -> list[SpectralRow]:
 
 
 def dispersion_point(model: KernelModel, n, b: float,
-                     tol: float = DEGENERACY_TOL,
                      v: tuple[float, float] | None = None) -> DispersionPoint:
     """Quadratic coefficients A, B, discriminant and roots at mode n.
 
@@ -248,7 +256,8 @@ def dispersion_point(model: KernelModel, n, b: float,
     row = spectral_row(model, ns, b)
     cols = {k: getattr(row, k) for k in _COEFFS}
     if v is None and model.k0[0] == "measure" and ns[0] == 1:
-        v = _v_from_mode_1(_split_row(row)[0])
+        v = _models._mode_1_v(row.lam_nb[0], row.lam_n1[0], row.lamt_nb[0],
+                              b, row.c_b, row.ct_b)
     v1, v2 = v_constants(model, b) if v is None else v
     a_nb = -v1 + cols["lam_nb"] + cols["p_nb"]
     b_nb = -v2 - cols["lam_n1"] - cols["p_n1"]
@@ -263,6 +272,7 @@ def dispersion_point(model: KernelModel, n, b: float,
         raise ArithmeticError(f"non-finite {names[i]} for {model.describe()} "
                               f"at n = {ns[j]}, b = {b}")
     half_gap = np.sqrt(np.where(delta >= 0.0, delta, np.nan)) / 2.0
+    tol = DEGENERACY_TOL
     kind = (delta > tol).astype(int) - (delta < -tol) + 1
     point = DispersionPoint(
         n=ns, b=b, a_nb=a_nb, b_nb=b_nb, delta=delta,
@@ -285,29 +295,22 @@ def _split(point: DispersionPoint) -> list[DispersionPoint]:
             point.omega_minus, point.classification)))]
 
 
-def dispersion_points(model: KernelModel, ns, b: float,
-                      tol: float = DEGENERACY_TOL) -> list[DispersionPoint]:
+def dispersion_points(model: KernelModel, ns, b: float
+                      ) -> list[DispersionPoint]:
     """`dispersion_point` at each mode of ns, from one call on all of them."""
-    return _split(dispersion_point(model, np.array(list(ns), dtype=int), b,
-                                   tol))
+    return _split(dispersion_point(model, np.array(list(ns), dtype=int), b))
 
 
 def v_constants(model: KernelModel, b: float) -> tuple[float, float]:
-    """(V^1, V^2): the gSQG/QGSW disc terms of `models` on those discs,
-    else the mode-1 combination of the model's spectral row.
+    """(V^1, V^2): the mode-1 combination of the model's lambdas plus the
+    K1 constants of `models.c_terms`, for every model.
 
     b is checked first, so an inadmissible b never reaches a quadrature.
     """
     model.require_b(b)
-    if model.k1 == "bessel_zeros":
-        return _models._disc_v_terms(model, b)
-    return _v_from_mode_1(spectral_row(model, 1, b))
-
-
-def _v_from_mode_1(row: SpectralRow) -> tuple[float, float]:
-    # (V^1, V^2) from a row of the single mode 1
-    return _models._mode_1_v(row.lam_nb, row.lam_n1, row.lamt_nb, row.b,
-                            row.c_b, row.ct_b)
+    lams, _ = _lambdas(model, np.array([1]), b)
+    return _models._mode_1_v(*(float(c[0]) for c in lams), b,
+                             *_models.c_terms(model, b))
 
 
 def delta_inf(model: KernelModel, b: float, via_psi: bool = False) -> float:
@@ -323,22 +326,12 @@ def delta_inf(model: KernelModel, b: float, via_psi: bool = False) -> float:
     mu = model.measure()
     x_cut = 300.0 / min(b, 1.0)
     xs, ws = _measure_nodes(mu, x_cut)
-    total = float(np.sum(psi_b(b, xs) * ws / xs))
-    if mu.family is not None:
-        # phi_{1,b} is exponentially small beyond the cut
-        tail, _ = _integrate.quad(
-            lambda x: (_phi_tail_model(1, x) + _phi_tail_model(1, b * x)) / x
-            * mu.density(x), x_cut, np.inf, limit=200)
-        total += tail
+    # phi_{1,b} is exponentially small beyond the cut
+    moments = _tail_moments(mu, x_cut)
+    total = (float(np.sum(psi_b(b, xs) * ws / xs))
+             + _tail_integral(1, 1.0, moments) + _tail_integral(1, b, moments))
     c_b, ct_b = _models.c_terms(model, b)
     return (total + c_b - ct_b) ** 2
-
-
-def s_membership(model: KernelModel, b: float,
-                 tol: float = DEGENERACY_TOL) -> bool:
-    """True when the velocity gap V^1 - V^2 is nonzero beyond tol."""
-    v1, v2 = v_constants(model, b)
-    return abs(v1 - v2) > tol
 
 
 # ---------------------------------------------------------------------------
@@ -377,17 +370,18 @@ def annulus_fold_inequality(model: KernelModel, b: float, n):
 
 
 def min_fold(model: KernelModel, b: float, k_max: int = 10,
-             tol: float = DEGENERACY_TOL,
              v: tuple[float, float] | None = None) -> int:
     """Smallest symmetry fold m with a simple real spectrum on all modes km.
 
-    Conditions per candidate m: Delta_{km,b} > tol for k = 1..k_max, all
+    With tol = DEGENERACY_TOL, the conditions per candidate m are
+    Delta_{km,b} > tol for k = 1..k_max, all
     Omega^{+/-}_{km} pairwise distinct beyond tol (including the limit
     values -V^1, -V^2), and the gaps |Delta_{km} - Delta_inf| decreasing
     over the last five k up to k_max.  Models with a closed fold inequality
     (see `has_closed_fold`) are additionally cross-checked against it.
     V^1, V^2 are computed once, or taken from v.
     """
+    tol = DEGENERACY_TOL
     v1, v2 = v_constants(model, b) if v is None else v
     if not abs(v1 - v2) > tol:
         raise ValueError("b lies outside the admissible set: V^1 = V^2")
@@ -415,7 +409,7 @@ def min_fold(model: KernelModel, b: float, k_max: int = 10,
 
 
 # ---------------------------------------------------------------------------
-# monotonicity, classification, kernel data
+# monotonicity and kernel data
 # ---------------------------------------------------------------------------
 
 def monotonicity_scan(model: KernelModel, b: float, m_start: int,
@@ -445,13 +439,6 @@ def monotonicity_scan(model: KernelModel, b: float, m_start: int,
                               omega_plus=tuple(plus.tolist()),
                               omega_minus=tuple(minus.tolist()),
                               v1=v1, v2=v2)
-
-
-def classify(model: KernelModel, n: int, b: float,
-             tol: float = DEGENERACY_TOL) -> str:
-    """Stability of mode n: the eigenvalue pair -i n Omega^{+/-} leaves the
-    imaginary axis exactly when the discriminant is negative."""
-    return dispersion_point(model, n, b, tol).classification
 
 
 def q_matrix(model: KernelModel, n: int, b: float, omega: float) -> np.ndarray:

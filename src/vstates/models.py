@@ -50,8 +50,6 @@ __all__ = [
     "qgsw_disc_identity",
     "sneddon_series",
     "sneddon_integral",
-    "gsqg_disc_v_terms",
-    "qgsw_disc_v_terms",
     "qgsw_disc_v_series",
     "k1_series",
     "k1_eval",
@@ -78,11 +76,13 @@ class KernelModel:
     @property
     def k1(self) -> str | None:
         """Kind of the regular part K1: None on the plane, "green" for the
-        log kernel's Green series, "bessel_zeros" for the series over the
-        zeros of J_n of the other disc kernels."""
+        log kernel's Green series, "bessel_ik" for the closed I_n K_n
+        coefficients of the QGSW disc, "bessel_zeros" for the series over
+        the zeros of J_n of the gSQG disc."""
         if self.domain == (0.0, math.inf):
             return None
-        return "green" if self.k0[0] == "log" else "bessel_zeros"
+        return {"log": "green", "bessel": "bessel_ik"}.get(self.k0[0],
+                                                            "bessel_zeros")
 
     @property
     def measure_obj(self) -> Measure | None:
@@ -162,9 +162,8 @@ def euler_exterior(r: float) -> KernelModel:
     return KernelModel("EulerExterior", {"r": r}, _LOG, (r, math.inf))
 
 
-def custom_convolution(measure: Measure, alpha: float = 0.5) -> KernelModel:
-    return KernelModel("CustomConvolution", {"alpha": alpha},
-                       ("measure", measure))
+def custom_convolution(measure: Measure) -> KernelModel:
+    return KernelModel("CustomConvolution", {}, ("measure", measure))
 
 
 _VARIANT_BUILDERS = {
@@ -184,8 +183,7 @@ def model_from_dict(d: dict) -> KernelModel:
     variant = d["variant"]
     if variant == "CustomConvolution":
         from .cmkernel import measure_from_dict
-        return custom_convolution(measure_from_dict(d),
-                                  alpha=float(d.get("alpha", 0.5)))
+        return custom_convolution(measure_from_dict(d))
     if variant not in _VARIANT_BUILDERS:
         raise ValueError(f"unknown model variant {variant!r}")
     params = {k: float(v) for k, v in d.items() if k != "variant"}
@@ -328,12 +326,22 @@ def closed_p(model: KernelModel, n, b: float) -> tuple:
       p_{n,x} = -[(x/R2)^2n + (R1/x)^2n - 2 s^2n] / (2n (1 - s^2n)),
       p-tilde_{n,b} = -[(b/R2^2)^n + (R1^2/b)^n - s^2n b^n
                         - (R1^2/(R2^2 b))^n] / (2n (1 - s^2n)).
-    The gSQG/QGSW discs route to the Bessel-zero series of `series_p` at
-    its default truncation, one mode at a time.
+    The QGSW disc R D has, with every product I_n K_n from `bessel_ik`,
+      p_{n,x} = -[I_n(eps x) K_n(eps R)]^2 / (I_n(eps R) K_n(eps R)),
+      p-tilde_{n,b} = -I_n(eps b) K_n(eps R) I_n(eps) K_n(eps R)
+                       / (I_n(eps R) K_n(eps R)).
+    The gSQG disc routes to the Sneddon integrals of `series_p`, one mode
+    at a time.
     """
     ns, out = _modes(n, "closed_p")
     if model.k1 is None:
         return (out(np.zeros(ns.shape)),) * 3
+    if model.k1 == "bessel_ik":
+        eps, r = model.k0[1], model.domain[1]
+        ik_b, ik_1, ik_r = (bessel_ik(ns, eps * x, eps * r)
+                            for x in (b, 1.0, r))
+        return (out(-ik_b * ik_b / ik_r), out(-ik_1 * ik_1 / ik_r),
+                out(-ik_b * ik_1 / ik_r))
     if model.k1 == "bessel_zeros":
         cols = np.array([series_p(model, k, b)
                          for k in np.atleast_1d(ns).tolist()])
@@ -359,9 +367,11 @@ def series_p(model: KernelModel, n: int, b: float,
 
     The n-th angular Fourier coefficient of the full disc Green function is
     a series over the zeros of J_n; subtracting the whole-plane coefficient
-    lambda_{n,b} leaves p_{n,b}.
+    lambda_{n,b} leaves p_{n,b}.  For the gSQG disc the series is summed by
+    Sneddon's integral; for the QGSW disc it is truncated, and is the test
+    route of the closed form in `closed_p`.
     """
-    if model.k1 != "bessel_zeros":
+    if model.k1 not in ("bessel_ik", "bessel_zeros"):
         raise ValueError("series_p is defined for GsqgDisc / QgswDisc only")
     kind, arg = model.k0
     r = model.domain[1]
@@ -386,16 +396,9 @@ def series_p(model: KernelModel, n: int, b: float,
 # ---------------------------------------------------------------------------
 
 def _mode_1_v(lam_b: float, lam_1: float, lamt_b: float, b: float,
-              c_b: float = 0.0, ct_b: float = 0.0) -> tuple[float, float]:
+              c_b: float, ct_b: float) -> tuple[float, float]:
     # (V^1, V^2) from the mode-1 coefficients and the K1 constants
     return (lam_b - lamt_b / b + c_b, -lam_1 + b * lamt_b + ct_b)
-
-
-def _disc_v_terms(model: KernelModel, b: float) -> tuple[float, float]:
-    # (V^1, V^2) of a gSQG/QGSW disc, whose K1 is a Bessel-zero series
-    kind, arg = model.k0
-    v_terms = gsqg_disc_v_terms if kind == "power" else qgsw_disc_v_terms
-    return v_terms(arg, model.domain[1], b)
 
 
 def c_terms(model: KernelModel, b: float) -> tuple[float, float]:
@@ -403,7 +406,11 @@ def c_terms(model: KernelModel, b: float) -> tuple[float, float]:
 
     For a Green-series K1 they are (c / b^2, c), where c is the constant
     mode of K1 over the patch, C0[1, 0] (1 - b^2)/2
-    + C0[1, 1] (-(1 - b^2)/4 - (b^2/2) log b).
+    + C0[1, 1] (-(1 - b^2)/4 - (b^2/2) log b).  The QGSW disc R D has,
+    with k = K_0(eps R)/I_0(eps R),
+      c_b = -k I_1(eps b) (I_1(eps)/b - I_1(eps b)),
+      c-tilde_b = -k I_1(eps) (I_1(eps) - b I_1(eps b)),
+    and the gSQG disc the K1 half of its Sneddon integrals.
     """
     if model.k1 is None:
         return (0.0, 0.0)
@@ -413,12 +420,41 @@ def c_terms(model: KernelModel, b: float) -> tuple[float, float]:
                   + c0[1, 1] * (-(1.0 - b * b) / 4.0
                                 - (b * b / 2.0) * math.log(b)))
         return (c / (b * b), c)
-    # gSQG / QGSW disc: difference between the full V and its convolution part
-    v1, v2 = _disc_v_terms(model, b)
-    conv1, conv2 = _mode_1_v(closed_lambda(model, 1, b),
-                             closed_lambda(model, 1, 1.0),
-                             closed_tilde_lambda(model, 1, b), b)
-    return (v1 - conv1, v2 - conv2)
+    if model.k1 == "bessel_zeros":
+        return _gsqg_disc_c_terms(model.k0[1], model.domain[1], b)
+    eps, r = model.k0[1], model.domain[1]
+    ratio = bessel_k(0, r * eps) / bessel_i(0, r * eps)
+    i1b, i1 = bessel_i(1, b * eps), bessel_i(1, eps)
+    return (-ratio * i1b * (i1 / b - i1b), -ratio * i1 * (i1 - b * i1b))
+
+
+@lru_cache(maxsize=256)
+def _gsqg_disc_c_terms(beta: float, r: float, b: float) -> tuple[float, float]:
+    # (c_b, c-tilde_b) of the gSQG disc R D by Sneddon's integral:
+    # -(2/pi) sin(pi beta/2) times the integral over rho of rho^(beta-1)
+    # times the V^1 combination g(b rho, rho)/b - g(b rho, b rho), or the
+    # V^2 one g(rho, rho) - b g(b rho, rho), of
+    # g(x1, x2) = I_1(x1) I_1(x2) K_0(R rho)/I_0(R rho)
+    pref = -2.0 * math.sin(math.pi * beta / 2.0) / math.pi
+
+    def g(x1: float, x2: float, rho: float) -> float:
+        # scaled Bessel functions keep the product overflow-safe
+        return float(_sp.ive(1, x1) * _sp.ive(1, x2)
+                     * _sp.kve(0, r * rho) / _sp.ive(0, r * rho)
+                     * math.exp(x1 + x2 - 2.0 * r * rho))
+
+    def integral(combination) -> float:
+        def f(rho: float) -> float:
+            if rho == 0.0:
+                return 0.0
+            return combination(b * rho, rho) * rho ** (beta - 1.0)
+
+        head, _ = _integrate.quad(f, 0.0, 1.0, limit=400, epsabs=1e-13)
+        tail, _ = _integrate.quad(f, 1.0, np.inf, limit=400, epsabs=1e-13)
+        return pref * (head + tail)
+
+    return (integral(lambda br, rho: g(br, rho, rho) / b - g(br, br, rho)),
+            integral(lambda br, rho: g(rho, rho, rho) - b * g(br, rho, rho)))
 
 
 # ---------------------------------------------------------------------------
@@ -556,75 +592,10 @@ def sneddon_integral(beta_idx: int, gamma_idx: int, n: int, q: float,
     return jterm + sin_fac / math.pi * integral
 
 
-# ---------------------------------------------------------------------------
-# gSQG / QGSW disc velocity constants
-# ---------------------------------------------------------------------------
-
-def _ik_prod(n1: int, x1: float, n2: int, x2: float) -> float:
-    """I_{n1}(x1) K_{n2}(x2) via scaled Bessel functions (overflow-safe)."""
-    return float(_sp.ive(n1, x1) * _sp.kve(n2, x2) * math.exp(x1 - x2))
-
-
-def _ii_over_i0_ratio(n1: int, x1: float, n2: int, x2: float,
-                      r: float, rho: float) -> float:
-    """I_{n1}(x1) I_{n2}(x2) K_0(R rho) / I_0(R rho), overflow-safe."""
-    return float(_sp.ive(n1, x1) * _sp.ive(n2, x2)
-                 * _sp.kve(0, r * rho) / _sp.ive(0, r * rho)
-                 * math.exp(x1 + x2 - 2.0 * r * rho))
-
-
-@lru_cache(maxsize=256)
-def gsqg_disc_v_terms(beta: float, r: float, b: float) -> tuple[float, float]:
-    """(V^1, V^2) for the gSQG equation on the disc R*D via Sneddon integrals."""
-    if not 0.0 < beta < 1.0 or r <= 1.0 or not 0.0 < b < 1.0:
-        raise ValueError("gsqg_disc_v_terms: invalid parameters")
-    pref = -2.0 * math.sin(math.pi * beta / 2.0) / math.pi
-
-    def integrand(prod, second: bool):
-        # rho^(beta-1) times the V^1 combination
-        # prod(b rho, rho)/b - prod(b rho, b rho), or the V^2 one
-        # prod(rho, rho) - b prod(b rho, rho)
-        def f(rho: float) -> float:
-            if rho == 0.0:
-                return 0.0
-            br = b * rho
-            val = (prod(rho, rho, rho) - b * prod(br, rho, rho) if second
-                   else prod(br, rho, rho) / b - prod(br, br, rho))
-            return val * rho ** (beta - 1.0)
-        return f
-
-    def quad_full(f) -> float:
-        v1, _ = _integrate.quad(f, 0.0, 1.0, limit=400, epsabs=1e-13)
-        v2, _ = _integrate.quad(f, 1.0, np.inf, limit=400, epsabs=1e-13)
-        return v1 + v2
-
-    # the K0 part, I_1 K_1, and the K1 part, I_1 I_1 K_0(R rho)/I_0(R rho)
-    prods = (lambda x1, x2, rho: _ik_prod(1, x1, 1, x2),
-             lambda x1, x2, rho: _ii_over_i0_ratio(1, x1, 1, x2, r, rho))
-    v1, v2 = (pref * (quad_full(integrand(prods[0], second))
-                      + quad_full(integrand(prods[1], second)))
-              for second in (False, True))
-    return (v1, v2)
-
-
-@lru_cache(maxsize=256)
-def qgsw_disc_v_terms(eps: float, r: float, b: float) -> tuple[float, float]:
-    """(V^1, V^2) for the QGSW equation on the disc R*D, closed form."""
-    if eps <= 0 or r <= 1.0 or not 0.0 < b < 1.0:
-        raise ValueError("qgsw_disc_v_terms: invalid parameters")
-    i1b = bessel_i(1, b * eps)
-    i1 = bessel_i(1, eps)
-    k1b = bessel_k(1, b * eps)
-    k1 = bessel_k(1, eps)
-    ratio = bessel_k(0, r * eps) / bessel_i(0, r * eps)
-    v1 = -ratio * i1b * (i1 / b - i1b) - i1b * (k1 / b - k1b)
-    v2 = -ratio * i1 * (i1 - b * i1b) - k1 * (i1 - b * i1b)
-    return (v1, v2)
-
-
 def qgsw_disc_v_series(eps: float, r: float, b: float,
                        truncation: int = 500) -> tuple[float, float]:
-    """(V^1, V^2) for the QGSW disc via the Bessel-zero series."""
+    """(V^1, V^2) for the QGSW disc via the Bessel-zero series, the test
+    route of `c_terms`' closed QGSW disc term."""
     if eps <= 0 or r <= 1.0 or not 0.0 < b < 1.0:
         raise ValueError("qgsw_disc_v_series: invalid parameters")
     c2 = eps * eps * r * r

@@ -132,7 +132,7 @@ def test_criterion_08_qgsw_disc_v_terms():
     signs_ok = True
     for eps, r in ((1.0, 2.0), (2.0, 1.5)):
         for b in (0.3, 0.5, 0.7):
-            closed = models.qgsw_disc_v_terms(eps, r, b)
+            closed = dispersion.v_constants(models.qgsw_disc(eps, r), b)
             series = models.qgsw_disc_v_series(eps, r, b, truncation=500)
             worst = max(worst, abs(closed[0] - series[0]),
                         abs(closed[1] - series[1]))
@@ -146,9 +146,9 @@ def test_criterion_09_gsqg_disc_signs_and_plane_limit():
     for beta in (0.3, 0.7):
         for r in (1.5, 3.0):
             for b in (0.3, 0.6, 0.9):
-                v1, v2 = models.gsqg_disc_v_terms(beta, r, b)
+                v1, v2 = dispersion.v_constants(models.gsqg_disc(beta, r), b)
                 signs_ok = signs_ok and v2 < 0.0 and v1 - v2 > 0.0
-    v1d, v2d = models.gsqg_disc_v_terms(0.5, 50.0, 0.5)
+    v1d, v2d = dispersion.v_constants(models.gsqg_disc(0.5, 50.0), 0.5)
     v1p, v2p = dispersion.v_constants(models.gsqg_plane(0.5), 0.5)
     limit_err = max(abs(v1d - v1p), abs(v2d - v2p))
     _report(9, "gSQG disc signs and large-domain limit",

@@ -44,6 +44,21 @@ def test_spectra_basic(tmp_path):
     assert row4[header.index("source")] == "closed-form"
 
 
+@pytest.mark.parametrize("variant, params, source", [
+    ("GsqgDisc", ["beta=0.5", "r=2"], "closed-form/p-quadrature"),
+    ("QgswDisc", ["eps=2", "r=2"], "closed-form")])
+def test_spectra_source_names_the_p_route(tmp_path, variant, params, source):
+    # the gSQG disc's p comes from Sneddon integrals, the QGSW disc's is
+    # closed like its lambdas
+    args = ["spectra", "--model", variant, "--b", "0.5", "--n", "1:3",
+            "--out", str(tmp_path)]
+    for item in params:
+        args += ["--param", item]
+    assert run_cli(args) == 0
+    _, header, rows = read_csv(os.path.join(str(tmp_path), "spectra.csv"))
+    assert {r[header.index("source")] for r in rows} == {source}
+
+
 def test_spectra_fifteen_significant_digits(tmp_path):
     out = str(tmp_path)
     run_cli(["spectra", "--model", "EulerPlane", "--b", "0.5", "--n", "3:3",

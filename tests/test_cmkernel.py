@@ -150,7 +150,7 @@ def test_spectral_integral_matches_lambda_quadrature(mu):
     # spectral rows; the supports are finite, so no tail model enters
     for n, scale in ((1, 0.5), (3, 1.0), (6, 0.8)):
         want = cmkernel.spectral_integral(lambda x: phi_n(n, scale * x), mu)
-        got = dispersion._lambda_quadrature(mu, n, scale)
+        (got,) = dispersion._lambda_quadrature(mu, np.array([n]), scale)
         assert got == pytest.approx(want, rel=1e-10)
 
 
@@ -160,5 +160,5 @@ def test_spectral_integral_matches_lambda_tilde_quadrature(mu, rel):
     for n, b in ((1, 0.5), (4, 0.7)):
         want = cmkernel.spectral_integral(lambda x: phi_nb(n, b, x), mu,
                                           decay=1.0 - b)
-        got = dispersion._lambda_tilde_quadrature(mu, n, b)
+        (got,) = dispersion._lambda_tilde_quadrature(mu, np.array([n]), b)
         assert got == pytest.approx(want, rel=rel)

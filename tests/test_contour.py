@@ -82,8 +82,10 @@ def test_geometry_error_names_constraint_and_margin(model, b, a1, a2,
 
 
 def test_unsupported_model_rejected():
-    with pytest.raises(ValueError):
-        contour.eval_f0(models.gsqg_disc(0.5, 2.0), _state())
+    # the K1 area term covers the Green series only
+    for model in (models.gsqg_disc(0.5, 2.0), models.qgsw_disc(2.0, 2.0)):
+        with pytest.raises(ValueError, match="not supported"):
+            contour.eval_f0(model, _state())
 
 
 def test_boundary_export_circles_at_zero():
@@ -318,7 +320,11 @@ def test_branch_tangent_and_speed(branch):
     kvec = dispersion.kernel_vector(EULER, m, b, branch)
     pts = contour.branch_continue(EULER, b, m, branch=branch,
                                   s_max=4e-4, steps=4, n_modes=8)
-    s, st = pts[0]
+    # the first point is the annulus at the dispersion root
+    s0, st0 = pts[0]
+    assert s0 == 0.0 and st0.omega == omega0
+    assert not st0.a1.any() and not st0.a2.any()
+    s, st = pts[1]
     assert st.s == pytest.approx(s)
     got = np.array([st.a1[0], st.a2[0]])
     rel = np.linalg.norm(got - s * kvec) / np.linalg.norm(s * kvec)
@@ -347,5 +353,7 @@ def test_branch_error_reports_progress():
         contour.branch_continue(EULER, 0.5, 5, branch="+", s_max=3.0,
                                 steps=3, n_modes=8)
     assert isinstance(err.value.points, list)
-    # the small-amplitude prefix still converged before the failure
-    assert len(err.value.points) >= 1
+    # the annulus, then the small-amplitude prefix that still converged
+    # before the failure
+    assert len(err.value.points) >= 2
+    assert err.value.points[0][0] == 0.0

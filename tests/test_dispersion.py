@@ -114,8 +114,9 @@ def test_delta_inf_is_velocity_gap_squared():
 
 
 def test_disc_v_constants_computed_once_per_b(monkeypatch):
-    # V^1, V^2 of the Bessel-zero discs depend on b only; the per-mode
-    # Sneddon integrals of p are not counted here
+    # V^1, V^2 of the gSQG disc depend on b only: its K1 constants are two
+    # integrals of two quads each; the per-mode Sneddon integrals of p are
+    # not counted here
     calls = []
     quad = models._integrate.quad
 
@@ -124,13 +125,66 @@ def test_disc_v_constants_computed_once_per_b(monkeypatch):
         return quad(f, *args, **kwargs)
 
     monkeypatch.setattr(models._integrate, "quad", counting_quad)
-    models.gsqg_disc_v_terms.cache_clear()
+    models._gsqg_disc_c_terms.cache_clear()
     model = models.gsqg_disc(0.5, 2.0)
     for n in range(1, 5):
         dispersion.dispersion_point(model, n, 0.4321)
     v_calls = [name for name in calls
-               if name.startswith("gsqg_disc_v_terms.")]
-    assert 0 < len(v_calls) <= 8
+               if name.startswith("_gsqg_disc_c_terms.")]
+    assert 0 < len(v_calls) <= 4
+
+
+V_MODELS = [EULER, models.gsqg_plane(0.5), models.qgsw_plane(2.0),
+            models.euler_disc(2.0), models.gsqg_disc(0.5, 2.0),
+            models.qgsw_disc(2.0, 2.0), models.euler_annulus(0.1, 10.0),
+            models.euler_exterior(0.3),
+            models.custom_convolution(cmkernel.gsqg_power(0.5))]
+
+
+@pytest.mark.parametrize("model", V_MODELS, ids=[m.variant for m in V_MODELS])
+def test_v_constants_are_the_mode_1_combination_of_a_column(model):
+    # V^1 = lambda_{1,b} - lambda-tilde_{1,b}/b + c_b and
+    # V^2 = -lambda_{1,1} + b lambda-tilde_{1,b} + c-tilde_b, read off the
+    # first entry of a column of modes 1..4
+    for b in (0.4, 0.7):
+        row = dispersion.spectral_row(model, np.arange(1, 5), b)
+        want = (row.lam_nb[0] - row.lamt_nb[0] / b + row.c_b,
+                -row.lam_n1[0] + b * row.lamt_nb[0] + row.ct_b)
+        assert dispersion.v_constants(model, b) == want
+
+
+def test_custom_column_integrates_two_tail_moments_per_cut(monkeypatch):
+    # the tail model of phi_n is linear in n^2, so every mode of a column
+    # shares the two moments of each cut: lambda_{n,b} and lambda_{n,1}
+    # have one cut each, lambda-tilde has no algebraic tail
+    calls = []
+    quad = dispersion._integrate.quad
+
+    def counting_quad(f, *args, **kwargs):
+        calls.append(f.__qualname__)
+        return quad(f, *args, **kwargs)
+
+    monkeypatch.setattr(dispersion._integrate, "quad", counting_quad)
+    model = models.custom_convolution(cmkernel.gsqg_power(0.5))
+    dispersion.spectral_row(model, np.arange(1, 5), 0.5)
+    assert len(calls) == 4
+    calls.clear()
+    dispersion.delta_inf(model, 0.5, via_psi=True)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("mu", [cmkernel.gsqg_power(0.5),
+                                cmkernel.qgsw_shifted(2.0)],
+                         ids=lambda mu: mu.family)
+def test_tail_moments_against_mpmath(mu):
+    import mpmath
+    for x_cut in (300.0, 600.0):
+        got = dispersion._tail_moments(mu, x_cut)
+        with mpmath.workdps(30):
+            for power, value in zip((2, 4), got):
+                want = mpmath.quad(lambda x: mu.density(float(x)) * x ** -power,
+                                   [x_cut, 10 * x_cut, mpmath.inf])
+                assert abs(value - want) <= 1e-12 * abs(want)
 
 
 COLUMN_FIELDS = ("n", "lam_nb", "lam_n1", "lamt_nb", "p_nb", "p_n1", "pt_nb")
@@ -247,8 +301,10 @@ def test_custom_points_take_v_from_their_mode_1_row(monkeypatch):
 
 
 def test_s_membership():
-    assert dispersion.s_membership(EULER, 0.3)
-    assert dispersion.s_membership(EULER, 0.9)
+    # b is in the admissible set S when the velocity gap is nonzero
+    for b in (0.3, 0.9):
+        v1, v2 = dispersion.v_constants(EULER, b)
+        assert abs(v1 - v2) > dispersion.DEGENERACY_TOL
 
 
 def test_min_fold_euler_plane():
@@ -333,5 +389,7 @@ def test_kernel_vector_rejects_degenerate():
 
 
 def test_classify_shortcut():
-    assert dispersion.classify(EULER, 4, 0.5) == "stable"
-    assert dispersion.classify(EULER, 2, 0.5) == "degenerate"
+    assert dispersion.dispersion_point(EULER, 4, 0.5).classification == \
+        "stable"
+    assert dispersion.dispersion_point(EULER, 2, 0.5).classification == \
+        "degenerate"

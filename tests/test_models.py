@@ -297,8 +297,29 @@ def test_closed_p_columns_against_mpmath(model, b):
                 assert abs(col[i] - ref) <= 1e-12 * abs(ref) + 1e-300, (n,)
 
 
+@pytest.mark.parametrize("eps, r, b", [(2.0, 2.0, 0.3), (0.5, 3.0, 0.7),
+                                      (5.0, 1.2, 0.05)])
+def test_qgsw_disc_closed_p_against_mpmath(eps, r, b):
+    # p_{n,x} = -(K_n(eps R)/I_n(eps R)) I_n(eps x)^2 and p-tilde_{n,b} =
+    # -(K_n(eps R)/I_n(eps R)) I_n(eps b) I_n(eps), unscaled at 40 digits
+    import mpmath
+    ns = np.array([1, 40, 128])
+    got = models.closed_p(models.qgsw_disc(eps, r), ns, b)
+    with mpmath.workdps(40):
+        for i, n in enumerate(ns.tolist()):
+            ratio = (mpmath.besselk(n, eps * r)
+                     / mpmath.besseli(n, eps * r))
+            i_b, i_1 = mpmath.besseli(n, eps * b), mpmath.besseli(n, eps)
+            want = (-ratio * i_b * i_b, -ratio * i_1 * i_1,
+                    -ratio * i_b * i_1)
+            for col, ref in zip(got, want):
+                # values below the double range underflow to zero
+                assert abs(col[i] - ref) <= 1e-13 * abs(ref) + 1e-300, (n,)
+
+
 @pytest.mark.parametrize("model, b", PLANE_COLUMN_CASES + [
     (models.euler_plane(), 0.4), (models.euler_disc(2.0), 0.7),
+    (models.qgsw_disc(2.0, 2.0), 0.5),
     (models.euler_annulus(0.1, 10.0), 0.2), (models.euler_exterior(0.3), 0.5),
 ], ids=lambda v: getattr(v, "variant", str(v)))
 def test_array_calls_equal_scalar_calls(model, b):
@@ -464,7 +485,7 @@ def test_qgsw_disc_series_p_converges_to_closed_form(eps, r, n, b):
 
 def test_qgsw_disc_v_terms_closed_vs_series():
     for eps, r, b in ((1.0, 2.0, 0.5), (2.0, 1.5, 0.3), (0.5, 3.0, 0.7)):
-        closed = models.qgsw_disc_v_terms(eps, r, b)
+        closed = dispersion.v_constants(models.qgsw_disc(eps, r), b)
         series = models.qgsw_disc_v_series(eps, r, b, truncation=500)
         assert closed[0] == pytest.approx(series[0], abs=1e-5)
         assert closed[1] == pytest.approx(series[1], abs=1e-5)
@@ -476,14 +497,14 @@ def test_gsqg_disc_v_sign_grid():
     for beta in (0.3, 0.7):
         for r in (1.5, 3.0):
             for b in (0.3, 0.6, 0.9):
-                v1, v2 = models.gsqg_disc_v_terms(beta, r, b)
+                v1, v2 = dispersion.v_constants(models.gsqg_disc(beta, r), b)
                 assert v2 < 0.0
                 assert v1 - v2 > 0.0
 
 
 def test_gsqg_disc_large_domain_recovers_plane():
     beta, b = 0.5, 0.5
-    v1d, v2d = models.gsqg_disc_v_terms(beta, 50.0, b)
+    v1d, v2d = dispersion.v_constants(models.gsqg_disc(beta, 50.0), b)
     plane = models.gsqg_plane(beta)
     v1p, v2p = dispersion.v_constants(plane, b)
     assert abs(v1d - v1p) < 1e-4
