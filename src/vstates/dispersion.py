@@ -5,13 +5,14 @@ Assembles the coefficient rows and dispersion points of the annulus
 modes it returns columns, the lambdas from one array call per closed form
 of `models` or from quadrature for a custom measure (nodes built once per
 coefficient), p from `models.closed_p` and the K1 constants from
-`models.c_terms`.  `v_constants` is the mode-1 combination of the same
-lambdas plus those constants, for every model.  `dispersion_point` takes
-the row, the velocity constants V^1, V^2 (once per b) and forms A, B, the
-discriminant, both roots and the classification as arrays.  The module
-also evaluates the discriminant's large-n limit, locates the smallest
-symmetry fold m admitting simple real eigenvalues, and scans the monotone
-ordering of the two branches.
+`models.c_terms`, on both discs node sums of QGSW-disc closed forms that
+call no quadrature routine.  `v_constants` is the mode-1 combination of
+the same lambdas plus those constants, for every model.
+`dispersion_point` takes the row, the velocity constants V^1, V^2 (once
+per b) and forms A, B, the discriminant, both roots and the
+classification as arrays.  The module also evaluates the discriminant's
+large-n limit, locates the smallest symmetry fold m admitting simple real
+eigenvalues, and scans the monotone ordering of the two branches.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ _FOLD_CAP = 64
 
 # how SpectralRow.source names the route of p for each kind of K1
 _P_SOURCE = {None: "zero", "green": "closed", "bessel_ik": "closed",
-             "bessel_zeros": "quadrature"}
+             "subordinated": "quadrature"}
 
 
 class FoldNotFound(RuntimeError):

@@ -17,6 +17,7 @@ float or a column; their numerics neither over- nor underflow at large n.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,6 +27,7 @@ from scipy import special as _sp
 
 from .cmkernel import Measure, c_beta, euler_flat, gsqg_power, qgsw_shifted
 from .specfun import bessel_i, bessel_ik, bessel_k, gamma_fn, hyp2f1
+from .universal import _gauss_rule
 
 __all__ = [
     "KernelModel",
@@ -76,13 +78,13 @@ class KernelModel:
     @property
     def k1(self) -> str | None:
         """Kind of the regular part K1: None on the plane, "green" for the
-        log kernel's Green series, "bessel_ik" for the closed I_n K_n
-        coefficients of the QGSW disc, "bessel_zeros" for the series over
-        the zeros of J_n of the gSQG disc."""
+        log kernel's Green series, "bessel_ik" for the closed I_n K_n terms
+        of the QGSW disc, "subordinated" for the gSQG disc's integral of
+        them over eps (see `_screening_nodes`)."""
         if self.domain == (0.0, math.inf):
             return None
         return {"log": "green", "bessel": "bessel_ik"}.get(self.k0[0],
-                                                            "bessel_zeros")
+                                                            "subordinated")
 
     @property
     def measure_obj(self) -> Measure | None:
@@ -326,26 +328,19 @@ def closed_p(model: KernelModel, n, b: float) -> tuple:
       p_{n,x} = -[(x/R2)^2n + (R1/x)^2n - 2 s^2n] / (2n (1 - s^2n)),
       p-tilde_{n,b} = -[(b/R2^2)^n + (R1^2/b)^n - s^2n b^n
                         - (R1^2/(R2^2 b))^n] / (2n (1 - s^2n)).
-    The QGSW disc R D has, with every product I_n K_n from `bessel_ik`,
+    Both discs R D sum w_j times the QGSW-disc closed forms at eps = rho_j
+    over their `_screening_nodes`, every product I_n K_n from `bessel_ik`:
       p_{n,x} = -[I_n(eps x) K_n(eps R)]^2 / (I_n(eps R) K_n(eps R)),
       p-tilde_{n,b} = -I_n(eps b) K_n(eps R) I_n(eps) K_n(eps R)
                        / (I_n(eps R) K_n(eps R)).
-    The gSQG disc routes to the Sneddon integrals of `series_p`, one mode
-    at a time.
     """
     ns, out = _modes(n, "closed_p")
     if model.k1 is None:
         return (out(np.zeros(ns.shape)),) * 3
-    if model.k1 == "bessel_ik":
-        eps, r = model.k0[1], model.domain[1]
-        ik_b, ik_1, ik_r = (bessel_ik(ns, eps * x, eps * r)
-                            for x in (b, 1.0, r))
-        return (out(-ik_b * ik_b / ik_r), out(-ik_1 * ik_1 / ik_r),
-                out(-ik_b * ik_1 / ik_r))
-    if model.k1 == "bessel_zeros":
-        cols = np.array([series_p(model, k, b)
-                         for k in np.atleast_1d(ns).tolist()])
-        return tuple(out(c.reshape(ns.shape)) for c in cols.T)
+    if model.k1 != "green":
+        cols = _disc_p(np.atleast_1d(ns), b, model.domain[1],
+                       _screening_nodes(model))
+        return tuple(out(c.reshape(ns.shape)) for c in cols)
     r1, r2 = model.domain
     # float_power rounds like the scalar x ** n
     s2n = np.float_power(r1 / r2, 2 * ns)
@@ -363,15 +358,16 @@ def closed_p(model: KernelModel, n, b: float) -> tuple:
 
 def series_p(model: KernelModel, n: int, b: float,
              truncation: int = 500) -> tuple[float, float, float]:
-    """Interaction coefficients of the gSQG/QGSW disc via eigenexpansion.
+    """Interaction coefficients of the gSQG/QGSW disc via eigenexpansion,
+    the test route of both discs' screening-node sums in `closed_p`.
 
     The n-th angular Fourier coefficient of the full disc Green function is
     a series over the zeros of J_n; subtracting the whole-plane coefficient
     lambda_{n,b} leaves p_{n,b}.  For the gSQG disc the series is summed by
-    Sneddon's integral; for the QGSW disc it is truncated, and is the test
-    route of the closed form in `closed_p`.
+    Sneddon's integral, a scipy quad per coefficient; for the QGSW disc it
+    is truncated.
     """
-    if model.k1 not in ("bessel_ik", "bessel_zeros"):
+    if model.k1 not in ("bessel_ik", "subordinated"):
         raise ValueError("series_p is defined for GsqgDisc / QgswDisc only")
     kind, arg = model.k0
     r = model.domain[1]
@@ -406,11 +402,11 @@ def c_terms(model: KernelModel, b: float) -> tuple[float, float]:
 
     For a Green-series K1 they are (c / b^2, c), where c is the constant
     mode of K1 over the patch, C0[1, 0] (1 - b^2)/2
-    + C0[1, 1] (-(1 - b^2)/4 - (b^2/2) log b).  The QGSW disc R D has,
+    + C0[1, 1] (-(1 - b^2)/4 - (b^2/2) log b).  Both discs R D sum w_j
+    times the QGSW-disc terms at eps = rho_j over their `_screening_nodes`,
     with k = K_0(eps R)/I_0(eps R),
       c_b = -k I_1(eps b) (I_1(eps)/b - I_1(eps b)),
-      c-tilde_b = -k I_1(eps) (I_1(eps) - b I_1(eps b)),
-    and the gSQG disc the K1 half of its Sneddon integrals.
+      c-tilde_b = -k I_1(eps) (I_1(eps) - b I_1(eps b)).
     """
     if model.k1 is None:
         return (0.0, 0.0)
@@ -420,41 +416,82 @@ def c_terms(model: KernelModel, b: float) -> tuple[float, float]:
                   + c0[1, 1] * (-(1.0 - b * b) / 4.0
                                 - (b * b / 2.0) * math.log(b)))
         return (c / (b * b), c)
-    if model.k1 == "bessel_zeros":
-        return _gsqg_disc_c_terms(model.k0[1], model.domain[1], b)
-    eps, r = model.k0[1], model.domain[1]
-    ratio = bessel_k(0, r * eps) / bessel_i(0, r * eps)
-    i1b, i1 = bessel_i(1, b * eps), bessel_i(1, eps)
-    return (-ratio * i1b * (i1 / b - i1b), -ratio * i1 * (i1 - b * i1b))
+    return _disc_c(b, model.domain[1], _screening_nodes(model))
 
 
-@lru_cache(maxsize=256)
-def _gsqg_disc_c_terms(beta: float, r: float, b: float) -> tuple[float, float]:
-    # (c_b, c-tilde_b) of the gSQG disc R D by Sneddon's integral:
-    # -(2/pi) sin(pi beta/2) times the integral over rho of rho^(beta-1)
-    # times the V^1 combination g(b rho, rho)/b - g(b rho, b rho), or the
-    # V^2 one g(rho, rho) - b g(b rho, rho), of
-    # g(x1, x2) = I_1(x1) I_1(x2) K_0(R rho)/I_0(R rho)
-    pref = -2.0 * math.sin(math.pi * beta / 2.0) / math.pi
+# ---------------------------------------------------------------------------
+# screening nodes: a disc's K1 as a sum of QGSW-disc K1 terms
+# ---------------------------------------------------------------------------
 
-    def g(x1: float, x2: float, rho: float) -> float:
-        # scaled Bessel functions keep the product overflow-safe
-        return float(_sp.ive(1, x1) * _sp.ive(1, x2)
-                     * _sp.kve(0, r * rho) / _sp.ive(0, r * rho)
-                     * math.exp(x1 + x2 - 2.0 * r * rho))
+# the gSQG disc's rule is the coarser of the first two orders whose probe
+# columns agree to this, relative
+_SUBORDINATION_TOL = 1e-12
 
-    def integral(combination) -> float:
-        def f(rho: float) -> float:
-            if rho == 0.0:
-                return 0.0
-            return combination(b * rho, rho) * rho ** (beta - 1.0)
 
-        head, _ = _integrate.quad(f, 0.0, 1.0, limit=400, epsabs=1e-13)
-        tail, _ = _integrate.quad(f, 1.0, np.inf, limit=400, epsabs=1e-13)
-        return pref * (head + tail)
+def _screening_nodes(model: KernelModel) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes rho_j and weights w_j with the disc's K1 the sum of w_j times
+    the QGSW-disc K1 at eps = rho_j: (eps, 1) for the QGSW disc, a rule
+    built once per (beta, R) for the gSQG disc, whose K1 is by
+    Balakrishnan's formula for the fractional Laplacian
+      (2/pi) sin(pi beta/2) int_0^inf rho^(beta-1) K1_QgswDisc(rho) d rho.
+    """
+    kind, arg = model.k0
+    if kind == "bessel":
+        return np.array([arg]), np.array([1.0])
+    return _subordination_rule(arg, model.domain[1])
 
-    return (integral(lambda br, rho: g(br, rho, rho) / b - g(br, br, rho)),
-            integral(lambda br, rho: g(rho, rho, rho) - b * g(br, rho, rho)))
+
+def _disc_p(ns: np.ndarray, b: float, r: float, nodes) -> np.ndarray:
+    # rows p_{n,b}, p_{n,1}, p-tilde_{n,b} of the disc R D summed over the
+    # nodes; the sum of one node is its term, signed zeros too
+    terms = []
+    for eps, w in zip(*nodes):
+        ik_b, ik_1, ik_r = (bessel_ik(ns, eps * x, eps * r)
+                            for x in (b, 1.0, r))
+        terms.append(w * (np.array([-ik_b * ik_b, -ik_1 * ik_1,
+                                    -ik_b * ik_1]) / ik_r))
+    return sum(terms[1:], terms[0])
+
+
+def _disc_c(b: float, r: float, nodes) -> tuple[float, float]:
+    # (c_b, c-tilde_b) of the disc R D summed over the nodes, with K_0/I_0
+    # and I_1 scaled by exp(2 eps R) and exp(-eps R): nothing overflows
+    eps, w = nodes
+    k = w * _sp.kve(0, eps * r) / _sp.ive(0, eps * r)
+    i1b, i1 = (_sp.ive(1, eps * x) * np.exp(eps * (x - r)) for x in (b, 1.0))
+    c = (-k * i1b * (i1 / b - i1b), -k * i1 * (i1 - b * i1b))
+    return tuple(float(sum(t[1:], t[0])) for t in c)
+
+
+@lru_cache(maxsize=16)
+def _subordination_rule(beta: float, r: float) -> tuple:
+    # Gauss-Legendre in u = rho^(beta/2) for rho < s = max(1, 1/(R - 1)),
+    # where rho^(beta-1) d rho = (2/beta) u du and the terms' rho^2 log rho
+    # is u^(4/beta) log u, then Gauss-Laguerre at their decay rate 2 (R - 1).
+    # The probe columns are p_{n,1}, n <= 4, and c at b = 1/2.  Below
+    # rho = 1e-100 the terms equal their rho -> 0 limit to rounding.
+    s, rate = max(1.0, 1.0 / (r - 1.0)), 2.0 * (r - 1.0)
+    pref, last = 2.0 * math.sin(math.pi * beta / 2.0) / math.pi, None
+    for order in (16, 32, 64, 128):
+        (gx, gw), (lx, lw) = (_gauss_rule(order),
+                              np.polynomial.laguerre.laggauss(order))
+        u, tail = s ** (beta / 2.0) * (gx + 1.0) / 2.0, s + lx / rate
+        nodes = (np.append(np.maximum(u ** (2.0 / beta), 1e-100), tail),
+                 pref * np.append(s ** (beta / 2.0) / beta * gw * u,
+                                  lw * np.exp(lx) / rate * tail ** (beta - 1)))
+        val = np.append(_disc_p(np.arange(1, 5), 1.0, r, nodes)[1],
+                        _disc_c(0.5, r, nodes))
+        if last and np.all(np.abs(val - last[1])
+                           <= _SUBORDINATION_TOL * np.abs(val)):
+            nodes = last[0]
+            break
+        last = nodes, val
+    else:
+        warnings.warn(f"gSQG disc rho rule at beta = {beta}, R = {r} is not "
+                      f"converged to {_SUBORDINATION_TOL:g}")
+    for arr in nodes:
+        arr.flags.writeable = False
+    return nodes
 
 
 # ---------------------------------------------------------------------------

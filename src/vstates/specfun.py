@@ -3,7 +3,9 @@
 Gamma, the modified Bessel functions I/K and the products I_n K_n, and
 the Gauss hypergeometric function.  Only integer Bessel orders are needed;
 arguments are real.  `bessel_ik` and `hyp2f1` take a whole column of orders
-or parameters at once.  Bessel J and its zeros come straight from scipy
+or parameters at once; the disc models sum `bessel_ik` columns over their
+screening nodes, so the ratio tables of `bessel_ik` are cached for a few
+hundred arguments.  Bessel J and its zeros come straight from scipy
 (`models._cached_zeros`).
 """
 
@@ -55,7 +57,7 @@ def bessel_k(n: int, x: float) -> float:
     return float(_sp.kv(n, x))
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=512)
 def _bessel_ratios(x: float, size: int) -> tuple[np.ndarray, np.ndarray]:
     # (I_{k+1}/I_k, K_{k+1}/K_k) at x for k < size, read-only.  The I ratio
     # comes from Miller's backward recurrence, written as the continued

@@ -259,6 +259,32 @@ def test_qgsw_disc_reaches_high_bessel_orders(tmp_path, capsys):
     assert all(np.isfinite(float(row[header.index("p_nb")])) for row in rows)
 
 
+def test_qgsw_disc_large_eps_r_does_not_overflow(tmp_path):
+    # eps R = 800 overflows an unscaled I_0(eps R) in the K1 constants
+    assert run_cli(["spectra", "--model", "QgswDisc", "--param", "eps=400",
+                    "--param", "r=2", "--b", "0.5", "--n", "1:3",
+                    "--out", str(tmp_path)]) == 0
+
+
+def test_gsqg_disc_threshold_and_high_modes(tmp_path):
+    # the fold scan at b = 0.9 reaches modes past 70, and every cell of
+    # modes 1..256 is finite
+    model = ["--model", "GsqgDisc", "--param", "beta=0.5", "--param", "r=2"]
+    out = str(tmp_path)
+    assert run_cli(["threshold", *model, "--b", "0.9", "--out", out]) == 0
+    _, header, rows = read_csv(os.path.join(out, "threshold.csv"))
+    assert rows[0][header.index("found")] == "true"
+    assert int(rows[0][header.index("min_fold")]) >= 1
+    assert run_cli(["spectra", *model, "--b", "0.5", "--n", "1:256",
+                    "--out", out]) == 0
+    _, header, rows = read_csv(os.path.join(out, "spectra.csv"))
+    assert len(rows) == 256
+    numeric = [k for k, name in enumerate(header)
+               if name not in ("source", "classification", "omega_plus",
+                               "omega_minus")]
+    assert all(np.isfinite(float(row[k])) for row in rows for k in numeric)
+
+
 def test_verify_passes(tmp_path):
     out = str(tmp_path)
     assert run_cli(["verify", "--out", out]) == 0

@@ -113,25 +113,21 @@ def test_delta_inf_is_velocity_gap_squared():
         (v1 - v2) ** 2, rel=1e-14)
 
 
-def test_disc_v_constants_computed_once_per_b(monkeypatch):
-    # V^1, V^2 of the gSQG disc depend on b only: its K1 constants are two
-    # integrals of two quads each; the per-mode Sneddon integrals of p are
-    # not counted here
-    calls = []
-    quad = models._integrate.quad
+def test_gsqg_disc_point_calls_no_quad_and_builds_one_rule(monkeypatch):
+    # the gSQG disc's p and c are node sums of QGSW-disc closed forms: a
+    # dispersion point over modes 1..4 calls no scipy quad, and the node
+    # rule is built once per (beta, R), whatever b and the modes
+    def no_quad(*args, **kwargs):
+        raise AssertionError("scipy quad called")
 
-    def counting_quad(f, *args, **kwargs):
-        calls.append(f.__qualname__)
-        return quad(f, *args, **kwargs)
-
-    monkeypatch.setattr(models._integrate, "quad", counting_quad)
-    models._gsqg_disc_c_terms.cache_clear()
+    monkeypatch.setattr(models._integrate, "quad", no_quad)
+    models._subordination_rule.cache_clear()
     model = models.gsqg_disc(0.5, 2.0)
-    for n in range(1, 5):
-        dispersion.dispersion_point(model, n, 0.4321)
-    v_calls = [name for name in calls
-               if name.startswith("_gsqg_disc_c_terms.")]
-    assert 0 < len(v_calls) <= 4
+    for b in (0.4321, 0.7):
+        for n in range(1, 5):
+            dispersion.dispersion_point(model, n, b)
+        dispersion.dispersion_point(model, np.arange(1, 5), b)
+    assert models._subordination_rule.cache_info().misses == 1
 
 
 V_MODELS = [EULER, models.gsqg_plane(0.5), models.qgsw_plane(2.0),

@@ -511,6 +511,59 @@ def test_gsqg_disc_large_domain_recovers_plane():
     assert abs(v2d - v2p) < 1e-4
 
 
+GSQG_DISC_GRID = [(beta, r, b) for beta in (0.2, 0.5, 0.8)
+                  for r in (1.1, 2.0) for b in (0.3, 0.8)]
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("beta, r, b", GSQG_DISC_GRID)
+def test_gsqg_disc_closed_p_against_sneddon_route(beta, r, b):
+    # the node sum of QGSW-disc closed forms against the Sneddon integrals
+    # of series_p, mode by mode; 1e-11 is the Sneddon route's own error at
+    # beta = 0.2, where its quad reports that it cannot reach its tolerance
+    model = models.gsqg_disc(beta, r)
+    ns = np.arange(1, 6)
+    got = np.array(models.closed_p(model, ns, b))
+    want = np.array([models.series_p(model, int(n), b) for n in ns]).T
+    assert np.max(np.abs(got - want)) <= 1e-11
+
+
+@pytest.mark.parametrize("beta, r, b", [(0.5, 2.0, 0.5), (0.2, 1.1, 0.8),
+                                        (0.8, 4.0, 0.3)])
+def test_gsqg_disc_c_terms_against_mpmath(beta, r, b):
+    # Balakrishnan's integral (2/pi) sin(pi beta/2) int rho^(beta-1)
+    # c_QgswDisc(rho) d rho, with unscaled Bessel functions at 20 digits;
+    # past rho = s + 40/(R - 1) the integrand is below exp(-80) of its size
+    import mpmath
+    got = models.c_terms(models.gsqg_disc(beta, r), b)
+    with mpmath.workdps(20):
+        def c_qgsw(rho, tilde):
+            k = mpmath.besselk(0, rho * r) / mpmath.besseli(0, rho * r)
+            i_b, i_1 = mpmath.besseli(1, rho * b), mpmath.besseli(1, rho)
+            if tilde:
+                return -k * i_1 * (i_1 - b * i_b)
+            return -k * i_b * (i_1 / b - i_b)
+
+        s = max(1.0, 1.0 / (r - 1.0))
+        cuts = [0, 1, s, s + 40.0 / (r - 1.0)]
+        for tilde in (False, True):
+            want = (2 / mpmath.pi * mpmath.sin(mpmath.pi * beta / 2)
+                    * mpmath.quad(lambda x: x ** (beta - 1)
+                                  * c_qgsw(x, tilde), sorted(set(cuts))))
+            assert abs(got[tilde] - want) <= 1e-12 * abs(want), tilde
+
+
+@pytest.mark.parametrize("beta, r, b", [(0.5, 2.0, 0.9), (0.2, 1.1, 0.5),
+                                        (0.8, 4.0, 0.3)])
+def test_gsqg_disc_columns_finite_and_never_positive(beta, r, b):
+    # every mode to 256 is finite; some underflow to 0.0 at R = 4, so the
+    # check is "never positive", not "negative"
+    model = models.gsqg_disc(beta, r)
+    cols = np.array(models.closed_p(model, np.arange(1, 257), b))
+    assert np.isfinite(cols).all() and (cols <= 0.0).all()
+    assert all(c < 0.0 for c in models.c_terms(model, b))
+
+
 def test_euler_disc_p_terms_closed_values():
     r, b, n = 2.0, 0.5, 3
     model = models.euler_disc(r)
