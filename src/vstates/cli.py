@@ -291,14 +291,16 @@ def cmd_verify(cfg: RunConfig) -> int:
               for bi, gi, n, q, a, bb in sets)
     suites.append(("dual-bessel-summation", err, 1e-5))
 
-    # finite-difference Jacobian of the contour functional vs dispersion
+    # Newton's Jacobian of the contour functional at the annulus: its
+    # (k, n_modes + k) blocks vs the dispersion multipliers
     model = models.euler_plane()
     b, m, n_modes, omega = 0.5, 4, 4, 0.3
-    state = contour.trivial_state(b, m, n_modes, omega)
+    jac = contour.jacobian(model, contour.trivial_state(b, m, n_modes, omega))
     err = 0.0
     for k in range(1, n_modes + 1):
         target = -k * m * dispersion.q_matrix(model, k * m, b, omega)
-        block = contour.fd_jacobian_block(model, state, k)
+        i = [k - 1, n_modes + k - 1]
+        block = jac[np.ix_(i, i)]
         err = max(err, float(np.max(np.abs(block - target))
                              / np.max(np.abs(target))))
     suites.append(("contour-jacobian", err, 1e-4))
@@ -352,7 +354,7 @@ def cmd_branch(cfg: RunConfig) -> int:
             "modes": n_modes}
     if partial:
         meta["warning"] = (f"continuation stopped early: last converged "
-                          f"s = {table[-1][0]:g}")
+                          f"s = {table[-1][0]:g}; {partial}")
     write_csv(os.path.join(out, "branch.csv"), meta, header, columns)
     print(os.path.join(out, "branch.csv"))
     for idx, (s, st) in enumerate(table):

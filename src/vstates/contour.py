@@ -8,9 +8,10 @@ boundary integrals by the divergence theorem, its angular singularities are
 integrated with exact Fourier weights (a circulant cached per grid), and
 the smooth kernel part K1 of bounded domains enters through its
 Green-function series, whose radial factors are integrated across the
-patch in closed form.  F is odd and 2 pi/m-periodic, so its targets are
-the grid points on [0, pi/m] only.  Newton continuation in the
-kernel-mode amplitude produces the local bifurcation branches.
+patch in closed form, for the modes k that m divides.  F is odd and
+2 pi/m-periodic, so its targets are the grid points on [0, pi/m) only.
+Newton continuation in the kernel-mode amplitude, on `jacobian`, produces
+the local bifurcation branches.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ __all__ = [
     "trivial_state",
     "eval_f0",
     "eval_f",
-    "fd_jacobian_block",
+    "jacobian",
     "branch_continue",
     "boundary_export",
 ]
@@ -44,6 +45,8 @@ _EULER_GAMMA = 0.5772156649015328606
 # branch_continue's Newton loop: residual sup-norm to accept, iteration cap
 _NEWTON_TOL = 1e-11
 _NEWTON_MAX_ITER = 30
+# central-difference step of the coefficient columns of `jacobian`
+_FD_STEP = 1e-7
 
 
 class GeometryError(ValueError):
@@ -304,15 +307,16 @@ def _k0_integral(kind: str, param: float, z: np.ndarray, w: np.ndarray,
 # smooth kernel part of bounded domains
 # ---------------------------------------------------------------------------
 
-def _k1_area_terms(model: KernelModel, theta: np.ndarray, ra: np.ndarray,
-                   rb: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stream and velocity of K1 over the patch, on both boundaries.
+def _k1_area_terms(model: KernelModel, m: int, theta: np.ndarray,
+                   ra: np.ndarray, rb: np.ndarray,
+                   rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stream and velocity of K1 over the m-fold patch, on both boundaries.
 
     Every term of the K1 series is a radial factor times cos k(theta - eta),
     so the patch integral takes each radial factor from ra(eta) to rb(eta)
-    in closed form and sums all columns by the trapezoid rule in eta.
-    Rows 0 and 1 of the results hold the first ``rows`` points of the inner
-    and outer boundary.
+    in closed form and sums all columns by the trapezoid rule in eta; the
+    eta sums vanish unless m divides k.  Rows 0 and 1 of the results hold
+    the first ``rows`` points of the inner and outer boundary.
     """
     if model.k1 is None:
         return np.zeros((2, rows)), np.zeros((2, rows), dtype=complex)
@@ -325,7 +329,7 @@ def _k1_area_terms(model: KernelModel, theta: np.ndarray, ra: np.ndarray,
         base = np.hstack([t2 / 2.0, t2 * (np.log(t) - 0.5) / 2.0])
         # t (R1/t)^k integrates to t^2 (R1/t)^k / (2 - k); R1^2 log t at k = 2
         inner = t2 * (r1 / t) ** kk / np.where(kk == 2, 1, 2 - kk)
-        inner[:, 1] = r1 * r1 * np.log(t[:, 0])
+        inner[:, kk == 2] = r1 * r1 * np.log(t)
         outer = t2 * (t / r2) ** kk / (kk + 2.0)
         return base, np.stack([outer, inner], axis=-1)
 
@@ -338,7 +342,7 @@ def _k1_area_terms(model: KernelModel, theta: np.ndarray, ra: np.ndarray,
 
     z = (np.concatenate([ra[:rows], rb[:rows]])
          * np.tile(np.exp(1j * theta[:rows]), 2))
-    psi, vel = k1_series(model, z, float(np.min(ra)), float(np.max(rb)),
+    psi, vel = k1_series(model, z, float(np.min(ra)), float(np.max(rb)), m,
                          source)
     return psi.reshape(2, rows), vel.reshape(2, rows)
 
@@ -374,7 +378,7 @@ def _boundary_data(model: KernelModel, state: PerturbationState):
     w2 = rb * phase
     w1p = (rap + 1j * ra) * phase
     w2p = (rbp + 1j * rb) * phase
-    return theta, ra, rb, w1, w2, w1p, w2p, d1, d2
+    return theta, ra, rb, w1, w2, w1p, w2p, d1, d2, state.m
 
 
 def _boundary_field(model: KernelModel, data: tuple, rows: int,
@@ -389,14 +393,14 @@ def _boundary_field(model: KernelModel, data: tuple, rows: int,
     if kind == "measure" or model.k1 not in (None, "green"):
         raise ValueError(
             f"contour dynamics not supported for {model.variant!r}")
-    theta, ra, rb, w1, w2, w1p, w2p, _, _ = data
+    theta, ra, rb, w1, w2, w1p, w2p, _, _, m = data
     rot = -1j if stream else 1j
     out = [_k0_integral(kind, param, z[:rows], w2, w2p, rot * w2p,
                         not on_inner, stream)
            - _k0_integral(kind, param, z[:rows], w1, w1p, rot * w1p,
                           on_inner, stream)
            for z, on_inner in ((w1, True), (w2, False))]
-    k1 = _k1_area_terms(model, theta, ra, rb, rows)[0 if stream else 1]
+    k1 = _k1_area_terms(model, m, theta, ra, rb, rows)[0 if stream else 1]
     return out[0] + k1[0], out[1] + k1[1]
 
 
@@ -411,55 +415,44 @@ def eval_f(model: KernelModel, state: PerturbationState) -> ResidualVector:
     """F(Omega, r) = Omega r' + d/dtheta F0[r], projected on the sine basis.
 
     F is odd and 2 pi/m-periodic, so it is evaluated only on the cell
-    [0, pi/m], at theta_0..theta_H with H = N/(2m), and projected there by
-    the trapezoid rule, which equals the full-grid projection.
+    [0, pi/m), at theta_0..theta_{H-1} with H = N/(2m), and projected there
+    with weight 2/H, which equals the full-grid projection.
     """
     data = _boundary_data(model, state)
-    theta, _, _, _, _, w1p, w2p, d1, d2 = data
+    theta, _, _, _, _, w1p, w2p, d1, d2, _ = data
     half = state.grid_size // (2 * state.m)
-    cell = slice(0, half + 1)
-    u1, u2 = _boundary_field(model, data, half + 1, stream=False)
+    u1, u2 = _boundary_field(model, data, half, stream=False)
     # d/dtheta F0_j = grad psi(z_j) . z_j'
-    f1 = state.omega * d1[cell] + np.real(u1 * np.conj(w1p[cell]))
-    f2 = state.omega * d2[cell] + np.real(u2 * np.conj(w2p[cell]))
-    weights = np.full(half + 1, 2.0 / half)
-    weights[[0, half]] /= 2.0
-    basis = np.sin(np.outer(state._modes(), theta[cell])) * weights
+    f1 = state.omega * d1[:half] + np.real(u1 * np.conj(w1p[:half]))
+    f2 = state.omega * d2[:half] + np.real(u2 * np.conj(w2p[:half]))
+    basis = np.sin(np.outer(state._modes(), theta[:half])) * (2.0 / half)
     return ResidualVector(m=state.m, n_modes=state.n_modes,
                           s1=basis @ f1, s2=basis @ f2)
 
 
-def fd_jacobian_block(model: KernelModel, state: PerturbationState,
-                      k: int) -> np.ndarray:
-    """Central-difference block d(s1_k, s2_k)/d(a1_k, a2_k) of eval_f.
+def jacobian(model: KernelModel, state: PerturbationState) -> np.ndarray:
+    """Jacobian of eval_f(model, state).stacked() in (a1, a2, Omega).
 
-    The step is 1e-5.  At the annulus the block approaches -n Q_{n,b}(Omega)
-    of `dispersion.q_matrix`, n = k m.
+    The coefficient columns are central differences with step 1e-7; the
+    Omega column is exact, the sine coefficients -k m a_k of r'.  At the
+    annulus the rows and columns (k, n_modes + k) form -n Q_{n,b}(Omega) of
+    `dispersion.q_matrix`, n = k m.
     """
-    eps = 1e-5
-    block = np.zeros((2, 2))
-    for col in range(2):
-        for sign in (1.0, -1.0):
-            coeffs = [state.a1.copy(), state.a2.copy()]
-            coeffs[col][k - 1] += sign * eps
-            r = eval_f(model, replace(state, a1=coeffs[0], a2=coeffs[1]))
-            block[:, col] += sign * np.array([r.s1[k - 1], r.s2[k - 1]])
-    return block / (2 * eps)
+    n = state.n_modes
+    coeffs = np.concatenate([state.a1, state.a2])
+    jac = np.empty((2 * n, 2 * n + 1))
+    for j, step in enumerate(np.eye(2 * n) * _FD_STEP):
+        fp, fm = (eval_f(model, replace(state, a1=c[:n], a2=c[n:])).stacked()
+                  for c in (coeffs + step, coeffs - step))
+        jac[:, j] = (fp - fm) / (2.0 * _FD_STEP)
+    kk = state._modes()
+    jac[:, 2 * n] = -np.concatenate([kk * state.a1, kk * state.a2])
+    return jac
 
 
 # ---------------------------------------------------------------------------
 # branch continuation
 # ---------------------------------------------------------------------------
-
-def _augmented_residual(model: KernelModel, base: PerturbationState,
-                        u: np.ndarray, s: float,
-                        kvec: np.ndarray) -> np.ndarray:
-    n = base.n_modes
-    state = replace(base, a1=u[:n], a2=u[n:2 * n], omega=u[2 * n])
-    res = eval_f(model, state)
-    proj = (u[0] * kvec[0] + u[n] * kvec[1]) / (kvec @ kvec)
-    return np.concatenate([res.stacked(), [proj - s]])
-
 
 def branch_continue(model: KernelModel, b: float, m: int, branch: str = "+",
                     s_max: float = 1e-2, steps: int = 10,
@@ -467,10 +460,11 @@ def branch_continue(model: KernelModel, b: float, m: int, branch: str = "+",
     """Amplitude-parameterized branch of m-fold V-states near the annulus.
 
     Solves {F = 0, kernel-direction amplitude = s} for the 2*n_modes cosine
-    coefficients and Omega by undamped Newton with a central
-    finite-difference Jacobian, marching s from 0 to s_max.  The first
-    point is the annulus itself, s = 0 at the dispersion root Omega^{+/-};
-    a BranchError carries the points accepted before it, that one first.
+    coefficients and Omega by undamped Newton, with `jacobian` bordered by
+    the exact amplitude row, marching s from 0 to s_max.  The first point
+    is the annulus itself, s = 0 at the dispersion root Omega^{+/-}; a
+    BranchError names the cause of the failure and carries the points
+    accepted before it, that one first.
     """
     point = _dispersion.dispersion_point(model, m, b)
     if point.delta <= _dispersion.DEGENERACY_TOL:
@@ -479,48 +473,44 @@ def branch_continue(model: KernelModel, b: float, m: int, branch: str = "+",
     omega0 = point.omega_plus if branch == "+" else point.omega_minus
     base = trivial_state(b, m, n_modes, omega0)
     n = n_modes
+    # the amplitude (a1_1, a2_1) . kvec / |kvec|^2 is linear in u
+    row = np.zeros(2 * n + 1)
+    row[[0, n]] = kvec / (kvec @ kvec)
     u = np.zeros(2 * n + 1)
     u[2 * n] = omega0
     results: list[tuple[float, PerturbationState]] = [(0.0, base)]
+
+    def failure(s, cause) -> BranchError:
+        return BranchError(f"Newton failed at s = {s:g}: {cause}", results)
+
     s_grid = np.linspace(0.0, s_max, steps + 1)[1:]
     u_prev = None
     for s in s_grid:
         # predictor: tangent along the kernel direction, then secant
         if u_prev is None:
-            guess = u.copy()
-            guess[0] += s * kvec[0]
-            guess[n] += s * kvec[1]
+            cur = u.copy()
+            cur[0] += s * kvec[0]
+            cur[n] += s * kvec[1]
         else:
-            guess = 2.0 * u - u_prev
-        cur = guess
-        converged = False
+            cur = 2.0 * u - u_prev
         for _ in range(_NEWTON_MAX_ITER):
+            state = replace(base, a1=cur[:n], a2=cur[n:2 * n],
+                            omega=cur[2 * n])
             try:
-                r0 = _augmented_residual(model, base, cur, s, kvec)
-            except GeometryError:
-                break
-            if np.max(np.abs(r0)) < _NEWTON_TOL:
-                converged = True
-                break
-            jac = np.empty((2 * n + 1, 2 * n + 1))
-            h = 1e-7
-            for j in range(2 * n + 1):
-                step_vec = np.zeros(2 * n + 1)
-                step_vec[j] = h
-                rp = _augmented_residual(model, base, cur + step_vec, s, kvec)
-                rm = _augmented_residual(model, base, cur - step_vec, s, kvec)
-                jac[:, j] = (rp - rm) / (2.0 * h)
-            try:
-                delta = np.linalg.solve(jac, r0)
-            except np.linalg.LinAlgError:
-                break
-            cur = cur - delta
-        if not converged:
-            raise BranchError(f"Newton failed at s = {s:g}", results)
+                res = np.append(eval_f(model, state).stacked(), row @ cur - s)
+                if np.max(np.abs(res)) < _NEWTON_TOL:
+                    break
+                jac = np.vstack([jacobian(model, state), row])
+                cur = cur - np.linalg.solve(jac, res)
+            except GeometryError as exc:
+                raise failure(s, exc) from exc
+            except np.linalg.LinAlgError as exc:
+                raise failure(s, "singular Jacobian") from exc
+        else:
+            raise failure(s, f"no convergence in {_NEWTON_MAX_ITER} "
+                             f"iterations, residual {np.max(np.abs(res)):.1e}")
         u_prev, u = u, cur
-        state = replace(base, a1=cur[:n], a2=cur[n:2 * n],
-                        omega=cur[2 * n], s=float(s))
-        results.append((float(s), state))
+        results.append((float(s), replace(state, s=float(s))))
     return results
 
 

@@ -675,13 +675,15 @@ def _k1_domain(model: KernelModel) -> tuple[float, float, np.ndarray]:
 
 
 def k1_series(model: KernelModel, x: np.ndarray, t_min: float, t_max: float,
-              source) -> tuple[np.ndarray, np.ndarray]:
+              fold: int, source) -> tuple[np.ndarray, np.ndarray]:
     """Stream and velocity (vx + i vy) of K1 against a source, at points x.
 
-    The source lies at radii in [t_min, t_max].  ``source(r1, r2, kk)``
-    returns its weights on [1, log t] and, one row per mode k in kk, its
-    sums of e_k(t) e^{-i k eta}.  The series stops once the largest term
-    ratio q has q^k < 1e-16, after at most 400 terms.
+    The source lies at radii in [t_min, t_max] and is invariant under
+    rotation by 2 pi/fold, so its mode sums vanish unless fold divides k.
+    ``source(r1, r2, kk)`` returns its weights on [1, log t] and, one row
+    per mode k in kk = fold, 2 fold, ..., its sums of e_k(t) e^{-i k eta}.
+    The series stops once the largest term ratio q has q^k < 1e-16, at
+    k <= 400.
     """
     r1, r2, c0 = _k1_domain(model)
     rho, theta = np.abs(x), np.angle(x)
@@ -689,7 +691,7 @@ def k1_series(model: KernelModel, x: np.ndarray, t_min: float, t_max: float,
             r1 ** 2 / (float(np.min(rho)) * t_min))
     cap = min(_K1_TERM_CAP, max(8, math.ceil(math.log(_K1_TERM_TOL)
                                              / math.log(q))))
-    kk = np.arange(1, cap + 1)
+    kk = np.arange(fold, cap + 1, fold)
     s0, sk = source(r1, r2, kk)
     s = (r1 / r2) ** kk
     u_out = (sk[:, 0] - s * sk[:, 1]) / (1.0 - s * s)
@@ -714,7 +716,7 @@ def _k1_point(model: KernelModel, x: complex,
         return (np.array([1.0, math.log(t)]),
                 e_k * np.exp(-1j * kk * eta)[:, None])
 
-    val, grad = k1_series(model, np.array([complex(x)]), t, t, source)
+    val, grad = k1_series(model, np.array([complex(x)]), t, t, 1, source)
     return float(val[0]), complex(grad[0])
 
 

@@ -313,7 +313,7 @@ def test_branch_outputs(tmp_path):
     assert max(abs(v - 0.5) for v in r_in) < 1e-13
 
 
-def test_branch_numerical_failure_exit_1(tmp_path):
+def test_branch_numerical_failure_exit_1(tmp_path, capsys):
     out = str(tmp_path)
     code = run_cli(["branch", "--model", "EulerPlane", "--b", "0.5",
                     "--m", "5", "--s-max", "3.0", "--steps", "3",
@@ -322,6 +322,10 @@ def test_branch_numerical_failure_exit_1(tmp_path):
     meta, _, rows = read_csv(os.path.join(out, "branch.csv"))
     assert "warning" in meta
     assert len(rows) >= 1    # the converged prefix is still recorded
+    # the step to s = 2 collapses the inner boundary, and both say so
+    cause = "Newton failed at s = 2: boundary radius collapsed to zero"
+    assert cause in meta["warning"]
+    assert cause in capsys.readouterr().err
 
 
 def test_entry_point_installed():

@@ -145,33 +145,34 @@ def test_k1_area_term_off_the_annulus(model):
     # differences of eval_f0 and eval_f are the K1 stream and its residual;
     # the brute-force sum uses the state's own eta trapezoid and 40-node
     # radial Gauss per column; m = 2 keeps the k = 2 mode, whose radial
-    # integral is the logarithmic case
-    st = replace(_state(b=0.6, m=2, n=6, omega=0.2),
-                 a1=np.array([0.02, -0.02, 0.015, 0.01, 0.0, 0.0]),
-                 a2=np.array([-0.02, 0.015, 0.0, 0.02, 0.0, 0.0]))
-    eta = st.theta_grid()
-    ra, rb = st.radii(eta)
-    gx, gw = np.polynomial.legendre.leggauss(40)
-    t = 0.5 * (ra + rb)[:, None] + 0.5 * (rb - ra)[:, None] * gx
-    wts = (0.5 * (rb - ra)[:, None] * gw * t
-           * (2.0 * np.pi / len(eta))).ravel()
-    y = (t * np.exp(1j * eta)[:, None]).ravel()
-    d1, d2 = st.r_derivatives(eta)
-    sines = np.sin(np.outer(st.m * np.arange(1, st.n_modes + 1), eta))
-    f0_model = contour.eval_f0(model, st)
-    f0_plane = contour.eval_f0(EULER, st)
-    f_k1 = (contour.eval_f(model, st).stacked()
-            - contour.eval_f(EULER, st).stacked())
-    want_f = []
-    for i, (r, dr) in enumerate(((ra, d1), (rb, d2))):
-        z = r * np.exp(1j * eta)
-        val, grad = _k1_brute(model, z, y)
-        got = f0_model[i] - f0_plane[i]
-        assert np.max(np.abs(got - val @ wts)) < 1e-13
-        zp = (dr / r + 1j * r) * np.exp(1j * eta)
-        want_f.append((2.0 / len(eta))
-                      * sines @ np.real((grad @ wts) * np.conj(zp)))
-    assert np.max(np.abs(f_k1 - np.concatenate(want_f))) < 1e-13
+    # integral is the logarithmic case, and m = 3 has no k = 2 mode
+    for m in (2, 3):
+        st = replace(_state(b=0.6, m=m, n=6, omega=0.2),
+                     a1=np.array([0.02, -0.02, 0.015, 0.01, 0.0, 0.0]),
+                     a2=np.array([-0.02, 0.015, 0.0, 0.02, 0.0, 0.0]))
+        eta = st.theta_grid()
+        ra, rb = st.radii(eta)
+        gx, gw = np.polynomial.legendre.leggauss(40)
+        t = 0.5 * (ra + rb)[:, None] + 0.5 * (rb - ra)[:, None] * gx
+        wts = (0.5 * (rb - ra)[:, None] * gw * t
+               * (2.0 * np.pi / len(eta))).ravel()
+        y = (t * np.exp(1j * eta)[:, None]).ravel()
+        d1, d2 = st.r_derivatives(eta)
+        sines = np.sin(np.outer(st.m * np.arange(1, st.n_modes + 1), eta))
+        f0_model = contour.eval_f0(model, st)
+        f0_plane = contour.eval_f0(EULER, st)
+        f_k1 = (contour.eval_f(model, st).stacked()
+                - contour.eval_f(EULER, st).stacked())
+        want_f = []
+        for i, (r, dr) in enumerate(((ra, d1), (rb, d2))):
+            z = r * np.exp(1j * eta)
+            val, grad = _k1_brute(model, z, y)
+            got = f0_model[i] - f0_plane[i]
+            assert np.max(np.abs(got - val @ wts)) < 1e-13
+            zp = (dr / r + 1j * r) * np.exp(1j * eta)
+            want_f.append((2.0 / len(eta))
+                          * sines @ np.real((grad @ wts) * np.conj(zp)))
+        assert np.max(np.abs(f_k1 - np.concatenate(want_f))) < 1e-13
 
 
 def test_f0_even_symmetry():
@@ -265,13 +266,38 @@ def test_circulant_row_sum_is_the_spectral_product(size, weight, beta):
     models.euler_disc(2.0), models.euler_exterior(0.1)])
 def test_fd_jacobian_matches_multiplier_blocks(model):
     b, m, n_modes, omega = 0.5, 4, 4, 0.2
-    st = _state(b, m, n_modes, omega)
+    jac = contour.jacobian(model, _state(b, m, n_modes, omega))
+    assert jac.shape == (2 * n_modes, 2 * n_modes + 1)
     for k in (1, 2, 3):
         n = k * m
         target = -n * dispersion.q_matrix(model, n, b, omega)
-        block = contour.fd_jacobian_block(model, st, k)
+        i = [k - 1, n_modes + k - 1]
+        block = jac[np.ix_(i, i)]
         rel = np.max(np.abs(block - target)) / np.max(np.abs(target))
         assert rel < 1e-6
+
+
+def test_jacobian_omega_column_is_exact():
+    # at a converged branch point, far enough out that r' is not small
+    _, st = contour.branch_continue(EULER, 0.5, 5, s_max=0.3, steps=1,
+                                    n_modes=8)[-1]
+    h = 1e-7
+    rp, rm = (contour.eval_f(EULER, replace(st, omega=st.omega + d)).stacked()
+              for d in (h, -h))
+    col = contour.jacobian(EULER, st)[:, -1]
+    assert np.max(np.abs(col)) > 1e-2
+    assert np.max(np.abs(col - (rp - rm) / (2.0 * h))) < 1e-9
+
+
+def test_branch_newton_costs_4n_plus_1_eval_f_per_iteration(monkeypatch):
+    # three Newton iterations of 1 + 4 n_modes calls (residual and the
+    # coefficient columns), then the converged residual: 3 * 33 + 1
+    calls = []
+    eval_f = contour.eval_f
+    monkeypatch.setattr(contour, "eval_f",
+                        lambda *args: calls.append(1) or eval_f(*args))
+    contour.branch_continue(EULER, 0.5, 5, s_max=0.3, steps=1, n_modes=8)
+    assert len(calls) == 100
 
 
 def test_fd_jacobian_off_mode_coupling_vanishes():
@@ -353,6 +379,8 @@ def test_branch_error_reports_progress():
         contour.branch_continue(EULER, 0.5, 5, branch="+", s_max=3.0,
                                 steps=3, n_modes=8)
     assert isinstance(err.value.points, list)
+    # the message names the cause: here the geometry check's text
+    assert "boundary radius collapsed to zero" in str(err.value)
     # the annulus, then the small-amplitude prefix that still converged
     # before the failure
     assert len(err.value.points) >= 2
