@@ -103,6 +103,20 @@ class Measure:
             return prof(x) if x < x_star else 0.0
         return prof(x) if x > x_star else 0.0
 
+    def support(self) -> tuple[float, float, float, float | None] | None:
+        """(lo, hi, a, b): the density lives on lo < x < hi (hi = inf when
+        unbounded) and behaves like (x - lo)^a at lo and like x^b at
+        infinity (b is None on a bounded support); None without a density.
+        """
+        p, inf = self.params, math.inf
+        return {None: None,
+                "euler_flat": (0.0, inf, 0.0, 0.0),
+                "gsqg_power": (0.0, inf, p.get("beta"), p.get("beta")),
+                "qgsw_shifted": (p.get("eps"), inf, -0.5, 0.0),
+                "truncated_low": (0.0, p.get("x_star"), 0.0, None),
+                "truncated_high": (p.get("x_star"), inf, 0.0, 0.0),
+                }[self.family]
+
 
 def euler_flat() -> Measure:
     return Measure(family="euler_flat")

@@ -3,8 +3,9 @@
 Assembles the coefficient rows and dispersion points of the annulus
 1_{D \\ b D}.  `spectral_row` is the one assembly route: given an array of
 modes it returns columns, the lambdas from one array call per closed form
-of `models` or from quadrature for a custom measure (nodes built once per
-coefficient), p from `models.closed_p` and the K1 constants from
+of `models` or, for a custom measure, as node sums over the one node rule
+of `_measure_nodes` (built once per coefficient from `Measure.support()`
+and `Measure.density`), p from `models.closed_p` and the K1 constants from
 `models.c_terms`, on both discs node sums of QGSW-disc closed forms that
 call no quadrature routine.  `v_constants` is the mode-1 combination of
 the same lambdas plus those constants, for every model.
@@ -21,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate as _integrate
 
 from . import models as _models
 from .cmkernel import Measure
@@ -116,87 +116,69 @@ class MonotonicityReport:
 # quadrature fallback for convolution models without closed forms
 # ---------------------------------------------------------------------------
 
-def _measure_nodes(mu: Measure, x_hi: float,
-                   order: int = 32) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of mu on (0, x_hi): its atoms, then Gauss-Legendre
+def _panel(p: float, q: float, e: float) -> tuple[np.ndarray, np.ndarray]:
+    # nodes u and weights of int_p^q F(u) du for F ~ (u - p)^e at p: the
+    # Gauss-Jacobi rule of order 32 for that weight, divided back out
+    t, w = _gauss_rule(32, e)
+    u = p + 0.5 * (q - p) * (1.0 + t)
+    return u, w * (0.5 * (q - p)) ** (1.0 + e) / (u - p) ** e
+
+
+def _measure_nodes(mu: Measure, x_cut: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of mu on the whole half-line: its atoms, then the
     nodes of its density part.  An atom at 0 raises ValueError.
 
-    Weights include the density value.  Panels refine geometrically toward
-    the lower endpoint; the shifted family integrates in u with
-    x = eps cosh(u), which removes its inverse-square-root singularity.
+    Weights include the density value.  With (lo, hi, a, b) =
+    mu.support(), panels graded geometrically toward lo cover lo < x < top,
+    the first one Gauss-Jacobi for the weight (x - lo)^a and the others
+    Gauss-Legendre; top is hi on a bounded support and max(x_cut, lo + 10)
+    otherwise, and then one Gauss-Jacobi panel in w = top/x for the weight
+    w^(-b) takes the rest of the half-line.
     """
     if any(x == 0.0 for x, _ in mu.atoms):
         raise ValueError("spectral coefficient undefined for atom at 0")
     atoms = np.reshape(mu.atoms, (-1, 2))
-    if mu.family is None:
+    support = mu.support()
+    if support is None:
         return atoms[:, 0], atoms[:, 1]
-    gx, gw = _gauss_rule(order)
-
-    def assemble(edges: np.ndarray, fun_x, fun_w) -> tuple[np.ndarray, np.ndarray]:
-        xs, ws = [atoms[:, 0]], [atoms[:, 1]]
-        for a, c in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (a + c), 0.5 * (c - a)
-            u = mid + half * gx
-            xs.append(fun_x(u))
-            ws.append(fun_w(u) * half * gw)
-        return np.concatenate(xs), np.concatenate(ws)
-
-    if mu.family == "qgsw_shifted":
-        eps = mu.params["eps"]
-        u_hi = math.acosh(max(x_hi / eps, 1.5))
-        return assemble(np.linspace(0.0, u_hi, 17),
-                        lambda u: eps * np.cosh(u),
-                        lambda u: eps * np.cosh(u) / (2.0 * math.pi))
-    if mu.family == "truncated_low":
-        lo, hi = 0.0, min(mu.params["x_star"], x_hi)
-    elif mu.family == "truncated_high":
-        lo, hi = mu.params["x_star"], max(x_hi, mu.params["x_star"] + 10.0)
-    else:
-        lo, hi = 0.0, x_hi
-    edges = lo + (hi - lo) * 2.0 ** np.arange(-14.0, 0.0)
-    return assemble(np.concatenate([[lo], edges, [hi]]), lambda u: u,
-                    np.vectorize(mu.density))
+    lo, hi, a, b = support
+    top = hi if math.isfinite(hi) else max(x_cut, lo + 10.0)
+    edges = lo + (top - lo) * 2.0 ** np.arange(-14.0, 1.0)
+    panels = [_panel(lo, edges[0], a)] + [
+        _panel(p, q, 0.0) for p, q in zip(edges[:-1], edges[1:])]
+    if not math.isfinite(hi):
+        w, ww = _panel(0.0, 1.0, -b)
+        panels.append((top / w, ww * top / (w * w)))
+    xs, ws = map(np.concatenate, zip(*panels))
+    return (np.concatenate([atoms[:, 0], xs]),
+            np.concatenate([atoms[:, 1], ws * np.vectorize(mu.density)(xs)]))
 
 
-def _tail_moments(mu: Measure, x_cut: float) -> tuple[float, float]:
-    """(int x^-2 dmu, int x^-4 dmu) over x > x_cut, the density part only.
-
-    `_tail_integral` needs no other integral of the measure beyond the cut.
-    """
-    if mu.family is None:
-        return (0.0, 0.0)
-    return tuple(_integrate.quad(lambda x: mu.density(x) * x ** -p, x_cut,
-                                 np.inf, limit=200, epsabs=0.0,
-                                 epsrel=1e-12)[0] for p in (2, 4))
-
-
-def _tail_integral(n, scale: float, moments: tuple[float, float]):
-    # int phi_n(scale x) dmu(x)/x over x > x_cut, from the large-argument
-    # expansion phi_n(y) = 2/y - (2 n^2 - 1/4)/y^3 + O(y^-5), linear in n^2
-    m2, m4 = moments
-    return 2.0 / scale * m2 - (2.0 * n * n - 0.25) / scale ** 3 * m4
+def _node_sums(mu: Measure, x_cut: float, funs) -> np.ndarray:
+    # int fun(x) dmu(x)/x for each fun of funs, as sums over the nodes of
+    # mu built once; each fun is called once on the nodes up to the cut and
+    # once beyond it, as phi_n grades its panels for its largest argument
+    xs, ws = _measure_nodes(mu, x_cut)
+    parts = [(xs[m], ws[m] / xs[m]) for m in (xs <= x_cut, xs > x_cut)]
+    return np.array([sum(float(np.sum(fun(x) * w)) for x, w in parts)
+                     for fun in funs])
 
 
 def _lambda_quadrature(mu: Measure, ns: np.ndarray,
                        scale: float) -> np.ndarray:
-    """int phi_n(scale * x) dmu(x)/x at an array of modes; the algebraic
-    tail beyond the cut is summed by model."""
-    x_cut = 300.0 / scale
-    xs, ws = _measure_nodes(mu, x_cut)
-    head = np.array([np.sum(phi_n(k, scale * xs) * ws / xs)
-                     for k in ns.tolist()])
-    return head + _tail_integral(ns, scale, _tail_moments(mu, x_cut))
+    """int phi_n(scale * x) dmu(x)/x at an array of modes, as node sums."""
+    return _node_sums(mu, 300.0 / scale, [lambda x, k=k: phi_n(k, scale * x)
+                                          for k in ns.tolist()])
 
 
 def _lambda_tilde_quadrature(mu: Measure, ns: np.ndarray,
                              b: float) -> np.ndarray:
-    """int phi_{n,b}(x) dmu(x)/x at an array of modes; the integrand
-    decays like e^{-(1-b)x}."""
+    """int phi_{n,b}(x) dmu(x)/x at an array of modes, as node sums; the
+    integrand decays like e^{-(1-b)x}, which sets the cut."""
     decay = max(1.0 - b, 1e-3)
     x_cut = math.log(2.0 * math.pi / 1e-14) / decay + 10.0
-    xs, ws = _measure_nodes(mu, x_cut)
-    return np.array([np.sum(phi_nb(k, b, xs) * ws / xs)
-                     for k in ns.tolist()])
+    return _node_sums(mu, x_cut, [lambda x, k=k: phi_nb(k, b, x)
+                                  for k in ns.tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +306,8 @@ def delta_inf(model: KernelModel, b: float, via_psi: bool = False) -> float:
     if not via_psi:
         v1, v2 = v_constants(model, b)
         return (v1 - v2) ** 2
-    mu = model.measure()
-    x_cut = 300.0 / min(b, 1.0)
-    xs, ws = _measure_nodes(mu, x_cut)
-    # phi_{1,b} is exponentially small beyond the cut
-    moments = _tail_moments(mu, x_cut)
-    total = (float(np.sum(psi_b(b, xs) * ws / xs))
-             + _tail_integral(1, 1.0, moments) + _tail_integral(1, b, moments))
+    (total,) = _node_sums(model.measure(), 300.0 / b,
+                          [lambda x: psi_b(b, x)])
     c_b, ct_b = _models.c_terms(model, b)
     return (total + c_b - ct_b) ** 2
 

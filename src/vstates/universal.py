@@ -5,7 +5,8 @@ every completely monotone convolution kernel.  Each takes one x (giving a
 float) or an array of x, which converges when all its entries have; x = 0
 gives exactly 0.  phi_n doubles a Gauss order until two agree to 1e-13
 relative; the smooth periodic integrands of phi_{n,b} take trapezoid sums
-whose nodes are doubled until two levels agree to 1e-12 relative.
+whose nodes are doubled, from at least 4n, until two levels agree to
+1e-12 relative.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+from scipy.special import roots_jacobi
 
 __all__ = [
     "periodic_trapezoid",
@@ -78,9 +80,11 @@ def _shaped(vals: np.ndarray, x):
 
 
 @functools.lru_cache(maxsize=None)
-def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    # Gauss-Legendre rule on [-1, 1], one eigenvalue solve per order, read-only
-    gx, gw = np.polynomial.legendre.leggauss(order)
+def _gauss_rule(order: int, a: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    # Gauss rule on [-1, 1] for the weight (1 + t)^a: Gauss-Legendre at
+    # a = 0, else Gauss-Jacobi; one eigenvalue solve per order, read-only
+    gx, gw = (np.polynomial.legendre.leggauss(order) if a == 0.0
+              else roots_jacobi(order, 0.0, a))
     gx.flags.writeable = gw.flags.writeable = False
     return gx, gw
 
@@ -136,7 +140,10 @@ def phi_nb(n: int, b: float, x):
         dist = np.sqrt(1.0 + b * b - 2.0 * b * np.cos(eta))
         return np.exp(-xs * dist) * np.cos(n * eta)
 
-    return _shaped(periodic_trapezoid(integrand), x)
+    # start at >= 4n nodes: on a level of n or 2n nodes cos(n eta) aliases
+    # to a constant, and two aliased levels would agree
+    n0 = max(64, 1 << (4 * n - 1).bit_length())
+    return _shaped(periodic_trapezoid(integrand, n0=n0), x)
 
 
 def phi_1b_closed(b: float, x: float) -> float:

@@ -246,6 +246,29 @@ def test_spectra_annulus_high_modes_near_inner_boundary(tmp_path):
     assert all(np.isfinite(float(row[header.index("delta")])) for row in rows)
 
 
+def test_custom_gsqg_spectra_match_the_closed_model(tmp_path):
+    # the node rule of the power-law measure against the closed gSQG forms,
+    # n = 1..128: before it the far-field model of phi_n was off by 2e-4 on
+    # lambda_nb and 18 on delta at n = 128
+    tables = []
+    for name, model in (("custom", ["--model", "CustomConvolution",
+                                    "--param", "family=gsqg_power",
+                                    "--param", "beta=0.5"]),
+                        ("closed", ["--model", "GsqgPlane",
+                                    "--param", "beta=0.5"])):
+        out = str(tmp_path / name)
+        assert run_cli(["spectra", *model, "--b", "0.5", "--n", "1:128",
+                        "--out", out]) == 0
+        tables.append(read_csv(os.path.join(out, "spectra.csv"))[1:])
+    (header, custom), (_, closed) = tables
+    assert len(custom) == len(closed) == 128
+    for key in ("lambda_nb", "lambda_n1", "lambda_tilde_nb", "delta"):
+        i = header.index(key)
+        np.testing.assert_allclose([float(r[i]) for r in custom],
+                                   [float(r[i]) for r in closed],
+                                   rtol=0.0, atol=1e-11)
+
+
 def test_qgsw_disc_reaches_high_bessel_orders(tmp_path, capsys):
     # the p series of modes n >= 25 runs over the zeros of J_n for such n
     model = ["--model", "QgswDisc", "--param", "eps=2", "--param", "r=2",

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from vstates import cli, cmkernel, dispersion, models
 
@@ -83,14 +84,15 @@ def test_custom_measure_rows_match_closed_forms():
         (models.custom_convolution(cmkernel.qgsw_shifted(1.0)),
          models.qgsw_plane(1.0)),
     ]
+    ns = np.array([1, 3, 7, 32, 128])
     for custom, closed in pairs:
-        for n in (1, 3, 7):
-            rq = dispersion.spectral_row(custom, n, 0.5)
-            rc = dispersion.spectral_row(closed, n, 0.5)
+        for b in (0.2, 0.5, 0.9):
+            rq = dispersion.spectral_row(custom, ns, b)
+            rc = dispersion.spectral_row(closed, ns, b)
             assert rq.source["lambda"] == "quadrature"
-            assert rq.lam_nb == pytest.approx(rc.lam_nb, abs=1e-7)
-            assert rq.lam_n1 == pytest.approx(rc.lam_n1, abs=1e-7)
-            assert rq.lamt_nb == pytest.approx(rc.lamt_nb, abs=1e-7)
+            for key in ("lam_nb", "lam_n1", "lamt_nb"):
+                np.testing.assert_allclose(getattr(rq, key), getattr(rc, key),
+                                           rtol=0.0, atol=1e-12)
 
 
 def test_v_constants_euler():
@@ -103,7 +105,7 @@ def test_delta_inf_two_routes_agree():
     for model in (EULER, models.qgsw_plane(2.0)):
         direct = dispersion.delta_inf(model, 0.5)
         via_psi = dispersion.delta_inf(model, 0.5, via_psi=True)
-        assert direct == pytest.approx(via_psi, abs=1e-8)
+        assert direct == pytest.approx(via_psi, abs=1e-12)
 
 
 def test_delta_inf_is_velocity_gap_squared():
@@ -149,38 +151,77 @@ def test_v_constants_are_the_mode_1_combination_of_a_column(model):
         assert dispersion.v_constants(model, b) == want
 
 
-def test_custom_column_integrates_two_tail_moments_per_cut(monkeypatch):
-    # the tail model of phi_n is linear in n^2, so every mode of a column
-    # shares the two moments of each cut: lambda_{n,b} and lambda_{n,1}
-    # have one cut each, lambda-tilde has no algebraic tail
-    calls = []
-    quad = dispersion._integrate.quad
+def test_custom_column_calls_no_quad(monkeypatch):
+    # lambda, lambda-tilde and the Psi_b route of Delta_inf are node sums
+    # over the whole half-line: no scipy quad anywhere
+    def no_quad(*args, **kwargs):
+        raise AssertionError("scipy quad called")
 
-    def counting_quad(f, *args, **kwargs):
-        calls.append(f.__qualname__)
-        return quad(f, *args, **kwargs)
-
-    monkeypatch.setattr(dispersion._integrate, "quad", counting_quad)
-    model = models.custom_convolution(cmkernel.gsqg_power(0.5))
-    dispersion.spectral_row(model, np.arange(1, 5), 0.5)
-    assert len(calls) == 4
-    calls.clear()
-    dispersion.delta_inf(model, 0.5, via_psi=True)
-    assert len(calls) == 2
+    monkeypatch.setattr(scipy.integrate, "quad", no_quad)
+    for mu in (cmkernel.gsqg_power(0.5), cmkernel.qgsw_shifted(2.0),
+               cmkernel.truncated_high(None, 1000.0, 1.0)):
+        model = models.custom_convolution(mu)
+        dispersion.dispersion_point(model, np.arange(1, 5), 0.5)
+        dispersion.delta_inf(model, 0.5, via_psi=True)
 
 
-@pytest.mark.parametrize("mu", [cmkernel.gsqg_power(0.5),
-                                cmkernel.qgsw_shifted(2.0)],
-                         ids=lambda mu: mu.family)
-def test_tail_moments_against_mpmath(mu):
+def _exact_moment(mu):
+    # int dmu/(1 + x)^2 in closed form, or by mpmath in x = eps cosh(u)
     import mpmath
-    for x_cut in (300.0, 600.0):
-        got = dispersion._tail_moments(mu, x_cut)
-        with mpmath.workdps(30):
-            for power, value in zip((2, 4), got):
-                want = mpmath.quad(lambda x: mu.density(float(x)) * x ** -power,
-                                   [x_cut, 10 * x_cut, mpmath.inf])
-                assert abs(value - want) <= 1e-12 * abs(want)
+    lo, hi, _, _ = mu.support()
+    if mu.family == "euler_flat":
+        return 1.0 / (2.0 * math.pi)
+    if mu.family == "gsqg_power":
+        beta = mu.params["beta"]
+        return (cmkernel.c_beta(beta) / math.gamma(beta)
+                * math.pi * beta / math.sin(math.pi * beta))
+    if mu.family == "truncated_low":
+        return hi / (1.0 + hi)
+    if mu.family == "truncated_high":
+        return 1.0 / (1.0 + lo)
+    with mpmath.workdps(30):
+        return float(mpmath.quad(
+            lambda u: lo * mpmath.cosh(u) / (2 * mpmath.pi)
+            / (1 + lo * mpmath.cosh(u)) ** 2, [0, 1, 5, mpmath.inf]))
+
+
+NODE_MEASURES = [cmkernel.euler_flat(),
+                 *(cmkernel.gsqg_power(beta)
+                   for beta in (0.05, 0.5, 0.95, 0.999)),
+                 *(cmkernel.qgsw_shifted(eps) for eps in (0.3, 2.0)),
+                 *(cmkernel.truncated_low(None, x) for x in (2.0, 1000.0)),
+                 *(cmkernel.truncated_high(None, x, 1.0)
+                   for x in (2.0, 1000.0))]
+
+
+@pytest.mark.parametrize("mu", NODE_MEASURES,
+                         ids=lambda mu: "-".join([mu.family, *map(
+                             "{:g}".format, mu.params.values())]))
+def test_measure_nodes_integrate_a_moment_over_the_half_line(mu):
+    # the one node rule: atoms, graded panels with a Gauss-Jacobi end panel
+    # at lo, and a Gauss-Jacobi panel in w = top/x beyond the cut
+    want = _exact_moment(mu)
+    for x_cut in (3.0, 300.0):
+        xs, ws = dispersion._measure_nodes(mu, x_cut)
+        got = float(np.sum(ws / (1.0 + xs) ** 2))
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("x_star", [3.0, 1000.0, 1e5])
+def test_truncated_pair_sums_to_the_flat_closed_forms(x_star):
+    # with f = 1 the low and high halves of the flat density sum to
+    # lambda = pi/n at every scale and lambda-tilde = pi b^n/n; a step past
+    # the cut of lambda (300/scale) counts as much as one before it
+    ns = np.array([1, 2, 5, 17, 64, 128])
+    pair = (cmkernel.truncated_low(None, x_star),
+            cmkernel.truncated_high(None, x_star, 1.0))
+    for scale in (1.0, 0.3):
+        got = sum(dispersion._lambda_quadrature(mu, ns, scale) for mu in pair)
+        np.testing.assert_allclose(got, math.pi / ns, rtol=0.0, atol=1e-11)
+    b = 0.3
+    got = sum(dispersion._lambda_tilde_quadrature(mu, ns, b) for mu in pair)
+    np.testing.assert_allclose(got, math.pi * b ** ns / ns, rtol=0.0,
+                               atol=1e-11)
 
 
 COLUMN_FIELDS = ("n", "lam_nb", "lam_n1", "lamt_nb", "p_nb", "p_n1", "pt_nb")

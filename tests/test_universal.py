@@ -152,10 +152,10 @@ def test_gauss_rule_is_cached_and_read_only():
 
 
 def test_leggauss_is_called_only_in_gauss_rule():
-    # each leggauss call is an eigenvalue solve; the package takes every
-    # Gauss-Legendre rule from the per-order cache of _gauss_rule
+    # each Gauss rule is an eigenvalue solve; the package takes every
+    # Gauss-Legendre and Gauss-Jacobi rule from the cache of _gauss_rule
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "vstates"
-    inside, outside = 0, []
+    inside, outside = {"leggauss(": 0, "roots_jacobi(": 0}, []
     for path in sorted(src.glob("*.py")):
         text = path.read_text()
         spans = [(node.lineno, node.end_lineno)
@@ -163,14 +163,50 @@ def test_leggauss_is_called_only_in_gauss_rule():
                  if isinstance(node, ast.FunctionDef)
                  and node.name == "_gauss_rule"]
         for lineno, line in enumerate(text.splitlines(), 1):
-            if "leggauss(" not in line:
-                continue
-            if any(lo <= lineno <= hi for lo, hi in spans):
-                inside += 1
-            else:
-                outside.append(f"{path.name}:{lineno}")
+            for name in (name for name in inside if name in line):
+                if any(lo <= lineno <= hi for lo, hi in spans):
+                    inside[name] += 1
+                else:
+                    outside.append(f"{path.name}:{lineno}")
     assert outside == []
-    assert inside == 1
+    assert inside == {"leggauss(": 1, "roots_jacobi(": 1}
+
+
+def test_dispersion_names_no_density_family():
+    # the node rule of a custom measure reads only Measure.support() and
+    # Measure.density, and integrates with no scipy quad
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "vstates"
+    text = (src / "dispersion.py").read_text()
+    for family in ("euler_flat", "gsqg_power", "qgsw_shifted",
+                   "truncated_low", "truncated_high", "family"):
+        assert family not in text
+    assert "scipy.integrate" not in text and "import integrate" not in text
+
+
+def test_gauss_jacobi_rule_is_cached_and_integrates_its_weight():
+    gx, gw = universal._gauss_rule(32, 0.5)
+    assert universal._gauss_rule(32, 0.5)[0] is gx
+    with pytest.raises(ValueError):
+        gw[0] = 0.0
+    # int_{-1}^{1} (1 + t)^a t^2 dt, exact for a rule of order 32
+    want = 2 ** 1.5 * (4 / 3.5 - 4 / 2.5 + 1 / 1.5)
+    assert float(np.sum(gw * gx ** 2)) == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_phi_nb_at_high_modes_against_mpmath(n):
+    # on a level of n or 2n trapezoid nodes cos(n eta) is constant; starting
+    # there, two aliased levels agreed and the doubling stopped at the mean
+    for b in (0.5, 0.9):
+        for x in (0.1, 1.0):
+            f = lambda eta: (mpmath.exp(-x * mpmath.sqrt(
+                1 + b * b - 2 * b * mpmath.cos(eta))) * mpmath.cos(n * eta))
+            with mpmath.workdps(20):
+                want = 2 * mpmath.quad(f, mpmath.linspace(0, mpmath.pi,
+                                                          n // 4 + 1),
+                                       method="gauss-legendre")
+            assert universal.phi_nb(n, b, x) == pytest.approx(
+                float(want), rel=0.0, abs=1e-14)
 
 
 _XS = np.array([0.0, 0.05, 0.5, 1.0, 2.5, 7.0, 20.0, 60.0, 150.0, 300.0])
