@@ -1,7 +1,7 @@
 """Linear-spectral toolkit for doubly connected rotating vortex patches.
 
 Submodules:
-    specfun     special functions (Bessel, hypergeometric, zeros)
+    specfun     the Bessel products I_n(y) K_n(x) for columns of orders
     cmkernel    completely monotone kernel engine (Bernstein measures)
     universal   universal trigonometric-integral functions phi, Psi
     models      geophysical kernel model catalog with closed-form spectra

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 
@@ -54,7 +55,7 @@ class RunConfig:
         spec.update(self.values.get("params", {}))
         try:
             return models.model_from_dict(spec)
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             raise UsageError(f"bad model spec: {exc}") from exc
 
     def b_values(self) -> list[float]:
@@ -210,7 +211,7 @@ def cmd_universal(cfg: RunConfig) -> int:
     bs = _parse_float_list(str(cfg.get("b", "0.5")), "b")
     x_max = float(cfg.get("x_max", 20.0))
     points = int(cfg.get("x_points", 201))
-    if points < 2 or x_max <= 0:
+    if points < 2 or not 0.0 < x_max < math.inf:
         raise UsageError("universal needs x_max > 0 and x_points >= 2")
     xs = np.linspace(0.0, x_max, points)
     out = _out_dir(cfg)
@@ -281,7 +282,7 @@ def cmd_verify(cfg: RunConfig) -> int:
               for mdl in (closed, custom))
     err = float(max(np.max(abs(getattr(rc, k) - getattr(rq, k)))
                     for k in ("lam_nb", "lam_n1", "lamt_nb")))
-    suites.append(("closed-vs-quadrature", err, 1e-7))
+    suites.append(("closed-vs-quadrature", err, 1e-11))
 
     # dual-Bessel summation against the hypergeometric-plus-integral form
     sets = [(1, 1, 1, 1.5, 0.6, 0.6), (2, 2, 2, 1.5, 0.8, 0.8),
@@ -331,6 +332,8 @@ def cmd_branch(cfg: RunConfig) -> int:
     if branch not in ("+", "-"):
         raise UsageError("branch selector must be '+' or '-'")
     s_max = float(cfg.get("s_max", 1e-3))
+    if not math.isfinite(s_max):
+        raise UsageError(f"branch needs a finite s_max, got {s_max}")
     steps = int(cfg.get("steps", 8))
     n_modes = int(cfg.get("modes", 8))
     out = _out_dir(cfg)

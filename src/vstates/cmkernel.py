@@ -17,8 +17,6 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import integrate as _integrate
 
-from .specfun import gamma_fn
-
 __all__ = [
     "Measure",
     "c_beta",
@@ -32,18 +30,29 @@ __all__ = [
     "measure_from_dict",
 ]
 
-_FAMILIES = ("euler_flat", "gsqg_power", "qgsw_shifted",
-             "truncated_low", "truncated_high")
+# each density family and the names of its parameters
+_FAMILIES = {"euler_flat": (), "gsqg_power": ("beta",),
+             "qgsw_shifted": ("eps",), "truncated_low": ("x_star",),
+             "truncated_high": ("x_star", "gamma")}
 
 _TAIL_TOL = 1e-12
+
+
+def _check_params(owner: str, params: dict, names) -> None:
+    # the one parameter rule of a model or measure: each named parameter
+    # present, positive and finite, and a power-law beta below 1
+    for name in names:
+        top = 1.0 if name == "beta" else math.inf
+        if not 0.0 < params.get(name, math.nan) < top:
+            raise ValueError(f"{owner} requires {name} in (0, {top:g})")
 
 
 def c_beta(beta: float) -> float:
     """Normalization constant of the power-law kernel c_beta |x|^{-beta}."""
     if not 0.0 < beta < 1.0:
         raise ValueError("c_beta requires beta in (0, 1)")
-    return gamma_fn(beta / 2.0) / (math.pi * 2.0 ** (2.0 - beta)
-                                   * gamma_fn(1.0 - beta / 2.0))
+    return math.gamma(beta / 2.0) / (math.pi * 2.0 ** (2.0 - beta)
+                                      * math.gamma(1.0 - beta / 2.0))
 
 
 @dataclass(frozen=True)
@@ -72,36 +81,29 @@ class Measure:
         object.__setattr__(self, "atoms", tuple((float(x), float(m))
                                                 for x, m in self.atoms))
         for x, m in self.atoms:
-            if x < 0 or m <= 0:
-                raise ValueError("atoms need location >= 0 and mass > 0")
+            if not (0.0 <= x < math.inf and 0.0 < m < math.inf):
+                raise ValueError("atoms need a finite location >= 0 and a "
+                                 "finite mass > 0")
         if self.family is not None and self.family not in _FAMILIES:
             raise ValueError(f"unknown density family {self.family!r}")
         if self.family is None and not self.atoms:
             raise ValueError("measure must not be identically zero")
-        if self.family == "gsqg_power" and not 0.0 < self.params.get("beta", -1) < 1.0:
-            raise ValueError("gsqg_power requires beta in (0, 1)")
-        if self.family == "qgsw_shifted" and self.params.get("eps", 0.0) <= 0:
-            raise ValueError("qgsw_shifted requires eps > 0")
+        _check_params(self.family, self.params, _FAMILIES.get(self.family, ()))
 
     def density(self, x: float) -> float:
         """Density w with dmu = w(x) dx (zero outside the support)."""
-        if self.family is None or x <= 0:
+        support = self.support()
+        if support is None or not support[0] < x < support[1]:
             return 0.0
         if self.family == "euler_flat":
             return 1.0 / (2.0 * math.pi)
         if self.family == "gsqg_power":
             beta = self.params["beta"]
-            return c_beta(beta) * x ** beta / gamma_fn(beta)
+            return c_beta(beta) * x ** beta / math.gamma(beta)
         if self.family == "qgsw_shifted":
             eps = self.params["eps"]
-            if x <= eps:
-                return 0.0
             return x / (2.0 * math.pi * math.sqrt(x * x - eps * eps))
-        prof = self.f if self.f is not None else (lambda _x: 1.0)
-        x_star = self.params["x_star"]
-        if self.family == "truncated_low":
-            return prof(x) if x < x_star else 0.0
-        return prof(x) if x > x_star else 0.0
+        return self.f(x) if self.f is not None else 1.0
 
     def support(self) -> tuple[float, float, float, float | None] | None:
         """(lo, hi, a, b): the density lives on lo < x < hi (hi = inf when
@@ -137,8 +139,6 @@ def truncated_low(f: Callable[[float], float] | None, x_star: float) -> Measure:
 
 def truncated_high(f: Callable[[float], float] | None, x_star: float,
                    gamma: float) -> Measure:
-    if gamma <= 0:
-        raise ValueError("truncated_high requires gamma > 0")
     return Measure(family="truncated_high",
                    params={"x_star": x_star, "gamma": gamma}, f=f,
                    alpha=min(0.5, gamma / 2.0))
@@ -221,9 +221,10 @@ def k0_eval(mu: Measure, t: float, c0: float = 0.0) -> float:
 def measure_from_dict(d: dict) -> Measure:
     """Build a Measure from flat key-value text (config file section).
 
-    Keys: family, beta, eps, x_star, gamma, amplitude, atoms
-    (atoms as "x1:m1, x2:m2, ...").  Truncated families use a constant
-    density profile f = amplitude.
+    Keys: family, atoms (as "x1:m1, x2:m2, ..."), the family's parameters
+    (beta, eps, x_star, gamma) and, for the truncated families, amplitude:
+    their density profile is the constant f = amplitude > 0.  A `variant`
+    key is ignored; any other key raises ValueError.
     """
     atoms: list[tuple[float, float]] = []
     raw = d.get("atoms", "").strip()
@@ -232,18 +233,19 @@ def measure_from_dict(d: dict) -> Measure:
             x, m = piece.split(":")
             atoms.append((float(x), float(m)))
     family = d.get("family", "").strip() or None
-    params: dict = {}
+    names = _FAMILIES.get(family, ())
+    keys = {"variant", "family", "atoms", *names}
     f = None
-    if family in ("gsqg_power",):
-        params["beta"] = float(d["beta"])
-    elif family in ("qgsw_shifted",):
-        params["eps"] = float(d["eps"])
-    elif family in ("truncated_low", "truncated_high"):
-        params["x_star"] = float(d["x_star"])
-        if family == "truncated_high":
-            params["gamma"] = float(d["gamma"])
+    if "x_star" in names:  # a truncated family: f is the constant amplitude
+        keys.add("amplitude")
         amp = float(d.get("amplitude", 1.0))
+        if not 0.0 < amp < math.inf:
+            raise ValueError("amplitude must be finite and > 0")
         f = lambda _x, _a=amp: _a
-    elif family is not None and family != "euler_flat":
-        raise ValueError(f"unknown measure family {family!r}")
-    return Measure(atoms=tuple(atoms), family=family, params=params, f=f)
+    mu = Measure(atoms=tuple(atoms), family=family, f=f,
+                 params={name: float(d[name]) for name in names if name in d})
+    extra = sorted(set(d) - keys)
+    if extra:
+        raise ValueError(f"{family or 'an atomic measure'} takes no "
+                         f"{', '.join(extra)}")
+    return mu

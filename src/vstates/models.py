@@ -25,8 +25,9 @@ import numpy as np
 from scipy import integrate as _integrate
 from scipy import special as _sp
 
-from .cmkernel import Measure, c_beta, euler_flat, gsqg_power, qgsw_shifted
-from .specfun import bessel_i, bessel_ik, bessel_k, gamma_fn, hyp2f1
+from .cmkernel import (Measure, _check_params, c_beta, euler_flat,
+                       gsqg_power, qgsw_shifted)
+from .specfun import bessel_ik
 from .universal import _gauss_rule
 
 __all__ = [
@@ -67,13 +68,20 @@ class KernelModel:
 
     k0 is ("log", 0), ("power", beta), ("bessel", eps) or ("measure", mu):
     -log(r)/(2 pi), c_beta r^-beta, K_0(eps r)/(2 pi) or the kernel of a
-    Bernstein measure.  The patch b < |x| < 1 needs R1 < b and R2 > 1.
+    Bernstein measure.  Every parameter is positive and finite, beta < 1,
+    and R1 < 1 < R2; the patch b < |x| < 1 needs R1 < b as well.
     """
 
     variant: str
     params: dict
     k0: tuple
     domain: tuple[float, float] = (0.0, math.inf)
+
+    def __post_init__(self) -> None:
+        _check_params(self.variant, self.params, self.params)
+        if not self.domain[0] < 1.0 < self.domain[1]:
+            raise ValueError(f"{self.variant} requires R1 < 1 < R2, got "
+                             f"{self.domain}")
 
     @property
     def k1(self) -> str | None:
@@ -121,46 +129,32 @@ def euler_plane() -> KernelModel:
 
 
 def gsqg_plane(beta: float) -> KernelModel:
-    if not 0.0 < beta < 1.0:
-        raise ValueError("gsqg_plane requires beta in (0, 1)")
     return KernelModel("GsqgPlane", {"beta": beta}, ("power", beta))
 
 
 def qgsw_plane(eps: float) -> KernelModel:
-    if eps <= 0:
-        raise ValueError("qgsw_plane requires eps > 0")
     return KernelModel("QgswPlane", {"eps": eps}, ("bessel", eps))
 
 
 def euler_disc(r: float) -> KernelModel:
-    if r <= 1.0:
-        raise ValueError("euler_disc requires R > 1")
     return KernelModel("EulerDisc", {"r": r}, _LOG, (0.0, r))
 
 
 def gsqg_disc(beta: float, r: float) -> KernelModel:
-    if not 0.0 < beta < 1.0 or r <= 1.0:
-        raise ValueError("gsqg_disc requires beta in (0, 1) and R > 1")
     return KernelModel("GsqgDisc", {"beta": beta, "r": r}, ("power", beta),
                        (0.0, r))
 
 
 def qgsw_disc(eps: float, r: float) -> KernelModel:
-    if eps <= 0 or r <= 1.0:
-        raise ValueError("qgsw_disc requires eps > 0 and R > 1")
     return KernelModel("QgswDisc", {"eps": eps, "r": r}, ("bessel", eps),
                        (0.0, r))
 
 
 def euler_annulus(r1: float, r2: float) -> KernelModel:
-    if not 0.0 < r1 < 1.0 < r2:
-        raise ValueError("euler_annulus requires 0 < R1 < 1 < R2")
     return KernelModel("EulerAnnulus", {"r1": r1, "r2": r2}, _LOG, (r1, r2))
 
 
 def euler_exterior(r: float) -> KernelModel:
-    if not 0.0 < r < 1.0:
-        raise ValueError("euler_exterior requires R in (0, 1)")
     return KernelModel("EulerExterior", {"r": r}, _LOG, (r, math.inf))
 
 
@@ -169,14 +163,10 @@ def custom_convolution(measure: Measure) -> KernelModel:
 
 
 _VARIANT_BUILDERS = {
-    "EulerPlane": lambda p: euler_plane(),
-    "GsqgPlane": lambda p: gsqg_plane(p["beta"]),
-    "QgswPlane": lambda p: qgsw_plane(p["eps"]),
-    "EulerDisc": lambda p: euler_disc(p["r"]),
-    "GsqgDisc": lambda p: gsqg_disc(p["beta"], p["r"]),
-    "QgswDisc": lambda p: qgsw_disc(p["eps"], p["r"]),
-    "EulerAnnulus": lambda p: euler_annulus(p["r1"], p["r2"]),
-    "EulerExterior": lambda p: euler_exterior(p["r"]),
+    "EulerPlane": euler_plane, "GsqgPlane": gsqg_plane,
+    "QgswPlane": qgsw_plane, "EulerDisc": euler_disc, "GsqgDisc": gsqg_disc,
+    "QgswDisc": qgsw_disc, "EulerAnnulus": euler_annulus,
+    "EulerExterior": euler_exterior,
 }
 
 
@@ -189,7 +179,10 @@ def model_from_dict(d: dict) -> KernelModel:
     if variant not in _VARIANT_BUILDERS:
         raise ValueError(f"unknown model variant {variant!r}")
     params = {k: float(v) for k, v in d.items() if k != "variant"}
-    return _VARIANT_BUILDERS[variant](params)
+    try:
+        return _VARIANT_BUILDERS[variant](**params)
+    except TypeError as exc:  # a missing or unknown key
+        raise ValueError(f"{variant}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +217,7 @@ def gsqg_capital_lambda(n, b: float, beta: float):
     val = np.atleast_1d(at_one[ns])
     if b < 1.0:
         poch = np.concatenate(([1.0], np.cumprod((k + a) / (k + 1.0))))[ns]
-        val = np.atleast_1d(poch * hyp2f1(a, ns + a, ns + 1.0, z))
+        val = np.atleast_1d(poch * _sp.hyp2f1(a, ns + a, ns + 1.0, z))
         far = ~np.isfinite(val)
         if far.any():
             # scipy's F forms Gamma(n+1) near z = 1, past n = 170 it
@@ -560,10 +553,10 @@ def qgsw_disc_identity(x_outer: float, y_inner: float, eps: float,
         raise ValueError("qgsw_disc_identity requires 0 < Y <= X <= 1")
     series = _jn_zero_series(0, 1, 1, x_outer, y_inner,
                              lambda x: 1.0 / (x * x + eps * eps), truncation)
-    closed = 0.5 * (bessel_i(1, y_inner * eps) / bessel_i(0, eps)) * (
-        bessel_i(1, x_outer * eps) * bessel_k(0, eps)
-        + bessel_i(0, eps) * bessel_k(1, x_outer * eps))
-    return (series, closed)
+    closed = 0.5 * (_sp.iv(1, y_inner * eps) / _sp.iv(0, eps)) * (
+        _sp.iv(1, x_outer * eps) * _sp.kv(0, eps)
+        + _sp.iv(0, eps) * _sp.kv(1, x_outer * eps))
+    return (series, float(closed))
 
 
 def sneddon_series(beta_idx: int, gamma_idx: int, n: int, q: float,
@@ -607,13 +600,13 @@ def sneddon_integral(beta_idx: int, gamma_idx: int, n: int, q: float,
         inv_den = 0.0
     else:
         inv_den = 1.0 / math.gamma(den_arg)
-    pref = (a ** beta_idx * gamma_fn(1.0 + (beta_idx + gamma_idx - q) / 2.0)
-            * inv_den
+    pref = (a ** beta_idx
+            * math.gamma(1.0 + (beta_idx + gamma_idx - q) / 2.0) * inv_den
             / (2.0 ** q * b ** (2.0 + beta_idx - q)
-               * gamma_fn(beta_idx + 1.0)))
-    jterm = pref * hyp2f1(1.0 + (beta_idx + gamma_idx - q) / 2.0,
-                          1.0 + (beta_idx - gamma_idx - q) / 2.0,
-                          beta_idx + 1.0, a * a / (b * b))
+               * math.gamma(beta_idx + 1.0)))
+    jterm = pref * float(_sp.hyp2f1(1.0 + (beta_idx + gamma_idx - q) / 2.0,
+                                    1.0 + (beta_idx - gamma_idx - q) / 2.0,
+                                    beta_idx + 1.0, a * a / (b * b)))
 
     sin_fac = math.sin(math.pi / 2.0 * (beta_idx + gamma_idx - 2 * n - q))
 
@@ -633,8 +626,7 @@ def qgsw_disc_v_series(eps: float, r: float, b: float,
                        truncation: int = 500) -> tuple[float, float]:
     """(V^1, V^2) for the QGSW disc via the Bessel-zero series, the test
     route of `c_terms`' closed QGSW disc term."""
-    if eps <= 0 or r <= 1.0 or not 0.0 < b < 1.0:
-        raise ValueError("qgsw_disc_v_series: invalid parameters")
+    qgsw_disc(eps, r).require_b(b)
     c2 = eps * eps * r * r
 
     # the series run over the zeros of J_0 with J_1 numerators

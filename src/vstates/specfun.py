@@ -1,12 +1,10 @@
-"""Special functions backing the closed-form spectra.
+"""The products I_n(y) K_n(x) of modified Bessel functions, for a column of
+integer orders at once: the one special function scipy lacks.
 
-Gamma, the modified Bessel functions I/K and the products I_n K_n, and
-the Gauss hypergeometric function.  Only integer Bessel orders are needed;
-arguments are real.  `bessel_ik` and `hyp2f1` take a whole column of orders
-or parameters at once; the disc models sum `bessel_ik` columns over their
-screening nodes, so the ratio tables of `bessel_ik` are cached for a few
-hundred arguments.  Bessel J and its zeros come straight from scipy
-(`models._cached_zeros`).
+The disc models sum `bessel_ik` columns over their screening nodes, so the
+ratio tables are cached for a few hundred arguments.  Everything else
+(Gamma, the Gauss hypergeometric function, Bessel I, K, J and the zeros of
+J) comes straight from `math` and `scipy.special`.
 """
 
 from __future__ import annotations
@@ -17,44 +15,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special as _sp
 
-__all__ = [
-    "gamma_fn",
-    "bessel_i",
-    "bessel_k",
-    "bessel_ik",
-    "hyp2f1",
-]
-
-# math.gamma overflows just above 171.6; keep a round threshold below it
-_GAMMA_OVERFLOW = 171.0
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function for x > 0."""
-    if x <= 0.0:
-        raise ValueError(f"gamma_fn requires x > 0, got {x}")
-    if x > _GAMMA_OVERFLOW:
-        raise OverflowError(f"gamma_fn overflow for x = {x}")
-    return math.gamma(x)
-
-
-def bessel_i(n: int, x: float) -> float:
-    """Modified Bessel function of the first kind, integer order."""
-    if n < 0:
-        raise ValueError("bessel_i requires n >= 0")
-    val = float(_sp.iv(n, x))
-    if math.isinf(val):
-        raise OverflowError(f"bessel_i overflow at (n={n}, x={x})")
-    return val
-
-
-def bessel_k(n: int, x: float) -> float:
-    """Modified Bessel function of the second kind; requires x > 0."""
-    if n < 0:
-        raise ValueError("bessel_k requires n >= 0")
-    if x <= 0.0:
-        raise ValueError(f"bessel_k requires x > 0, got {x}")
-    return float(_sp.kv(n, x))
+__all__ = ["bessel_ik"]
 
 
 @lru_cache(maxsize=512)
@@ -101,27 +62,3 @@ def bessel_ik(n, y: float, x: float):
         steps = _bessel_ratios(y, size)[0][:top] / rho_x[:top]
         val = val * (i0 * np.concatenate(([1.0], np.cumprod(steps))))[ns]
     return val if ns.ndim else float(val)
-
-
-def hyp2f1(a, b, c, z: float):
-    """Gauss hypergeometric function F(a, b; c; z) for real z in [0, 1].
-
-    Below z = 1 this is scipy's implementation (power series, and the
-    z -> 1-z linear transformation near 1), broadcasting over array
-    parameters.  z = 1 itself uses the Gauss summation value, for scalar
-    parameters with c - a - b > 0.
-    """
-    cs = np.asarray(c, dtype=float)
-    if np.any((cs <= 0) & (cs == np.floor(cs))):
-        raise ValueError(f"hyp2f1 pole: c = {c} is a nonpositive integer")
-    if not 0.0 <= z <= 1.0:
-        raise ValueError(f"hyp2f1 requires z in [0, 1], got {z}")
-    if z < 1.0:
-        out = _sp.hyp2f1(a, b, c, z)
-        return out if np.ndim(out) else float(out)
-    if np.ndim(a) or np.ndim(b) or np.ndim(c):
-        raise ValueError("hyp2f1 at z=1 takes scalar parameters")
-    if c - a - b <= 0:
-        raise ValueError("hyp2f1 at z=1 requires c - a - b > 0")
-    return (math.gamma(c) * math.gamma(c - a - b)
-            / (math.gamma(c - a) * math.gamma(c - b)))

@@ -93,6 +93,36 @@ def test_usage_errors_exit_2(tmp_path):
                     "--m", "3", "--out", out]) == 2  # degenerate fold
 
 
+_CUSTOM = ["spectra", "--model", "CustomConvolution", "--param"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["spectra", "--model", "EulerDisc", "--param", "r=nan"], None),
+    (["spectra", "--model", "QgswPlane", "--param", "eps=inf"], None),
+    (["spectra", "--model", "EulerPlane", "--param", "beta=3"], None),
+    (_CUSTOM + ["family=truncated_low", "--param", "x_star=nan"], None),
+    (_CUSTOM + ["family=truncated_low", "--param", "x_star=0"], None),
+    (_CUSTOM + ["family=truncated_high", "--param", "x_star=2", "--param",
+                "gamma=-1"], None),
+    (_CUSTOM + ["atoms=nan:1"], None),
+    (_CUSTOM + ["family=truncated_low", "--param", "x_star=2", "--param",
+                "amplitude=-1"], None),
+    (_CUSTOM + ["family=euler_flat", "--param", "beta=0.5"], None),
+    (["spectra", "--model", "EulerDisc"], None),
+    (["branch", "--model", "EulerPlane", "--m", "5", "--s-max", "nan"],
+     "error: branch needs a finite s_max"),
+    (["universal", "--x-max", "inf"], "error: universal needs x_max > 0"),
+], ids=["r-nan", "eps-inf", "unused-beta", "x_star-nan", "x_star-0",
+        "gamma-negative", "atom-nan", "amplitude-negative", "flat-beta",
+        "r-missing", "s_max-nan", "x_max-inf"])
+def test_bad_model_specs_are_usage_errors(tmp_path, capsys, args, message):
+    # every bad parameter is refused before any computation starts
+    assert run_cli(args + ["--b", "0.5", "--n", "1:3",
+                           "--out", str(tmp_path)]) == 2
+    assert list(tmp_path.glob("*.csv")) == []
+    assert (message or "error: bad model spec") in capsys.readouterr().err
+
+
 def test_config_file_and_flag_override(tmp_path):
     conf = tmp_path / "run.ini"
     conf.write_text("model = EulerDisc\nparam.r = 2\nb = 0.5\nn = 1:4\n")

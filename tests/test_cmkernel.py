@@ -81,6 +81,17 @@ def test_measure_validation():
         cmkernel.gsqg_power(1.2)
     with pytest.raises(ValueError):
         cmkernel.qgsw_shifted(-1.0)
+    for atoms in (((math.nan, 1.0),), ((1.0, math.nan),), ((math.inf, 1.0),)):
+        with pytest.raises(ValueError):
+            cmkernel.Measure(atoms=atoms)
+    for x_star in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            cmkernel.truncated_low(None, x_star)
+    for gamma in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            cmkernel.truncated_high(None, 2.0, gamma)
+    with pytest.raises(ValueError):
+        cmkernel.qgsw_shifted(math.inf)
 
 
 def test_density_supports():

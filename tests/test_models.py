@@ -29,6 +29,12 @@ def test_constructor_validation():
         models.euler_annulus(2.0, 1.0)
     with pytest.raises(ValueError):
         models.euler_exterior(1.5)
+    for bad in (math.nan, math.inf, 0.0):
+        for build in (models.qgsw_plane, models.euler_disc,
+                      models.euler_exterior, lambda x: models.gsqg_disc(x, 2.0),
+                      lambda x: models.euler_annulus(0.5, x)):
+            with pytest.raises(ValueError):
+                build(bad)
 
 
 def test_model_from_dict():
@@ -37,6 +43,10 @@ def test_model_from_dict():
     assert m.params["beta"] == 0.5
     with pytest.raises(ValueError):
         models.model_from_dict({"variant": "Nope"})
+    with pytest.raises(ValueError, match="EulerPlane"):
+        models.model_from_dict({"variant": "EulerPlane", "beta": "0.5"})
+    with pytest.raises(ValueError, match="QgswDisc"):
+        models.model_from_dict({"variant": "QgswDisc", "eps": "2"})
 
 
 def test_admissible_interval():

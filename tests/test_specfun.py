@@ -5,13 +5,11 @@ checked here too.
 """
 
 import ast
-import math
 import pathlib
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy import special as sp
 
 from vstates import models, specfun
@@ -19,36 +17,19 @@ from vstates import models, specfun
 mpmath.mp.dps = 30
 
 
-def test_gamma_matches_math():
-    for x in (0.1, 0.5, 1.0, 2.5, 10.0, 100.0, 170.0):
-        assert specfun.gamma_fn(x) == pytest.approx(math.gamma(x), rel=1e-15)
-
-
-def test_gamma_domain_errors():
-    with pytest.raises(ValueError):
-        specfun.gamma_fn(0.0)
-    with pytest.raises(ValueError):
-        specfun.gamma_fn(-1.5)
-    with pytest.raises(OverflowError):
-        specfun.gamma_fn(500.0)
-
-
-@pytest.mark.parametrize("n", [0, 1, 3])
+@pytest.mark.parametrize("n", [0, 1, 3, 64, 128, 500, 2000])
 def test_bessel_ik_vs_mpmath(n):
-    for x in (0.2, 1.0, 5.0):
-        assert specfun.bessel_i(n, x) == pytest.approx(
-            float(mpmath.besseli(n, x)), rel=1e-12)
-        assert specfun.bessel_k(n, x) == pytest.approx(
-            float(mpmath.besselk(n, x)), rel=1e-12)
-
-
-def test_bessel_ik_wronskian():
-    # I_n(x) K_{n+1}(x) + I_{n+1}(x) K_n(x) = 1/x
-    for n in (0, 1, 3):
-        for x in (0.3, 1.0, 6.0):
-            w = (specfun.bessel_i(n, x) * specfun.bessel_k(n + 1, x)
-                 + specfun.bessel_i(n + 1, x) * specfun.bessel_k(n, x))
-            assert w == pytest.approx(1.0 / x, rel=1e-12)
+    # I_n(y) K_n(x), a scalar mode and the same mode inside a column;
+    # products below 1e-290 underflow to 0 and are skipped
+    for y, x in ((0.2, 0.2), (0.2, 1.0), (1.0, 5.0), (5.0, 5.0), (3.0, 50.0),
+                 (50.0, 50.0), (0.5, 400.0), (400.0, 400.0), (40.0, 80.0)):
+        want = mpmath.besseli(n, y) * mpmath.besselk(n, x)
+        if want < 1e-290:
+            continue
+        got = specfun.bessel_ik(n, y, x)
+        assert isinstance(got, float)
+        assert got == pytest.approx(float(want), rel=5e-14)
+        assert specfun.bessel_ik(np.array([0, n]), y, x)[1] == got
 
 
 def test_bessel_zero_interlacing():
@@ -99,27 +80,3 @@ def test_jn_zeros_is_called_only_in_cached_zeros():
                 outside.append(f"{path.name}:{lineno}")
     assert outside == []
     assert inside == 1
-
-
-@given(st.floats(0.1, 2.0), st.floats(0.1, 2.0), st.floats(2.5, 6.0),
-       st.floats(0.0, 0.95))
-@settings(max_examples=60, deadline=None)
-def test_hyp2f1_vs_mpmath(a, b, c, z):
-    want = float(mpmath.hyp2f1(a, b, c, z))
-    assert specfun.hyp2f1(a, b, c, z) == pytest.approx(want, rel=1e-10)
-
-
-def test_hyp2f1_gauss_summation():
-    a, b, c = 0.3, 0.6, 2.0
-    want = (math.gamma(c) * math.gamma(c - a - b)
-            / (math.gamma(c - a) * math.gamma(c - b)))
-    assert specfun.hyp2f1(a, b, c, 1.0) == pytest.approx(want, rel=1e-13)
-
-
-def test_hyp2f1_rejects_bad_input():
-    with pytest.raises(ValueError):
-        specfun.hyp2f1(0.5, 0.5, -1.0, 0.3)
-    with pytest.raises(ValueError):
-        specfun.hyp2f1(0.5, 0.5, 1.5, 1.2)
-    with pytest.raises(ValueError):
-        specfun.hyp2f1(0.5, 2.0, 1.5, 1.0)  # c - a - b < 0 at z = 1
