@@ -292,19 +292,22 @@ def cmd_verify(cfg: RunConfig) -> int:
               for bi, gi, n, q, a, bb in sets)
     suites.append(("dual-bessel-summation", err, 1e-5))
 
-    # Newton's Jacobian of the contour functional at the annulus: its
-    # (k, n_modes + k) blocks vs the dispersion multipliers
-    model = models.euler_plane()
+    # Newton's Jacobian of the contour functional at the annulus, on the
+    # three plane kernels: its (k, n_modes + k) blocks vs the dispersion
+    # multipliers
     b, m, n_modes, omega = 0.5, 4, 4, 0.3
-    jac = contour.jacobian(model, contour.trivial_state(b, m, n_modes, omega))
     err = 0.0
-    for k in range(1, n_modes + 1):
-        target = -k * m * dispersion.q_matrix(model, k * m, b, omega)
-        i = [k - 1, n_modes + k - 1]
-        block = jac[np.ix_(i, i)]
-        err = max(err, float(np.max(np.abs(block - target))
-                             / np.max(np.abs(target))))
-    suites.append(("contour-jacobian", err, 1e-4))
+    for model in (models.euler_plane(), models.gsqg_plane(0.5),
+                  models.qgsw_plane(2.0)):
+        jac = contour.jacobian(model,
+                               contour.trivial_state(b, m, n_modes, omega))
+        for k in range(1, n_modes + 1):
+            target = -k * m * dispersion.q_matrix(model, k * m, b, omega)
+            i = [k - 1, n_modes + k - 1]
+            block = jac[np.ix_(i, i)]
+            err = max(err, float(np.max(np.abs(block - target))
+                                 / np.max(np.abs(target))))
+    suites.append(("contour-jacobian", err, 1e-8))
 
     rows = []
     failed = False

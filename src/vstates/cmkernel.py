@@ -68,14 +68,12 @@ class Measure:
         truncated_high  dmu = f(x) dx on (x_star, infinity), f <= C x^{1-gamma}
     params: family parameters (beta, eps, x_star, gamma).
     f: density profile for the truncated families (default: constant 1).
-    alpha: integrability exponent declared for the kernel assumption test.
     """
 
     atoms: tuple[tuple[float, float], ...] = ()
     family: str | None = None
     params: dict = field(default_factory=dict)
     f: Callable[[float], float] | None = None
-    alpha: float = 0.5
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "atoms", tuple((float(x), float(m))
@@ -89,6 +87,16 @@ class Measure:
         if self.family is None and not self.atoms:
             raise ValueError("measure must not be identically zero")
         _check_params(self.family, self.params, _FAMILIES.get(self.family, ()))
+
+    @property
+    def alpha(self) -> float:
+        """Integrability exponent of the kernel assumption: K0 is
+        integrable against t^{-alpha + alpha^2} near t = 0."""
+        if self.family == "gsqg_power":
+            return min(0.5, (1.0 - self.params["beta"]) / 2.0)
+        if self.family == "truncated_high":
+            return min(0.5, self.params["gamma"] / 2.0)
+        return 0.5
 
     def density(self, x: float) -> float:
         """Density w with dmu = w(x) dx (zero outside the support)."""
@@ -125,8 +133,7 @@ def euler_flat() -> Measure:
 
 
 def gsqg_power(beta: float) -> Measure:
-    return Measure(family="gsqg_power", params={"beta": beta},
-                   alpha=min(0.5, (1.0 - beta) / 2.0))
+    return Measure(family="gsqg_power", params={"beta": beta})
 
 
 def qgsw_shifted(eps: float) -> Measure:
@@ -140,18 +147,25 @@ def truncated_low(f: Callable[[float], float] | None, x_star: float) -> Measure:
 def truncated_high(f: Callable[[float], float] | None, x_star: float,
                    gamma: float) -> Measure:
     return Measure(family="truncated_high",
-                   params={"x_star": x_star, "gamma": gamma}, f=f,
-                   alpha=min(0.5, gamma / 2.0))
+                   params={"x_star": x_star, "gamma": gamma}, f=f)
 
 
 def _x_max(decay: float) -> float:
     # truncation point where the analytic tail bound 2 pi e^{-decay X}
     # drops below the quadrature tolerance
-    return max(60.0, math.log(2.0 * math.pi / _TAIL_TOL) / max(decay, 1e-3) + 10.0)
+    return max(60.0, math.log(2.0 * math.pi / _TAIL_TOL) / decay + 10.0)
 
 
 def _quad(fun, a: float, b: float) -> float:
-    val, err = _integrate.quad(fun, a, b, limit=400, epsabs=1e-12, epsrel=1e-11)
+    # panels [a, a + 1], [a + 1, a + 10], [a + 10, a + 100], ...: one
+    # adaptive rule over a range up to ~1e9 long misses the unit scale
+    edges, width = [a], 1.0
+    while a + width < b:
+        edges.append(a + width)
+        width *= 10.0
+    val, err = map(sum, zip(*(
+        _integrate.quad(fun, lo, hi, limit=400, epsabs=1e-12, epsrel=1e-11)
+        for lo, hi in zip(edges, edges[1:] + [b]))))
     if err > 1e-6 * max(1.0, abs(val)):
         warnings.warn(f"quadrature error estimate {err:.2e} is large")
     return val

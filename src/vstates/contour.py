@@ -40,8 +40,6 @@ __all__ = [
     "boundary_export",
 ]
 
-_EULER_GAMMA = 0.5772156649015328606
-
 # branch_continue's Newton loop: residual sup-norm to accept, iteration cap
 _NEWTON_TOL = 1e-11
 _NEWTON_MAX_ITER = 30
@@ -183,69 +181,25 @@ def _singular_tables(size: int, rows: int, weight: str,
     return sin_fac, circ
 
 
-def _by_size(z: np.ndarray, cut: float, small, large) -> np.ndarray:
-    # small(z) below the cut and large(z) from it on, elementwise
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    below = z < cut
-    out[below] = small(z[below])
-    out[~below] = large(z[~below])
-    return out
-
-
-def _qgsw_q0(z: np.ndarray) -> np.ndarray:
-    """Q(z) = K_0(z) + log(z) I_0(z), analytic; series below z = 0.5."""
-    def series(zs):
-        # Q = (log 2 - gamma) I0(z) + sum_{k>=1} H_k (z^2/4)^k / (k!)^2
-        qs = zs * zs / 4.0
-        acc, term, harmonic = np.zeros_like(zs), np.ones_like(zs), 0.0
-        for k in range(1, 12):
-            term = term * qs / (k * k)
-            harmonic += 1.0 / k
-            acc = acc + term * harmonic
-        return (math.log(2.0) - _EULER_GAMMA) * _sp.i0(zs) + acc
-
-    return _by_size(z, 0.5, series,
-                    lambda zb: _sp.k0(zb) + np.log(zb) * _sp.i0(zb))
-
-
-def _qgsw_s0(z: np.ndarray) -> np.ndarray:
-    """S(z) with (1 - z K_1(z))/z^2 = -log(z/2) I_1(z)/z + S(z)."""
-    def series(zs):
-        qs = zs * zs / 4.0
-        acc, term = np.zeros_like(zs), np.ones_like(zs)
-        for k in range(0, 12):
-            if k > 0:
-                term = term * qs / (k * (k + 1.0))
-            psi1 = -_EULER_GAMMA + sum(1.0 / j for j in range(1, k + 1))
-            psi2 = -_EULER_GAMMA + sum(1.0 / j for j in range(1, k + 2))
-            acc = acc + term * (psi1 + psi2)
-        return acc / 4.0
-
-    return _by_size(z, 0.5, series,
-                    lambda zb: ((1.0 - zb * _sp.k1(zb)) / (zb * zb)
-                                + np.log(zb / 2.0) * _sp.i1(zb) / zb))
-
-
-def _i1_over_z(z: np.ndarray) -> np.ndarray:
-    return _by_size(z, 1e-6, lambda zs: 0.5 + zs ** 2 / 16.0,
-                    lambda zb: _sp.i1(zb) / zb)
-
-
 def _geometry_matrices(kind: str, param: float, z: np.ndarray,
                        w: np.ndarray, wp: np.ndarray, self_interaction: bool):
     """Distance d_ij = |z_i - w_j| and, for self-interaction (z_i = w_i),
-    the smooth quotient g_ij = d_ij / |2 sin((theta_i - eta_j)/2)| with
-    g_ii = |w'_i| and the circulant of the singular weight."""
+    the smooth quotient g_ij = d_ij / |2 sin((theta_i - eta_j)/2)| and the
+    circulant of the singular weight.
+
+    On the diagonal d_ii = g_ii = |w'_i|, the limit of g, so every kernel
+    entry stays finite.  The diagonal source term drops out of all that is
+    used: it multiplies v_i = +/-i w'_i, whose part in Re(grad psi . conj w')
+    is zero, and in the stream the factor (w_i - z_i) . v_i is zero.
+    """
     diff = z[:, None] - w[None, :]
     d = np.abs(diff)
     if not self_interaction:
         return diff, d, None, None
     weight = ("power", param) if kind == "power" else ("log", 0.0)
     sin_fac, circ = _singular_tables(len(w), len(z), *weight)
-    g = d / sin_fac
-    np.fill_diagonal(g, np.abs(wp[:len(z)]))
-    return diff, d, g, circ
+    np.fill_diagonal(d, np.abs(wp[:len(z)]))
+    return diff, d, d / sin_fac, circ
 
 
 def _k0_factors(kind: str, param: float, d: np.ndarray, g: np.ndarray | None,
@@ -256,7 +210,11 @@ def _k0_factors(kind: str, param: float, d: np.ndarray, g: np.ndarray | None,
     Without g the first factor is the whole kernel and the second is None.
     With g (self-interaction) the kernel is the first factor times the
     singular weight of `_singular_tables` plus the second, smooth factor
-    (None where it vanishes).
+    (None where it vanishes).  The Bessel kernel is a pair (k, i) with
+    k(z) - log(z) i(z) analytic (DLMF 10.31.2): (K0, I0) for the velocity
+    and ((1 - z K1)/z^2, I1/z) for the stream, z = eps d.  Since
+    log d = log g + log|2 sin|, its factors are -i/(2 pi) and
+    (k + log|2 sin| i)/(2 pi), with log|2 sin| = log(d/g).
     """
     if kind == "power":
         pref = c_beta(param) / (2.0 - param) if stream else c_beta(param)
@@ -268,17 +226,11 @@ def _k0_factors(kind: str, param: float, d: np.ndarray, g: np.ndarray | None,
             return -(np.log(d) - shift) / den, None
         return -1.0 / den, -(np.log(g) - shift) / den
     ed = param * d
-    if stream:
-        if g is None:
-            return (1.0 - ed * _sp.k1(ed)) / (ed * ed) / (2.0 * np.pi), None
-        i1z = _i1_over_z(ed)
-        return (-i1z / (2.0 * np.pi),
-                (_qgsw_s0(ed) - np.log(param * g / 2.0) * i1z) / (2.0 * np.pi))
+    k = (1.0 - ed * _sp.k1(ed)) / (ed * ed) if stream else _sp.k0(ed)
     if g is None:
-        return _sp.k0(ed) / (2.0 * np.pi), None
-    i0 = _sp.i0(ed)
-    return (-i0 / (2.0 * np.pi),
-            (_qgsw_q0(ed) - np.log(param * g) * i0) / (2.0 * np.pi))
+        return k / (2.0 * np.pi), None
+    i = _sp.i1(ed) / ed if stream else _sp.i0(ed)
+    return -i / (2.0 * np.pi), (k + np.log(d / g) * i) / (2.0 * np.pi)
 
 
 def _k0_integral(kind: str, param: float, z: np.ndarray, w: np.ndarray,

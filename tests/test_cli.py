@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from vstates import cli, dispersion, universal
+from vstates import cli, contour, dispersion, universal
 
 
 def run_cli(args):
@@ -343,6 +343,25 @@ def test_verify_passes(tmp_path):
     assert run_cli(["verify", "--out", out]) == 0
     _, header, rows = read_csv(os.path.join(out, "verify.csv"))
     assert all(r[header.index("passed")] == "true" for r in rows)
+
+
+def test_verify_fails_on_a_wrong_bessel_smooth_factor(tmp_path, monkeypatch):
+    # the contour-jacobian suite evaluates the QGSW plane kernel too: a
+    # relative error of 1e-6 in its smooth self-interaction factor fails it
+    factors = contour._k0_factors
+
+    def scaled(kind, param, d, g, stream):
+        sing, smooth = factors(kind, param, d, g, stream)
+        if kind == "bessel" and smooth is not None:
+            smooth = smooth * (1.0 + 1e-6)
+        return sing, smooth
+
+    monkeypatch.setattr(contour, "_k0_factors", scaled)
+    out = str(tmp_path)
+    assert run_cli(["verify", "--out", out]) == 1
+    _, header, rows = read_csv(os.path.join(out, "verify.csv"))
+    failed = {r[0] for r in rows if r[header.index("passed")] == "false"}
+    assert failed == {"contour-jacobian"}
 
 
 def test_branch_outputs(tmp_path):

@@ -23,7 +23,7 @@ def test_c_beta_value():
 def test_flat_measure_reconstructs_log_kernel():
     # Frullani: int_0^inf (e^{-tx} - e^{-x}) dx / x = -log t
     mu = cmkernel.euler_flat()
-    for t in (0.1, 0.5, 2.0, 7.0):
+    for t in (1e-8, 1e-6, 1e-4, 0.1, 0.5, 2.0, 7.0):
         want = -math.log(t) / (2.0 * math.pi)
         assert cmkernel.k0_eval(mu, t) == pytest.approx(want, abs=1e-10)
 
@@ -33,7 +33,8 @@ def test_power_measure_reconstructs_power_kernel():
     beta = 0.4
     mu = cmkernel.gsqg_power(beta)
     cb = cmkernel.c_beta(beta)
-    for t, s in ((0.5, 2.0), (0.2, 1.5)):
+    for t, s in ((0.5, 2.0), (0.2, 1.5), (1e-8, 2.0), (1e-6, 2.0),
+                 (1e-4, 2.0)):
         diff = cmkernel.k0_eval(mu, t) - cmkernel.k0_eval(mu, s)
         want = cb * (t ** -beta - s ** -beta)
         assert diff == pytest.approx(want, rel=1e-8)
@@ -42,7 +43,8 @@ def test_power_measure_reconstructs_power_kernel():
 def test_shifted_measure_reconstructs_bessel_kernel():
     eps = 1.5
     mu = cmkernel.qgsw_shifted(eps)
-    for t, s in ((0.5, 1.5), (0.8, 2.5)):
+    for t, s in ((0.5, 1.5), (0.8, 2.5), (1e-8, 2.0), (1e-6, 2.0),
+                 (1e-4, 2.0)):
         diff = cmkernel.k0_eval(mu, t) - cmkernel.k0_eval(mu, s)
         want = (sp.k0(eps * t) - sp.k0(eps * s)) / (2.0 * math.pi)
         assert diff == pytest.approx(want, abs=1e-9)
@@ -149,6 +151,23 @@ def test_measure_from_dict_roundtrip():
     assert mu2.family is None
     with pytest.raises(ValueError):
         cmkernel.measure_from_dict({"family": "bogus"})
+
+
+@pytest.mark.parametrize("built, text, alpha", [
+    (cmkernel.euler_flat(), {"family": "euler_flat"}, 0.5),
+    (cmkernel.gsqg_power(0.5), {"family": "gsqg_power", "beta": "0.5"},
+     0.25),
+    (cmkernel.qgsw_shifted(2.0), {"family": "qgsw_shifted", "eps": "2"},
+     0.5),
+    (cmkernel.truncated_low(None, 2.0),
+     {"family": "truncated_low", "x_star": "2"}, 0.5),
+    (cmkernel.truncated_high(None, 2.0, 0.4),
+     {"family": "truncated_high", "x_star": "2", "gamma": "0.4"}, 0.2),
+])
+def test_alpha_is_the_same_from_builder_and_text(built, text, alpha):
+    # the integrability exponent follows from the family and its parameters
+    assert built.alpha == alpha
+    assert cmkernel.measure_from_dict(text).alpha == built.alpha
 
 
 @pytest.mark.parametrize("mu", [

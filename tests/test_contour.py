@@ -112,6 +112,25 @@ def test_annulus_is_equilibrium(model):
     assert contour.eval_f(model, st).norm() < 1e-12
 
 
+@pytest.mark.parametrize("eps", [0.01, 0.1, 0.5, 2.0, 6.0])
+@pytest.mark.parametrize("b", [0.3, 0.6])
+@pytest.mark.parametrize("m, n_modes", [(3, 8), (5, 4)])
+def test_qgsw_annulus_stream_matches_mode_0_bessel_values(eps, b, m, n_modes):
+    # psi of the annulus under K0(eps |x|)/(2 pi), from its mode-0 Bessel
+    # expansion, at 40 digits
+    import mpmath
+    from mpmath import besseli, besselk
+    with mpmath.workdps(40):
+        e, bb = mpmath.mpf(eps), mpmath.mpf(b)
+        outer = besselk(0, e) * (besseli(1, e) - bb * besseli(1, e * bb)) / e
+        inner = besseli(0, e * bb) * (bb * besselk(1, e * bb)
+                                      - besselk(1, e)) / e
+    f01, f02 = contour.eval_f0(models.qgsw_plane(eps),
+                               contour.trivial_state(b, m, n_modes))
+    assert np.max(np.abs(f01 - float(inner))) < 1e-12
+    assert np.max(np.abs(f02 - float(outer))) < 1e-12
+
+
 def _k1_brute(model, z, y):
     """K1(z_i, y_q) and its z-gradient, from the image log kernel or the
     AnnulusGreenCoefficients series."""
