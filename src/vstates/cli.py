@@ -24,49 +24,29 @@ import numpy as np
 
 from . import models, dispersion, contour, universal
 
-__all__ = ["main", "RunConfig", "build_parser"]
+__all__ = ["main", "build_parser"]
 
 
 class UsageError(Exception):
     """Bad configuration or flags; maps to exit code 2."""
 
 
-class RunConfig:
-    """Merged view of config-file values and command-line flags."""
+def _require(cfg: dict, key: str):
+    if cfg.get(key) in (None, ""):
+        raise UsageError(f"missing required option '{key}'")
+    return cfg[key]
 
-    def __init__(self, file_values: dict, flag_values: dict):
-        merged = dict(file_values)
-        for key, val in flag_values.items():
-            if val is not None:
-                merged[key] = val
-        self.values = merged
 
-    def get(self, key: str, default=None):
-        return self.values.get(key, default)
+def _model(cfg: dict) -> models.KernelModel:
+    spec = {"variant": _require(cfg, "model"), **cfg.get("params", {})}
+    try:
+        return models.model_from_dict(spec)
+    except ValueError as exc:
+        raise UsageError(f"bad model spec: {exc}") from exc
 
-    def require(self, key: str):
-        if key not in self.values or self.values[key] in (None, ""):
-            raise UsageError(f"missing required option '{key}'")
-        return self.values[key]
 
-    def model(self) -> models.KernelModel:
-        variant = self.require("model")
-        spec = {"variant": variant}
-        spec.update(self.values.get("params", {}))
-        try:
-            return models.model_from_dict(spec)
-        except ValueError as exc:
-            raise UsageError(f"bad model spec: {exc}") from exc
-
-    def b_values(self) -> list[float]:
-        return _parse_float_list(str(self.require("b")), "b")
-
-    def n_range(self) -> list[int]:
-        txt = str(self.require("n"))
-        values = _parse_int_list(txt, "n")
-        if not values:
-            raise UsageError("empty n range")
-        return values
+def _b_values(cfg: dict) -> list[float]:
+    return _parse_float_list(str(_require(cfg, "b")), "b")
 
 
 def _parse_float_list(text: str, name: str) -> list[float]:
@@ -151,13 +131,13 @@ def write_csv(path: str, metadata: dict, header: list[str],
         fh.write("\n".join(lines) + "\n")
 
 
-def _out_dir(cfg: RunConfig) -> str:
+def _out_dir(cfg: dict) -> str:
     out = str(cfg.get("out", "."))
     os.makedirs(out, exist_ok=True)
     return out
 
 
-def _model_metadata(cfg: RunConfig) -> dict:
+def _model_metadata(cfg: dict) -> dict:
     meta = {"model": cfg.get("model", "")}
     params = cfg.get("params", {})
     for key in sorted(params):
@@ -169,10 +149,12 @@ def _model_metadata(cfg: RunConfig) -> dict:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_spectra(cfg: RunConfig) -> int:
-    model = cfg.model()
-    bs = cfg.b_values()
-    ns = cfg.n_range()
+def cmd_spectra(cfg: dict) -> int:
+    model = _model(cfg)
+    bs = _b_values(cfg)
+    ns = _parse_int_list(str(_require(cfg, "n")), "n")
+    if not ns:
+        raise UsageError("empty n range")
     header = ["n", "b", "lambda_nb", "lambda_n1", "lambda_tilde_nb",
               "p_nb", "p_n1", "p_tilde_nb", "c_b", "c_tilde_b", "source",
               "a_nb", "b_nb", "delta", "omega_plus", "omega_minus",
@@ -206,7 +188,7 @@ def _source_text(source: dict) -> str:
         f"{text}/p-{source['p']}"
 
 
-def cmd_universal(cfg: RunConfig) -> int:
+def cmd_universal(cfg: dict) -> int:
     n = int(cfg.get("fold", 1))
     bs = _parse_float_list(str(cfg.get("b", "0.5")), "b")
     x_max = float(cfg.get("x_max", 20.0))
@@ -229,9 +211,9 @@ def cmd_universal(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_threshold(cfg: RunConfig) -> int:
-    model = cfg.model()
-    bs = cfg.b_values()
+def cmd_threshold(cfg: dict) -> int:
+    model = _model(cfg)
+    bs = _b_values(cfg)
     k_max = int(cfg.get("k_max", 10))
     header = ["b", "min_fold", "delta_inf", "v1", "v2", "in_s", "found"]
     closed_check = dispersion.has_closed_fold(model)
@@ -263,7 +245,7 @@ def _closed_threshold(model: models.KernelModel, b: float) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: dict) -> int:
     suites = []
 
     # Bessel-zero summation identity for the shifted kernel on the disc
@@ -324,13 +306,13 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 1 if failed else 0
 
 
-def cmd_branch(cfg: RunConfig) -> int:
-    model = cfg.model()
-    bs = cfg.b_values()
+def cmd_branch(cfg: dict) -> int:
+    model = _model(cfg)
+    bs = _b_values(cfg)
     if len(bs) != 1:
         raise UsageError("branch expects a single b value")
     b = bs[0]
-    m = int(cfg.require("m"))
+    m = int(_require(cfg, "m"))
     branch = str(cfg.get("branch", "+"))
     if branch not in ("+", "-"):
         raise UsageError("branch selector must be '+' or '-'")
@@ -433,7 +415,8 @@ def main(argv: list[str] | None = None) -> int:
                 key, val = item.split("=", 1)
                 params[key.strip()] = val.strip()
             flag_values["params"] = params
-        cfg = RunConfig(file_values, flag_values)
+        cfg = {**file_values, **{key: val for key, val in flag_values.items()
+                                 if val is not None}}
         return _COMMANDS[args.command](cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,6 @@ the local bifurcation branches.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -24,7 +23,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .cmkernel import c_beta
-from .models import KernelModel, k1_series
+from .models import KernelModel, gsqg_capital_lambda, k1_series
 from . import dispersion as _dispersion
 
 __all__ = [
@@ -143,24 +142,6 @@ def trivial_state(b: float, m: int, n_modes: int = 64,
 # boundary integrals of the convolution kernel
 # ---------------------------------------------------------------------------
 
-def _log_weight_hat(size: int) -> np.ndarray:
-    # Fourier coefficients of log(2|sin(u/2)|): -pi/|k|, zero mean
-    k = np.abs(np.fft.fftfreq(size, d=1.0 / size))
-    with np.errstate(divide="ignore"):
-        w = -np.pi / k
-    w[0] = 0.0
-    return w
-
-
-def _pow_weight_hat(size: int, beta: float) -> np.ndarray:
-    # Fourier coefficients of |2 sin(u/2)|^{-beta}
-    k = np.abs(np.fft.fftfreq(size, d=1.0 / size))
-    lg = _sp.gammaln
-    log_pref = (math.log(2.0 * math.pi) + lg(1.0 - beta)
-                - lg(beta / 2.0) - lg(1.0 - beta / 2.0))
-    return np.exp(log_pref + lg(k + beta / 2.0) - lg(k + 1.0 - beta / 2.0))
-
-
 @lru_cache(maxsize=32)
 def _singular_tables(size: int, rows: int, weight: str,
                      beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -174,8 +155,12 @@ def _singular_tables(size: int, rows: int, weight: str,
     lag = (np.arange(rows)[:, None] - np.arange(size)[None, :]) % size
     sin_fac = 2.0 * np.sin(np.pi * lag / size)
     sin_fac[lag == 0] = 1.0
-    w_hat = (_pow_weight_hat(size, beta) if weight == "power"
-             else _log_weight_hat(size))
+    # Fourier coefficients of |2 sin(u/2)|^{-beta}, Lambda_{k,1}/c_beta, or
+    # of log(2|sin(u/2)|), -pi/|k| with zero mean
+    k = np.abs(np.fft.fftfreq(size, d=1.0 / size)).astype(int)
+    w_hat = (gsqg_capital_lambda(k, 1.0, beta) / c_beta(beta)
+             if weight == "power"
+             else np.where(k > 0, -np.pi / np.maximum(k, 1), 0.0))
     circ = np.fft.ifft(w_hat).real[lag]
     sin_fac.flags.writeable = circ.flags.writeable = False
     return sin_fac, circ
@@ -413,15 +398,15 @@ def branch_continue(model: KernelModel, b: float, m: int, branch: str = "+",
 
     Solves {F = 0, kernel-direction amplitude = s} for the 2*n_modes cosine
     coefficients and Omega by undamped Newton, with `jacobian` bordered by
-    the exact amplitude row, marching s from 0 to s_max.  The first point
-    is the annulus itself, s = 0 at the dispersion root Omega^{+/-}; a
-    BranchError names the cause of the failure and carries the points
-    accepted before it, that one first.
+    the exact amplitude row, marching s from 0 to s_max in steps >= 1
+    equal steps.  The first point is the annulus itself, s = 0 at the
+    dispersion root Omega^{+/-}; a BranchError names the cause of the
+    failure and carries the points accepted before it, that one first.
     """
-    point = _dispersion.dispersion_point(model, m, b)
-    if point.delta <= _dispersion.DEGENERACY_TOL:
-        raise ValueError(f"Delta_{m},b is not positive: no simple eigenvalue")
+    if steps < 1:
+        raise ValueError(f"branch_continue needs steps >= 1, got {steps}")
     kvec = _dispersion.kernel_vector(model, m, b, branch)
+    point = _dispersion.dispersion_point(model, m, b)
     omega0 = point.omega_plus if branch == "+" else point.omega_minus
     base = trivial_state(b, m, n_modes, omega0)
     n = n_modes
@@ -436,15 +421,12 @@ def branch_continue(model: KernelModel, b: float, m: int, branch: str = "+",
         return BranchError(f"Newton failed at s = {s:g}: {cause}", results)
 
     s_grid = np.linspace(0.0, s_max, steps + 1)[1:]
-    u_prev = None
+    # secant predictor 2 u - u_prev; seeded one step back along the kernel
+    # direction, its first step is the tangent step u + s_1 kvec
+    u_prev = u.copy()
+    u_prev[[0, n]] -= s_grid[0] * kvec
     for s in s_grid:
-        # predictor: tangent along the kernel direction, then secant
-        if u_prev is None:
-            cur = u.copy()
-            cur[0] += s * kvec[0]
-            cur[n] += s * kvec[1]
-        else:
-            cur = 2.0 * u - u_prev
+        cur = 2.0 * u - u_prev
         for _ in range(_NEWTON_MAX_ITER):
             state = replace(base, a1=cur[:n], a2=cur[n:2 * n],
                             omega=cur[2 * n])

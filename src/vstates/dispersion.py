@@ -355,10 +355,13 @@ def min_fold(model: KernelModel, b: float, k_max: int = 10,
     Delta_{km,b} > tol for k = 1..k_max, all
     Omega^{+/-}_{km} pairwise distinct beyond tol (including the limit
     values -V^1, -V^2), and the gaps |Delta_{km} - Delta_inf| decreasing
-    over the last five k up to k_max.  Models with a closed fold inequality
-    (see `has_closed_fold`) are additionally cross-checked against it.
+    over the last five k up to k_max, so k_max >= 2.  Models with a closed
+    fold inequality (see `has_closed_fold`) are additionally cross-checked
+    against it.
     V^1, V^2 are computed once, or taken from v.
     """
+    if k_max < 2:
+        raise ValueError(f"min_fold needs k_max >= 2, got {k_max}")
     tol = DEGENERACY_TOL
     v1, v2 = v_constants(model, b) if v is None else v
     if not abs(v1 - v2) > tol:

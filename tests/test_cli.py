@@ -112,11 +112,20 @@ _CUSTOM = ["spectra", "--model", "CustomConvolution", "--param"]
     (["branch", "--model", "EulerPlane", "--m", "5", "--s-max", "nan"],
      "error: branch needs a finite s_max"),
     (["universal", "--x-max", "inf"], "error: universal needs x_max > 0"),
+    (["branch", "--model", "EulerPlane", "--m", "5", "--steps", "0"],
+     "error: branch_continue needs steps >= 1"),
+    (["branch", "--model", "EulerPlane", "--m", "5", "--steps", "-2"],
+     "error: branch_continue needs steps >= 1"),
+    (["threshold", "--model", "QgswPlane", "--param", "eps=2", "--k-max",
+      "1"], "error: min_fold needs k_max >= 2"),
+    (["threshold", "--model", "EulerPlane", "--k-max", "0"],
+     "error: min_fold needs k_max >= 2"),
 ], ids=["r-nan", "eps-inf", "unused-beta", "x_star-nan", "x_star-0",
         "gamma-negative", "atom-nan", "amplitude-negative", "flat-beta",
-        "r-missing", "s_max-nan", "x_max-inf"])
+        "r-missing", "s_max-nan", "x_max-inf", "steps-0", "steps-negative",
+        "k_max-1", "k_max-0"])
 def test_bad_model_specs_are_usage_errors(tmp_path, capsys, args, message):
-    # every bad parameter is refused before any computation starts
+    # every bad parameter is refused before any table is written
     assert run_cli(args + ["--b", "0.5", "--n", "1:3",
                            "--out", str(tmp_path)]) == 2
     assert list(tmp_path.glob("*.csv")) == []
@@ -136,6 +145,30 @@ def test_config_file_and_flag_override(tmp_path):
                     "--out", out2]) == 0
     _, header, rows = read_csv(os.path.join(out2, "spectra.csv"))
     assert float(rows[0][header.index("b")]) == 0.7
+
+
+@pytest.mark.parametrize("command, options", [
+    ("branch", {"model": "EulerPlane", "b": "0.5", "m": "5", "branch": "-",
+                "s_max": "4e-4", "steps": "2", "modes": "4"}),
+    ("threshold", {"model": "EulerPlane", "b": "0.4,0.6", "k_max": "3"}),
+    ("universal", {"b": "0.5", "fold": "2", "x_max": "5", "x_points": "11"}),
+])
+def test_config_file_gives_every_option_as_its_flag(tmp_path, command,
+                                                    options):
+    conf = tmp_path / "run.ini"
+    conf.write_text("".join(f"{key} = {val}\n"
+                            for key, val in options.items()))
+    flags = [item for key, val in options.items()
+             for item in (f"--{key.replace('_', '-')}", val)]
+    from_file, from_flags = tmp_path / "file", tmp_path / "flags"
+    assert run_cli([command, "--config", str(conf),
+                    "--out", str(from_file)]) == 0
+    assert run_cli([command, *flags, "--out", str(from_flags)]) == 0
+    names = sorted(p.name for p in from_file.iterdir())
+    assert names and names == sorted(p.name for p in from_flags.iterdir())
+    for name in names:
+        assert ((from_file / name).read_bytes()
+                == (from_flags / name).read_bytes())
 
 
 def test_missing_config_file():

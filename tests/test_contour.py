@@ -4,6 +4,7 @@ import math
 import re
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -261,12 +262,27 @@ def test_eval_f_on_the_cell_matches_full_grid_projection(model, m):
     assert np.max(np.abs(got - np.concatenate(want))) < 1e-13
 
 
+def _closed_weights(size, weight, beta):
+    # Fourier coefficients of |2 sin(u/2)|^{-beta}, the Gamma ratio
+    # 2 pi G(1-beta) G(k+beta/2) / (G(beta/2) G(1-beta/2) G(k+1-beta/2))
+    # to 40 digits, or of log(2|sin(u/2)|), -pi/|k| with zero mean
+    k = np.abs(np.fft.fftfreq(size, d=1.0 / size)).astype(int)
+    if weight == "log":
+        return np.array([-math.pi / j if j else 0.0 for j in k])
+    with mpmath.workdps(40):
+        a = mpmath.mpf(beta) / 2
+        pref = (2 * mpmath.pi * mpmath.gamma(1 - 2 * a)
+                / (mpmath.gamma(a) * mpmath.gamma(1 - a)))
+        table = [float(pref * mpmath.gamma(j + a) / mpmath.gamma(j + 1 - a))
+                 for j in range(k.max() + 1)]
+    return np.array(table)[k]
+
+
 @pytest.mark.parametrize("size", [40, 160])
 @pytest.mark.parametrize("weight, beta", [("log", 0.0), ("power", 0.5)])
 def test_circulant_row_sum_is_the_spectral_product(size, weight, beta):
     rng = np.random.default_rng(size)
-    w_hat = (contour._pow_weight_hat(size, beta) if weight == "power"
-             else contour._log_weight_hat(size))
+    w_hat = _closed_weights(size, weight, beta)
     for rows in (size, size // 8 + 1):
         s = (rng.standard_normal((rows, size))
              + 1j * rng.standard_normal((rows, size)))
@@ -274,6 +290,16 @@ def test_circulant_row_sum_is_the_spectral_product(size, weight, beta):
         want = np.diagonal(np.fft.ifft(np.fft.fft(s, axis=1) * w_hat,
                                        axis=1))
         assert np.max(np.abs((s * circ).sum(axis=1) - want)) < 1e-12
+
+
+@pytest.mark.parametrize("size", [128, 320])
+@pytest.mark.parametrize("beta", [0.1, 0.5, 0.9])
+def test_power_weight_circulant_is_accurate(size, beta):
+    # the circulant's first row against the ifft of 40-digit weights
+    _, circ = contour._singular_tables(size, 1, "power", beta)
+    want = np.fft.ifft(_closed_weights(size, "power", beta)).real
+    want = want[-np.arange(size) % size]
+    assert np.max(np.abs(circ[0] - want)) < 1e-14 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +381,16 @@ def test_scalar_f0_linearization_rows():
 def test_branch_requires_simple_eigenvalue():
     with pytest.raises(ValueError):
         contour.branch_continue(EULER, 0.5, 3)   # degenerate fold
+
+
+@pytest.mark.parametrize("steps", [0, -2])
+def test_branch_refuses_fewer_than_one_step(steps, monkeypatch):
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("computed before the steps check")
+    monkeypatch.setattr(dispersion, "kernel_vector", no_spectrum)
+    monkeypatch.setattr(dispersion, "dispersion_point", no_spectrum)
+    with pytest.raises(ValueError, match="steps"):
+        contour.branch_continue(EULER, 0.5, 5, s_max=0.1, steps=steps)
 
 
 @pytest.mark.parametrize("branch", ["+", "-"])

@@ -348,6 +348,17 @@ def test_min_fold_euler_plane():
     assert dispersion.min_fold(EULER, 0.5) == 4
 
 
+def test_min_fold_refuses_k_max_below_two():
+    # k_max = 1 scans mode m alone and compares no gaps, so it would
+    # accept m = 1 for QgswPlane(2) at b = 0.5, where Delta_2 < 0
+    qgsw = models.qgsw_plane(2.0)
+    assert dispersion.dispersion_point(qgsw, 2, 0.5).delta < 0.0
+    assert dispersion.min_fold(qgsw, 0.5, k_max=2) == 3
+    for k_max in (1, 0):
+        with pytest.raises(ValueError, match="k_max"):
+            dispersion.min_fold(qgsw, 0.5, k_max=k_max)
+
+
 def test_min_fold_dual_route_annulus():
     model = models.euler_annulus(0.1, 10.0)
     for b in (0.3, 0.5, 0.8):
