@@ -2,8 +2,10 @@
 
 At a simple eigenvalue Omega+/- of the m-fold block, a one-parameter
 family of m-fold symmetric doubly connected patches bifurcates from the
-annulus.  The discretized contour functional is solved by Newton
-continuation in the kernel-mode amplitude s.
+annulus.  The discretized contour functional is solved by continuation
+in the kernel-mode amplitude s: at each s a fixed-point iteration,
+preconditioned by the annulus linearization (the dispersion blocks) and
+accelerated by Anderson mixing, until the residual is below 1e-11.
 """
 
 import numpy as np

@@ -195,12 +195,12 @@ def cmd_universal(cfg: dict) -> int:
     points = int(cfg.get("x_points", 201))
     if points < 2 or not 0.0 < x_max < math.inf:
         raise UsageError("universal needs x_max > 0 and x_points >= 2")
+    if not all(0.0 < b < 1.0 for b in bs):
+        raise UsageError("universal needs b in (0, 1)")
     xs = np.linspace(0.0, x_max, points)
     out = _out_dir(cfg)
     header = ["x", f"phi_{n}", f"phi_{n}_b", "psi_b"]
     for b in bs:
-        if not 0.0 < b < 1.0:
-            raise UsageError("universal needs b in (0, 1)")
         columns = [xs, universal.phi_n(n, xs), universal.phi_nb(n, b, xs),
                    universal.psi_b(b, xs)]
         path = os.path.join(out, f"universal_b{b:g}.csv")
@@ -274,9 +274,9 @@ def cmd_verify(cfg: dict) -> int:
               for bi, gi, n, q, a, bb in sets)
     suites.append(("dual-bessel-summation", err, 1e-5))
 
-    # Newton's Jacobian of the contour functional at the annulus, on the
-    # three plane kernels: its (k, n_modes + k) blocks vs the dispersion
-    # multipliers
+    # the finite-difference Jacobian of the contour functional at the
+    # annulus, on the three plane kernels: its (k, n_modes + k) blocks vs
+    # the dispersion multipliers
     b, m, n_modes, omega = 0.5, 4, 4, 0.3
     err = 0.0
     for model in (models.euler_plane(), models.gsqg_plane(0.5),
@@ -333,10 +333,10 @@ def cmd_branch(cfg: dict) -> int:
 
     header = (["s", "omega"]
               + [f"a1_{k}" for k in range(1, n_modes + 1)]
-              + [f"a2_{k}" for k in range(1, n_modes + 1)])
-    columns = [[s for s, _ in table], [st.omega for _, st in table]]
-    columns += [[st.a1[k] for _, st in table] for k in range(n_modes)]
-    columns += [[st.a2[k] for _, st in table] for k in range(n_modes)]
+              + [f"a2_{k}" for k in range(1, n_modes + 1)]
+              + ["iterations", "residual"])
+    columns = list(zip(*([s, st.omega, *st.a1, *st.a2, st.iterations,
+                          st.residual] for s, st in table)))
     meta = {"command": "branch", **_model_metadata(cfg), "b": f"{b:g}",
             "m": m, "branch": branch, "s_max": f"{s_max:g}", "steps": steps,
             "modes": n_modes}

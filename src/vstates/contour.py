@@ -10,8 +10,9 @@ the smooth kernel part K1 of bounded domains enters through its
 Green-function series, whose radial factors are integrated across the
 patch in closed form, for the modes k that m divides.  F is odd and
 2 pi/m-periodic, so its targets are the grid points on [0, pi/m) only.
-Newton continuation in the kernel-mode amplitude, on `jacobian`, produces
-the local bifurcation branches.
+Continuation in the kernel-mode amplitude, preconditioned by the annulus
+blocks -n Q_{n,b}(Omega) that the finite-difference `jacobian` checks,
+produces the local bifurcation branches.
 """
 
 from __future__ import annotations
@@ -39,9 +40,11 @@ __all__ = [
     "boundary_export",
 ]
 
-# branch_continue's Newton loop: residual sup-norm to accept, iteration cap
-_NEWTON_TOL = 1e-11
-_NEWTON_MAX_ITER = 30
+# branch_continue: residual sup-norm that accepts a point, cap on its eval_f
+# calls (over twice the worst measured, 17 at s = 1.2), Anderson depth
+_ACCEPT_TOL = 1e-11
+_MAX_EVALS = 40
+_ANDERSON_DEPTH = 5
 # central-difference step of the coefficient columns of `jacobian`
 _FD_STEP = 1e-7
 
@@ -51,7 +54,7 @@ class GeometryError(ValueError):
 
 
 class BranchError(RuntimeError):
-    """Newton continuation failed; carries the last converged points."""
+    """Branch continuation failed; carries the last converged points."""
 
     def __init__(self, message: str, points: list):
         super().__init__(message)
@@ -64,6 +67,8 @@ class PerturbationState:
 
     a1[k-1], a2[k-1] are the cos(k m theta) coefficients of r1, r2 for
     k = 1..n_modes; omega is the rotation speed, s the kernel amplitude.
+    A branch point also records the eval_f calls that accepted it and its
+    residual sup-norm then (both 0 at the annulus).
     """
 
     b: float
@@ -73,6 +78,8 @@ class PerturbationState:
     a2: np.ndarray
     omega: float = 0.0
     s: float = 0.0
+    iterations: int = 0
+    residual: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "a1", np.asarray(self.a1, dtype=float))
@@ -391,34 +398,56 @@ def jacobian(model: KernelModel, state: PerturbationState) -> np.ndarray:
 # branch continuation
 # ---------------------------------------------------------------------------
 
+def _preconditioner(point, row: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """`jacobian` at the annulus, bordered by the amplitude row, at the
+    Omega of u = (a1, a2, Omega): rows and columns (k, n_modes + k) hold
+    -n Q_{n,b}(Omega), n = k m, from the point's columns, and the Omega
+    column is exact at u, as in `jacobian`."""
+    n = len(point.n)
+    kk, omega, i = point.n, u[2 * n], np.arange(n)
+    off = kk * (point.row.lamt_nb + point.row.pt_nb)
+    pre = np.zeros((2 * n + 1, 2 * n + 1))
+    pre[i, i] = -kk * (omega - point.a_nb)
+    pre[i, n + i] = -off
+    pre[n + i, i] = off
+    pre[n + i, n + i] = -kk * (omega - point.b_nb)
+    pre[:2 * n, 2 * n] = -np.concatenate([kk, kk]) * u[:2 * n]
+    pre[2 * n] = row
+    return pre
+
+
 def branch_continue(model: KernelModel, b: float, m: int, branch: str = "+",
                     s_max: float = 1e-2, steps: int = 10,
                     n_modes: int = 8) -> list[tuple[float, PerturbationState]]:
     """Amplitude-parameterized branch of m-fold V-states near the annulus.
 
-    Solves {F = 0, kernel-direction amplitude = s} for the 2*n_modes cosine
-    coefficients and Omega by undamped Newton, with `jacobian` bordered by
-    the exact amplitude row, marching s from 0 to s_max in steps >= 1
-    equal steps.  The first point is the annulus itself, s = 0 at the
-    dispersion root Omega^{+/-}; a BranchError names the cause of the
-    failure and carries the points accepted before it, that one first.
+    Solves G(u) = {F = 0, kernel-direction amplitude = s} for the cosine
+    coefficients and Omega, u = (a1, a2, Omega), marching s from 0 to s_max
+    in steps >= 1 equal steps from a secant predictor.  Each point iterates
+    u <- u - P(u)^{-1} G(u), P = `_preconditioner`, with Anderson mixing of
+    depth 5 (Walker & Ni, SIAM J. Numer. Anal. 49, 2011): one eval_f call
+    per iteration, until the residual sup-norm is below 1e-11.
+    The first point is the annulus itself, s = 0 at the dispersion root
+    Omega^{+/-}; a BranchError names the cause of the failure and carries
+    the points accepted before it, that one first.
     """
     if steps < 1:
         raise ValueError(f"branch_continue needs steps >= 1, got {steps}")
     kvec = _dispersion.kernel_vector(model, m, b, branch)
-    point = _dispersion.dispersion_point(model, m, b)
-    omega0 = point.omega_plus if branch == "+" else point.omega_minus
-    base = trivial_state(b, m, n_modes, omega0)
     n = n_modes
+    point = _dispersion.dispersion_point(model, m * np.arange(1, n + 1), b)
+    omega0 = float((point.omega_plus if branch == "+"
+                    else point.omega_minus)[0])
+    base = trivial_state(b, m, n_modes, omega0)
     # the amplitude (a1_1, a2_1) . kvec / |kvec|^2 is linear in u
     row = np.zeros(2 * n + 1)
     row[[0, n]] = kvec / (kvec @ kvec)
-    u = np.zeros(2 * n + 1)
-    u[2 * n] = omega0
+    u = np.append(np.zeros(2 * n), omega0)
     results: list[tuple[float, PerturbationState]] = [(0.0, base)]
 
     def failure(s, cause) -> BranchError:
-        return BranchError(f"Newton failed at s = {s:g}: {cause}", results)
+        return BranchError(f"continuation failed at s = {s:g}: {cause}",
+                           results)
 
     s_grid = np.linspace(0.0, s_max, steps + 1)[1:]
     # secant predictor 2 u - u_prev; seeded one step back along the kernel
@@ -427,24 +456,37 @@ def branch_continue(model: KernelModel, b: float, m: int, branch: str = "+",
     u_prev[[0, n]] -= s_grid[0] * kvec
     for s in s_grid:
         cur = 2.0 * u - u_prev
-        for _ in range(_NEWTON_MAX_ITER):
+        # Anderson history: differences of the iterates and of their
+        # preconditioned residuals f = -P^{-1} G
+        dx, df, last = [], [], None
+        for evals in range(1, _MAX_EVALS + 1):
             state = replace(base, a1=cur[:n], a2=cur[n:2 * n],
                             omega=cur[2 * n])
             try:
                 res = np.append(eval_f(model, state).stacked(), row @ cur - s)
-                if np.max(np.abs(res)) < _NEWTON_TOL:
+                if np.max(np.abs(res)) < _ACCEPT_TOL:
                     break
-                jac = np.vstack([jacobian(model, state), row])
-                cur = cur - np.linalg.solve(jac, res)
+                f = -np.linalg.solve(_preconditioner(point, row, cur), res)
             except GeometryError as exc:
                 raise failure(s, exc) from exc
             except np.linalg.LinAlgError as exc:
-                raise failure(s, "singular Jacobian") from exc
+                raise failure(s, "singular preconditioner") from exc
+            step = f
+            if last is not None:
+                dx = [*dx, cur - last[0]][-_ANDERSON_DEPTH:]
+                df = [*df, f - last[1]][-_ANDERSON_DEPTH:]
+                mix = np.column_stack(df)
+                gamma = np.linalg.lstsq(mix, f, rcond=None)[0]
+                step = f - (np.column_stack(dx) + mix) @ gamma
+            last = cur, f
+            cur = cur + step
         else:
-            raise failure(s, f"no convergence in {_NEWTON_MAX_ITER} "
+            raise failure(s, f"no convergence in {_MAX_EVALS} "
                              f"iterations, residual {np.max(np.abs(res)):.1e}")
         u_prev, u = u, cur
-        results.append((float(s), replace(state, s=float(s))))
+        results.append((float(s), replace(
+            state, s=float(s), iterations=evals,
+            residual=float(np.max(np.abs(res[:-1]))))))
     return results
 
 

@@ -198,6 +198,16 @@ def test_universal_multiple_b(tmp_path):
     assert os.path.exists(os.path.join(out, "universal_b0.7.csv"))
 
 
+def test_universal_bad_b_writes_nothing(tmp_path, capsys):
+    # every b is checked before the first table is written
+    out = str(tmp_path / "out")
+    code = run_cli(["universal", "--b", "0.5,1.5", "--x-max", "5",
+                    "--x-points", "11", "--out", out])
+    assert code == 2
+    assert "universal needs b in (0, 1)" in capsys.readouterr().err
+    assert not os.path.exists(out) or os.listdir(out) == []
+
+
 def test_universal_builds_each_gauss_rule_once(tmp_path, monkeypatch):
     orders = []
     leggauss = np.polynomial.legendre.leggauss
@@ -412,6 +422,16 @@ def test_branch_outputs(tmp_path):
     assert float(rows[0][1]) == pytest.approx(pt.omega_minus, abs=1e-12)
     drift = abs(float(rows[-1][1]) - float(rows[0][1]))
     assert drift < 10.0 * float(rows[-1][0])
+    # per-point diagnostics close the row: the eval_f calls that accepted
+    # the point and its residual then, both 0 at the annulus
+    assert header[-2:] == ["iterations", "residual"]
+    assert len(header) == 2 + 2 * 8 + 2
+    assert [int(r[-2]) for r in rows] == [0] + [
+        st.iterations for _, st in contour.branch_continue(
+            models.euler_plane(), 0.5, 5, "-", s_max=4e-4, steps=2)[1:]]
+    assert float(rows[0][-1]) == 0.0
+    assert all(int(r[-2]) > 0 and float(r[-1]) < 1e-11
+               for r in rows[1:])
     # boundary file for s = 0 holds exact circles
     _, bh, brows = read_csv(os.path.join(out, "boundary_000.csv"))
     r_in = [np.hypot(float(r[1]), float(r[2])) for r in brows]
@@ -427,8 +447,9 @@ def test_branch_numerical_failure_exit_1(tmp_path, capsys):
     meta, _, rows = read_csv(os.path.join(out, "branch.csv"))
     assert "warning" in meta
     assert len(rows) >= 1    # the converged prefix is still recorded
-    # the step to s = 2 collapses the inner boundary, and both say so
-    cause = "Newton failed at s = 2: boundary radius collapsed to zero"
+    # the step to s = 2 makes the boundaries cross, and both say so
+    cause = ("continuation failed at s = 2: boundary curves intersect "
+             "(by 4.6e-03)")
     assert cause in meta["warning"]
     assert cause in capsys.readouterr().err
 

@@ -334,15 +334,73 @@ def test_jacobian_omega_column_is_exact():
     assert np.max(np.abs(col - (rp - rm) / (2.0 * h))) < 1e-9
 
 
-def test_branch_newton_costs_4n_plus_1_eval_f_per_iteration(monkeypatch):
-    # three Newton iterations of 1 + 4 n_modes calls (residual and the
-    # coefficient columns), then the converged residual: 3 * 33 + 1
+def test_branch_point_costs_one_eval_f_per_iteration(monkeypatch):
+    # the preconditioner needs no eval_f, and `jacobian` is not called:
+    # nine mixed iterations, then the accepted residual
     calls = []
     eval_f = contour.eval_f
     monkeypatch.setattr(contour, "eval_f",
                         lambda *args: calls.append(1) or eval_f(*args))
-    contour.branch_continue(EULER, 0.5, 5, s_max=0.3, steps=1, n_modes=8)
-    assert len(calls) == 100
+
+    def no_jacobian(*args):
+        raise AssertionError("branch_continue called jacobian")
+    monkeypatch.setattr(contour, "jacobian", no_jacobian)
+    pts = contour.branch_continue(EULER, 0.5, 5, s_max=0.3, steps=1,
+                                  n_modes=8)
+    assert len(calls) == 10
+    assert [st.iterations for _, st in pts] == [0, 10]
+
+
+@pytest.mark.parametrize("model", [
+    EULER, models.gsqg_plane(0.5), models.qgsw_plane(2.0),
+    models.euler_disc(2.0), models.euler_exterior(0.1)])
+def test_preconditioner_is_the_bordered_jacobian_at_the_annulus(model):
+    b, m, n_modes, omega = 0.5, 4, 4, 0.2
+    n = n_modes
+    row = np.zeros(2 * n + 1)
+    row[[0, n]] = [0.3, -0.7]
+    point = dispersion.dispersion_point(model, m * np.arange(1, n + 1), b)
+    u = np.append(np.zeros(2 * n), omega)
+    pre = contour._preconditioner(point, row, u)
+    want = np.vstack([contour.jacobian(model, _state(b, m, n, omega)), row])
+    assert np.max(np.abs(pre - want)) < 1e-6 * np.max(np.abs(want))
+
+
+def _dense_newton_branch(model, b, m, s_max, steps, n_modes):
+    # the reference: Newton on `jacobian` bordered by the amplitude row,
+    # from the same secant predictor, to a residual at rounding level
+    kvec = dispersion.kernel_vector(model, m, b, "+")
+    n = n_modes
+    row = np.zeros(2 * n + 1)
+    row[[0, n]] = kvec / (kvec @ kvec)
+    u = np.append(np.zeros(2 * n),
+                  dispersion.dispersion_point(model, m, b).omega_plus)
+    u_prev = u.copy()
+    u_prev[[0, n]] -= s_max / steps * kvec
+    out = []
+    for s in np.linspace(0.0, s_max, steps + 1)[1:]:
+        cur = 2.0 * u - u_prev
+        for _ in range(4):
+            st = contour.PerturbationState(b=b, m=m, n_modes=n, a1=cur[:n],
+                                           a2=cur[n:2 * n], omega=cur[2 * n])
+            res = np.append(contour.eval_f(model, st).stacked(), row @ cur - s)
+            jac = np.vstack([contour.jacobian(model, st), row])
+            cur = cur - np.linalg.solve(jac, res)
+        u_prev, u = u, cur
+        out.append(cur)
+    return out
+
+
+@pytest.mark.parametrize("model", [EULER, models.euler_disc(2.0)])
+def test_branch_matches_dense_newton(model):
+    b, m, s_max, steps, n_modes = 0.5, 5, 0.8, 8, 8
+    pts = contour.branch_continue(model, b, m, s_max=s_max, steps=steps,
+                                  n_modes=n_modes)
+    want = _dense_newton_branch(model, b, m, s_max, steps, n_modes)
+    for (_, st), ref in zip(pts[1:], want):
+        got = np.concatenate([st.a1, st.a2, [st.omega]])
+        assert np.max(np.abs(got - ref)) < 1e-10
+        assert st.residual == contour.eval_f(model, st).norm() < 1e-11
 
 
 def test_fd_jacobian_off_mode_coupling_vanishes():
@@ -435,7 +493,7 @@ def test_branch_error_reports_progress():
                                 steps=3, n_modes=8)
     assert isinstance(err.value.points, list)
     # the message names the cause: here the geometry check's text
-    assert "boundary radius collapsed to zero" in str(err.value)
+    assert "boundary curves intersect (by 4.6e-03)" in str(err.value)
     # the annulus, then the small-amplitude prefix that still converged
     # before the failure
     assert len(err.value.points) >= 2
