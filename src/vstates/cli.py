@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import os
 import sys
@@ -400,9 +401,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser of main, built once per process; parse_args leaves it as it was
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     flag_values = {key: val for key, val in vars(args).items()
                    if key not in ("command", "config", "param")}
     try:

@@ -194,6 +194,24 @@ def _geometry_matrices(kind: str, param: float, z: np.ndarray,
     return diff, d, d / sin_fac, circ
 
 
+# [psi(k+1) + psi(k+2)] / (4 k! (k+1)!), k = 7, ..., 0: the series part of
+# (1 - z K1(z))/z^2 in powers of z^2/4 (DLMF 10.31.1)
+_STREAM_SERIES = np.array([(_sp.digamma(k + 1.0) + _sp.digamma(k + 2.0))
+                           / (4.0 * _sp.factorial(k) * _sp.factorial(k + 1))
+                           for k in range(7, -1, -1)])
+
+
+def _stream_bessel(z: np.ndarray) -> np.ndarray:
+    # (1 - z K1(z))/z^2; below z = 1, where the difference cancels, it is
+    # -log(z/2) I1(z)/z plus the series of _STREAM_SERIES
+    out = (1.0 - z * _sp.k1(z)) / (z * z)
+    small = z < 1.0
+    zs = z[small]
+    out[small] = (-np.log(zs / 2.0) * _sp.i1(zs) / zs
+                  + np.polyval(_STREAM_SERIES, zs * zs / 4.0))
+    return out
+
+
 def _k0_factors(kind: str, param: float, d: np.ndarray, g: np.ndarray | None,
                 stream: bool):
     """Factors of the velocity kernel K0(d), or with stream=True of the
@@ -218,7 +236,7 @@ def _k0_factors(kind: str, param: float, d: np.ndarray, g: np.ndarray | None,
             return -(np.log(d) - shift) / den, None
         return -1.0 / den, -(np.log(g) - shift) / den
     ed = param * d
-    k = (1.0 - ed * _sp.k1(ed)) / (ed * ed) if stream else _sp.k0(ed)
+    k = _stream_bessel(ed) if stream else _sp.k0(ed)
     if g is None:
         return k / (2.0 * np.pi), None
     i = _sp.i1(ed) / ed if stream else _sp.i0(ed)
@@ -433,11 +451,9 @@ def branch_continue(model: KernelModel, b: float, m: int, branch: str = "+",
     """
     if steps < 1:
         raise ValueError(f"branch_continue needs steps >= 1, got {steps}")
-    kvec = _dispersion.kernel_vector(model, m, b, branch)
     n = n_modes
     point = _dispersion.dispersion_point(model, m * np.arange(1, n + 1), b)
-    omega0 = float((point.omega_plus if branch == "+"
-                    else point.omega_minus)[0])
+    omega0, kvec = _dispersion._kernel_root(point, branch)
     base = trivial_state(b, m, n_modes, omega0)
     # the amplitude (a1_1, a2_1) . kvec / |kvec|^2 is linear in u
     row = np.zeros(2 * n + 1)

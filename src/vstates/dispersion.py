@@ -154,21 +154,19 @@ def _measure_nodes(mu: Measure, x_cut: float) -> tuple[np.ndarray, np.ndarray]:
             np.concatenate([atoms[:, 1], ws * np.vectorize(mu.density)(xs)]))
 
 
-def _node_sums(mu: Measure, x_cut: float, funs) -> np.ndarray:
-    # int fun(x) dmu(x)/x for each fun of funs, as sums over the nodes of
-    # mu built once; each fun is called once on the nodes up to the cut and
+def _node_sums(mu: Measure, x_cut: float, fun) -> np.ndarray:
+    # int fun(x) dmu(x)/x, one value per row of fun, as sums over the nodes
+    # of mu built once; fun is called once on the nodes up to the cut and
     # once beyond it, as phi_n grades its panels for its largest argument
     xs, ws = _measure_nodes(mu, x_cut)
     parts = [(xs[m], ws[m] / xs[m]) for m in (xs <= x_cut, xs > x_cut)]
-    return np.array([sum(float(np.sum(fun(x) * w)) for x, w in parts)
-                     for fun in funs])
+    return sum(np.sum(np.atleast_2d(fun(x) * w), axis=-1) for x, w in parts)
 
 
 def _lambda_quadrature(mu: Measure, ns: np.ndarray,
                        scale: float) -> np.ndarray:
     """int phi_n(scale * x) dmu(x)/x at an array of modes, as node sums."""
-    return _node_sums(mu, 300.0 / scale, [lambda x, k=k: phi_n(k, scale * x)
-                                          for k in ns.tolist()])
+    return _node_sums(mu, 300.0 / scale, lambda x: phi_n(ns, scale * x))
 
 
 def _lambda_tilde_quadrature(mu: Measure, ns: np.ndarray,
@@ -177,8 +175,8 @@ def _lambda_tilde_quadrature(mu: Measure, ns: np.ndarray,
     integrand decays like e^{-(1-b)x}, which sets the cut."""
     decay = max(1.0 - b, 1e-3)
     x_cut = math.log(2.0 * math.pi / 1e-14) / decay + 10.0
-    return _node_sums(mu, x_cut, [lambda x, k=k: phi_nb(k, b, x)
-                                  for k in ns.tolist()])
+    return _node_sums(mu, x_cut, lambda x: np.array(
+        [phi_nb(k, b, x) for k in ns.tolist()]))
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +305,7 @@ def delta_inf(model: KernelModel, b: float, via_psi: bool = False) -> float:
         v1, v2 = v_constants(model, b)
         return (v1 - v2) ** 2
     (total,) = _node_sums(model.measure(), 300.0 / b,
-                          [lambda x: psi_b(b, x)])
+                          lambda x: psi_b(b, x))
     c_b, ct_b = _models.c_terms(model, b)
     return (total + c_b - ct_b) ** 2
 
@@ -430,16 +428,24 @@ def q_matrix(model: KernelModel, n: int, b: float, omega: float) -> np.ndarray:
                      [-off, omega - p.b_nb]])
 
 
-def kernel_vector(model: KernelModel, m: int, b: float,
-                  branch: str = "+") -> np.ndarray:
-    """Generator of ker Q_{m,b}(Omega^{branch}); needs a simple spectrum."""
+def _kernel_root(point: DispersionPoint, branch: str
+                 ) -> tuple[float, np.ndarray]:
+    # Omega^{branch} and the generator of ker Q_{m,b}(Omega^{branch}) at
+    # the first mode m of a point of columns; needs a simple spectrum
     if branch not in ("+", "-"):
         raise ValueError("branch must be '+' or '-'")
-    p = dispersion_point(model, m, b)
+    p = _split(point)[0]
     if p.delta <= DEGENERACY_TOL:
-        raise ValueError(f"degenerate spectrum at m = {m}: Delta = {p.delta:.3e}")
+        raise ValueError(f"degenerate spectrum at m = {p.n}: "
+                         f"Delta = {p.delta:.3e}")
     omega = p.omega_plus if branch == "+" else p.omega_minus
     vec = np.array([-(p.row.lamt_nb + p.row.pt_nb), omega - p.a_nb])
     if np.allclose(vec, 0.0):
         raise ValueError("kernel vector degenerated to zero")
-    return vec
+    return omega, vec
+
+
+def kernel_vector(model: KernelModel, m: int, b: float,
+                  branch: str = "+") -> np.ndarray:
+    """Generator of ker Q_{m,b}(Omega^{branch}); needs a simple spectrum."""
+    return _kernel_root(dispersion_point(model, [m], b), branch)[1]

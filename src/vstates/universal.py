@@ -4,9 +4,11 @@ phi_n(x), phi_{n,b}(x) and Psi_b(x) factorize the spectral coefficients of
 every completely monotone convolution kernel.  Each takes one x (giving a
 float) or an array of x, which converges when all its entries have; x = 0
 gives exactly 0.  phi_n doubles a Gauss order until two agree to 1e-13
-relative; the smooth periodic integrands of phi_{n,b} take trapezoid sums
-whose nodes are doubled, from at least 4n, until two levels agree to
-1e-12 relative.
+relative; it also takes an integer array of modes, one row each, whose
+modes share one exponential table per panel while each row doubles its
+order until it agrees on its own.  The smooth periodic integrands of
+phi_{n,b} take trapezoid sums whose nodes are doubled, from at least 4n,
+until two levels agree to 1e-12 relative.
 """
 
 from __future__ import annotations
@@ -89,43 +91,52 @@ def _gauss_rule(order: int, a: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     return gx, gw
 
 
-def _phi_gauss(n: int, xs: np.ndarray, order: int) -> np.ndarray:
+def _phi_gauss(ns: list[int], xs: np.ndarray, order: int) -> np.ndarray:
     # phi_n(x) = 4 int_0^{pi/2} exp(-2x sin u) cos(2n u) du  (eta = 2u and
-    # the reflection u -> pi - u); composite Gauss-Legendre per panel
+    # the reflection u -> pi - u); composite Gauss-Legendre per panel, one
+    # row per mode of ns from one exponential table per panel
     gx, gw = _gauss_rule(order)
     # geometric grading toward u = 0, where the integrand peaks on a scale
     # ~ 1/(2x) for the largest x; the corner of the periodic extension sits
     # there too
     k = max(6, int(np.ceil(np.log2(max(np.max(xs, initial=0.0), 1.0)))) + 3)
     edges = np.concatenate([[0.0], (np.pi / 2.0) * 2.0 ** np.arange(-k, 1.0)])
-    total = np.zeros_like(xs)
+    total = np.zeros((len(ns), xs.size))
     for a, c in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (a + c), 0.5 * (c - a)
         u = mid + half * gx
-        vals = np.exp(-2.0 * xs[:, None] * np.sin(u)) * np.cos(2.0 * n * u)
-        total += half * vals @ gw
+        e = np.exp(-2.0 * xs[:, None] * np.sin(u))
+        for row, n in zip(total, ns):
+            row += half * (e * np.cos(2.0 * n * u)) @ gw
     return total * 4.0
 
 
-def phi_n(n: int, x):
+def phi_n(n, x):
     """phi_n(x) = int_0^{2pi} exp(-2 x sin(eta/2)) cos(n eta) d eta.
 
     The periodic integrand has a corner at eta = 0 (the kernel argument is
     2x|sin(eta/2)|), so the plain trapezoid rule degrades to O(h^2) there;
     Gauss-Legendre panels graded for the largest x restore rapid
     convergence.  The order is doubled until two evaluations agree.
+    n may be an integer array of modes, which gives one row per mode: the
+    modes share the exponential table, and each doubles its order until
+    its own row agrees, so a row equals the call at its mode alone.
     """
-    if n < 1:
+    ns = np.atleast_1d(np.asarray(n, dtype=int))
+    if ns.ndim != 1 or np.any(ns < 1):
         raise ValueError("phi_n requires n >= 1")
     xs = _values(x, "phi_n")
     order = 24
-    val = _phi_gauss(n, xs, order)
-    while order < 200:
+    val = _phi_gauss(ns.tolist(), xs, order)
+    live = np.arange(ns.size)
+    while order < 200 and live.size:
         order *= 2
-        prev, val = val, _phi_gauss(n, xs, order)
-        if np.all(np.abs(val - prev) <= 1e-13 * np.maximum(1.0, np.abs(val))):
-            break
-    return _shaped(val, x)
+        prev, new = val[live], _phi_gauss(ns[live].tolist(), xs, order)
+        val[live] = new
+        live = live[~np.all(np.abs(new - prev)
+                            <= 1e-13 * np.maximum(1.0, np.abs(new)), axis=1)]
+    rows = [_shaped(row, x) for row in val]
+    return np.array(rows) if np.ndim(n) else rows[0]
 
 
 def phi_nb(n: int, b: float, x):

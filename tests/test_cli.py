@@ -78,6 +78,48 @@ def test_rerun_is_bit_identical(tmp_path):
         assert f1.read() == f2.read()
 
 
+def test_main_builds_one_parser_per_process(tmp_path):
+    cli._parser.cache_clear()
+    for b in ("0.3", "0.5", "0.7"):
+        assert run_cli(["spectra", "--model", "EulerPlane", "--b", b,
+                        "--n", "1:2", "--out", str(tmp_path / b)]) == 0
+    assert cli._parser.cache_info().misses == 1
+    # the public builder still returns a new parser
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_param_of_one_call_stays_out_of_the_next(tmp_path):
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    assert run_cli(["spectra", "--model", "GsqgPlane", "--param", "beta=0.5",
+                    "--b", "0.5", "--n", "1:2", "--out", a]) == 0
+    assert run_cli(["spectra", "--model", "EulerPlane", "--b", "0.5",
+                    "--n", "1:2", "--out", b]) == 0
+    meta_a, _, _ = read_csv(os.path.join(a, "spectra.csv"))
+    meta_b, _, _ = read_csv(os.path.join(b, "spectra.csv"))
+    assert meta_a["param.beta"] == "0.5"
+    assert not [key for key in meta_b if key.startswith("param.")]
+
+
+def test_usage_errors_leave_the_next_call_unchanged(tmp_path):
+    args = ["spectra", "--model", "QgswPlane", "--param", "eps=1.0",
+            "--b", "0.5", "--n", "1:3", "--out"]
+    first = str(tmp_path / "first")
+    assert run_cli(args + [first]) == 0
+    # one call the parser refuses, then one that main refuses
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["spectra", "--model", "EulerPlane", "--m", "two",
+                 "--param", "beta=0.5", "--out", str(tmp_path / "bad")])
+    assert exc.value.code == 2
+    assert run_cli(["spectra", "--model", "EulerPlane", "--param", "beta",
+                    "--b", "0.5", "--n", "1:3",
+                    "--out", str(tmp_path / "bad")]) == 2
+    again = str(tmp_path / "again")
+    assert run_cli(args + [again]) == 0
+    with open(os.path.join(first, "spectra.csv"), "rb") as f1, \
+            open(os.path.join(again, "spectra.csv"), "rb") as f2:
+        assert f1.read() == f2.read()
+
+
 def test_usage_errors_exit_2(tmp_path):
     out = str(tmp_path)
     assert run_cli(["spectra", "--model", "EulerPlane", "--b", "0.5",

@@ -233,11 +233,15 @@ BATCH_CASES = [
     (models.euler_disc(2.0), 128), (models.euler_annulus(0.1, 10.0), 128),
     (models.euler_exterior(0.3), 128), (models.gsqg_disc(0.5, 2.0), 12),
     (models.qgsw_disc(2.0, 2.0), 12),
-    (models.custom_convolution(cmkernel.truncated_low(None, 2.0)), 12)]
+    (models.custom_convolution(cmkernel.truncated_low(None, 2.0)), 32),
+    (models.custom_convolution(cmkernel.gsqg_power(0.5)), 32),
+    (models.custom_convolution(cmkernel.qgsw_shifted(2.0)), 32)]
+# the last two custom measures are named by their family
+BATCH_IDS = [m.variant for m, _ in BATCH_CASES[:-2]] + [
+    "CustomConvolution-gsqg_power", "CustomConvolution-qgsw_shifted"]
 
 
-@pytest.mark.parametrize("model,n_max", BATCH_CASES,
-                         ids=[m.variant for m, _ in BATCH_CASES])
+@pytest.mark.parametrize("model,n_max", BATCH_CASES, ids=BATCH_IDS)
 def test_dispersion_points_equal_single_points(model, n_max):
     ns = range(1, n_max + 1)
     for b in (0.4, 0.7):
@@ -246,8 +250,7 @@ def test_dispersion_points_equal_single_points(model, n_max):
                           for n in ns]
 
 
-@pytest.mark.parametrize("model,n_max", BATCH_CASES,
-                         ids=[m.variant for m, _ in BATCH_CASES])
+@pytest.mark.parametrize("model,n_max", BATCH_CASES, ids=BATCH_IDS)
 def test_spectral_row_columns_equal_scalar_rows(model, n_max):
     ns = np.arange(1, n_max + 1)
     for b in (0.4, 0.7):

@@ -35,6 +35,21 @@ def test_phi_n_edge_cases():
         universal.phi_n(1, -1.0)
 
 
+def test_phi_n_rows_equal_single_modes():
+    # one row per mode, each the value of phi_n at that mode alone
+    ns = np.arange(1, 129)
+    x = np.array([0.0, 1e-3, 0.5, 2.0, 17.0, 80.0, 300.0])
+    rows = universal.phi_n(ns, x)
+    assert rows.shape == (128, 7)
+    for n, row in zip(ns.tolist(), rows):
+        assert np.array_equal(row, universal.phi_n(n, x))
+    # one x gives a float per mode
+    assert universal.phi_n(ns, 2.0).tolist() == [
+        universal.phi_n(n, 2.0) for n in ns.tolist()]
+    with pytest.raises(ValueError):
+        universal.phi_n(np.array([1, 0]), 1.0)
+
+
 @given(st.integers(1, 30), st.floats(1e-3, 300.0))
 @settings(max_examples=80, deadline=None)
 def test_phi_n_two_sided_bounds(n, x):
