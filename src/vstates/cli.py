@@ -224,7 +224,7 @@ def cmd_threshold(cfg: dict) -> int:
     for b in bs:
         v1, v2 = dispersion.v_constants(model, b)
         try:
-            fold = dispersion.min_fold(model, b, k_max=k_max, v=(v1, v2))
+            fold = dispersion.min_fold(model, b, k_max=k_max)
             found = True
         except dispersion.FoldNotFound:
             fold, found = None, False
@@ -279,13 +279,14 @@ def cmd_verify(cfg: dict) -> int:
     # annulus, on the three plane kernels: its (k, n_modes + k) blocks vs
     # the dispersion multipliers
     b, m, n_modes, omega = 0.5, 4, 4, 0.3
-    err = 0.0
+    ks, err = np.arange(1, n_modes + 1), 0.0
     for model in (models.euler_plane(), models.gsqg_plane(0.5),
                   models.qgsw_plane(2.0)):
         jac = contour.jacobian(model,
                                contour.trivial_state(b, m, n_modes, omega))
-        for k in range(1, n_modes + 1):
-            target = -k * m * dispersion.q_matrix(model, k * m, b, omega)
+        point = dispersion.dispersion_point(model, m * ks, b)
+        for k in ks.tolist():
+            target = -k * m * point.q(omega)[:, :, k - 1]
             i = [k - 1, n_modes + k - 1]
             block = jac[np.ix_(i, i)]
             err = max(err, float(np.max(np.abs(block - target))

@@ -398,7 +398,7 @@ def jacobian(model: KernelModel, state: PerturbationState) -> np.ndarray:
     The coefficient columns are central differences with step 1e-7; the
     Omega column is exact, the sine coefficients -k m a_k of r'.  At the
     annulus the rows and columns (k, n_modes + k) form -n Q_{n,b}(Omega) of
-    `dispersion.q_matrix`, n = k m.
+    `dispersion.DispersionPoint.q`, n = k m.
     """
     n = state.n_modes
     coeffs = np.concatenate([state.a1, state.a2])
@@ -419,17 +419,13 @@ def jacobian(model: KernelModel, state: PerturbationState) -> np.ndarray:
 def _preconditioner(point, row: np.ndarray, u: np.ndarray) -> np.ndarray:
     """`jacobian` at the annulus, bordered by the amplitude row, at the
     Omega of u = (a1, a2, Omega): rows and columns (k, n_modes + k) hold
-    -n Q_{n,b}(Omega), n = k m, from the point's columns, and the Omega
-    column is exact at u, as in `jacobian`."""
+    -n Q_{n,b}(Omega), n = k m, the blocks `point.q(Omega)` of the point's
+    columns, and the Omega column is exact at u, as in `jacobian`."""
     n = len(point.n)
-    kk, omega, i = point.n, u[2 * n], np.arange(n)
-    off = kk * (point.row.lamt_nb + point.row.pt_nb)
+    idx = np.add.outer([0, n], np.arange(n))  # the rows of a1_k and a2_k
     pre = np.zeros((2 * n + 1, 2 * n + 1))
-    pre[i, i] = -kk * (omega - point.a_nb)
-    pre[i, n + i] = -off
-    pre[n + i, i] = off
-    pre[n + i, n + i] = -kk * (omega - point.b_nb)
-    pre[:2 * n, 2 * n] = -np.concatenate([kk, kk]) * u[:2 * n]
+    pre[idx[:, None], idx] = -point.n * point.q(u[2 * n])
+    pre[:2 * n, 2 * n] = -np.concatenate([point.n, point.n]) * u[:2 * n]
     pre[2 * n] = row
     return pre
 
@@ -449,8 +445,10 @@ def branch_continue(model: KernelModel, b: float, m: int, branch: str = "+",
     Omega^{+/-}; a BranchError names the cause of the failure and carries
     the points accepted before it, that one first.
     """
-    if steps < 1:
-        raise ValueError(f"branch_continue needs steps >= 1, got {steps}")
+    for need, ok in (("m >= 1", m >= 1), ("n_modes >= 1", n_modes >= 1),
+                     ("steps >= 1", steps >= 1), ("s_max != 0", s_max != 0)):
+        if not ok:
+            raise ValueError(f"branch_continue needs {need}")
     n = n_modes
     point = _dispersion.dispersion_point(model, m * np.arange(1, n + 1), b)
     omega0, kvec = _dispersion._kernel_root(point, branch)

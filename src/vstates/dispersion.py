@@ -7,11 +7,11 @@ of `models` or, for a custom measure, as node sums over the one node rule
 of `_measure_nodes` (built once per coefficient from `Measure.support()`
 and `Measure.density`), p from `models.closed_p` and the K1 constants from
 `models.c_terms`, on both discs node sums of QGSW-disc closed forms that
-call no quadrature routine.  `v_constants` is the mode-1 combination of
-the same lambdas plus those constants, for every model.
-`dispersion_point` takes the row, the velocity constants V^1, V^2 (once
-per b) and forms A, B, the discriminant, both roots and the
-classification as arrays.  The module also evaluates the discriminant's
+call no quadrature routine.  `dispersion_point` forms the velocity
+constants V^1, V^2 from the mode-1 column of its row (adding mode 1 to the
+call when the modes do not start there), then A, B, the discriminant, both
+roots and the classification as arrays; `DispersionPoint.q` assembles the
+block Q_{n,b}(Omega).  The module also evaluates the discriminant's
 large-n limit, locates the smallest symmetry fold m admitting simple real
 eigenvalues, and scans the monotone ordering of the two branches.
 """
@@ -19,7 +19,7 @@ eigenvalues, and scans the monotone ordering of the two branches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -86,7 +86,8 @@ class DispersionPoint:
     When n is an array of modes every field is a column, and the roots are
     NaN where the discriminant is negative (None for a single mode).  The
     eigenvalue pair -i n Omega^{+/-} leaves the imaginary axis, and the
-    mode is "unstable", exactly when the discriminant is negative.
+    mode is "unstable", exactly when the discriminant is negative.  v1, v2
+    are the annulus velocities V^1, V^2 at b.
     """
 
     n: int
@@ -97,7 +98,15 @@ class DispersionPoint:
     omega_plus: float | None
     omega_minus: float | None
     classification: str  # {"stable", "unstable", "degenerate"}
+    v1: float
+    v2: float
     row: SpectralRow
+
+    def q(self, omega: float) -> np.ndarray:
+        """The 2x2 block Q_{n,b}(Omega); per column on the last axis."""
+        off = self.row.lamt_nb + self.row.pt_nb
+        return np.array([[omega - self.a_nb, off],
+                         [-off, omega - self.b_nb]])
 
 
 @dataclass(frozen=True)
@@ -186,17 +195,6 @@ def _lambda_tilde_quadrature(mu: Measure, ns: np.ndarray,
 _COEFFS = ("lam_nb", "lam_n1", "lamt_nb", "p_nb", "p_n1", "pt_nb")
 
 
-def _lambdas(model: KernelModel, ns: np.ndarray, b: float) -> tuple:
-    # ((lambda_{n,b}, lambda_{n,1}, lambda-tilde_{n,b}) columns, their route)
-    if model.k0[0] == "measure":
-        mu = model.measure()
-        return (_lambda_quadrature(mu, ns, b), _lambda_quadrature(mu, ns, 1.0),
-                _lambda_tilde_quadrature(mu, ns, b)), "quadrature"
-    return (_models.closed_lambda(model, ns, b),
-            _models.closed_lambda(model, ns, 1.0),
-            _models.closed_tilde_lambda(model, ns, b)), "closed"
-
-
 def spectral_row(model: KernelModel, n, b: float) -> SpectralRow:
     """Assemble the six coefficients and two constants of the n-th block.
 
@@ -208,7 +206,14 @@ def spectral_row(model: KernelModel, n, b: float) -> SpectralRow:
     if ns.ndim != 1 or ns.size == 0 or ns.min() < 1:
         raise ValueError("spectral_row requires modes n >= 1")
     model.require_b(b)
-    lams, route = _lambdas(model, ns, b)
+    if model.k0[0] == "measure":
+        mu, route = model.measure(), "quadrature"
+        lams = (_lambda_quadrature(mu, ns, b), _lambda_quadrature(mu, ns, 1.0),
+                _lambda_tilde_quadrature(mu, ns, b))
+    else:
+        lams, route = (_models.closed_lambda(model, ns, b),
+                       _models.closed_lambda(model, ns, 1.0),
+                       _models.closed_tilde_lambda(model, ns, b)), "closed"
     c_b, ct_b = _models.c_terms(model, b)
     row = SpectralRow(n=ns, b=b, **dict(zip(_COEFFS, (
         *lams, *_models.closed_p(model, ns, b)))), c_b=c_b, ct_b=ct_b,
@@ -224,22 +229,21 @@ def _split_row(row: SpectralRow) -> list[SpectralRow]:
                                   for k in ("n", *_COEFFS)))]
 
 
-def dispersion_point(model: KernelModel, n, b: float,
-                     v: tuple[float, float] | None = None) -> DispersionPoint:
+def dispersion_point(model: KernelModel, n, b: float) -> DispersionPoint:
     """Quadratic coefficients A, B, discriminant and roots at mode n.
 
     n may be an integer array of modes, which gives a point of columns.
-    V^1, V^2 are computed once, or taken from v; a custom measure whose
-    first mode is 1 takes them from that column of its row.  A non-finite
-    coefficient raises ArithmeticError naming the model, the mode and b.
+    V^1, V^2 come from the row's mode-1 column, added to the same call
+    when the modes do not start at 1.  A non-finite coefficient, mode 1
+    included, raises ArithmeticError naming the model, the mode and b.
     """
     ns = np.atleast_1d(np.asarray(n, dtype=int))
-    row = spectral_row(model, ns, b)
+    lead = ns[:1].tolist() not in ([1], [])  # add a mode-1 column
+    row = spectral_row(model, np.concatenate(([1], ns)) if lead else ns, b)
     cols = {k: getattr(row, k) for k in _COEFFS}
-    if v is None and model.k0[0] == "measure" and ns[0] == 1:
-        v = _models._mode_1_v(row.lam_nb[0], row.lam_n1[0], row.lamt_nb[0],
-                              b, row.c_b, row.ct_b)
-    v1, v2 = v_constants(model, b) if v is None else v
+    lam, lam1, lamt = (cols[k][0] for k in ("lam_nb", "lam_n1", "lamt_nb"))
+    v1 = float(lam - lamt / b + row.c_b)
+    v2 = float(-lam1 + b * lamt + row.ct_b)
     a_nb = -v1 + cols["lam_nb"] + cols["p_nb"]
     b_nb = -v2 - cols["lam_n1"] - cols["p_n1"]
     off = cols["lamt_nb"] + cols["pt_nb"]
@@ -251,16 +255,20 @@ def dispersion_point(model: KernelModel, n, b: float,
         bad = ~np.isfinite([*cols.values(), delta + row.c_b + row.ct_b])
         i, j = np.argwhere(bad)[0]
         raise ArithmeticError(f"non-finite {names[i]} for {model.describe()} "
-                              f"at n = {ns[j]}, b = {b}")
+                              f"at n = {row.n[j]}, b = {b}")
+    if lead:  # drop the added column
+        a_nb, b_nb, delta = a_nb[1:], b_nb[1:], delta[1:]
+        row = replace(row, n=row.n[1:],
+                      **{k: c[1:] for k, c in cols.items()})
     half_gap = np.sqrt(np.where(delta >= 0.0, delta, np.nan)) / 2.0
     tol = DEGENERACY_TOL
     kind = (delta > tol).astype(int) - (delta < -tol) + 1
     point = DispersionPoint(
-        n=ns, b=b, a_nb=a_nb, b_nb=b_nb, delta=delta,
+        n=row.n, b=b, a_nb=a_nb, b_nb=b_nb, delta=delta,
         omega_plus=(a_nb + b_nb) / 2.0 + half_gap,
         omega_minus=(a_nb + b_nb) / 2.0 - half_gap,
         classification=np.array(["unstable", "degenerate", "stable"])[kind],
-        row=row)
+        v1=v1, v2=v2, row=row)
     return point if np.ndim(n) else _split(point)[0]
 
 
@@ -269,7 +277,8 @@ def _split(point: DispersionPoint) -> list[DispersionPoint]:
     return [DispersionPoint(
         n=row.n, b=point.b, a_nb=a, b_nb=bb, delta=d,
         omega_plus=wp if d >= 0.0 else None,
-        omega_minus=wm if d >= 0.0 else None, classification=cls, row=row)
+        omega_minus=wm if d >= 0.0 else None, classification=cls,
+        v1=point.v1, v2=point.v2, row=row)
         for row, a, bb, d, wp, wm, cls
         in zip(_split_row(point.row), *(c.tolist() for c in (
             point.a_nb, point.b_nb, point.delta, point.omega_plus,
@@ -283,15 +292,12 @@ def dispersion_points(model: KernelModel, ns, b: float
 
 
 def v_constants(model: KernelModel, b: float) -> tuple[float, float]:
-    """(V^1, V^2): the mode-1 combination of the model's lambdas plus the
-    K1 constants of `models.c_terms`, for every model.
+    """(V^1, V^2) of the mode-1 `dispersion_point`.
 
     b is checked first, so an inadmissible b never reaches a quadrature.
     """
-    model.require_b(b)
-    lams, _ = _lambdas(model, np.array([1]), b)
-    return _models._mode_1_v(*(float(c[0]) for c in lams), b,
-                             *_models.c_terms(model, b))
+    point = dispersion_point(model, [1], b)
+    return point.v1, point.v2
 
 
 def delta_inf(model: KernelModel, b: float, via_psi: bool = False) -> float:
@@ -345,8 +351,7 @@ def annulus_fold_inequality(model: KernelModel, b: float, n):
     return ns > rhs if ns.ndim else bool(ns > rhs)
 
 
-def min_fold(model: KernelModel, b: float, k_max: int = 10,
-             v: tuple[float, float] | None = None) -> int:
+def min_fold(model: KernelModel, b: float, k_max: int = 10) -> int:
     """Smallest symmetry fold m with a simple real spectrum on all modes km.
 
     With tol = DEGENERACY_TOL, the conditions per candidate m are
@@ -355,23 +360,20 @@ def min_fold(model: KernelModel, b: float, k_max: int = 10,
     values -V^1, -V^2), and the gaps |Delta_{km} - Delta_inf| decreasing
     over the last five k up to k_max, so k_max >= 2.  Models with a closed
     fold inequality (see `has_closed_fold`) are additionally cross-checked
-    against it.
-    V^1, V^2 are computed once, or taken from v.
+    against it.  V^1, V^2 are read off each candidate's point.
     """
     if k_max < 2:
         raise ValueError(f"min_fold needs k_max >= 2, got {k_max}")
     tol = DEGENERACY_TOL
-    v1, v2 = v_constants(model, b) if v is None else v
-    if not abs(v1 - v2) > tol:
-        raise ValueError("b lies outside the admissible set: V^1 = V^2")
-    d_inf = (v1 - v2) ** 2
     for m in range(1, _FOLD_CAP + 1):
-        p = dispersion_point(model, np.arange(m, k_max * m + 1, m), b,
-                             v=(v1, v2))
+        p = dispersion_point(model, np.arange(m, k_max * m + 1, m), b)
+        if not abs(p.v1 - p.v2) > tol:
+            raise ValueError("b lies outside the admissible set: V^1 = V^2")
+        d_inf = (p.v1 - p.v2) ** 2
         if (p.delta <= tol).any():
             continue
         omegas = np.sort(np.concatenate([p.omega_plus, p.omega_minus,
-                                         [-v1, -v2]]))
+                                         [-p.v1, -p.v2]]))
         if np.any(np.diff(omegas) <= tol):  # a collision of two roots
             continue
         # beyond the modes km, k <= k_max: accept if |Delta_{km} - Delta_inf|
@@ -399,9 +401,8 @@ def monotonicity_scan(model: KernelModel, b: float, m_start: int,
     -V^1, and every root lies strictly inside (-V^1, -V^2); mirrored when
     V^1 < V^2.
     """
-    v1, v2 = v_constants(model, b)
-    p = dispersion_point(model, np.arange(m_start, m_start + count), b,
-                         v=(v1, v2))
+    p = dispersion_point(model, np.arange(m_start, m_start + count), b)
+    v1, v2 = p.v1, p.v2
     if np.any(p.delta < 0.0):
         n = p.n[np.argmax(p.delta < 0.0)]
         raise ValueError(f"Delta < 0 at n = {n}: scan needs a real spectrum")
@@ -421,11 +422,8 @@ def monotonicity_scan(model: KernelModel, b: float, m_start: int,
 
 
 def q_matrix(model: KernelModel, n: int, b: float, omega: float) -> np.ndarray:
-    """The 2x2 multiplier block Q_{n,b}(Omega)."""
-    p = dispersion_point(model, n, b)
-    off = p.row.lamt_nb + p.row.pt_nb
-    return np.array([[omega - p.a_nb, off],
-                     [-off, omega - p.b_nb]])
+    """The 2x2 multiplier block Q_{n,b}(Omega) of `DispersionPoint.q`."""
+    return dispersion_point(model, n, b).q(omega)
 
 
 def _kernel_root(point: DispersionPoint, branch: str
@@ -439,7 +437,8 @@ def _kernel_root(point: DispersionPoint, branch: str
         raise ValueError(f"degenerate spectrum at m = {p.n}: "
                          f"Delta = {p.delta:.3e}")
     omega = p.omega_plus if branch == "+" else p.omega_minus
-    vec = np.array([-(p.row.lamt_nb + p.row.pt_nb), omega - p.a_nb])
+    q = p.q(omega)
+    vec = np.array([-q[0, 1], q[0, 0]])
     if np.allclose(vec, 0.0):
         raise ValueError("kernel vector degenerated to zero")
     return omega, vec

@@ -381,14 +381,8 @@ def series_p(model: KernelModel, n: int, b: float,
 
 
 # ---------------------------------------------------------------------------
-# velocity constants V^1, V^2
+# K1 constants of the velocities V^1, V^2
 # ---------------------------------------------------------------------------
-
-def _mode_1_v(lam_b: float, lam_1: float, lamt_b: float, b: float,
-              c_b: float, ct_b: float) -> tuple[float, float]:
-    # (V^1, V^2) from the mode-1 coefficients and the K1 constants
-    return (lam_b - lamt_b / b + c_b, -lam_1 + b * lamt_b + ct_b)
-
 
 def c_terms(model: KernelModel, b: float) -> tuple[float, float]:
     """(c_b, c-tilde_b): the K1 contributions inside V^1, V^2.

@@ -162,10 +162,16 @@ _CUSTOM = ["spectra", "--model", "CustomConvolution", "--param"]
       "1"], "error: min_fold needs k_max >= 2"),
     (["threshold", "--model", "EulerPlane", "--k-max", "0"],
      "error: min_fold needs k_max >= 2"),
+    (["branch", "--model", "EulerPlane", "--m", "0"],
+     "error: branch_continue needs m >= 1"),
+    (["branch", "--model", "EulerPlane", "--m", "5", "--modes", "0"],
+     "error: branch_continue needs n_modes >= 1"),
+    (["branch", "--model", "EulerPlane", "--m", "5", "--s-max", "0",
+      "--steps", "3"], "error: branch_continue needs s_max != 0"),
 ], ids=["r-nan", "eps-inf", "unused-beta", "x_star-nan", "x_star-0",
         "gamma-negative", "atom-nan", "amplitude-negative", "flat-beta",
         "r-missing", "s_max-nan", "x_max-inf", "steps-0", "steps-negative",
-        "k_max-1", "k_max-0"])
+        "k_max-1", "k_max-0", "m-0", "modes-0", "s_max-0"])
 def test_bad_model_specs_are_usage_errors(tmp_path, capsys, args, message):
     # every bad parameter is refused before any table is written
     assert run_cli(args + ["--b", "0.5", "--n", "1:3",
@@ -264,7 +270,9 @@ def test_universal_builds_each_gauss_rule_once(tmp_path, monkeypatch):
     assert orders and len(orders) == len(set(orders))
 
 
-def test_spectra_computes_v_constants_once_per_b(tmp_path, monkeypatch):
+def test_spectra_takes_v_from_its_rows(tmp_path, monkeypatch):
+    # V^1, V^2 come from the mode-1 column of each b's row: no separate
+    # v_constants call
     calls = []
     v_constants = dispersion.v_constants
 
@@ -276,7 +284,7 @@ def test_spectra_computes_v_constants_once_per_b(tmp_path, monkeypatch):
     code = run_cli(["spectra", "--model", "GsqgPlane", "--param", "beta=0.5",
                     "--b", "0.3,0.6", "--n", "1:32", "--out", str(tmp_path)])
     assert code == 0
-    assert calls == [0.3, 0.6]
+    assert calls == []
 
 
 def test_threshold_computes_v_constants_once_per_b(tmp_path, monkeypatch):

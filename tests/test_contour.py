@@ -441,14 +441,21 @@ def test_branch_requires_simple_eigenvalue():
         contour.branch_continue(EULER, 0.5, 3)   # degenerate fold
 
 
-@pytest.mark.parametrize("steps", [0, -2])
-def test_branch_refuses_fewer_than_one_step(steps, monkeypatch):
+@pytest.mark.parametrize("bad, name", [
+    ({"steps": 0}, "steps >= 1"), ({"steps": -2}, "steps >= 1"),
+    ({"m": 0}, "m >= 1"), ({"n_modes": 0}, "n_modes >= 1"),
+    ({"s_max": 0.0}, "s_max != 0")],
+    ids=["0", "-2", "m-0", "n_modes-0", "s_max-0"])
+def test_branch_refuses_fewer_than_one_step(bad, name, monkeypatch):
+    # steps < 1, m < 1, n_modes < 1 and s_max = 0 are each refused by
+    # name before any spectrum is computed
     def no_spectrum(*args, **kwargs):
-        raise AssertionError("computed before the steps check")
+        raise AssertionError("computed before the argument check")
     monkeypatch.setattr(dispersion, "kernel_vector", no_spectrum)
     monkeypatch.setattr(dispersion, "dispersion_point", no_spectrum)
-    with pytest.raises(ValueError, match="steps"):
-        contour.branch_continue(EULER, 0.5, 5, s_max=0.1, steps=steps)
+    with pytest.raises(ValueError, match=f"branch_continue needs {name}"):
+        contour.branch_continue(EULER, 0.5,
+                                **{"m": 5, "s_max": 0.1, "steps": 3, **bad})
 
 
 @pytest.mark.parametrize("branch", ["+", "-"])

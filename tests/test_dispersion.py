@@ -332,12 +332,42 @@ def test_custom_v_constants_checks_b_before_any_quadrature(monkeypatch, b):
         dispersion.v_constants(model, b)
 
 
-def test_custom_points_take_v_from_their_mode_1_row(monkeypatch):
-    model = models.custom_convolution(cmkernel.truncated_low(None, 2.0))
-    want = dispersion.v_constants(model, 0.5)
+@pytest.mark.parametrize("model,n_max", BATCH_CASES, ids=BATCH_IDS)
+def test_points_take_v_from_their_mode_1_row(monkeypatch, model, n_max):
+    # V^1, V^2 are the mode-1 combination of the row's first column; a
+    # point whose modes do not start at 1, such as the folds m (1..k) of
+    # min_fold and branch_continue, adds that column to its own row and
+    # drops it again, and gets the same V bit for bit
     monkeypatch.setattr(dispersion, "v_constants", None)
-    points = dispersion.dispersion_points(model, (1, 2), 0.5)
-    assert points[0].a_nb == -want[0] + points[0].row.lam_nb
+    b = 0.5
+    base = dispersion.dispersion_point(model, np.arange(1, n_max + 1), b)
+    row = base.row
+    assert (base.v1, base.v2) == (
+        row.lam_nb[0] - row.lamt_nb[0] / b + row.c_b,
+        -row.lam_n1[0] + b * row.lamt_nb[0] + row.ct_b)
+    assert np.array_equal(base.a_nb, -base.v1 + row.lam_nb + row.p_nb)
+    for modes in (3 * np.arange(1, 11), [n_max], [2, 1]):
+        point = dispersion.dispersion_point(model, modes, b)
+        assert type(point.v1) is float and type(point.v2) is float
+        assert (point.v1, point.v2) == (base.v1, base.v2)
+        assert point.n.tolist() == list(modes)
+        assert point.row.n.tolist() == list(modes)
+
+
+def test_non_finite_mode_1_coefficient_names_n_1(monkeypatch):
+    # V comes from mode 1 even when the point does not ask for it, so a
+    # non-finite mode-1 coefficient is named there
+    closed_tilde_lambda = models.closed_tilde_lambda
+
+    def nan_at_mode_1(model, n, b):
+        out = np.array(closed_tilde_lambda(model, n, b), dtype=float)
+        out[np.asarray(n) == 1] = np.nan
+        return out if np.ndim(n) else float(out)
+
+    monkeypatch.setattr(models, "closed_tilde_lambda", nan_at_mode_1)
+    with pytest.raises(ArithmeticError,
+                       match=r"lamt_nb for EulerPlane at n = 1, b = 0\.5"):
+        dispersion.dispersion_point(EULER, [4, 8], 0.5)
 
 
 def test_s_membership():
