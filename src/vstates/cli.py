@@ -7,8 +7,11 @@ Commands
     verify      identity suites (series vs closed forms, Jacobian checks)
     branch      bifurcation-branch continuation plus boundary curves
 
-Configuration is flat INI-style text; every key has a matching command-line
-flag and flags override file values.  Output is plain CSV with '#'-prefixed
+Each command takes only the options it reads; abbreviated flags are
+refused.  A config file (flat INI-style text) is the flags it spells:
+`key = val` is --key val and `param.key = val` is --param key=val; they
+go ahead of the command line's flags, which therefore win, and a key the
+command does not take exits 2.  Output is plain CSV with '#'-prefixed
 metadata lines, 15 significant digits, deterministic across reruns.
 """
 
@@ -32,27 +35,33 @@ class UsageError(Exception):
     """Bad configuration or flags; maps to exit code 2."""
 
 
-def _require(cfg: dict, key: str):
-    if cfg.get(key) in (None, ""):
+def _require(args: argparse.Namespace, key: str):
+    value = getattr(args, key)
+    if value in (None, ""):
         raise UsageError(f"missing required option '{key}'")
-    return cfg[key]
+    return value
 
 
-def _model(cfg: dict) -> models.KernelModel:
-    spec = {"variant": _require(cfg, "model"), **cfg.get("params", {})}
+def _model(args: argparse.Namespace) -> tuple[models.KernelModel, dict]:
+    """The model of --model and --param, and its metadata lines."""
+    params = {}
+    for item in args.param:
+        if "=" not in item:
+            raise UsageError(f"--param needs KEY=VAL, got {item!r}")
+        key, val = item.split("=", 1)
+        params[key.strip()] = val.strip()
     try:
-        return models.model_from_dict(spec)
+        model = models.model_from_dict(
+            {"variant": _require(args, "model"), **params})
     except ValueError as exc:
         raise UsageError(f"bad model spec: {exc}") from exc
+    return model, {"model": args.model,
+                   **{f"param.{key}": params[key] for key in sorted(params)}}
 
 
-def _b_values(cfg: dict) -> list[float]:
-    return _parse_float_list(str(_require(cfg, "b")), "b")
-
-
-def _parse_float_list(text: str, name: str) -> list[float]:
+def _float_list(args: argparse.Namespace, key: str) -> list[float]:
     """'0.5' | '0.2,0.3' | 'lo:hi:count' (inclusive linspace)."""
-    text = text.strip()
+    text = _require(args, key).strip()
     try:
         if ":" in text:
             lo, hi, count = text.split(":")
@@ -62,43 +71,44 @@ def _parse_float_list(text: str, name: str) -> list[float]:
             return [float(x) for x in np.linspace(float(lo), float(hi), count)]
         return [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise UsageError(f"cannot parse {name} specification {text!r}") from exc
+        raise UsageError(f"cannot parse {key} specification {text!r}") from exc
 
 
-def _parse_int_list(text: str, name: str) -> list[int]:
+def _int_list(args: argparse.Namespace, key: str) -> list[int]:
     """'4' | '1,2,5' | 'lo:hi' (inclusive)."""
-    text = text.strip()
+    text = _require(args, key).strip()
     try:
         if ":" in text:
             lo, hi = text.split(":")
             return list(range(int(lo), int(hi) + 1))
         return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise UsageError(f"cannot parse {name} specification {text!r}") from exc
+        raise UsageError(f"cannot parse {key} specification {text!r}") from exc
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    if not os.path.exists(path):
-        raise UsageError(f"config file not found: {path}")
+def _config_flags(path: str, command: str) -> list[str]:
+    """The flags a config file spells: `key = val` is --key=val, with
+    underscores as dashes, and `param.key = val` is --param=key=val.  A key
+    the command does not take is a usage error naming the file and key."""
     parser = configparser.ConfigParser()
-    with open(path) as fh:
-        text = fh.read()
-    if not text.lstrip().startswith("["):
-        text = "[run]\n" + text
-    parser.read_string(text)
-    out: dict = {}
-    params: dict = {}
-    for section in parser.sections():
-        for key, val in parser.items(section):
-            if key.startswith("param."):
-                params[key[len("param."):]] = val
-            else:
-                out[key] = val
-    if params:
-        out["params"] = params
-    return out
+    try:
+        with open(path) as fh:
+            text = fh.read()
+        if not text.lstrip().startswith("["):
+            text = "[run]\n" + text
+        parser.read_string(text, source=path)
+    except (OSError, configparser.Error) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from exc
+    flags = [f"--param={key[6:]}={val}" if key.startswith("param.") else
+             f"--{key.replace('_', '-')}={val}"
+             for section in parser.sections()
+             for key, val in parser.items(section)]
+    unknown = [*_parser().parse_known_args([command, *flags])[1],
+               *(flag for flag in flags if flag.startswith("--config="))]
+    if unknown:
+        raise UsageError(f"{path}: {command} takes no "
+                         f"{unknown[0].split('=')[0]}")
+    return flags
 
 
 def _column_format(column) -> tuple[str, list]:
@@ -132,28 +142,22 @@ def write_csv(path: str, metadata: dict, header: list[str],
         fh.write("\n".join(lines) + "\n")
 
 
-def _out_dir(cfg: dict) -> str:
-    out = str(cfg.get("out", "."))
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _model_metadata(cfg: dict) -> dict:
-    meta = {"model": cfg.get("model", "")}
-    params = cfg.get("params", {})
-    for key in sorted(params):
-        meta[f"param.{key}"] = params[key]
-    return meta
+def _out_dir(args: argparse.Namespace) -> str:
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot use output directory {args.out}: "
+                         f"{exc.strerror}") from exc
+    return args.out
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_spectra(cfg: dict) -> int:
-    model = _model(cfg)
-    bs = _b_values(cfg)
-    ns = _parse_int_list(str(_require(cfg, "n")), "n")
+def cmd_spectra(args: argparse.Namespace) -> int:
+    model, model_meta = _model(args)
+    bs, ns = _float_list(args, "b"), _int_list(args, "n")
     if not ns:
         raise UsageError("empty n range")
     header = ["n", "b", "lambda_nb", "lambda_n1", "lambda_tilde_nb",
@@ -164,42 +168,30 @@ def cmd_spectra(cfg: dict) -> int:
     for b in bs:
         p = dispersion.dispersion_point(model, np.array(ns), b)
         r = p.row
-        source = _source_text(r.source)
         no_root, k = p.delta < 0.0, len(ns)
         block = [p.n, [b] * k, r.lam_nb, r.lam_n1, r.lamt_nb, r.p_nb,
-                 r.p_n1, r.pt_nb, [r.c_b] * k, [r.ct_b] * k, [source] * k,
+                 r.p_n1, r.pt_nb, [r.c_b] * k, [r.ct_b] * k, [r.source] * k,
                  p.a_nb, p.b_nb, p.delta,
                  np.ma.array(p.omega_plus, mask=no_root),
                  np.ma.array(p.omega_minus, mask=no_root), p.classification]
         for column, values in zip(columns, block):
             column += values if isinstance(values, list) else values.tolist()
-    path = os.path.join(_out_dir(cfg), "spectra.csv")
-    meta = {"command": "spectra", **_model_metadata(cfg),
-            "b": cfg.get("b"), "n": cfg.get("n")}
+    path = os.path.join(_out_dir(args), "spectra.csv")
+    meta = {"command": "spectra", **model_meta, "b": args.b, "n": args.n}
     write_csv(path, meta, header, columns)
     print(path)
     return 0
 
 
-def _source_text(source: dict) -> str:
-    # the lambda route, "closed-form" or "quadrature", plus the p route
-    # where p is neither zero nor closed: "closed-form/p-quadrature"
-    text = "closed-form" if source["lambda"] == "closed" else source["lambda"]
-    return text if source["p"] in ("zero", "closed") else \
-        f"{text}/p-{source['p']}"
-
-
-def cmd_universal(cfg: dict) -> int:
-    n = int(cfg.get("fold", 1))
-    bs = _parse_float_list(str(cfg.get("b", "0.5")), "b")
-    x_max = float(cfg.get("x_max", 20.0))
-    points = int(cfg.get("x_points", 201))
+def cmd_universal(args: argparse.Namespace) -> int:
+    n, x_max, points = args.fold, args.x_max, args.x_points
+    bs = _float_list(args, "b")
     if points < 2 or not 0.0 < x_max < math.inf:
         raise UsageError("universal needs x_max > 0 and x_points >= 2")
     if not all(0.0 < b < 1.0 for b in bs):
         raise UsageError("universal needs b in (0, 1)")
     xs = np.linspace(0.0, x_max, points)
-    out = _out_dir(cfg)
+    out = _out_dir(args)
     header = ["x", f"phi_{n}", f"phi_{n}_b", "psi_b"]
     for b in bs:
         columns = [xs, universal.phi_n(n, xs), universal.phi_nb(n, b, xs),
@@ -212,10 +204,8 @@ def cmd_universal(cfg: dict) -> int:
     return 0
 
 
-def cmd_threshold(cfg: dict) -> int:
-    model = _model(cfg)
-    bs = _b_values(cfg)
-    k_max = int(cfg.get("k_max", 10))
+def cmd_threshold(args: argparse.Namespace) -> int:
+    (model, model_meta), bs = _model(args), _float_list(args, "b")
     header = ["b", "min_fold", "delta_inf", "v1", "v2", "in_s", "found"]
     closed_check = dispersion.has_closed_fold(model)
     if closed_check:
@@ -224,7 +214,7 @@ def cmd_threshold(cfg: dict) -> int:
     for b in bs:
         v1, v2 = dispersion.v_constants(model, b)
         try:
-            fold = dispersion.min_fold(model, b, k_max=k_max)
+            fold = dispersion.min_fold(model, b, k_max=args.k_max)
             found = True
         except dispersion.FoldNotFound:
             fold, found = None, False
@@ -233,8 +223,8 @@ def cmd_threshold(cfg: dict) -> int:
         if closed_check:
             row.append(_closed_threshold(model, b))
         rows.append(row)
-    path = os.path.join(_out_dir(cfg), "threshold.csv")
-    meta = {"command": "threshold", **_model_metadata(cfg), "b": cfg.get("b")}
+    path = os.path.join(_out_dir(args), "threshold.csv")
+    meta = {"command": "threshold", **model_meta, "b": args.b}
     write_csv(path, meta, header, list(zip(*rows)))
     print(path)
     return 0
@@ -246,7 +236,7 @@ def _closed_threshold(model: models.KernelModel, b: float) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def cmd_verify(cfg: dict) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     suites = []
 
     # Bessel-zero summation identity for the shifted kernel on the disc
@@ -301,33 +291,23 @@ def cmd_verify(cfg: dict) -> int:
         rows.append([name, err, tol, ok])
         print(f"{name}: {'PASS' if ok else 'FAIL'} "
               f"(max error {err:.3e}, tolerance {tol:g})")
-    path = os.path.join(_out_dir(cfg), "verify.csv")
+    path = os.path.join(_out_dir(args), "verify.csv")
     write_csv(path, {"command": "verify"},
               ["suite", "max_error", "tolerance", "passed"], list(zip(*rows)))
     print(path)
     return 1 if failed else 0
 
 
-def cmd_branch(cfg: dict) -> int:
-    model = _model(cfg)
-    bs = _b_values(cfg)
+def cmd_branch(args: argparse.Namespace) -> int:
+    (model, model_meta), bs = _model(args), _float_list(args, "b")
     if len(bs) != 1:
         raise UsageError("branch expects a single b value")
-    b = bs[0]
-    m = int(_require(cfg, "m"))
-    branch = str(cfg.get("branch", "+"))
-    if branch not in ("+", "-"):
-        raise UsageError("branch selector must be '+' or '-'")
-    s_max = float(cfg.get("s_max", 1e-3))
-    if not math.isfinite(s_max):
-        raise UsageError(f"branch needs a finite s_max, got {s_max}")
-    steps = int(cfg.get("steps", 8))
-    n_modes = int(cfg.get("modes", 8))
-    out = _out_dir(cfg)
+    b, m, n_modes = bs[0], _require(args, "m"), args.modes
+    out = _out_dir(args)
     partial = None
     try:
-        table = contour.branch_continue(model, b, m, branch=branch,
-                                        s_max=s_max, steps=steps,
+        table = contour.branch_continue(model, b, m, branch=args.branch,
+                                        s_max=args.s_max, steps=args.steps,
                                         n_modes=n_modes)
     except contour.BranchError as exc:
         table = exc.points
@@ -339,9 +319,9 @@ def cmd_branch(cfg: dict) -> int:
               + ["iterations", "residual"])
     columns = list(zip(*([s, st.omega, *st.a1, *st.a2, st.iterations,
                           st.residual] for s, st in table)))
-    meta = {"command": "branch", **_model_metadata(cfg), "b": f"{b:g}",
-            "m": m, "branch": branch, "s_max": f"{s_max:g}", "steps": steps,
-            "modes": n_modes}
+    meta = {"command": "branch", **model_meta, "b": f"{b:g}",
+            "m": m, "branch": args.branch, "s_max": f"{args.s_max:g}",
+            "steps": args.steps, "modes": n_modes}
     if partial:
         meta["warning"] = (f"continuation stopped early: last converged "
                           f"s = {table[-1][0]:g}; {partial}")
@@ -369,36 +349,44 @@ _COMMANDS = {
 }
 
 
+# the options of each command besides --config and --out: flag and the
+# keyword arguments of its add_argument
+_MODEL_OPTIONS = {
+    "--model": dict(help="model variant name"),
+    "--param": dict(action="append", default=[], metavar="KEY=VAL",
+                    help="model parameter, repeatable"),
+    "--b": dict(help="b values: single, comma list, or lo:hi:count"),
+}
+_OPTIONS = {
+    "spectra": {**_MODEL_OPTIONS, "--n": dict(
+        help="mode range: single, comma list, or lo:hi")},
+    "universal": {"--b": dict(default="0.5", help="b values, as for spectra"),
+                  "--fold": dict(type=int, default=1),
+                  "--x-max": dict(type=float, default=20.0),
+                  "--x-points": dict(type=int, default=201)},
+    "threshold": {**_MODEL_OPTIONS, "--k-max": dict(type=int, default=10)},
+    "verify": {},
+    "branch": {**_MODEL_OPTIONS,
+               "--m": dict(type=int, help="fold symmetry"),
+               "--branch": dict(default="+", choices=["+", "-"]),
+               "--s-max": dict(type=float, default=1e-3),
+               "--steps": dict(type=int, default=8),
+               "--modes": dict(type=int, default=8)},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="vstate",
+        prog="vstate", allow_abbrev=False,
         description="Spectral tables, thresholds and bifurcation branches "
                     "for doubly connected rotating patches.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="INI config file")
-        p.add_argument("--model", default=None, help="model variant name")
-        p.add_argument("--param", action="append", default=None,
-                       metavar="KEY=VAL", help="model parameter, repeatable")
-        p.add_argument("--b", default=None,
-                       help="b values: single, comma list, or lo:hi:count")
-        p.add_argument("--n", default=None,
-                       help="mode range: single, comma list, or lo:hi")
-        p.add_argument("--m", default=None, type=int, help="fold symmetry")
-        p.add_argument("--out", default=None, help="output directory")
-        if name == "universal":
-            p.add_argument("--fold", default=None, type=int)
-            p.add_argument("--x-max", dest="x_max", default=None, type=float)
-            p.add_argument("--x-points", dest="x_points", default=None,
-                           type=int)
-        if name == "threshold":
-            p.add_argument("--k-max", dest="k_max", default=None, type=int)
-        if name == "branch":
-            p.add_argument("--branch", default=None, choices=["+", "-"])
-            p.add_argument("--s-max", dest="s_max", default=None, type=float)
-            p.add_argument("--steps", default=None, type=int)
-            p.add_argument("--modes", default=None, type=int)
+        p = sub.add_parser(name, allow_abbrev=False)
+        p.add_argument("--config", help="INI config file")
+        p.add_argument("--out", default=".", help="output directory")
+        for flag, kwargs in _OPTIONS[name].items():
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -408,21 +396,14 @@ _parser = functools.cache(build_parser)
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    flag_values = {key: val for key, val in vars(args).items()
-                   if key not in ("command", "config", "param")}
     try:
-        file_values = _load_config(args.config)
-        if args.param:
-            params = dict(file_values.get("params", {}))
-            for item in args.param:
-                if "=" not in item:
-                    raise UsageError(f"--param needs KEY=VAL, got {item!r}")
-                key, val = item.split("=", 1)
-                params[key.strip()] = val.strip()
-            flag_values["params"] = params
-        cfg = {**file_values, **{key: val for key, val in flag_values.items()
-                                 if val is not None}}
-        return _COMMANDS[args.command](cfg)
+        if args.config is not None:
+            # the file's flags go first, so the command line's win
+            argv = sys.argv[1:] if argv is None else argv
+            args = _parser().parse_args(
+                [argv[0], *_config_flags(args.config, args.command),
+                 *argv[1:]])
+        return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

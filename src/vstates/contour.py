@@ -446,7 +446,8 @@ def branch_continue(model: KernelModel, b: float, m: int, branch: str = "+",
     the points accepted before it, that one first.
     """
     for need, ok in (("m >= 1", m >= 1), ("n_modes >= 1", n_modes >= 1),
-                     ("steps >= 1", steps >= 1), ("s_max != 0", s_max != 0)):
+                     ("steps >= 1", steps >= 1), ("s_max != 0", s_max != 0),
+                     ("a finite s_max", np.isfinite(s_max))):
         if not ok:
             raise ValueError(f"branch_continue needs {need}")
     n = n_modes

@@ -19,7 +19,7 @@ eigenvalues, and scans the monotone ordering of the two branches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,10 +52,6 @@ DEGENERACY_TOL = 1e-9
 # the largest symmetry fold min_fold tries
 _FOLD_CAP = 64
 
-# how SpectralRow.source names the route of p for each kind of K1
-_P_SOURCE = {None: "zero", "green": "closed", "bessel_ik": "closed",
-             "subordinated": "quadrature"}
-
 
 class FoldNotFound(RuntimeError):
     """No symmetry fold below the cap satisfies the bifurcation conditions."""
@@ -76,7 +72,7 @@ class SpectralRow:
     pt_nb: float
     c_b: float
     ct_b: float
-    source: dict = field(default_factory=dict)
+    source: str = ""  # closed-form, quadrature or closed-form/p-quadrature
 
 
 @dataclass(frozen=True)
@@ -206,25 +202,25 @@ def spectral_row(model: KernelModel, n, b: float) -> SpectralRow:
     if ns.ndim != 1 or ns.size == 0 or ns.min() < 1:
         raise ValueError("spectral_row requires modes n >= 1")
     model.require_b(b)
-    if model.k0[0] == "measure":
-        mu, route = model.measure(), "quadrature"
-        lams = (_lambda_quadrature(mu, ns, b), _lambda_quadrature(mu, ns, 1.0),
-                _lambda_tilde_quadrature(mu, ns, b))
-    else:
-        lams, route = (_models.closed_lambda(model, ns, b),
-                       _models.closed_lambda(model, ns, 1.0),
-                       _models.closed_tilde_lambda(model, ns, b)), "closed"
+    # the lambdas: closed forms, or node sums for a custom measure
+    mu = model.measure_obj
+    lam, lamt, arg = ((_models.closed_lambda, _models.closed_tilde_lambda,
+                       model) if mu is None else
+                      (_lambda_quadrature, _lambda_tilde_quadrature, mu))
+    lams = (lam(arg, ns, b), lam(arg, ns, 1.0), lamt(arg, ns, b))
+    source = ("closed-form" if mu is None else "quadrature") + (
+        "/p-quadrature" if model.k1 == "subordinated" else "")
     c_b, ct_b = _models.c_terms(model, b)
     row = SpectralRow(n=ns, b=b, **dict(zip(_COEFFS, (
         *lams, *_models.closed_p(model, ns, b)))), c_b=c_b, ct_b=ct_b,
-        source={"p": _P_SOURCE[model.k1], "lambda": route})
+        source=source)
     return row if np.ndim(n) else _split_row(row)[0]
 
 
 def _split_row(row: SpectralRow) -> list[SpectralRow]:
     # one SpectralRow of floats per mode of a row of columns
     return [SpectralRow(n, row.b, *vals, c_b=row.c_b, ct_b=row.ct_b,
-                        source=dict(row.source))
+                        source=row.source)
             for n, *vals in zip(*(getattr(row, k).tolist()
                                   for k in ("n", *_COEFFS)))]
 

@@ -152,7 +152,7 @@ _CUSTOM = ["spectra", "--model", "CustomConvolution", "--param"]
     (_CUSTOM + ["family=euler_flat", "--param", "beta=0.5"], None),
     (["spectra", "--model", "EulerDisc"], None),
     (["branch", "--model", "EulerPlane", "--m", "5", "--s-max", "nan"],
-     "error: branch needs a finite s_max"),
+     "error: branch_continue needs a finite s_max"),
     (["universal", "--x-max", "inf"], "error: universal needs x_max > 0"),
     (["branch", "--model", "EulerPlane", "--m", "5", "--steps", "0"],
      "error: branch_continue needs steps >= 1"),
@@ -174,7 +174,8 @@ _CUSTOM = ["spectra", "--model", "CustomConvolution", "--param"]
         "k_max-1", "k_max-0", "m-0", "modes-0", "s_max-0"])
 def test_bad_model_specs_are_usage_errors(tmp_path, capsys, args, message):
     # every bad parameter is refused before any table is written
-    assert run_cli(args + ["--b", "0.5", "--n", "1:3",
+    modes = ["--n", "1:3"] if args[0] == "spectra" else []
+    assert run_cli(args + ["--b", "0.5", *modes,
                            "--out", str(tmp_path)]) == 2
     assert list(tmp_path.glob("*.csv")) == []
     assert (message or "error: bad model spec") in capsys.readouterr().err
@@ -221,6 +222,97 @@ def test_config_file_gives_every_option_as_its_flag(tmp_path, command,
 
 def test_missing_config_file():
     assert run_cli(["spectra", "--config", "/nonexistent.ini"]) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--b", "0.5"],
+    ["verify", "--model", "EulerPlane"],
+    ["spectra", "--model", "EulerPlane", "--b", "0.5", "--n", "1:3",
+     "--m", "3"],
+    ["spectra", "--model", "EulerPlane", "--b", "0.5", "--n", "1:3",
+     "--k-max", "3"],
+    ["universal", "--n", "1:3"],
+    ["universal", "--model", "EulerPlane"],
+    ["threshold", "--model", "EulerPlane", "--b", "0.5", "--m", "3"],
+    ["threshold", "--model", "EulerPlane", "--b", "0.5", "--n", "1:3"],
+    ["branch", "--model", "EulerPlane", "--b", "0.5", "--m", "5",
+     "--s-max", "4e-4", "--steps", "1", "--n", "1:3"],
+    ["universal", "--m", "3"],
+], ids=["verify-b", "verify-model", "spectra-m", "spectra-k_max",
+        "universal-n", "universal-model", "threshold-m", "threshold-n",
+        "branch-n", "universal-m"])
+def test_each_command_refuses_the_options_it_does_not_read(tmp_path, capsys,
+                                                           args):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+@pytest.mark.parametrize("args", [
+    ["threshold", "--model", "EulerPlane", "--b", "0.5", "--k", "3"],
+    ["branch", "--model", "EulerPlane", "--b", "0.5", "--m", "5",
+     "--s-max", "4e-4", "--st", "2"],
+    ["spectra", "--mod", "EulerPlane", "--b", "0.5", "--n", "1:3"],
+], ids=["threshold-k", "branch-st", "spectra-mod"])
+def test_abbreviated_flags_are_refused(tmp_path, args):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+@pytest.mark.parametrize("command, text, flag", [
+    ("spectra", "model = EulerPlane\nb = 0.5\nn = 1:3\nk_max = 3\n",
+     "--k-max"),
+    ("threshold", "model = EulerPlane\nb = 0.5\nn = 1:3\n", "--n"),
+    ("universal", "b = 0.5\nfold = 2\nmodel = EulerPlane\n", "--model"),
+    ("branch", "model = EulerPlane\nb = 0.5\nm = 5\ns_max = 4e-4\n"
+     "stpes = 1\n", "--stpes"),
+    ("threshold", "model = EulerPlane\nb = 0.5\nk = 3\n", "--k"),
+    ("verify", "[run]\nb = 0.5\n", "--b"),
+    ("spectra", "model = EulerPlane\nb = 0.5\nn = 1:3\nconfig = x.ini\n",
+     "--config"),
+], ids=["spectra-k_max", "threshold-n", "universal-model", "branch-stpes",
+        "threshold-k", "verify-b", "spectra-config"])
+def test_config_keys_the_command_does_not_take_exit_2(tmp_path, capsys,
+                                                      command, text, flag):
+    conf = tmp_path / "run.ini"
+    conf.write_text(text)
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", str(conf), "--out", str(out)]) == 2
+    assert (f"error: {conf}: {command} takes no {flag}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    "model = EulerPlane\nb = 0.5\nn = 1:3\nb = 0.6\n",
+    "model = EulerPlane\nb = 0.5\nn = 1:3\nsteps\n",
+    None,
+], ids=["duplicate-key", "no-equals", "directory"])
+def test_unreadable_config_files_exit_2(tmp_path, capsys, text):
+    conf = tmp_path / "run.ini"
+    if text is None:
+        conf.mkdir()
+    else:
+        conf.write_text(text)
+    out = tmp_path / "out"
+    assert run_cli(["spectra", "--config", str(conf), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(conf) in err
+    assert not out.exists()
+
+
+def test_an_out_that_names_a_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert run_cli(["spectra", "--model", "EulerPlane", "--b", "0.5",
+                    "--n", "1:3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert out.read_text() == ""
 
 
 def test_universal_table(tmp_path):

@@ -444,11 +444,12 @@ def test_branch_requires_simple_eigenvalue():
 @pytest.mark.parametrize("bad, name", [
     ({"steps": 0}, "steps >= 1"), ({"steps": -2}, "steps >= 1"),
     ({"m": 0}, "m >= 1"), ({"n_modes": 0}, "n_modes >= 1"),
-    ({"s_max": 0.0}, "s_max != 0")],
-    ids=["0", "-2", "m-0", "n_modes-0", "s_max-0"])
+    ({"s_max": 0.0}, "s_max != 0"), ({"s_max": np.nan}, "a finite s_max"),
+    ({"s_max": np.inf}, "a finite s_max")],
+    ids=["0", "-2", "m-0", "n_modes-0", "s_max-0", "s_max-nan", "s_max-inf"])
 def test_branch_refuses_fewer_than_one_step(bad, name, monkeypatch):
-    # steps < 1, m < 1, n_modes < 1 and s_max = 0 are each refused by
-    # name before any spectrum is computed
+    # steps < 1, m < 1, n_modes < 1 and an s_max that is 0 or not finite
+    # are each refused by name before any spectrum is computed
     def no_spectrum(*args, **kwargs):
         raise AssertionError("computed before the argument check")
     monkeypatch.setattr(dispersion, "kernel_vector", no_spectrum)

@@ -25,7 +25,7 @@ def test_euler_row_closed_values():
     assert row.lam_nb == pytest.approx(1.0 / 8.0, rel=1e-15)
     assert row.lamt_nb == pytest.approx(0.5 ** 4 / 8.0, rel=1e-15)
     assert row.p_nb == row.p_n1 == row.pt_nb == 0.0
-    assert row.source["lambda"] == "closed"
+    assert row.source == "closed-form"
 
 
 def test_euler_degenerate_and_stable_points():
@@ -89,7 +89,7 @@ def test_custom_measure_rows_match_closed_forms():
         for b in (0.2, 0.5, 0.9):
             rq = dispersion.spectral_row(custom, ns, b)
             rc = dispersion.spectral_row(closed, ns, b)
-            assert rq.source["lambda"] == "quadrature"
+            assert rq.source == "quadrature"
             for key in ("lam_nb", "lam_n1", "lamt_nb"):
                 np.testing.assert_allclose(getattr(rq, key), getattr(rc, key),
                                            rtol=0.0, atol=1e-12)
