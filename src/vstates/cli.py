@@ -18,8 +18,9 @@ metadata lines, 15 significant digits, deterministic across reruns.
 from __future__ import annotations
 
 import argparse
-import configparser
+import contextlib
 import functools
+import io
 import math
 import os
 import sys
@@ -88,23 +89,35 @@ def _int_list(args: argparse.Namespace, key: str) -> list[int]:
 
 def _config_flags(path: str, command: str) -> list[str]:
     """The flags a config file spells: `key = val` is --key=val, with
-    underscores as dashes, and `param.key = val` is --param=key=val.  A key
-    the command does not take is a usage error naming the file and key."""
-    parser = configparser.ConfigParser()
+    underscores as dashes, and `param.key = val` is --param=key=val.  Blank,
+    comment (# or ;) and [section] lines are skipped; any other line but a
+    new `key = val`, a key the command does not take and a value its flag
+    refuses are usage errors naming the file."""
     try:
         with open(path) as fh:
-            text = fh.read()
-        if not text.lstrip().startswith("["):
-            text = "[run]\n" + text
-        parser.read_string(text, source=path)
-    except (OSError, configparser.Error) as exc:
+            lines = fh.readlines()
+    except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
+    entries = {}
+    for lineno, line in enumerate(lines, 1):
+        key, eq, val = map(str.strip, line.partition("="))
+        if key[:1] in ("#", ";") or not eq and key[:1] in ("", "["):
+            continue
+        if not key or not eq or key.lower() in entries:
+            raise UsageError(f"{path}, line {lineno}: expected a new "
+                             f"key = value, got {line.strip()!r}")
+        entries[key.lower()] = val
     flags = [f"--param={key[6:]}={val}" if key.startswith("param.") else
              f"--{key.replace('_', '-')}={val}"
-             for section in parser.sections()
-             for key, val in parser.items(section)]
-    unknown = [*_parser().parse_known_args([command, *flags])[1],
-               *(flag for flag in flags if flag.startswith("--config="))]
+             for key, val in entries.items()]
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            unknown = _parser().parse_known_args([command, *flags])[1]
+    except SystemExit:  # argparse refused a value: name the file instead
+        raise UsageError(f"{path}: " + err.getvalue().rsplit("error: ")[-1]
+                         .strip()) from None
+    unknown += [flag for flag in flags if flag.startswith("--config=")]
     if unknown:
         raise UsageError(f"{path}: {command} takes no "
                          f"{unknown[0].split('=')[0]}")
@@ -212,14 +225,9 @@ def cmd_threshold(args: argparse.Namespace) -> int:
         header.append("closed_threshold")
     rows = []
     for b in bs:
-        v1, v2 = dispersion.v_constants(model, b)
-        try:
-            fold = dispersion.min_fold(model, b, k_max=args.k_max)
-            found = True
-        except dispersion.FoldNotFound:
-            fold, found = None, False
+        fold, v1, v2 = dispersion._min_fold(model, b, args.k_max)
         row = [b, fold, (v1 - v2) ** 2, v1, v2,
-               abs(v1 - v2) > dispersion.DEGENERACY_TOL, found]
+               abs(v1 - v2) > dispersion.DEGENERACY_TOL, fold is not None]
         if closed_check:
             row.append(_closed_threshold(model, b))
         rows.append(row)

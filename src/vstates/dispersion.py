@@ -13,7 +13,8 @@ call when the modes do not start there), then A, B, the discriminant, both
 roots and the classification as arrays; `DispersionPoint.q` assembles the
 block Q_{n,b}(Omega).  The module also evaluates the discriminant's
 large-n limit, locates the smallest symmetry fold m admitting simple real
-eigenvalues, and scans the monotone ordering of the two branches.
+eigenvalues (one array call per block of candidate folds), and scans the
+monotone ordering of the two branches.
 """
 
 from __future__ import annotations
@@ -180,8 +181,7 @@ def _lambda_tilde_quadrature(mu: Measure, ns: np.ndarray,
     integrand decays like e^{-(1-b)x}, which sets the cut."""
     decay = max(1.0 - b, 1e-3)
     x_cut = math.log(2.0 * math.pi / 1e-14) / decay + 10.0
-    return _node_sums(mu, x_cut, lambda x: np.array(
-        [phi_nb(k, b, x) for k in ns.tolist()]))
+    return _node_sums(mu, x_cut, lambda x: phi_nb(ns, b, x))
 
 
 # ---------------------------------------------------------------------------
@@ -356,33 +356,50 @@ def min_fold(model: KernelModel, b: float, k_max: int = 10) -> int:
     values -V^1, -V^2), and the gaps |Delta_{km} - Delta_inf| decreasing
     over the last five k up to k_max, so k_max >= 2.  Models with a closed
     fold inequality (see `has_closed_fold`) are additionally cross-checked
-    against it.  V^1, V^2 are read off each candidate's point.
+    against it.  The folds are scanned in blocks 1-8, 9-16, 17-32, 33-64
+    (one by one for a custom measure, whose quadrature costs per mode where
+    a closed form costs per call), each one `dispersion_point` call, so a
+    non-finite coefficient at any mode of a block raises ArithmeticError,
+    even past the accepted fold.
     """
+    m = _min_fold(model, b, k_max)[0]
+    if m is None:
+        raise FoldNotFound(f"no fold m <= {_FOLD_CAP} satisfies the "
+                           "conditions")
+    return m
+
+
+def _min_fold(model: KernelModel, b: float, k_max: int
+              ) -> tuple[int | None, float, float]:
+    # (m or None, V^1, V^2) of min_fold's scan, V from its first block
     if k_max < 2:
         raise ValueError(f"min_fold needs k_max >= 2, got {k_max}")
-    tol = DEGENERACY_TOL
-    for m in range(1, _FOLD_CAP + 1):
-        p = dispersion_point(model, np.arange(m, k_max * m + 1, m), b)
+    tol, lo, ks = DEGENERACY_TOL, 1, np.arange(1, k_max + 1)
+    while lo <= _FOLD_CAP:
+        hi = lo if model.measure_obj is not None else max(8, 2 * lo - 2)
+        grid = np.outer(np.arange(lo, min(hi, _FOLD_CAP) + 1), ks)  # km
+        modes = np.unique(grid)
+        p = dispersion_point(model, modes, b)
         if not abs(p.v1 - p.v2) > tol:
             raise ValueError("b lies outside the admissible set: V^1 = V^2")
-        d_inf = (p.v1 - p.v2) ** 2
-        if (p.delta <= tol).any():
-            continue
-        omegas = np.sort(np.concatenate([p.omega_plus, p.omega_minus,
-                                         [-p.v1, -p.v2]]))
-        if np.any(np.diff(omegas) <= tol):  # a collision of two roots
-            continue
+        at, d_inf = np.searchsorted(modes, grid), (p.v1 - p.v2) ** 2
+        omegas = np.sort(np.hstack([p.omega_plus[at], p.omega_minus[at],
+                                    np.tile([-p.v1, -p.v2], (len(at), 1))]))
         # beyond the modes km, k <= k_max: accept if |Delta_{km} - Delta_inf|
         # decreased over the last 5 and the limit is safely positive
-        if d_inf <= 4.0 * tol or np.any(np.diff(abs(p.delta[-5:] - d_inf))
-                                        >= 0.0):
-            continue
-        if has_closed_fold(model) and not np.all(
-                annulus_fold_inequality(model, b, p.n)):
-            raise RuntimeError(
-                "closed fold inequality disagrees with the Delta scan")
-        return m
-    raise FoldNotFound(f"no fold m <= {_FOLD_CAP} satisfies the conditions")
+        ok = ~(np.any(p.delta[at] <= tol, axis=1)
+               | np.any(np.diff(omegas) <= tol, axis=1)  # a root collision
+               | np.any(np.diff(abs(p.delta[at][:, -5:] - d_inf)) >= 0, axis=1)
+               | (d_inf <= 4.0 * tol))
+        if ok.any():
+            ns = grid[np.argmax(ok)]
+            if has_closed_fold(model) and not np.all(
+                    annulus_fold_inequality(model, b, ns)):
+                raise RuntimeError(
+                    "closed fold inequality disagrees with the Delta scan")
+            return int(ns[0]), p.v1, p.v2
+        lo += len(grid)
+    return None, p.v1, p.v2
 
 
 # ---------------------------------------------------------------------------

@@ -430,13 +430,13 @@ def _screening_nodes(model: KernelModel) -> tuple[np.ndarray, np.ndarray]:
 
 def _disc_p(ns: np.ndarray, b: float, r: float, nodes) -> np.ndarray:
     # rows p_{n,b}, p_{n,1}, p-tilde_{n,b} of the disc R D summed over the
-    # nodes; the sum of one node is its term, signed zeros too
-    terms = []
-    for eps, w in zip(*nodes):
-        ik_b, ik_1, ik_r = (bessel_ik(ns, eps * x, eps * r)
-                            for x in (b, 1.0, r))
-        terms.append(w * (np.array([-ik_b * ik_b, -ik_1 * ik_1,
-                                    -ik_b * ik_1]) / ik_r))
+    # nodes, in node order; the sum of one node is its term, signed zeros too
+    eps, w = nodes
+    ik_b, ik_1, ik_r = bessel_ik(ns, np.concatenate([eps * b, eps, eps * r]),
+                                 np.tile(eps * r, 3)).reshape(3, eps.size, -1)
+    terms = w[:, None] * (np.array([-ik_b * ik_b, -ik_1 * ik_1,
+                                    -ik_b * ik_1]) / ik_r)
+    terms = terms.transpose(1, 0, 2)
     return sum(terms[1:], terms[0])
 
 

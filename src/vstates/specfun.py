@@ -1,10 +1,11 @@
 """The products I_n(y) K_n(x) of modified Bessel functions, for a column of
 integer orders at once: the one special function scipy lacks.
 
-The disc models sum `bessel_ik` columns over their screening nodes, so the
-ratio tables are cached for a few hundred arguments.  Everything else
-(Gamma, the Gauss hypergeometric function, Bessel I, K, J and the zeros of
-J) comes straight from `math` and `scipy.special`.
+The disc models pass all their screening nodes to one `bessel_ik` call,
+whose ratio tables come from one recurrence over all arguments and are
+cached, so those of the nodes carry over from one b to the next.
+Everything else (Gamma, the Gauss hypergeometric function, Bessel I, K, J
+and the zeros of J) comes straight from `math` and `scipy.special`.
 """
 
 from __future__ import annotations
@@ -18,47 +19,76 @@ from scipy import special as _sp
 __all__ = ["bessel_ik"]
 
 
-@lru_cache(maxsize=512)
-def _bessel_ratios(x: float, size: int) -> tuple[np.ndarray, np.ndarray]:
-    # (I_{k+1}/I_k, K_{k+1}/K_k) at x for k < size, read-only.  The I ratio
-    # comes from Miller's backward recurrence, written as the continued
-    # fraction rho_{j-1} = 1 / (2j/x + rho_j) and started from 0 at
+# (x, size) -> I ratio row of `_i_ratios`; emptied past 1024 entries
+_I_RATIOS: dict = {}
+
+
+def _i_ratios(xs: list, size: int) -> np.ndarray:
+    # rows I_{k+1}/I_k at each x of xs for k < size, from Miller's backward
+    # recurrence, written as the continued fraction
+    # rho_{j-1} = 1 / (2j/x + rho_j) and started from 0 at
     # j = k + 10 + 6 sqrt(x), a depth that converges to rounding for every
     # k and depends on x only, so each mode's value is the same in any
-    # column.  The K ratio comes from the (stable) forward recurrence.
-    c = (2.0 / x) * np.arange(size)
-    rho = np.zeros(size)
-    for j in range(10 + int(6.0 * math.sqrt(x)), 0, -1):
-        rho += c
-        rho += 2.0 * j / x
-        np.reciprocal(rho, out=rho)
+    # column.  The arguments not cached share one recurrence, each row
+    # joining at its own depth, so it equals the row of its x alone.
+    if len(_I_RATIOS) > 1024:
+        _I_RATIOS.clear()
+    if new := sorted({x for x in xs if (x, size) not in _I_RATIOS},
+                     reverse=True):
+        x = np.array(new)[:, None]
+        depth = 10 + (6.0 * np.sqrt(x[:, 0])).astype(int)
+        c, rho = (2.0 / x) * np.arange(size), np.zeros((len(new), size))
+        for j in range(depth[0], 0, -1):
+            top = rho[:np.count_nonzero(depth >= j)]  # the rows started
+            top += c[:len(top)]
+            top += 2.0 * j / x[:len(top)]
+            np.reciprocal(top, out=top)
+        _I_RATIOS.update(((v, size), row) for v, row in zip(new, rho))
+    return np.array([_I_RATIOS[v, size] for v in xs])
+
+
+@lru_cache(maxsize=1024)
+def _k_ratios(x: float, size: int) -> np.ndarray:
+    # K_{k+1}/K_k at x for k < size, read-only, from the (stable) forward
+    # recurrence, only ever needed at the x of `bessel_ik`; per argument in
+    # Python floats, since a numpy step over a few rows costs more than the
+    # Python step over each
     r = [float(_sp.kve(1, x) / _sp.kve(0, x))]
     for k in range(1, size):
         r.append(2.0 * k / x + 1.0 / r[-1])
     r = np.array(r)
-    rho.flags.writeable = r.flags.writeable = False
-    return rho, r
+    r.flags.writeable = False
+    return r
 
 
-def bessel_ik(n, y: float, x: float):
-    """I_n(y) K_n(x) for 0 < y <= x and an integer n >= 0 or array of them.
+def bessel_ik(n, y, x):
+    """I_n(y) K_n(x) for 0 < y <= x and an integer n >= 0 or array of them;
+    y and x may be arrays of one shape, which gives a row per pair.
 
     The factors over- and underflow at large n, the product does not: by
     the Wronskian, I_n(x) K_n(x) = 1 / (x (K_{n+1}/K_n + I_{n+1}/I_n)), and
     I_n(y) / I_n(x) is I_0(y) / I_0(x) times the product of the ratios
     (I_{k+1}/I_k)(y) / (I_{k+1}/I_k)(x) over k < n.
     """
-    ns = np.asarray(n)
+    ns = np.atleast_1d(n)
+    ys, xs = (np.array(v, dtype=float, ndmin=1) for v in (y, x))
+    yl, xl = ys.tolist(), xs.tolist()
     if ns.min() < 0:
         raise ValueError("bessel_ik requires n >= 0")
-    if not 0.0 < y <= x:
+    if not all(0.0 < u <= v for u, v in zip(yl, xl)):
         raise ValueError(f"bessel_ik requires 0 < y <= x, got y={y}, x={x}")
     top = int(ns.max())
     size = 128 * (top // 128 + 1)  # one cached table serves many columns
-    rho_x, r_x = _bessel_ratios(x, size)
-    val = 1.0 / (x * (r_x[ns] + rho_x[ns]))
-    if y != x:
-        i0 = float(_sp.ive(0, y) / _sp.ive(0, x)) * math.exp(y - x)
-        steps = _bessel_ratios(y, size)[0][:top] / rho_x[:top]
-        val = val * (i0 * np.concatenate(([1.0], np.cumprod(steps))))[ns]
-    return val if ns.ndim else float(val)
+    rho = _i_ratios(xl + yl, size)
+    rho_x, rho_y = rho[:xs.size], rho[xs.size:]
+    r_x = np.array([_k_ratios(v, size) for v in xl])
+    val = 1.0 / (xs[:, None] * (r_x + rho_x)[:, ns])
+    if yl != xl:  # times I_n(y) / I_n(x), whose factors are 1 at y = x
+        ratio = np.ones((xs.size, top + 1))
+        np.cumprod(rho_y[:, :top] / rho_x[:, :top], axis=1, out=ratio[:, 1:])
+        ratio *= np.array([float(_sp.ive(0, u) / _sp.ive(0, v))
+                           * math.exp(u - v) if u != v else 1.0
+                           for u, v in zip(yl, xl)])[:, None]
+        val = val * ratio[:, ns]
+    val = val.reshape(np.shape(x) + np.shape(n))
+    return val if val.ndim else float(val)

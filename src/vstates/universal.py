@@ -8,7 +8,8 @@ relative; it also takes an integer array of modes, one row each, whose
 modes share one exponential table per panel while each row doubles its
 order until it agrees on its own.  The smooth periodic integrands of
 phi_{n,b} take trapezoid sums whose nodes are doubled, from at least 4n,
-until two levels agree to 1e-12 relative.
+until two levels agree to 1e-12 relative; an integer array of modes shares
+one exponential table per level, each row starting and stopping on its own.
 """
 
 from __future__ import annotations
@@ -32,39 +33,48 @@ _TRAPEZOID_CHUNK = 1 << 17
 
 
 def _level_sum(f, eta: np.ndarray, chunk: int):
-    # sum of f over the nodes eta along the last axis, in chunks of angles;
-    # power-of-two chunk sums are added pairwise as numpy sums one long row,
-    # so chunking leaves a one-row sum unchanged
-    sums = np.stack([np.sum(f(eta[i:i + chunk]), axis=-1)
+    # sums over the nodes eta of each array f yields, along its last axis,
+    # in chunks of angles; power-of-two chunk sums are added pairwise as
+    # numpy sums one long row, so chunking leaves a one-row sum unchanged
+    sums = np.stack([[np.sum(v, axis=-1) for v in f(eta[i:i + chunk])]
                      for i in range(0, eta.size, chunk)], axis=-1)
     while sums.shape[-1] % 2 == 0:
         sums = sums[..., 0::2] + sums[..., 1::2]
     return np.sum(sums, axis=-1)
 
 
-def periodic_trapezoid(f, tol: float = 1e-12, n0: int = 64,
-                       n_max: int = 1 << 21):
+def periodic_trapezoid(f, tol: float = 1e-12, n0=64, n_max: int = 1 << 21):
     """Trapezoid rule over one period [0, 2*pi) with node doubling.
 
     `f` maps an array of angles to values along its last axis, one row per
     leading index; the result has the leading shape, a float for one row.
-    `f` is called on at most _TRAPEZOID_CHUNK values at a time.
+    For a list of start levels n0, `f(eta, rows)` yields the values of the
+    listed rows in turn, and each row doubles from its own n0 until its own
+    entries agree, as in the call with that n0 alone.  `f` is called on at
+    most _TRAPEZOID_CHUNK values (per row) at a time.
     """
-    rows = max(1, np.size(f(np.zeros(1))))
-    chunk = 1 << max(0, (_TRAPEZOID_CHUNK // rows).bit_length() - 1)
-    m = n0
+    if np.ndim(n0) == 0:
+        return periodic_trapezoid(lambda eta, _: [f(eta)], tol, [n0], n_max)[0]
+    size = max(1, np.size(next(iter(f(np.zeros(1), [0])))))
+    chunk = 1 << max(0, (_TRAPEZOID_CHUNK // size).bit_length() - 1)
+    total, live, m = {}, [], min(n0)
     h = 2.0 * np.pi / m
-    total = _level_sum(f, np.arange(m) * h, chunk) * h
-    while m < n_max:
-        # refine by evaluating only the new midpoints of the uniform grid
-        level = _level_sum(f, np.arange(m) * h + 0.5 * h, chunk)
-        prev, total = total, 0.5 * total + level * (0.5 * h)
+    while m <= max(n0) or live and m < n_max:
+        if new := [i for i, start in enumerate(n0) if start == m]:
+            level = _level_sum(lambda e: f(e, new), np.arange(m) * h, chunk)
+            total.update(zip(new, level * h))
+            live += new
+        if live and m < n_max:
+            # refine by evaluating only the new midpoints of the uniform grid
+            mid, prev = np.arange(m) * h + 0.5 * h, dict(total)
+            level = _level_sum(lambda e: f(e, live), mid, chunk)
+            total.update((i, 0.5 * prev[i] + v * (0.5 * h))
+                         for i, v in zip(live, level))
+            live = [i for i in live if not np.all(np.abs(total[i] - prev[i])
+                    <= tol * np.maximum(1.0, np.abs(total[i])))]
         m *= 2
         h *= 0.5
-        if np.all(np.abs(total - prev)
-                  <= tol * np.maximum(1.0, np.abs(total))):
-            break
-    return total if np.ndim(total) else float(total)
+    return [t if np.ndim(t) else float(t) for _, t in sorted(total.items())]
 
 
 def _values(x, name: str) -> np.ndarray:
@@ -139,22 +149,28 @@ def phi_n(n, x):
     return np.array(rows) if np.ndim(n) else rows[0]
 
 
-def phi_nb(n: int, b: float, x):
-    """phi_{n,b}(x) = int_0^{2pi} exp(-x |b - e^{i eta}|) cos(n eta) d eta."""
-    if n < 1:
+def phi_nb(n, b: float, x):
+    """phi_{n,b}(x) = int_0^{2pi} exp(-x |b - e^{i eta}|) cos(n eta) d eta.
+
+    n may be an integer array of modes, one row each, which share the
+    exponential table of each trapezoid level; a row equals its mode's call.
+    """
+    ns = np.atleast_1d(np.asarray(n, dtype=int)).tolist()
+    if np.ndim(ns) != 1 or min(ns) < 1:
         raise ValueError("phi_nb requires n >= 1")
     if not 0.0 < b <= 1.0:
         raise ValueError("phi_nb requires b in (0, 1]")
     xs = _values(x, "phi_nb")[:, None]
 
-    def integrand(eta):
-        dist = np.sqrt(1.0 + b * b - 2.0 * b * np.cos(eta))
-        return np.exp(-xs * dist) * np.cos(n * eta)
+    def integrand(eta, rows):
+        e = np.exp(-xs * np.sqrt(1.0 + b * b - 2.0 * b * np.cos(eta)))
+        return (e * np.cos(ns[i] * eta) for i in rows)
 
     # start at >= 4n nodes: on a level of n or 2n nodes cos(n eta) aliases
     # to a constant, and two aliased levels would agree
-    n0 = max(64, 1 << (4 * n - 1).bit_length())
-    return _shaped(periodic_trapezoid(integrand, n0=n0), x)
+    n0 = [max(64, 1 << (4 * k - 1).bit_length()) for k in ns]
+    rows = [_shaped(row, x) for row in periodic_trapezoid(integrand, n0=n0)]
+    return np.array(rows) if np.ndim(n) else rows[0]
 
 
 def phi_1b_closed(b: float, x: float) -> float:

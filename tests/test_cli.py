@@ -305,6 +305,43 @@ def test_unreadable_config_files_exit_2(tmp_path, capsys, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, line", [
+    ("model = EulerPlane\nb = 0.5\nn = 1:3\nb = 0.6\n", 4),
+    ("model = EulerPlane\nb = 0.5\nn 1:3\n", 3),
+    ("[run]\n# b : 3\n; n 2\n\nmodel = EulerPlane\nb: 0.5\n", 6),
+    ("model = EulerPlane\nB = 0.5\nb = 0.6\n", 3),
+], ids=["duplicate-key", "no-equals", "colon", "duplicate-in-other-case"])
+def test_config_errors_name_the_line_of_the_file(tmp_path, capsys, text,
+                                                 line):
+    # the line as the file numbers it, and `=` as the only delimiter: the
+    # line `n 1:3` is refused as it stands, not read as key `n 1`
+    conf = tmp_path / "run.ini"
+    conf.write_text(text)
+    out = tmp_path / "out"
+    assert run_cli(["spectra", "--config", str(conf), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    bad = text.splitlines()[line - 1]
+    assert err == (f"error: {conf}, line {line}: expected a new "
+                   f"key = value, got {bad!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, message", [
+    ("steps = two", "argument --steps: invalid int value: 'two'"),
+    ("s_max = tiny", "argument --s-max: invalid float value: 'tiny'"),
+    ("branch = x", "argument --branch: invalid choice: 'x' "
+                   "(choose from '+', '-')"),
+], ids=["steps", "s_max", "branch"])
+def test_config_values_the_flag_refuses_name_the_file(tmp_path, capsys, key,
+                                                      message):
+    conf = tmp_path / "t2.ini"
+    conf.write_text(f"model = EulerPlane\nb = 0.5\nm = 5\n{key}\n")
+    out = tmp_path / "out"
+    assert run_cli(["branch", "--config", str(conf), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {conf}: {message}\n"
+    assert not out.exists()
+
+
 def test_an_out_that_names_a_file_exits_2(tmp_path, capsys):
     out = tmp_path / "taken"
     out.write_text("")
@@ -379,7 +416,9 @@ def test_spectra_takes_v_from_its_rows(tmp_path, monkeypatch):
     assert calls == []
 
 
-def test_threshold_computes_v_constants_once_per_b(tmp_path, monkeypatch):
+def test_threshold_takes_v_from_the_fold_scan(tmp_path, monkeypatch):
+    # V^1, V^2 come from min_fold's first block of folds, also when no fold
+    # is found: no separate v_constants call, and the same values
     calls = []
     v_constants = dispersion.v_constants
 
@@ -388,15 +427,24 @@ def test_threshold_computes_v_constants_once_per_b(tmp_path, monkeypatch):
         return v_constants(model, b)
 
     monkeypatch.setattr(dispersion, "v_constants", counting_v)
-    bs = [0.3, 0.5, 0.8]
-    for argv in (["--model", "EulerAnnulus", "--param", "r1=0.1",
-                  "--param", "r2=10"],
-                 ["--model", "QgswPlane", "--param", "eps=2"]):
-        calls.clear()
-        code = run_cli(["threshold", *argv, "--b", "0.3,0.5,0.8",
-                        "--out", str(tmp_path)])
+    for argv, found in ((["--model", "EulerAnnulus", "--param", "r1=0.1",
+                          "--param", "r2=10", "--b", "0.3,0.5,0.8"], "true"),
+                        (["--model", "QgswPlane", "--param", "eps=2",
+                          "--b", "0.3,0.5,0.8"], "true"),
+                        (["--model", "EulerPlane", "--b", "0.98",
+                          "--k-max", "2"], "false")):
+        code = run_cli(["threshold", *argv, "--out", str(tmp_path)])
         assert code == 0
-        assert [b for _, b in calls] == bs
+        assert calls == []
+        meta, header, rows = read_csv(os.path.join(tmp_path,
+                                                   "threshold.csv"))
+        model = cli._model(cli._parser().parse_args(
+            ["threshold", *argv]))[0]
+        for row in rows:
+            assert row[header.index("found")] == found
+            want = v_constants(model, float(row[0]))
+            assert [float(row[header.index(k)]) for k in ("v1", "v2")] == [
+                float("%.15g" % v) for v in want]
 
 
 def test_write_csv_formats_each_column(tmp_path):

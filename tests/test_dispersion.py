@@ -279,20 +279,109 @@ def test_custom_column_builds_measure_nodes_once_per_coefficient(
     assert len(calls) == 3
 
 
-def test_min_fold_one_row_per_mode_of_each_candidate_fold(monkeypatch):
-    # the tail check reuses the points of the candidate fold; each fold is
-    # one dispersion_point call on its array of modes, counted there
-    ns = []
+def _counting_points(monkeypatch):
+    # the modes of each dispersion_point call, one list per call
+    calls = []
     dispersion_point = dispersion.dispersion_point
 
-    def counting_point(model, modes, b, *args, **kwargs):
-        ns.extend(np.atleast_1d(modes).tolist())
-        return dispersion_point(model, modes, b, *args, **kwargs)
+    def counting_point(model, modes, b):
+        calls.append(np.atleast_1d(modes).tolist())
+        return dispersion_point(model, modes, b)
 
     monkeypatch.setattr(dispersion, "dispersion_point", counting_point)
-    fold = dispersion.min_fold(models.euler_plane(), 0.5)
-    assert fold == 4
-    assert ns == [k * m for m in range(1, fold + 1) for k in range(1, 11)]
+    return calls
+
+
+def _block_modes(folds, k_max=10):
+    return sorted({k * m for m in folds for k in range(1, k_max + 1)})
+
+
+def test_min_fold_one_call_per_block_of_folds(monkeypatch):
+    # closed forms: blocks of folds 1-8, 9-16, 17-32, 33-64, each one
+    # call on its distinct modes km; a custom measure: one fold per call
+    calls = _counting_points(monkeypatch)
+    assert dispersion.min_fold(EULER, 0.5) == 4
+    assert calls == [_block_modes(range(1, 9))]
+    calls.clear()
+    assert dispersion.min_fold(EULER, 0.88) == 12
+    assert calls == [_block_modes(folds) for folds in (
+        range(1, 9), range(9, 17))]
+    calls.clear()
+    with pytest.raises(dispersion.FoldNotFound):
+        dispersion.min_fold(EULER, 0.98, k_max=2)
+    assert calls == [_block_modes(range(lo, hi + 1), 2) for lo, hi in (
+        (1, 8), (9, 16), (17, 32), (33, 64))]
+    calls.clear()
+    custom = models.custom_convolution(cmkernel.truncated_low(None, 2.0))
+    assert dispersion.min_fold(custom, 0.6, k_max=3) == 5
+    assert calls == [[m, 2 * m, 3 * m] for m in range(1, 6)]
+
+
+def test_min_fold_raises_for_a_non_finite_mode_past_the_accepted_fold(
+        monkeypatch):
+    # EulerExterior(0.3) at b = 0.5 takes fold 1, whose modes are 1..10;
+    # mode 70 belongs to fold 7 alone, yet the block 1-8 computes it
+    model = models.euler_exterior(0.3)
+    assert dispersion.min_fold(model, 0.5) == 1
+    closed_lambda = models.closed_lambda
+
+    def nan_at_mode_70(model, n, b):
+        out = np.array(closed_lambda(model, n, b), dtype=float)
+        out[np.asarray(n) == 70] = np.nan
+        return out if np.ndim(n) else float(out)
+
+    monkeypatch.setattr(models, "closed_lambda", nan_at_mode_70)
+    with pytest.raises(ArithmeticError, match=r"at n = 70, b = 0\.5"):
+        dispersion.min_fold(model, 0.5)
+
+
+def _sequential_min_fold(model, b, k_max):
+    # the fold-by-fold scan that min_fold's blocks replaced, kept as its
+    # reference: (m or None, V^1, V^2), V from the first fold
+    tol, v = dispersion.DEGENERACY_TOL, None
+    for m in range(1, dispersion._FOLD_CAP + 1):
+        p = dispersion.dispersion_point(model, np.arange(m, k_max * m + 1, m),
+                                        b)
+        if not abs(p.v1 - p.v2) > tol:
+            raise ValueError("b lies outside the admissible set: V^1 = V^2")
+        v = v or (p.v1, p.v2)
+        d_inf = (p.v1 - p.v2) ** 2
+        if (p.delta <= tol).any():
+            continue
+        omegas = np.sort(np.concatenate([p.omega_plus, p.omega_minus,
+                                         [-p.v1, -p.v2]]))
+        if np.any(np.diff(omegas) <= tol):  # a collision of two roots
+            continue
+        if d_inf <= 4.0 * tol or np.any(np.diff(abs(p.delta[-5:] - d_inf))
+                                        >= 0.0):
+            continue
+        if dispersion.has_closed_fold(model) and not np.all(
+                dispersion.annulus_fold_inequality(model, b, p.n)):
+            raise RuntimeError(
+                "closed fold inequality disagrees with the Delta scan")
+        return (m, *v)
+    return (None, *v)
+
+
+def _outcome(scan, *args):
+    try:
+        return scan(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("model", [m for m, _ in BATCH_CASES[:8]],
+                         ids=BATCH_IDS[:8])
+def test_block_scan_equals_the_sequential_scan(model):
+    # the same fold, or the same FoldNotFound, and the same V bit for bit,
+    # on 40 b over the admissible interval and k_max = 2, 5, 10
+    for b in np.linspace(model.domain[0] + 0.02, 0.98, 40).tolist():
+        for k_max in (2, 5, 10):
+            want = _outcome(_sequential_min_fold, model, b, k_max)
+            assert _outcome(dispersion._min_fold, model, b, k_max) == want
+            if want[0] is None:
+                with pytest.raises(dispersion.FoldNotFound):
+                    dispersion.min_fold(model, b, k_max)
 
 
 def test_non_finite_coefficient_names_model_mode_and_b(monkeypatch, tmp_path,

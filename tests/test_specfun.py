@@ -5,6 +5,7 @@ checked here too.
 """
 
 import ast
+import math
 import pathlib
 
 import mpmath
@@ -30,6 +31,49 @@ def test_bessel_ik_vs_mpmath(n):
         assert isinstance(got, float)
         assert got == pytest.approx(float(want), rel=5e-14)
         assert specfun.bessel_ik(np.array([0, n]), y, x)[1] == got
+
+
+def _scalar_ratios(x, size):
+    # the table of one argument alone, as the scalar recurrence built it:
+    # Miller's backward recurrence for I_{k+1}/I_k from depth
+    # 10 + 6 sqrt(x), the forward recurrence for K_{k+1}/K_k
+    c, rho = (2.0 / x) * np.arange(size), np.zeros(size)
+    for j in range(10 + int(6.0 * math.sqrt(x)), 0, -1):
+        rho += c
+        rho += 2.0 * j / x
+        np.reciprocal(rho, out=rho)
+    r = [float(sp.kve(1, x) / sp.kve(0, x))]
+    for k in range(1, size):
+        r.append(2.0 * k / x + 1.0 / r[-1])
+    return rho, np.array(r)
+
+
+@pytest.mark.parametrize("size", [128, 768])
+def test_node_array_ratio_rows_equal_the_scalar_recurrence(size):
+    # one backward recurrence over many arguments, each row joining at its
+    # own depth, gives every I row bit for bit; cached rows are served as
+    # built, and the K rows are the scalar forward recurrence
+    xs = np.geomspace(1e-3, 1e3, 61).tolist()
+    specfun._I_RATIOS.clear()
+    for _ in range(2):
+        rows = specfun._i_ratios(xs[::-1] + xs[:5], size)
+        for x, row in zip(xs[::-1] + xs[:5], rows):
+            want_rho, want_r = _scalar_ratios(x, size)
+            assert np.array_equal(row, want_rho)
+            assert np.array_equal(specfun._k_ratios(x, size), want_r)
+
+
+def test_bessel_ik_rows_equal_their_pair_alone():
+    # the disc models' call: one row per (y, x) pair, y = x included
+    x = np.array([0.3, 2.0, 2.0, 45.0, 700.0])
+    y = np.array([0.1, 2.0, 0.5, 44.0, 3.0])
+    ns = np.arange(0, 140)
+    rows = specfun.bessel_ik(ns, y, x)
+    assert rows.shape == (5, 140)
+    for yy, xx, row in zip(y.tolist(), x.tolist(), rows):
+        assert np.array_equal(row, specfun.bessel_ik(ns, yy, xx))
+        assert row[7] == specfun.bessel_ik(7, yy, xx)
+    assert specfun.bessel_ik(3, y, x).shape == (5,)
 
 
 def test_bessel_zero_interlacing():

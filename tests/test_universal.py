@@ -90,6 +90,36 @@ def test_phi_1_derivative_at_zero():
     assert universal.phi_n(1, h) / h == pytest.approx(8.0 / 3.0, abs=1e-4)
 
 
+@pytest.mark.parametrize("b", [0.3, 0.9])
+def test_phi_nb_rows_equal_single_modes(b):
+    # one row per mode, each the value of phi_nb at that mode alone: the
+    # modes share the exponential tables, each row starts at its own 4n
+    # nodes and stops on its own
+    ns = np.array([1, 2, 16, 17, 33, 64, 65, 128, 3])
+    x = np.array([0.0, 1e-3, 0.5, 2.0, 17.0, 80.0, 300.0])
+    rows = universal.phi_nb(ns, b, x)
+    assert rows.shape == (9, 7)
+    for n, row in zip(ns.tolist(), rows):
+        assert np.array_equal(row, universal.phi_nb(n, b, x))
+    assert universal.phi_nb(ns, b, 2.0).tolist() == [
+        universal.phi_nb(n, b, 2.0) for n in ns.tolist()]
+    with pytest.raises(ValueError):
+        universal.phi_nb(np.array([1, 0]), b, 1.0)
+
+
+def test_trapezoid_rows_start_and_stop_on_their_own():
+    # rows with a corner at eta = 0 never agree and run to the cap, the
+    # smooth row stops early; each equals the call with its n0 alone
+    funs = [lambda eta: np.exp(-np.abs(np.sin(eta / 2.0))) * np.cos(eta),
+            lambda eta: np.exp(np.cos(eta)),
+            lambda eta: np.abs(np.sin(eta / 2.0)) * np.cos(3 * eta)]
+    n0 = [128, 64, 1024]
+    rows = universal.periodic_trapezoid(
+        lambda eta, live: (funs[i](eta) for i in live), n0=n0, n_max=512)
+    assert rows == [universal.periodic_trapezoid(f, n0=n, n_max=512)
+                    for f, n in zip(funs, n0)]
+
+
 def test_phi_nb_reduces_to_phi_n_at_b_one():
     for n, x in ((1, 0.5), (3, 2.0), (6, 10.0)):
         # at b = 1 the integrand of phi_nb has the same corner as phi_n but
