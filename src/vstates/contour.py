@@ -4,9 +4,10 @@ The patch is the region between two star-shaped curves sqrt(b^2 + 2 r1) e^{i the
 and sqrt(1 + 2 r2) e^{i theta} with m-fold symmetric, even perturbations r1, r2.
 The rotating-patch equation F(Omega, r) = Omega r' + d/dtheta F0[r] = 0 is
 evaluated spectrally: the convolution part of the kernel is reduced to
-boundary integrals by the divergence theorem, its angular singularities are
-integrated with exact Fourier weights (a circulant cached per grid), and
-the smooth kernel part K1 of bounded domains enters through its
+boundary integrals by the divergence theorem, the model splits it into a
+singular and a smooth factor (`KernelModel.k0_factors`), the angular
+singularity is integrated with exact Fourier weights (a circulant cached
+per grid), and the smooth kernel part K1 of bounded domains enters through its
 Green-function series, whose radial factors are integrated across the
 patch in closed form, for the modes k that m divides.  F is odd and
 2 pi/m-periodic, so its targets are the grid points on [0, pi/m) only.
@@ -21,7 +22,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy import special as _sp
 
 from .cmkernel import c_beta
 from .models import KernelModel, gsqg_capital_lambda, k1_series
@@ -150,10 +150,11 @@ def trivial_state(b: float, m: int, n_modes: int = 64,
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=32)
-def _singular_tables(size: int, rows: int, weight: str,
-                     beta: float) -> tuple[np.ndarray, np.ndarray]:
+def _singular_tables(size: int, rows: int,
+                     beta: float | None) -> tuple[np.ndarray, np.ndarray]:
     """|2 sin((theta_i - eta_j)/2)|, with 1 where i = j, and the circulant
-    c[(i - j) mod size] of the singular weight, for targets i < rows.
+    c[(i - j) mod size] of the singular weight |2 sin(u/2)|^-beta, or of
+    log|2 sin(u/2)| when beta is None, for targets i < rows.
 
     c = ifft(W-hat) is real because W-hat is even, and the row sum
     sum_j S_ij c[(i - j) mod size] is the spectral product
@@ -165,100 +166,40 @@ def _singular_tables(size: int, rows: int, weight: str,
     # Fourier coefficients of |2 sin(u/2)|^{-beta}, Lambda_{k,1}/c_beta, or
     # of log(2|sin(u/2)|), -pi/|k| with zero mean
     k = np.abs(np.fft.fftfreq(size, d=1.0 / size)).astype(int)
-    w_hat = (gsqg_capital_lambda(k, 1.0, beta) / c_beta(beta)
-             if weight == "power"
-             else np.where(k > 0, -np.pi / np.maximum(k, 1), 0.0))
+    w_hat = (np.where(k > 0, -np.pi / np.maximum(k, 1), 0.0) if beta is None
+             else gsqg_capital_lambda(k, 1.0, beta) / c_beta(beta))
     circ = np.fft.ifft(w_hat).real[lag]
     sin_fac.flags.writeable = circ.flags.writeable = False
     return sin_fac, circ
 
 
-def _geometry_matrices(kind: str, param: float, z: np.ndarray,
-                       w: np.ndarray, wp: np.ndarray, self_interaction: bool):
-    """Distance d_ij = |z_i - w_j| and, for self-interaction (z_i = w_i),
-    the smooth quotient g_ij = d_ij / |2 sin((theta_i - eta_j)/2)| and the
-    circulant of the singular weight.
-
-    On the diagonal d_ii = g_ii = |w'_i|, the limit of g, so every kernel
-    entry stays finite.  The diagonal source term drops out of all that is
-    used: it multiplies v_i = +/-i w'_i, whose part in Re(grad psi . conj w')
-    is zero, and in the stream the factor (w_i - z_i) . v_i is zero.
-    """
-    diff = z[:, None] - w[None, :]
-    d = np.abs(diff)
-    if not self_interaction:
-        return diff, d, None, None
-    weight = ("power", param) if kind == "power" else ("log", 0.0)
-    sin_fac, circ = _singular_tables(len(w), len(z), *weight)
-    np.fill_diagonal(d, np.abs(wp[:len(z)]))
-    return diff, d, d / sin_fac, circ
-
-
-# [psi(k+1) + psi(k+2)] / (4 k! (k+1)!), k = 7, ..., 0: the series part of
-# (1 - z K1(z))/z^2 in powers of z^2/4 (DLMF 10.31.1)
-_STREAM_SERIES = np.array([(_sp.digamma(k + 1.0) + _sp.digamma(k + 2.0))
-                           / (4.0 * _sp.factorial(k) * _sp.factorial(k + 1))
-                           for k in range(7, -1, -1)])
-
-
-def _stream_bessel(z: np.ndarray) -> np.ndarray:
-    # (1 - z K1(z))/z^2; below z = 1, where the difference cancels, it is
-    # -log(z/2) I1(z)/z plus the series of _STREAM_SERIES
-    out = (1.0 - z * _sp.k1(z)) / (z * z)
-    small = z < 1.0
-    zs = z[small]
-    out[small] = (-np.log(zs / 2.0) * _sp.i1(zs) / zs
-                  + np.polyval(_STREAM_SERIES, zs * zs / 4.0))
-    return out
-
-
-def _k0_factors(kind: str, param: float, d: np.ndarray, g: np.ndarray | None,
-                stream: bool):
-    """Factors of the velocity kernel K0(d), or with stream=True of the
-    stream kernel h(d)/d, where h' + h/rho = K0.
-
-    Without g the first factor is the whole kernel and the second is None.
-    With g (self-interaction) the kernel is the first factor times the
-    singular weight of `_singular_tables` plus the second, smooth factor
-    (None where it vanishes).  The Bessel kernel is a pair (k, i) with
-    k(z) - log(z) i(z) analytic (DLMF 10.31.2): (K0, I0) for the velocity
-    and ((1 - z K1)/z^2, I1/z) for the stream, z = eps d.  Since
-    log d = log g + log|2 sin|, its factors are -i/(2 pi) and
-    (k + log|2 sin| i)/(2 pi), with log|2 sin| = log(d/g).
-    """
-    if kind == "power":
-        pref = c_beta(param) / (2.0 - param) if stream else c_beta(param)
-        return pref * (d if g is None else g) ** (-param), None
-    if kind == "log":
-        # K0 = -log(d)/(2 pi), h(d)/d = -(log(d) - 1/2)/(4 pi)
-        shift, den = (0.5, 4.0 * np.pi) if stream else (0.0, 2.0 * np.pi)
-        if g is None:
-            return -(np.log(d) - shift) / den, None
-        return -1.0 / den, -(np.log(g) - shift) / den
-    ed = param * d
-    k = _stream_bessel(ed) if stream else _sp.k0(ed)
-    if g is None:
-        return k / (2.0 * np.pi), None
-    i = _sp.i1(ed) / ed if stream else _sp.i0(ed)
-    return -i / (2.0 * np.pi), (k + np.log(d / g) * i) / (2.0 * np.pi)
-
-
-def _k0_integral(kind: str, param: float, z: np.ndarray, w: np.ndarray,
+def _k0_integral(model: KernelModel, z: np.ndarray, w: np.ndarray,
                  wp: np.ndarray, v: np.ndarray, self_interaction: bool,
                  stream: bool) -> np.ndarray:
     """int K0(|z_i - w(eta)|) v(eta) d eta (complex), or with stream=True
-    int (h(d)/d) (w(eta) - z_i) . v(eta) d eta."""
+    int (h(d)/d) (w(eta) - z_i) . v(eta) d eta, with d_ij = |z_i - w_j|.
+
+    For self-interaction (z_i = w_i) the model's `k0_factors` at the smooth
+    quotient g_ij = d_ij / |2 sin((theta_i - eta_j)/2)| give the kernel:
+    the singular factor against the circulant, plus the smooth factor.  On
+    the diagonal d_ii = g_ii = |w'_i|, the limit of g, so every entry stays
+    finite; the diagonal source term drops out of all that is used: it
+    multiplies v_i = +/-i w'_i, whose part in Re(grad psi . conj w') is
+    zero, and in the stream the factor (w_i - z_i) . v_i is zero.
+    """
     h = 2.0 * np.pi / len(w)
-    diff, d, g, circ = _geometry_matrices(kind, param, z, w, wp,
-                                          self_interaction)
+    diff = z[:, None] - w[None, :]
+    d = np.abs(diff)
     if stream:
         # (w_j - z_i) . v_j as plane vectors
         v = (-diff.real) * v.real[None, :] + (-diff.imag) * v.imag[None, :]
     else:
         v = v[None, :]
-    sing, smooth = _k0_factors(kind, param, d, g, stream)
-    if g is None:
-        return (sing * v).sum(axis=1) * h
+    if not self_interaction:
+        return (model.k0_factors(d, None, stream)[0] * v).sum(axis=1) * h
+    sin_fac, circ = _singular_tables(len(w), len(z), model.singular_exponent)
+    np.fill_diagonal(d, np.abs(wp[:len(z)]))
+    sing, smooth = model.k0_factors(d, d / sin_fac, stream)
     total = (sing * v * circ).sum(axis=1)
     if smooth is not None:
         total += (smooth * v).sum(axis=1) * h
@@ -351,17 +292,14 @@ def _boundary_field(model: KernelModel, data: tuple, rows: int,
     The divergence theorem turns the patch integral into boundary integrals
     against the tangent w' rotated by -i (stream) or i (gradient).
     """
-    kind, param = model.k0
-    if kind == "measure" or model.k1 not in (None, "green"):
+    if model.measure_obj is not None or model.k1 not in (None, "green"):
         raise ValueError(
             f"contour dynamics not supported for {model.variant!r}")
     theta, ra, rb, w1, w2, w1p, w2p, _, _, m = data
     rot = -1j if stream else 1j
-    out = [_k0_integral(kind, param, z[:rows], w2, w2p, rot * w2p,
-                        not on_inner, stream)
-           - _k0_integral(kind, param, z[:rows], w1, w1p, rot * w1p,
-                          on_inner, stream)
-           for z, on_inner in ((w1, True), (w2, False))]
+    out = [_k0_integral(model, z[:rows], w2, w2p, rot * w2p, not inner, stream)
+           - _k0_integral(model, z[:rows], w1, w1p, rot * w1p, inner, stream)
+           for z, inner in ((w1, True), (w2, False))]
     k1 = _k1_area_terms(model, m, theta, ra, rb, rows)[0 if stream else 1]
     return out[0] + k1[0], out[1] + k1[1]
 

@@ -2,10 +2,11 @@
 
 Assembles the coefficient rows and dispersion points of the annulus
 1_{D \\ b D}.  `spectral_row` is the one assembly route: given an array of
-modes it returns columns, the lambdas from one array call per closed form
-of `models` or, for a custom measure, as node sums over the one node rule
-of `_measure_nodes` (built once per coefficient from `Measure.support()`
-and `Measure.density`), p from `models.closed_p` and the K1 constants from
+modes it returns columns, the lambdas from one array call of
+`models.closed_lambda` per radii pair (b, b), (1, 1), (b, 1) or, for a
+custom measure, as node sums over the one node rule of `_measure_nodes`
+(built once per coefficient from `Measure.support()` and
+`Measure.density`), p from `models.closed_p` and the K1 constants from
 `models.c_terms`, on both discs node sums of QGSW-disc closed forms that
 call no quadrature routine.  `dispersion_point` forms the velocity
 constants V^1, V^2 from the mode-1 column of its row (adding mode 1 to the
@@ -169,19 +170,16 @@ def _node_sums(mu: Measure, x_cut: float, fun) -> np.ndarray:
     return sum(np.sum(np.atleast_2d(fun(x) * w), axis=-1) for x, w in parts)
 
 
-def _lambda_quadrature(mu: Measure, ns: np.ndarray,
-                       scale: float) -> np.ndarray:
-    """int phi_n(scale * x) dmu(x)/x at an array of modes, as node sums."""
-    return _node_sums(mu, 300.0 / scale, lambda x: phi_n(ns, scale * x))
-
-
-def _lambda_tilde_quadrature(mu: Measure, ns: np.ndarray,
-                             b: float) -> np.ndarray:
-    """int phi_{n,b}(x) dmu(x)/x at an array of modes, as node sums; the
-    integrand decays like e^{-(1-b)x}, which sets the cut."""
-    decay = max(1.0 - b, 1e-3)
-    x_cut = math.log(2.0 * math.pi / 1e-14) / decay + 10.0
-    return _node_sums(mu, x_cut, lambda x: phi_nb(ns, b, x))
+def _lambda_quadrature(mu: Measure, ns: np.ndarray, y: float,
+                       x: float) -> np.ndarray:
+    """The coefficient of `models.closed_lambda` between the radii y <= x
+    for a custom measure, at an array of modes, as node sums: at y = x
+    int phi_n(y t) dmu(t)/t, otherwise int phi_{n,y/x}(x t) dmu(t)/t,
+    whose integrand decays like e^{-(x-y)t}, which sets the cut."""
+    if y == x:
+        return _node_sums(mu, 300.0 / y, lambda t: phi_n(ns, y * t))
+    x_cut = math.log(2.0 * math.pi / 1e-14) / max(x - y, 1e-3) + 10.0
+    return _node_sums(mu, x_cut, lambda t: phi_nb(ns, y / x, x * t))
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +202,9 @@ def spectral_row(model: KernelModel, n, b: float) -> SpectralRow:
     model.require_b(b)
     # the lambdas: closed forms, or node sums for a custom measure
     mu = model.measure_obj
-    lam, lamt, arg = ((_models.closed_lambda, _models.closed_tilde_lambda,
-                       model) if mu is None else
-                      (_lambda_quadrature, _lambda_tilde_quadrature, mu))
-    lams = (lam(arg, ns, b), lam(arg, ns, 1.0), lamt(arg, ns, b))
+    lam, arg = ((_models.closed_lambda, model) if mu is None
+                else (_lambda_quadrature, mu))
+    lams = [lam(arg, ns, y, x) for y, x in ((b, b), (1.0, 1.0), (b, 1.0))]
     source = ("closed-form" if mu is None else "quadrature") + (
         "/p-quadrature" if model.k1 == "subordinated" else "")
     c_b, ct_b = _models.c_terms(model, b)

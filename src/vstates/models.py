@@ -8,7 +8,9 @@ kernel is K(x, y) = K0(|x - y|) + K1(x, y), where K1 is the regular part
 of the domain's Green function; both fields fix every closed form the
 dispersion relation needs: the convolution coefficients lambda /
 lambda-tilde, the interaction coefficients p / p-tilde, and the velocity
-constants V^1, V^2 of the unperturbed annulus 1_{D \\ b D}.
+constants V^1, V^2 of the unperturbed annulus 1_{D \\ b D}.  Only this
+module reads the kind of K0: `closed_lambda` is its coefficient between
+two circles, and `KernelModel.k0_factors` its split for `contour`.
 
 The closed forms take one mode n or an integer array of modes and return a
 float or a column; their numerics neither over- nor underflow at large n.
@@ -45,7 +47,6 @@ __all__ = [
     "model_from_dict",
     "gsqg_capital_lambda",
     "closed_lambda",
-    "closed_tilde_lambda",
     "closed_p",
     "series_p",
     "c_terms",
@@ -60,6 +61,12 @@ __all__ = [
 ]
 
 _LOG = ("log", 0.0)
+
+# [psi(k+1) + psi(k+2)] / (4 k! (k+1)!), k = 7, ..., 0: the series part of
+# (1 - z K1(z))/z^2 in powers of z^2/4 (DLMF 10.31.1)
+_STREAM_SERIES = np.array([(_sp.digamma(k + 1.0) + _sp.digamma(k + 2.0))
+                           / (4.0 * _sp.factorial(k) * _sp.factorial(k + 1))
+                           for k in range(7, -1, -1)])
 
 
 @dataclass(frozen=True)
@@ -98,6 +105,51 @@ class KernelModel:
     def measure_obj(self) -> Measure | None:
         """The user-supplied Bernstein measure of a custom convolution."""
         return self.k0[1] if self.k0[0] == "measure" else None
+
+    @property
+    def singular_exponent(self) -> float | None:
+        """beta of the singular weight |2 sin((theta - eta)/2)|^-beta that
+        `k0_factors` splits off the power kernel; None for the weight
+        log|2 sin((theta - eta)/2)| of the log and Bessel kernels."""
+        return self.k0[1] if self.k0[0] == "power" else None
+
+    def k0_factors(self, d: np.ndarray, g: np.ndarray | None, stream: bool):
+        """Factors of the velocity kernel K0(d), or with stream=True of the
+        stream kernel h(d)/d, where h' + h/rho = K0, for the log, power and
+        Bessel kernels.
+
+        Without g the first factor is the whole kernel and the second None.
+        With g = d/s, s = |2 sin((theta - eta)/2)|, the kernel is the first
+        factor times the weight of `singular_exponent` at s plus the second,
+        smooth factor (None where it vanishes).  The Bessel kernel is a pair
+        (k, i) with k(z) - log(z) i(z) analytic (DLMF 10.31.2): (K0, I0) for
+        the velocity and ((1 - z K1)/z^2, I1/z) for the stream, z = eps d;
+        as log d = log g + log s, its factors are -i/(2 pi) and
+        (k + log(d/g) i)/(2 pi).
+        """
+        kind, arg = self.k0
+        if kind == "power":
+            pref = c_beta(arg) / (2.0 - arg) if stream else c_beta(arg)
+            return pref * (d if g is None else g) ** (-arg), None
+        if kind == "log":
+            # K0 = -log(d)/(2 pi), h(d)/d = -(log(d) - 1/2)/(4 pi)
+            shift, den = (0.5, 4.0 * np.pi) if stream else (0.0, 2.0 * np.pi)
+            if g is None:
+                return -(np.log(d) - shift) / den, None
+            return -1.0 / den, -(np.log(g) - shift) / den
+        z = arg * d
+        k = (1.0 - z * _sp.k1(z)) / (z * z) if stream else _sp.k0(z)
+        if stream:
+            # below z = 1, where 1 - z K1(z) cancels, k is -log(z/2) I1(z)/z
+            # plus the series of _STREAM_SERIES
+            small = z < 1.0
+            zs = z[small]
+            k[small] = (-np.log(zs / 2.0) * _sp.i1(zs) / zs
+                        + np.polyval(_STREAM_SERIES, zs * zs / 4.0))
+        if g is None:
+            return k / (2.0 * np.pi), None
+        i = _sp.i1(z) / z if stream else _sp.i0(z)
+        return -i / (2.0 * np.pi), (k + np.log(d / g) * i) / (2.0 * np.pi)
 
     def contains_b(self, b: float) -> bool:
         return self.domain[0] < b < 1.0
@@ -247,30 +299,19 @@ def _positive_series(p, q, r: float, w: float) -> np.ndarray:
     return total
 
 
-def closed_lambda(model: KernelModel, n, b: float):
-    """lambda_{n,b} of the model's K0, when a closed form exists."""
+def closed_lambda(model: KernelModel, n, y: float, x: float):
+    """The n-th Fourier coefficient of K0(|y - x e^{i eta}|), y <= x, when
+    the model's K0 has a closed form: lambda_{n,b}, lambda_{n,1} and
+    lambda-tilde_{n,b} are its values at (y, x) = (b, b), (1, 1), (b, 1)."""
     ns, out = _modes(n, "closed_lambda")
     kind, arg = model.k0
     if kind == "log":
-        return out(1.0 / (2.0 * ns))
+        # float_power rounds like the scalar (y/x) ** n
+        return out(np.float_power(y / x, ns) / (2.0 * ns))
     if kind == "power":
-        return b ** (-arg) * gsqg_capital_lambda(ns, 1.0, arg)
+        return x ** (-arg) * gsqg_capital_lambda(ns, y / x, arg)
     if kind == "bessel":
-        return bessel_ik(ns, b * arg, b * arg)
-    return None
-
-
-def closed_tilde_lambda(model: KernelModel, n, b: float):
-    """lambda-tilde_{n,b} of the model's K0, when a closed form exists."""
-    ns, out = _modes(n, "closed_tilde_lambda")
-    kind, arg = model.k0
-    if kind == "log":
-        # float_power rounds like the scalar b ** n
-        return out(np.float_power(b, ns) / (2.0 * ns))
-    if kind == "power":
-        return gsqg_capital_lambda(ns, b, arg)
-    if kind == "bessel":
-        return bessel_ik(ns, b * arg, arg)
+        return bessel_ik(ns, y * arg, x * arg)
     return None
 
 
@@ -375,9 +416,8 @@ def series_p(model: KernelModel, n: int, b: float,
             return 2.0 * r ** (-arg) * sneddon_integral(n, n, n, 2.0 - arg,
                                                         lo, hi)
 
-    return (coeff(b / r, b / r) - closed_lambda(model, n, b),
-            coeff(1.0 / r, 1.0 / r) - closed_lambda(model, n, 1.0),
-            coeff(b / r, 1.0 / r) - closed_tilde_lambda(model, n, b))
+    return tuple(coeff(y / r, x / r) - closed_lambda(model, n, y, x)
+                 for y, x in ((b, b), (1.0, 1.0), (b, 1.0)))
 
 
 # ---------------------------------------------------------------------------

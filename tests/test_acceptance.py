@@ -71,13 +71,13 @@ def test_criterion_04_phi_nb_strict_decrease():
     # sits below double-precision quadrature noise (~1e-16); evaluate the
     # defining integral in extended precision instead
     import mpmath
-    mpmath.mp.dps = 40
 
     def phi_nb_mp(n, b, x):
         f = lambda eta: (mpmath.e ** (-x * mpmath.sqrt(1 + b * b
                                                        - 2 * b * mpmath.cos(eta)))
                          * mpmath.cos(n * eta))
-        return 2 * mpmath.quad(f, [0, mpmath.pi])
+        with mpmath.workdps(40):
+            return 2 * mpmath.quad(f, [0, mpmath.pi])
 
     ok = True
     for b in (0.2, 0.5, 0.8, 1.0):

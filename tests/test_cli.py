@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from vstates import cli, contour, dispersion, universal
+from vstates import cli, contour, dispersion, models, universal
 
 
 def run_cli(args):
@@ -168,10 +168,19 @@ _CUSTOM = ["spectra", "--model", "CustomConvolution", "--param"]
      "error: branch_continue needs n_modes >= 1"),
     (["branch", "--model", "EulerPlane", "--m", "5", "--s-max", "0",
       "--steps", "3"], "error: branch_continue needs s_max != 0"),
+    (["branch", "--model", "QgswDisc", "--param", "eps=2", "--param", "r=2",
+      "--m", "5"], "error: contour dynamics not supported for 'QgswDisc'"),
+    (["branch", "--model", "GsqgDisc", "--param", "beta=0.5", "--param",
+      "r=2", "--m", "5"],
+     "error: contour dynamics not supported for 'GsqgDisc'"),
+    (["branch", "--model", "CustomConvolution", "--param",
+      "family=gsqg_power", "--param", "beta=0.5", "--m", "5"],
+     "error: contour dynamics not supported for 'CustomConvolution'"),
 ], ids=["r-nan", "eps-inf", "unused-beta", "x_star-nan", "x_star-0",
         "gamma-negative", "atom-nan", "amplitude-negative", "flat-beta",
         "r-missing", "s_max-nan", "x_max-inf", "steps-0", "steps-negative",
-        "k_max-1", "k_max-0", "m-0", "modes-0", "s_max-0"])
+        "k_max-1", "k_max-0", "m-0", "modes-0", "s_max-0", "branch-QgswDisc",
+        "branch-GsqgDisc", "branch-CustomConvolution"])
 def test_bad_model_specs_are_usage_errors(tmp_path, capsys, args, message):
     # every bad parameter is refused before any table is written
     modes = ["--n", "1:3"] if args[0] == "spectra" else []
@@ -581,15 +590,15 @@ def test_verify_passes(tmp_path):
 def test_verify_fails_on_a_wrong_bessel_smooth_factor(tmp_path, monkeypatch):
     # the contour-jacobian suite evaluates the QGSW plane kernel too: a
     # relative error of 1e-6 in its smooth self-interaction factor fails it
-    factors = contour._k0_factors
+    factors = models.KernelModel.k0_factors
 
-    def scaled(kind, param, d, g, stream):
-        sing, smooth = factors(kind, param, d, g, stream)
-        if kind == "bessel" and smooth is not None:
+    def scaled(model, d, g, stream):
+        sing, smooth = factors(model, d, g, stream)
+        if model.k0[0] == "bessel" and smooth is not None:
             smooth = smooth * (1.0 + 1e-6)
         return sing, smooth
 
-    monkeypatch.setattr(contour, "_k0_factors", scaled)
+    monkeypatch.setattr(models.KernelModel, "k0_factors", scaled)
     out = str(tmp_path)
     assert run_cli(["verify", "--out", out]) == 1
     _, header, rows = read_csv(os.path.join(out, "verify.csv"))

@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from vstates import contour, dispersion, models
+from vstates import cmkernel, contour, dispersion, models
 
 
 EULER = models.euler_plane()
@@ -83,8 +83,10 @@ def test_geometry_error_names_constraint_and_margin(model, b, a1, a2,
 
 
 def test_unsupported_model_rejected():
-    # the K1 area term covers the Green series only
-    for model in (models.gsqg_disc(0.5, 2.0), models.qgsw_disc(2.0, 2.0)):
+    # the K1 area term covers the Green series only, and K0 the log, power
+    # and Bessel kernels
+    for model in (models.gsqg_disc(0.5, 2.0), models.qgsw_disc(2.0, 2.0),
+                  models.custom_convolution(cmkernel.gsqg_power(0.5))):
         with pytest.raises(ValueError, match="not supported"):
             contour.eval_f0(model, _state())
 
@@ -286,7 +288,8 @@ def test_circulant_row_sum_is_the_spectral_product(size, weight, beta):
     for rows in (size, size // 8 + 1):
         s = (rng.standard_normal((rows, size))
              + 1j * rng.standard_normal((rows, size)))
-        _, circ = contour._singular_tables(size, rows, weight, beta)
+        _, circ = contour._singular_tables(
+            size, rows, beta if weight == "power" else None)
         want = np.diagonal(np.fft.ifft(np.fft.fft(s, axis=1) * w_hat,
                                        axis=1))
         assert np.max(np.abs((s * circ).sum(axis=1) - want)) < 1e-12
@@ -296,7 +299,7 @@ def test_circulant_row_sum_is_the_spectral_product(size, weight, beta):
 @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9])
 def test_power_weight_circulant_is_accurate(size, beta):
     # the circulant's first row against the ifft of 40-digit weights
-    _, circ = contour._singular_tables(size, 1, "power", beta)
+    _, circ = contour._singular_tables(size, 1, beta)
     want = np.fft.ifft(_closed_weights(size, "power", beta)).real
     want = want[-np.arange(size) % size]
     assert np.max(np.abs(circ[0] - want)) < 1e-14 * np.max(np.abs(want))

@@ -216,10 +216,11 @@ def test_truncated_pair_sums_to_the_flat_closed_forms(x_star):
     pair = (cmkernel.truncated_low(None, x_star),
             cmkernel.truncated_high(None, x_star, 1.0))
     for scale in (1.0, 0.3):
-        got = sum(dispersion._lambda_quadrature(mu, ns, scale) for mu in pair)
+        got = sum(dispersion._lambda_quadrature(mu, ns, scale, scale)
+                  for mu in pair)
         np.testing.assert_allclose(got, math.pi / ns, rtol=0.0, atol=1e-11)
     b = 0.3
-    got = sum(dispersion._lambda_tilde_quadrature(mu, ns, b) for mu in pair)
+    got = sum(dispersion._lambda_quadrature(mu, ns, b, 1.0) for mu in pair)
     np.testing.assert_allclose(got, math.pi * b ** ns / ns, rtol=0.0,
                                atol=1e-11)
 
@@ -325,8 +326,8 @@ def test_min_fold_raises_for_a_non_finite_mode_past_the_accepted_fold(
     assert dispersion.min_fold(model, 0.5) == 1
     closed_lambda = models.closed_lambda
 
-    def nan_at_mode_70(model, n, b):
-        out = np.array(closed_lambda(model, n, b), dtype=float)
+    def nan_at_mode_70(model, n, y, x):
+        out = np.array(closed_lambda(model, n, y, x), dtype=float)
         out[np.asarray(n) == 70] = np.nan
         return out if np.ndim(n) else float(out)
 
@@ -388,8 +389,8 @@ def test_non_finite_coefficient_names_model_mode_and_b(monkeypatch, tmp_path,
                                                        capsys):
     closed_lambda = models.closed_lambda
 
-    def nan_at_mode_7(model, n, b):
-        out = np.array(closed_lambda(model, n, b), dtype=float)
+    def nan_at_mode_7(model, n, y, x):
+        out = np.array(closed_lambda(model, n, y, x), dtype=float)
         out[np.asarray(n) == 7] = np.nan
         return out if np.ndim(n) else float(out)
 
@@ -446,14 +447,14 @@ def test_points_take_v_from_their_mode_1_row(monkeypatch, model, n_max):
 def test_non_finite_mode_1_coefficient_names_n_1(monkeypatch):
     # V comes from mode 1 even when the point does not ask for it, so a
     # non-finite mode-1 coefficient is named there
-    closed_tilde_lambda = models.closed_tilde_lambda
+    closed_lambda = models.closed_lambda
 
-    def nan_at_mode_1(model, n, b):
-        out = np.array(closed_tilde_lambda(model, n, b), dtype=float)
-        out[np.asarray(n) == 1] = np.nan
+    def nan_at_mode_1(model, n, y, x):
+        out = np.array(closed_lambda(model, n, y, x), dtype=float)
+        out[(np.asarray(n) == 1) & (y != x)] = np.nan  # lambda-tilde only
         return out if np.ndim(n) else float(out)
 
-    monkeypatch.setattr(models, "closed_tilde_lambda", nan_at_mode_1)
+    monkeypatch.setattr(models, "closed_lambda", nan_at_mode_1)
     with pytest.raises(ArithmeticError,
                        match=r"lamt_nb for EulerPlane at n = 1, b = 0\.5"):
         dispersion.dispersion_point(EULER, [4, 8], 0.5)

@@ -15,8 +15,6 @@ from scipy import special as sp
 
 from vstates import models, specfun
 
-mpmath.mp.dps = 30
-
 
 @pytest.mark.parametrize("n", [0, 1, 3, 64, 128, 500, 2000])
 def test_bessel_ik_vs_mpmath(n):
@@ -24,7 +22,8 @@ def test_bessel_ik_vs_mpmath(n):
     # products below 1e-290 underflow to 0 and are skipped
     for y, x in ((0.2, 0.2), (0.2, 1.0), (1.0, 5.0), (5.0, 5.0), (3.0, 50.0),
                  (50.0, 50.0), (0.5, 400.0), (400.0, 400.0), (40.0, 80.0)):
-        want = mpmath.besseli(n, y) * mpmath.besselk(n, x)
+        with mpmath.workdps(30):
+            want = mpmath.besseli(n, y) * mpmath.besselk(n, x)
         if want < 1e-290:
             continue
         got = specfun.bessel_ik(n, y, x)

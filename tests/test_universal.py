@@ -11,13 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from vstates import universal
 
-mpmath.mp.dps = 30
-
 
 def _phi_oracle(n, x):
     # direct high-precision quadrature of the defining integral
     f = lambda eta: mpmath.e ** (-2 * x * mpmath.sin(eta / 2)) * mpmath.cos(n * eta)
-    return float(mpmath.quad(f, [0, mpmath.pi, 2 * mpmath.pi]))
+    with mpmath.workdps(30):
+        return float(mpmath.quad(f, [0, mpmath.pi, 2 * mpmath.pi]))
 
 
 @pytest.mark.parametrize("n,x", [(1, 0.5), (1, 3.0), (2, 1.0), (5, 10.0),
@@ -168,7 +167,8 @@ def test_psi_prime_zero_inner_integral():
     deriv, inner = universal.psi_b_prime0(0.5)
     # independent oracle for I(b) = int_{-1}^1 sqrt((1-y^2)/(1+b^2-2by)) dy
     f = lambda y: mpmath.sqrt((1 - y ** 2) / (1.25 - y))
-    want = float(mpmath.quad(f, [-1, 1]))
+    with mpmath.workdps(30):
+        want = float(mpmath.quad(f, [-1, 1]))
     assert inner == pytest.approx(want, rel=1e-10)
     assert deriv == pytest.approx((8.0 / 3.0) * 1.5 - 2.5 * inner, rel=1e-12)
 
@@ -183,7 +183,8 @@ def test_psi_prime_zero_small_x_slope():
 
 def test_periodic_trapezoid_spectral():
     got = universal.periodic_trapezoid(lambda t: np.exp(np.cos(t)))
-    want = 2.0 * math.pi * float(mpmath.besseli(0, 1))
+    with mpmath.workdps(30):
+        want = 2.0 * math.pi * float(mpmath.besseli(0, 1))
     assert got == pytest.approx(want, rel=1e-13)
 
 
