@@ -233,6 +233,11 @@ def cmd_threshold(args: argparse.Namespace) -> int:
         rows.append(row)
     path = os.path.join(_out_dir(args), "threshold.csv")
     meta = {"command": "threshold", **model_meta, "b": args.b}
+    missing = ", ".join(f"{b:.15g}" for b, fold, *_ in rows if fold is None)
+    if missing:  # valid rows (found false), named in a warning
+        meta["warning"] = (f"no fold m <= {dispersion._FOLD_CAP} satisfies "
+                           f"the conditions at b = {missing}")
+        print(f"# warning = {meta['warning']}", file=sys.stderr)
     write_csv(path, meta, header, list(zip(*rows)))
     print(path)
     return 0

@@ -244,8 +244,12 @@ def measure_from_dict(d: dict) -> Measure:
     raw = d.get("atoms", "").strip()
     if raw:
         for piece in raw.split(","):
-            x, m = piece.split(":")
-            atoms.append((float(x), float(m)))
+            try:
+                x, m = map(float, piece.split(":"))
+            except ValueError:
+                raise ValueError(f"atoms needs x:m pairs, got "
+                                 f"{piece.strip()!r}") from None
+            atoms.append((x, m))
     family = d.get("family", "").strip() or None
     names = _FAMILIES.get(family, ())
     keys = {"variant", "family", "atoms", *names}

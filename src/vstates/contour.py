@@ -7,10 +7,10 @@ evaluated spectrally: the convolution part of the kernel is reduced to
 boundary integrals by the divergence theorem, the model splits it into a
 singular and a smooth factor (`KernelModel.k0_factors`), the angular
 singularity is integrated with exact Fourier weights (a circulant cached
-per grid), and the smooth kernel part K1 of bounded domains enters through its
-Green-function series, whose radial factors are integrated across the
-patch in closed form, for the modes k that m divides.  F is odd and
-2 pi/m-periodic, so its targets are the grid points on [0, pi/m) only.
+per grid), and the model integrates the smooth kernel part K1 of bounded
+domains over the patch (`models.k1_patch`).  Only `models` reads the kind
+of K0 and K1; this module reads none.  F is odd and 2 pi/m-periodic, so
+its targets are the grid points on [0, pi/m) only.
 Continuation in the kernel-mode amplitude, preconditioned by the annulus
 blocks -n Q_{n,b}(Omega) that the finite-difference `jacobian` checks,
 produces the local bifurcation branches.
@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cmkernel import c_beta
-from .models import KernelModel, gsqg_capital_lambda, k1_series
+from .models import KernelModel, gsqg_capital_lambda, k1_patch
 from . import dispersion as _dispersion
 
 __all__ = [
@@ -207,50 +207,6 @@ def _k0_integral(model: KernelModel, z: np.ndarray, w: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# smooth kernel part of bounded domains
-# ---------------------------------------------------------------------------
-
-def _k1_area_terms(model: KernelModel, m: int, theta: np.ndarray,
-                   ra: np.ndarray, rb: np.ndarray,
-                   rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stream and velocity of K1 over the m-fold patch, on both boundaries.
-
-    Every term of the K1 series is a radial factor times cos k(theta - eta),
-    so the patch integral takes each radial factor from ra(eta) to rb(eta)
-    in closed form and sums all columns by the trapezoid rule in eta; the
-    eta sums vanish unless m divides k.  Rows 0 and 1 of the results hold
-    the first ``rows`` points of the inner and outer boundary.
-    """
-    if model.k1 is None:
-        return np.zeros((2, rows)), np.zeros((2, rows), dtype=complex)
-    step = 2.0 * np.pi / len(theta)
-
-    def primitives(t, r1, r2, kk):
-        # antiderivatives in t of t, t log t and t e_k(t)
-        t = t[:, None]
-        t2 = t * t
-        base = np.hstack([t2 / 2.0, t2 * (np.log(t) - 0.5) / 2.0])
-        # t (R1/t)^k integrates to t^2 (R1/t)^k / (2 - k); R1^2 log t at k = 2
-        inner = t2 * (r1 / t) ** kk / np.where(kk == 2, 1, 2 - kk)
-        inner[:, kk == 2] = r1 * r1 * np.log(t)
-        outer = t2 * (t / r2) ** kk / (kk + 2.0)
-        return base, np.stack([outer, inner], axis=-1)
-
-    def source(r1, r2, kk):
-        base_a, modes_a = primitives(ra, r1, r2, kk)
-        base_b, modes_b = primitives(rb, r1, r2, kk)
-        rot = np.exp(-1j * np.outer(theta, kk)) * step
-        return (step * (base_b - base_a).sum(axis=0),
-                np.einsum("mk,mkj->kj", rot, modes_b - modes_a))
-
-    z = (np.concatenate([ra[:rows], rb[:rows]])
-         * np.tile(np.exp(1j * theta[:rows]), 2))
-    psi, vel = k1_series(model, z, float(np.min(ra)), float(np.max(rb)), m,
-                         source)
-    return psi.reshape(2, rows), vel.reshape(2, rows)
-
-
-# ---------------------------------------------------------------------------
 # geometry assembly and the functional
 # ---------------------------------------------------------------------------
 
@@ -289,18 +245,16 @@ def _boundary_field(model: KernelModel, data: tuple, rows: int,
     """Stream function (stream=True) or its gradient (complex) at the first
     ``rows`` points of the two boundaries; the sources are the whole grid.
 
-    The divergence theorem turns the patch integral into boundary integrals
-    against the tangent w' rotated by -i (stream) or i (gradient).
+    The divergence theorem turns the patch integral of K0 into boundary
+    integrals against the tangent w' rotated by -i (stream) or i (gradient);
+    that of K1 is `k1_patch`, which refuses a model without contour dynamics.
     """
-    if model.measure_obj is not None or model.k1 not in (None, "green"):
-        raise ValueError(
-            f"contour dynamics not supported for {model.variant!r}")
     theta, ra, rb, w1, w2, w1p, w2p, _, _, m = data
+    k1 = k1_patch(model, m, theta, ra, rb, rows)[0 if stream else 1]
     rot = -1j if stream else 1j
     out = [_k0_integral(model, z[:rows], w2, w2p, rot * w2p, not inner, stream)
            - _k0_integral(model, z[:rows], w1, w1p, rot * w1p, inner, stream)
            for z, inner in ((w1, True), (w2, False))]
-    k1 = _k1_area_terms(model, m, theta, ra, rb, rows)[0 if stream else 1]
     return out[0] + k1[0], out[1] + k1[1]
 
 

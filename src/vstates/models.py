@@ -9,8 +9,9 @@ of the domain's Green function; both fields fix every closed form the
 dispersion relation needs: the convolution coefficients lambda /
 lambda-tilde, the interaction coefficients p / p-tilde, and the velocity
 constants V^1, V^2 of the unperturbed annulus 1_{D \\ b D}.  Only this
-module reads the kind of K0: `closed_lambda` is its coefficient between
-two circles, and `KernelModel.k0_factors` its split for `contour`.
+module reads the kind of K0 and K1: `closed_lambda` and `closed_p` are
+their coefficients between two circles, `KernelModel.k0_factors` and
+`k1_patch` what `contour` integrates.
 
 The closed forms take one mode n or an integer array of modes and return a
 float or a column; their numerics neither over- nor underflow at large n.
@@ -55,9 +56,8 @@ __all__ = [
     "sneddon_series",
     "sneddon_integral",
     "qgsw_disc_v_series",
-    "k1_series",
-    "k1_eval",
-    "k1_grad",
+    "k1_point",
+    "k1_patch",
 ]
 
 _LOG = ("log", 0.0)
@@ -358,12 +358,12 @@ def closed_p(model: KernelModel, n, b: float) -> tuple:
     """(p_{n,b}, p_{n,1}, p-tilde_{n,b}) of the model's K1.
 
     Plane models have K1 = 0.  The Green series of the domain (R1, R2)
-    gives, with s = R1/R2 and every power taken of a ratio at most 1,
-      p_{n,x} = -[(x/R2)^2n + (R1/x)^2n - 2 s^2n] / (2n (1 - s^2n)),
-      p-tilde_{n,b} = -[(b/R2^2)^n + (R1^2/b)^n - s^2n b^n
-                        - (R1^2/(R2^2 b))^n] / (2n (1 - s^2n)).
-    Both discs R D sum w_j times the QGSW-disc closed forms at eps = rho_j
-    over their `_screening_nodes`, every product I_n K_n from `bessel_ik`:
+    gives the coefficient between the circles of radii y <= x,
+      -e_n(y)^T C_n e_n(x) / (2n),  e_n(t) = ((t/R2)^n, (R1/t)^n),
+    C_n that of the K1 series (above `_k1_domain`), at (y, x) = (b, b),
+    (1, 1), (b, 1).  Both discs R D sum w_j times the QGSW-disc closed forms at
+    eps = rho_j over their `_screening_nodes`, every product I_n K_n from
+    `bessel_ik`:
       p_{n,x} = -[I_n(eps x) K_n(eps R)]^2 / (I_n(eps R) K_n(eps R)),
       p-tilde_{n,b} = -I_n(eps b) K_n(eps R) I_n(eps) K_n(eps R)
                        / (I_n(eps R) K_n(eps R)).
@@ -371,23 +371,21 @@ def closed_p(model: KernelModel, n, b: float) -> tuple:
     ns, out = _modes(n, "closed_p")
     if model.k1 is None:
         return (out(np.zeros(ns.shape)),) * 3
-    if model.k1 != "green":
-        cols = _disc_p(np.atleast_1d(ns), b, model.domain[1],
-                       _screening_nodes(model))
-        return tuple(out(c.reshape(ns.shape)) for c in cols)
-    r1, r2 = model.domain
-    # float_power rounds like the scalar x ** n
-    s2n = np.float_power(r1 / r2, 2 * ns)
-    den = 2.0 * ns * (1.0 - s2n)
-
-    def p(x: float):
-        return -(np.float_power(x / r2, 2 * ns)
-                 + np.float_power(r1 / x, 2 * ns) - 2.0 * s2n) / den
-
-    pt_nb = -(np.float_power(b / (r2 * r2), ns)
-              + np.float_power(r1 * r1 / b, ns) - s2n * np.float_power(b, ns)
-              - np.float_power(r1 * r1 / (r2 * r2 * b), ns)) / den
-    return (out(p(b)), out(p(1.0)), out(pt_nb))
+    ks = np.atleast_1d(ns)
+    if model.k1 == "green":
+        r1, r2 = model.domain
+        y, x = np.array([[b, 1.0, b], [b, 1.0, 1.0]])[..., None]
+        s2n = np.float_power(r1 / r2, 2 * ks)
+        # e_n(y)^T C_n e_n(x) (1 - s^2n), each product of powers taken as
+        # one power (float_power rounds like the scalar t ** n)
+        num = (np.float_power(y * x / (r2 * r2), ks)
+               + np.float_power(r1 * r1 / (y * x), ks)
+               - s2n * np.float_power(y / x, ks)
+               - np.float_power(r1 * r1 * x / (r2 * r2 * y), ks))
+        cols = -num / (2.0 * ks * (1.0 - s2n))
+    else:
+        cols = _disc_p(ks, b, model.domain[1], _screening_nodes(model))
+    return tuple(out(c.reshape(ns.shape)) for c in cols)
 
 
 def series_p(model: KernelModel, n: int, b: float,
@@ -674,7 +672,7 @@ def qgsw_disc_v_series(eps: float, r: float, b: float,
 
 
 # ---------------------------------------------------------------------------
-# smooth kernel part K1 (needed by the contour functional)
+# smooth kernel part K1 at a point and over the contour's patch
 # ---------------------------------------------------------------------------
 
 # K1 is the regular part of the Green function of the annulus R1 < |x| < R2,
@@ -700,8 +698,8 @@ def _k1_domain(model: KernelModel) -> tuple[float, float, np.ndarray]:
     return r1, r2, np.array([[l1 * l2, -l2], [-l2, 1.0]]) / (l1 - l2)
 
 
-def k1_series(model: KernelModel, x: np.ndarray, t_min: float, t_max: float,
-              fold: int, source) -> tuple[np.ndarray, np.ndarray]:
+def _k1_series(model: KernelModel, x: np.ndarray, t_min: float, t_max: float,
+               fold: int, source) -> tuple[np.ndarray, np.ndarray]:
     """Stream and velocity (vx + i vy) of K1 against a source, at points x.
 
     The source lies at radii in [t_min, t_max] and is invariant under
@@ -733,8 +731,11 @@ def k1_series(model: KernelModel, x: np.ndarray, t_min: float, t_max: float,
     return val / (2.0 * math.pi), grad / (2.0 * math.pi)
 
 
-def _k1_point(model: KernelModel, x: complex,
-              y: complex) -> tuple[float, complex]:
+def k1_point(model: KernelModel, x: complex,
+             y: complex) -> tuple[float, complex]:
+    """K1(x, y) and its gradient in x as vx + i vy; (0, 0) on the plane."""
+    if model.k1 is None:
+        return 0.0, 0j
     t, eta = abs(y), math.atan2(y.imag, y.real)
 
     def source(r1, r2, kk):
@@ -742,19 +743,49 @@ def _k1_point(model: KernelModel, x: complex,
         return (np.array([1.0, math.log(t)]),
                 e_k * np.exp(-1j * kk * eta)[:, None])
 
-    val, grad = k1_series(model, np.array([complex(x)]), t, t, 1, source)
+    val, grad = _k1_series(model, np.array([complex(x)]), t, t, 1, source)
     return float(val[0]), complex(grad[0])
 
 
-def k1_eval(model: KernelModel, x: complex, y: complex) -> float:
-    """K1(x, y) for models with an explicit smooth kernel part."""
-    if model.k1 is None:
-        return 0.0
-    return _k1_point(model, x, y)[0]
+def k1_patch(model: KernelModel, fold: int, theta: np.ndarray,
+             ra: np.ndarray, rb: np.ndarray,
+             rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stream and velocity of K1 over the fold-symmetric patch ra(eta) <
+    |y| < rb(eta), eta the uniform grid theta, at the first ``rows`` points
+    of its inner (row 0) and outer (row 1) boundary; zero on the plane.
 
-
-def k1_grad(model: KernelModel, x: complex, y: complex) -> complex:
-    """Gradient of K1 in x, returned as a complex number (vx + i vy)."""
+    Each term of the K1 series is a radial factor times cos k(theta - eta):
+    the factor is integrated from ra(eta) to rb(eta) in closed form, and the
+    columns by the trapezoid rule.  A custom measure (no `k0_factors`) or a
+    K1 but the Green series has no contour dynamics: ValueError.
+    """
+    if model.measure_obj is not None or model.k1 not in (None, "green"):
+        raise ValueError(
+            f"contour dynamics not supported for {model.variant!r}")
     if model.k1 is None:
-        return 0.0 + 0.0j
-    return _k1_point(model, x, y)[1]
+        return np.zeros((2, rows)), np.zeros((2, rows), dtype=complex)
+    step = 2.0 * np.pi / len(theta)
+
+    def primitives(t, r1, r2, kk):
+        # antiderivatives in t of t, t log t and t e_k(t)
+        t = t[:, None]
+        t2 = t * t
+        base = np.hstack([t2 / 2.0, t2 * (np.log(t) - 0.5) / 2.0])
+        # t (R1/t)^k integrates to t^2 (R1/t)^k / (2 - k); R1^2 log t at k = 2
+        inner = t2 * (r1 / t) ** kk / np.where(kk == 2, 1, 2 - kk)
+        inner[:, kk == 2] = r1 * r1 * np.log(t)
+        outer = t2 * (t / r2) ** kk / (kk + 2.0)
+        return base, np.stack([outer, inner], axis=-1)
+
+    def source(r1, r2, kk):
+        base_a, modes_a = primitives(ra, r1, r2, kk)
+        base_b, modes_b = primitives(rb, r1, r2, kk)
+        rot = np.exp(-1j * np.outer(theta, kk)) * step
+        return (step * (base_b - base_a).sum(axis=0),
+                np.einsum("mk,mkj->kj", rot, modes_b - modes_a))
+
+    z = (np.concatenate([ra[:rows], rb[:rows]])
+         * np.tile(np.exp(1j * theta[:rows]), 2))
+    psi, vel = _k1_series(model, z, float(np.min(ra)), float(np.max(rb)),
+                          fold, source)
+    return psi.reshape(2, rows), vel.reshape(2, rows)

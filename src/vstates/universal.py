@@ -50,11 +50,14 @@ def periodic_trapezoid(f, tol: float = 1e-12, n0=64, n_max: int = 1 << 21):
     leading index; the result has the leading shape, a float for one row.
     For a list of start levels n0, `f(eta, rows)` yields the values of the
     listed rows in turn, and each row doubles from its own n0 until its own
-    entries agree, as in the call with that n0 alone.  `f` is called on at
-    most _TRAPEZOID_CHUNK values (per row) at a time.
+    entries agree, as in the call with that n0 alone, which must lie below
+    n_max.  `f` is called on at most _TRAPEZOID_CHUNK values (per row) at a
+    time.
     """
     if np.ndim(n0) == 0:
         return periodic_trapezoid(lambda eta, _: [f(eta)], tol, [n0], n_max)[0]
+    if max(n0) >= n_max:  # checked before the first call of f
+        raise ValueError(f"periodic_trapezoid needs n0 < n_max = {n_max}")
     size = max(1, np.size(next(iter(f(np.zeros(1), [0])))))
     chunk = 1 << max(0, (_TRAPEZOID_CHUNK // size).bit_length() - 1)
     total, live, m = {}, [], min(n0)
@@ -158,6 +161,8 @@ def phi_nb(n, b: float, x):
     ns = np.atleast_1d(np.asarray(n, dtype=int)).tolist()
     if np.ndim(ns) != 1 or min(ns) < 1:
         raise ValueError("phi_nb requires n >= 1")
+    if max(ns) > 1 << 18:  # above, the 4n-node start reaches the 2^21 cap
+        raise ValueError(f"phi_nb requires n <= 262144, got {max(ns)}")
     if not 0.0 < b <= 1.0:
         raise ValueError("phi_nb requires b in (0, 1]")
     xs = _values(x, "phi_nb")[:, None]

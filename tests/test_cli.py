@@ -136,6 +136,7 @@ def test_usage_errors_exit_2(tmp_path):
 
 
 _CUSTOM = ["spectra", "--model", "CustomConvolution", "--param"]
+_ATOMS = "error: bad model spec: atoms needs x:m pairs,"
 
 
 @pytest.mark.parametrize("args, message", [
@@ -147,6 +148,9 @@ _CUSTOM = ["spectra", "--model", "CustomConvolution", "--param"]
     (_CUSTOM + ["family=truncated_high", "--param", "x_star=2", "--param",
                 "gamma=-1"], None),
     (_CUSTOM + ["atoms=nan:1"], None),
+    (_CUSTOM + ["atoms=1"], f"{_ATOMS} got '1'"),
+    (_CUSTOM + ["atoms=1:2:3"], f"{_ATOMS} got '1:2:3'"),
+    (_CUSTOM + ["atoms=2:1, a:2"], f"{_ATOMS} got 'a:2'"),
     (_CUSTOM + ["family=truncated_low", "--param", "x_star=2", "--param",
                 "amplitude=-1"], None),
     (_CUSTOM + ["family=euler_flat", "--param", "beta=0.5"], None),
@@ -154,6 +158,8 @@ _CUSTOM = ["spectra", "--model", "CustomConvolution", "--param"]
     (["branch", "--model", "EulerPlane", "--m", "5", "--s-max", "nan"],
      "error: branch_continue needs a finite s_max"),
     (["universal", "--x-max", "inf"], "error: universal needs x_max > 0"),
+    (["universal", "--fold", "262145", "--x-points", "2"],
+     "error: phi_nb requires n <= 262144, got 262145"),
     (["branch", "--model", "EulerPlane", "--m", "5", "--steps", "0"],
      "error: branch_continue needs steps >= 1"),
     (["branch", "--model", "EulerPlane", "--m", "5", "--steps", "-2"],
@@ -177,8 +183,10 @@ _CUSTOM = ["spectra", "--model", "CustomConvolution", "--param"]
       "family=gsqg_power", "--param", "beta=0.5", "--m", "5"],
      "error: contour dynamics not supported for 'CustomConvolution'"),
 ], ids=["r-nan", "eps-inf", "unused-beta", "x_star-nan", "x_star-0",
-        "gamma-negative", "atom-nan", "amplitude-negative", "flat-beta",
-        "r-missing", "s_max-nan", "x_max-inf", "steps-0", "steps-negative",
+        "gamma-negative", "atom-nan", "atom-no-mass", "atom-three-parts",
+        "atom-not-a-number", "amplitude-negative", "flat-beta",
+        "r-missing", "s_max-nan", "x_max-inf", "fold-past-node-cap",
+        "steps-0", "steps-negative",
         "k_max-1", "k_max-0", "m-0", "modes-0", "s_max-0", "branch-QgswDisc",
         "branch-GsqgDisc", "branch-CustomConvolution"])
 def test_bad_model_specs_are_usage_errors(tmp_path, capsys, args, message):
@@ -477,12 +485,28 @@ def test_threshold_annulus_dual_route(tmp_path):
                     "--param", "r1=0.1", "--param", "r2=10",
                     "--b", "0.3,0.5,0.8", "--out", out])
     assert code == 0
-    _, header, rows = read_csv(os.path.join(out, "threshold.csv"))
+    meta, header, rows = read_csv(os.path.join(out, "threshold.csv"))
+    assert "warning" not in meta
     for row in rows:
         assert row[header.index("found")] == "true"
         assert row[header.index("in_s")] == "true"
         assert row[header.index("min_fold")] == row[
             header.index("closed_threshold")]
+
+
+def test_threshold_names_the_b_without_a_fold(tmp_path, capsys):
+    # at b = 0.995 no fold m <= 64 passes the scan; the row is still a
+    # valid answer, so the run exits 0 and names that b in one warning
+    out = str(tmp_path)
+    code = run_cli(["threshold", "--model", "EulerAnnulus",
+                    "--param", "r1=0.1", "--param", "r2=10",
+                    "--b", "0.5,0.995", "--out", out])
+    assert code == 0
+    meta, header, rows = read_csv(os.path.join(out, "threshold.csv"))
+    assert [row[header.index("found")] for row in rows] == ["true", "false"]
+    warning = "no fold m <= 64 satisfies the conditions at b = 0.995"
+    assert meta["warning"] == warning
+    assert f"# warning = {warning}\n" in capsys.readouterr().err
 
 
 def test_threshold_exterior_values(tmp_path):

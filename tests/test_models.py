@@ -195,8 +195,8 @@ def test_k0_split_sums_to_the_unsplit_kernel(model):
 
 def _p_fourier_oracle(model, n, rx, ry):
     def f(eta):
-        return np.array([models.k1_eval(model, rx,
-                                        ry * cmath.exp(1j * float(e)))
+        return np.array([models.k1_point(model, rx,
+                                         ry * cmath.exp(1j * float(e)))[0]
                          * math.cos(n * float(e)) for e in np.atleast_1d(eta)])
 
     return periodic_trapezoid(f, tol=1e-13, n0=256, n_max=4096)
@@ -388,18 +388,24 @@ def test_overflow_cases_are_finite():
 
 def test_plane_models_have_no_smooth_part():
     assert models.closed_p(models.euler_plane(), 3, 0.5) == (0.0, 0.0, 0.0)
-    assert models.k1_eval(models.euler_plane(), 0.5, 0.3 + 0.1j) == 0.0
+    assert models.k1_point(models.euler_plane(), 0.5, 0.3 + 0.1j) == (0.0, 0j)
+
+
+def test_k1_series_is_private():
+    # K1 is read at a point or over the patch, never through its series
+    assert "k1_series" not in models.__all__
+    assert {"k1_point", "k1_patch"} <= set(models.__all__)
 
 
 def test_k1_symmetry():
     for model in (models.euler_disc(3.0), models.euler_annulus(0.2, 5.0)):
         x, y = 0.5 * cmath.exp(0.3j), 0.8 * cmath.exp(-1.1j)
-        assert models.k1_eval(model, x, y) == pytest.approx(
-            models.k1_eval(model, y, x), rel=1e-12)
+        assert models.k1_point(model, x, y)[0] == pytest.approx(
+            models.k1_point(model, y, x)[0], rel=1e-12)
         # rotation invariance
         rot = cmath.exp(0.7j)
-        assert models.k1_eval(model, rot * x, rot * y) == pytest.approx(
-            models.k1_eval(model, x, y), rel=1e-12)
+        assert models.k1_point(model, rot * x, rot * y)[0] == pytest.approx(
+            models.k1_point(model, x, y)[0], rel=1e-12)
 
 
 @pytest.mark.parametrize("model", [
@@ -409,12 +415,12 @@ def test_k1_symmetry():
 ])
 def test_k1_grad_matches_finite_differences(model):
     x, y = 0.6 * cmath.exp(0.4j), 0.9 * cmath.exp(-0.8j)
-    g = models.k1_grad(model, x, y)
+    g = models.k1_point(model, x, y)[1]
     h = 1e-6
-    fd_re = (models.k1_eval(model, x + h, y)
-             - models.k1_eval(model, x - h, y)) / (2 * h)
-    fd_im = (models.k1_eval(model, x + 1j * h, y)
-             - models.k1_eval(model, x - 1j * h, y)) / (2 * h)
+    fd_re = (models.k1_point(model, x + h, y)[0]
+             - models.k1_point(model, x - h, y)[0]) / (2 * h)
+    fd_im = (models.k1_point(model, x + 1j * h, y)[0]
+             - models.k1_point(model, x - 1j * h, y)[0]) / (2 * h)
     assert g.real == pytest.approx(fd_re, abs=1e-8)
     assert g.imag == pytest.approx(fd_im, abs=1e-8)
 
@@ -435,8 +441,9 @@ def test_k1_matches_image_log_kernel(model, radii):
             f = r - x * y.conjugate() / r
             want = math.log(abs(f)) / (2.0 * math.pi)
             want_grad = (-y.conjugate() / r / f).conjugate() / (2.0 * math.pi)
-            assert abs(models.k1_eval(model, x, y) - want) < 1e-13
-            assert abs(models.k1_grad(model, x, y) - want_grad) < 1e-13
+            val, grad = models.k1_point(model, x, y)
+            assert abs(val - want) < 1e-13
+            assert abs(grad - want_grad) < 1e-13
 
 
 def test_annulus_c_frak_closed_form():
@@ -460,7 +467,8 @@ def test_annulus_c_frak_against_kernel_quadrature():
         vals = np.zeros_like(eta)
         for r, w in zip(rho, wts):
             for i, e in enumerate(np.atleast_1d(eta)):
-                g = models.k1_grad(model, b + 0j, r * cmath.exp(1j * float(e)))
+                g = models.k1_point(model, b + 0j,
+                                    r * cmath.exp(1j * float(e)))[1]
                 vals[i] += w * g.real
         return vals
 

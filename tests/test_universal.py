@@ -104,6 +104,9 @@ def test_phi_nb_rows_equal_single_modes(b):
         universal.phi_nb(n, b, 2.0) for n in ns.tolist()]
     with pytest.raises(ValueError):
         universal.phi_nb(np.array([1, 0]), b, 1.0)
+    # n = 2^18 starts at 2^20 nodes; one more mode would start at the cap
+    with pytest.raises(ValueError, match="phi_nb requires n <= 262144"):
+        universal.phi_nb(np.array([1, (1 << 18) + 1]), b, 1.0)
 
 
 def test_trapezoid_rows_start_and_stop_on_their_own():
@@ -112,11 +115,17 @@ def test_trapezoid_rows_start_and_stop_on_their_own():
     funs = [lambda eta: np.exp(-np.abs(np.sin(eta / 2.0))) * np.cos(eta),
             lambda eta: np.exp(np.cos(eta)),
             lambda eta: np.abs(np.sin(eta / 2.0)) * np.cos(3 * eta)]
-    n0 = [128, 64, 1024]
+    n0 = [128, 64, 256]
     rows = universal.periodic_trapezoid(
         lambda eta, live: (funs[i](eta) for i in live), n0=n0, n_max=512)
     assert rows == [universal.periodic_trapezoid(f, n0=n, n_max=512)
                     for f, n in zip(funs, n0)]
+    # a row that starts at the cap would be summed once and never checked
+    calls = []
+    for start in (512, [128, 1024]):
+        with pytest.raises(ValueError, match="n0 < n_max = 512"):
+            universal.periodic_trapezoid(calls.append, n0=start, n_max=512)
+    assert calls == []
 
 
 def test_phi_nb_reduces_to_phi_n_at_b_one():
