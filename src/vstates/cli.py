@@ -207,8 +207,8 @@ def cmd_universal(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     header = ["x", f"phi_{n}", f"phi_{n}_b", "psi_b"]
     for b in bs:
-        columns = [xs, universal.phi_n(n, xs), universal.phi_nb(n, b, xs),
-                   universal.psi_b(b, xs)]
+        phi_b = universal.phi_nb(n, b, xs)  # refuses a bad fold first
+        columns = [xs, universal.phi_n(n, xs), phi_b, universal.psi_b(b, xs)]
         path = os.path.join(out, f"universal_b{b:g}.csv")
         write_csv(path, {"command": "universal", "fold": n, "b": f"{b:g}",
                          "x_max": f"{x_max:g}", "x_points": points},

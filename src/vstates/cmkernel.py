@@ -2,20 +2,22 @@
 
 A kernel K0 with -K0' completely monotone is represented through its
 Bernstein measure mu (atoms plus an optional density family).  This module
-reconstructs K0 from mu (normalized at the reference point t = 1) and
-evaluates the Laplace-weighted spectral integral int g(x) dmu(x)/x through
-which the spectral coefficients factorize.
+builds the measures and holds the one quadrature rule of a custom measure:
+`_measure_nodes` places nodes on the whole half-line from the atoms,
+`Measure.support()` and `Measure.density`, and `_node_sums` takes
+int g(x) dmu(x)/x over them, through which the spectral coefficients
+factorize.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-from scipy import integrate as _integrate
+
+from .universal import _gauss_rule
 
 __all__ = [
     "Measure",
@@ -25,8 +27,6 @@ __all__ = [
     "qgsw_shifted",
     "truncated_low",
     "truncated_high",
-    "spectral_integral",
-    "k0_eval",
     "measure_from_dict",
 ]
 
@@ -34,8 +34,6 @@ __all__ = [
 _FAMILIES = {"euler_flat": (), "gsqg_power": ("beta",),
              "qgsw_shifted": ("eps",), "truncated_low": ("x_star",),
              "truncated_high": ("x_star", "gamma")}
-
-_TAIL_TOL = 1e-12
 
 
 def _check_params(owner: str, params: dict, names) -> None:
@@ -150,86 +148,51 @@ def truncated_high(f: Callable[[float], float] | None, x_star: float,
                    params={"x_star": x_star, "gamma": gamma}, f=f)
 
 
-def _x_max(decay: float) -> float:
-    # truncation point where the analytic tail bound 2 pi e^{-decay X}
-    # drops below the quadrature tolerance
-    return max(60.0, math.log(2.0 * math.pi / _TAIL_TOL) / decay + 10.0)
+def _panel(p: float, q: float, e: float) -> tuple[np.ndarray, np.ndarray]:
+    # nodes u and weights of int_p^q F(u) du for F ~ (u - p)^e at p: the
+    # Gauss-Jacobi rule of order 32 for that weight, divided back out
+    t, w = _gauss_rule(32, e)
+    u = p + 0.5 * (q - p) * (1.0 + t)
+    return u, w * (0.5 * (q - p)) ** (1.0 + e) / (u - p) ** e
 
 
-def _quad(fun, a: float, b: float) -> float:
-    # panels [a, a + 1], [a + 1, a + 10], [a + 10, a + 100], ...: one
-    # adaptive rule over a range up to ~1e9 long misses the unit scale
-    edges, width = [a], 1.0
-    while a + width < b:
-        edges.append(a + width)
-        width *= 10.0
-    val, err = map(sum, zip(*(
-        _integrate.quad(fun, lo, hi, limit=400, epsabs=1e-12, epsrel=1e-11)
-        for lo, hi in zip(edges, edges[1:] + [b]))))
-    if err > 1e-6 * max(1.0, abs(val)):
-        warnings.warn(f"quadrature error estimate {err:.2e} is large")
-    return val
+def _measure_nodes(mu: Measure, x_cut: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of mu on the whole half-line: its atoms, then the
+    nodes of its density part.  An atom at 0 raises ValueError.
 
-
-def _density_integral(mu: Measure, fun, decay: float) -> float:
-    """int fun(x) dmu_density(x), truncated using the e^{-decay x} tail."""
-    if mu.family is None:
-        return 0.0
-    xmax = _x_max(decay)
-    if mu.family == "qgsw_shifted":
-        # x = eps cosh(u) removes the inverse-square-root endpoint singularity:
-        # dmu = (1/2pi) x / sqrt(x^2-eps^2) dx  ->  (eps/2pi) cosh(u) du
-        eps = mu.params["eps"]
-        umax = math.acosh(max(xmax / eps, 1.5))
-        return _quad(lambda u: fun(eps * math.cosh(u))
-                     * eps * math.cosh(u) / (2.0 * math.pi), 0.0, umax)
-    if mu.family == "truncated_low":
-        return _quad(lambda x: fun(x) * mu.density(x), 0.0, mu.params["x_star"])
-    if mu.family == "truncated_high":
-        x_star = mu.params["x_star"]
-        hi = max(xmax, x_star + 10.0)
-        tail = abs(fun(hi) * mu.density(hi)) * hi
-        if tail > 1e-9:
-            warnings.warn(f"truncated_high tail estimate {tail:.2e} exceeds tolerance")
-        return _quad(lambda x: fun(x) * mu.density(x), x_star, hi)
-    return _quad(lambda x: fun(x) * mu.density(x), 0.0, xmax)
-
-
-def spectral_integral(g, mu: Measure, decay: float = 1.0) -> float:
-    """int_0^inf g(x) dmu(x)/x  (atoms summed exactly, density by quadrature).
-
-    `decay` is the exponential decay rate assumed for g when truncating the
-    infinite range (phi-type integrands decay like e^{-(1-b)x}).
+    Weights include the density value.  With (lo, hi, a, b) =
+    mu.support(), panels graded geometrically toward lo cover lo < x < top,
+    the first one Gauss-Jacobi for the weight (x - lo)^a and the others
+    Gauss-Legendre; top is hi on a bounded support and max(x_cut, lo + 10)
+    otherwise, and then one Gauss-Jacobi panel in w = top/x for the weight
+    w^(-b) takes the rest of the half-line.
     """
-    total = 0.0
-    for x, m in mu.atoms:
-        if x == 0.0:
-            raise ValueError("spectral_integral undefined for an atom at x = 0")
-        total += m * g(x) / x
-    total += _density_integral(mu, lambda x: g(x) / x, decay)
-    return total
+    if any(x == 0.0 for x, _ in mu.atoms):
+        raise ValueError("spectral coefficient undefined for atom at 0")
+    atoms = np.reshape(mu.atoms, (-1, 2))
+    support = mu.support()
+    if support is None:
+        return atoms[:, 0], atoms[:, 1]
+    lo, hi, a, b = support
+    top = hi if math.isfinite(hi) else max(x_cut, lo + 10.0)
+    edges = lo + (top - lo) * 2.0 ** np.arange(-14.0, 1.0)
+    panels = [_panel(lo, edges[0], a)] + [
+        _panel(p, q, 0.0) for p, q in zip(edges[:-1], edges[1:])]
+    if not math.isfinite(hi):
+        w, ww = _panel(0.0, 1.0, -b)
+        panels.append((top / w, ww * top / (w * w)))
+    xs, ws = map(np.concatenate, zip(*panels))
+    return (np.concatenate([atoms[:, 0], xs]),
+            np.concatenate([atoms[:, 1], ws * np.vectorize(mu.density)(xs)]))
 
 
-def k0_eval(mu: Measure, t: float, c0: float = 0.0) -> float:
-    """K0(t) reconstructed from mu with the normalization K0(1) = c0.
-
-    K0(t) = c0 + int (e^{-t x} - e^{-x}) / x dmu(x).
-    """
-    if t <= 0:
-        raise ValueError("k0_eval requires t > 0")
-    if t == 1.0:
-        return c0
-
-    def h(x: float) -> float:
-        if x < 1e-12:
-            return 1.0 - t
-        return (math.exp(-t * x) - math.exp(-x)) / x
-
-    total = c0
-    for x, m in mu.atoms:
-        total += m * h(x)
-    total += _density_integral(mu, h, min(t, 1.0))
-    return total
+def _node_sums(mu: Measure, x_cut: float, fun) -> np.ndarray:
+    # int fun(x) dmu(x)/x, one value per row of fun, as sums over the nodes
+    # of mu built once; fun is called once on the nodes up to the cut and
+    # once beyond it, as phi_n grades its panels for its largest argument
+    xs, ws = _measure_nodes(mu, x_cut)
+    parts = [(xs[m], ws[m] / xs[m]) for m in (xs <= x_cut, xs > x_cut)]
+    return sum(np.sum(np.atleast_2d(fun(x) * w), axis=-1) for x, w in parts)
 
 
 def measure_from_dict(d: dict) -> Measure:

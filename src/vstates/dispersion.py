@@ -2,20 +2,20 @@
 
 Assembles the coefficient rows and dispersion points of the annulus
 1_{D \\ b D}.  `spectral_row` is the one assembly route: given an array of
-modes it returns columns, the lambdas from one array call of
-`models.closed_lambda` per radii pair (b, b), (1, 1), (b, 1) or, for a
-custom measure, as node sums over the one node rule of `_measure_nodes`
-(built once per coefficient from `Measure.support()` and
-`Measure.density`), p from `models.closed_p` and the K1 constants from
-`models.c_terms`, on both discs node sums of QGSW-disc closed forms that
-call no quadrature routine.  `dispersion_point` forms the velocity
-constants V^1, V^2 from the mode-1 column of its row (adding mode 1 to the
-call when the modes do not start there), then A, B, the discriminant, both
-roots and the classification as arrays; `DispersionPoint.q` assembles the
-block Q_{n,b}(Omega).  The module also evaluates the discriminant's
-large-n limit, locates the smallest symmetry fold m admitting simple real
-eigenvalues (one array call per block of candidate folds), and scans the
-monotone ordering of the two branches.
+modes it returns columns, the lambdas of every model from one array call
+of `models.closed_lambda` per radii pair (b, b), (1, 1), (b, 1), p from
+`models.closed_p` and the K1 constants from `models.c_terms`.  Only three
+places here ask what kind of kernel a model has: the `source` label of a
+row, `has_closed_fold`, and the block size of the fold scan.
+
+`dispersion_point` forms the velocity constants V^1, V^2 from the mode-1
+column of its row (adding mode 1 to the call when the modes do not start
+there), then A, B, the discriminant, both roots and the classification as
+arrays; `DispersionPoint.q` assembles the block Q_{n,b}(Omega).  The
+module also evaluates the discriminant's large-n limit, locates the
+smallest symmetry fold m admitting simple real eigenvalues (one array call
+per block of candidate folds), and scans the monotone ordering of the two
+branches.
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import models as _models
-from .cmkernel import Measure
 from .models import KernelModel
-from .universal import _gauss_rule, phi_n, phi_nb, psi_b
 
 __all__ = [
     "DEGENERACY_TOL",
@@ -39,6 +37,7 @@ __all__ = [
     "spectral_row",
     "dispersion_point",
     "dispersion_points",
+    "v_constants",
     "delta_inf",
     "min_fold",
     "has_closed_fold",
@@ -120,69 +119,6 @@ class MonotonicityReport:
 
 
 # ---------------------------------------------------------------------------
-# quadrature fallback for convolution models without closed forms
-# ---------------------------------------------------------------------------
-
-def _panel(p: float, q: float, e: float) -> tuple[np.ndarray, np.ndarray]:
-    # nodes u and weights of int_p^q F(u) du for F ~ (u - p)^e at p: the
-    # Gauss-Jacobi rule of order 32 for that weight, divided back out
-    t, w = _gauss_rule(32, e)
-    u = p + 0.5 * (q - p) * (1.0 + t)
-    return u, w * (0.5 * (q - p)) ** (1.0 + e) / (u - p) ** e
-
-
-def _measure_nodes(mu: Measure, x_cut: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of mu on the whole half-line: its atoms, then the
-    nodes of its density part.  An atom at 0 raises ValueError.
-
-    Weights include the density value.  With (lo, hi, a, b) =
-    mu.support(), panels graded geometrically toward lo cover lo < x < top,
-    the first one Gauss-Jacobi for the weight (x - lo)^a and the others
-    Gauss-Legendre; top is hi on a bounded support and max(x_cut, lo + 10)
-    otherwise, and then one Gauss-Jacobi panel in w = top/x for the weight
-    w^(-b) takes the rest of the half-line.
-    """
-    if any(x == 0.0 for x, _ in mu.atoms):
-        raise ValueError("spectral coefficient undefined for atom at 0")
-    atoms = np.reshape(mu.atoms, (-1, 2))
-    support = mu.support()
-    if support is None:
-        return atoms[:, 0], atoms[:, 1]
-    lo, hi, a, b = support
-    top = hi if math.isfinite(hi) else max(x_cut, lo + 10.0)
-    edges = lo + (top - lo) * 2.0 ** np.arange(-14.0, 1.0)
-    panels = [_panel(lo, edges[0], a)] + [
-        _panel(p, q, 0.0) for p, q in zip(edges[:-1], edges[1:])]
-    if not math.isfinite(hi):
-        w, ww = _panel(0.0, 1.0, -b)
-        panels.append((top / w, ww * top / (w * w)))
-    xs, ws = map(np.concatenate, zip(*panels))
-    return (np.concatenate([atoms[:, 0], xs]),
-            np.concatenate([atoms[:, 1], ws * np.vectorize(mu.density)(xs)]))
-
-
-def _node_sums(mu: Measure, x_cut: float, fun) -> np.ndarray:
-    # int fun(x) dmu(x)/x, one value per row of fun, as sums over the nodes
-    # of mu built once; fun is called once on the nodes up to the cut and
-    # once beyond it, as phi_n grades its panels for its largest argument
-    xs, ws = _measure_nodes(mu, x_cut)
-    parts = [(xs[m], ws[m] / xs[m]) for m in (xs <= x_cut, xs > x_cut)]
-    return sum(np.sum(np.atleast_2d(fun(x) * w), axis=-1) for x, w in parts)
-
-
-def _lambda_quadrature(mu: Measure, ns: np.ndarray, y: float,
-                       x: float) -> np.ndarray:
-    """The coefficient of `models.closed_lambda` between the radii y <= x
-    for a custom measure, at an array of modes, as node sums: at y = x
-    int phi_n(y t) dmu(t)/t, otherwise int phi_{n,y/x}(x t) dmu(t)/t,
-    whose integrand decays like e^{-(x-y)t}, which sets the cut."""
-    if y == x:
-        return _node_sums(mu, 300.0 / y, lambda t: phi_n(ns, y * t))
-    x_cut = math.log(2.0 * math.pi / 1e-14) / max(x - y, 1e-3) + 10.0
-    return _node_sums(mu, x_cut, lambda t: phi_nb(ns, y / x, x * t))
-
-
-# ---------------------------------------------------------------------------
 # row / point assembly
 # ---------------------------------------------------------------------------
 
@@ -192,20 +128,16 @@ _COEFFS = ("lam_nb", "lam_n1", "lamt_nb", "p_nb", "p_n1", "pt_nb")
 def spectral_row(model: KernelModel, n, b: float) -> SpectralRow:
     """Assemble the six coefficients and two constants of the n-th block.
 
-    n may be an integer array of modes, which gives a row of columns.  The
-    closed forms take all modes in one call; a custom measure's lambdas come
-    from quadrature, on nodes built once per coefficient.
+    n may be an integer array of modes, which gives a row of columns, each
+    coefficient from one call for all modes.
     """
     ns = np.atleast_1d(np.asarray(n, dtype=int))
     if ns.ndim != 1 or ns.size == 0 or ns.min() < 1:
         raise ValueError("spectral_row requires modes n >= 1")
     model.require_b(b)
-    # the lambdas: closed forms, or node sums for a custom measure
-    mu = model.measure_obj
-    lam, arg = ((_models.closed_lambda, model) if mu is None
-                else (_lambda_quadrature, mu))
-    lams = [lam(arg, ns, y, x) for y, x in ((b, b), (1.0, 1.0), (b, 1.0))]
-    source = ("closed-form" if mu is None else "quadrature") + (
+    lams = [_models.closed_lambda(model, ns, y, x)
+            for y, x in ((b, b), (1.0, 1.0), (b, 1.0))]
+    source = ("closed-form" if model.measure_obj is None else "quadrature") + (
         "/p-quadrature" if model.k1 == "subordinated" else "")
     c_b, ct_b = _models.c_terms(model, b)
     row = SpectralRow(n=ns, b=b, **dict(zip(_COEFFS, (
@@ -293,20 +225,10 @@ def v_constants(model: KernelModel, b: float) -> tuple[float, float]:
     return point.v1, point.v2
 
 
-def delta_inf(model: KernelModel, b: float, via_psi: bool = False) -> float:
-    """Large-n limit of the discriminant, (V^1 - V^2)^2.
-
-    With via_psi=True the convolution part is re-assembled through the
-    integral of Psi_b against the measure (independent route), plus the
-    smooth-part constants c_b - ct_b.
-    """
-    if not via_psi:
-        v1, v2 = v_constants(model, b)
-        return (v1 - v2) ** 2
-    (total,) = _node_sums(model.measure(), 300.0 / b,
-                          lambda x: psi_b(b, x))
-    c_b, ct_b = _models.c_terms(model, b)
-    return (total + c_b - ct_b) ** 2
+def delta_inf(model: KernelModel, b: float) -> float:
+    """Large-n limit of the discriminant, (V^1 - V^2)^2."""
+    v1, v2 = v_constants(model, b)
+    return (v1 - v2) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,13 @@ kernel is K(x, y) = K0(|x - y|) + K1(x, y), where K1 is the regular part
 of the domain's Green function; both fields fix every closed form the
 dispersion relation needs: the convolution coefficients lambda /
 lambda-tilde, the interaction coefficients p / p-tilde, and the velocity
-constants V^1, V^2 of the unperturbed annulus 1_{D \\ b D}.  Only this
-module reads the kind of K0 and K1: `closed_lambda` and `closed_p` are
-their coefficients between two circles, `KernelModel.k0_factors` and
-`k1_patch` what `contour` integrates.
+constants V^1, V^2 of the unperturbed annulus 1_{D \\ b D}.  This module
+dispatches on the kind of K0 and K1: `closed_lambda` and `closed_p` are
+their coefficients between two circles, every kind included,
+`KernelModel.k0_factors` and `k1_patch` what `contour` integrates.
+Elsewhere only `dispersion` reads a kind (`measure_obj` or `k1`), in three
+places: the `source` label of a row, `has_closed_fold`, and the block size
+of its fold scan.
 
 The closed forms take one mode n or an integer array of modes and return a
 float or a column; their numerics neither over- nor underflow at large n.
@@ -28,10 +31,10 @@ import numpy as np
 from scipy import integrate as _integrate
 from scipy import special as _sp
 
-from .cmkernel import (Measure, _check_params, c_beta, euler_flat,
-                       gsqg_power, qgsw_shifted)
+from .cmkernel import (Measure, _check_params, _node_sums, c_beta,
+                       euler_flat, gsqg_power, qgsw_shifted)
 from .specfun import bessel_ik
-from .universal import _gauss_rule
+from .universal import _gauss_rule, phi_n, phi_nb
 
 __all__ = [
     "KernelModel",
@@ -300,9 +303,15 @@ def _positive_series(p, q, r: float, w: float) -> np.ndarray:
 
 
 def closed_lambda(model: KernelModel, n, y: float, x: float):
-    """The n-th Fourier coefficient of K0(|y - x e^{i eta}|), y <= x, when
-    the model's K0 has a closed form: lambda_{n,b}, lambda_{n,1} and
-    lambda-tilde_{n,b} are its values at (y, x) = (b, b), (1, 1), (b, 1)."""
+    """The n-th Fourier coefficient of K0(|y - x e^{i eta}|), y <= x:
+    lambda_{n,b}, lambda_{n,1} and lambda-tilde_{n,b} are its values at
+    (y, x) = (b, b), (1, 1), (b, 1).
+
+    The log, power and Bessel kernels take their closed forms.  A custom
+    measure (CustomConvolution) takes node sums over `cmkernel._node_sums`,
+    the nodes built once for all modes: at y = x of int phi_n(y t) dmu(t)/t,
+    otherwise of int phi_{n,y/x}(x t) dmu(t)/t, whose integrand decays like
+    e^{-(x-y)t}, which sets the cut."""
     ns, out = _modes(n, "closed_lambda")
     kind, arg = model.k0
     if kind == "log":
@@ -312,7 +321,12 @@ def closed_lambda(model: KernelModel, n, y: float, x: float):
         return x ** (-arg) * gsqg_capital_lambda(ns, y / x, arg)
     if kind == "bessel":
         return bessel_ik(ns, y * arg, x * arg)
-    return None
+    if y == x:
+        sums = _node_sums(arg, 300.0 / y, lambda t: phi_n(ns, y * t))
+    else:
+        x_cut = math.log(2.0 * math.pi / 1e-14) / max(x - y, 1e-3) + 10.0
+        sums = _node_sums(arg, x_cut, lambda t: phi_nb(ns, y / x, x * t))
+    return out(sums.reshape(ns.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -733,9 +747,12 @@ def _k1_series(model: KernelModel, x: np.ndarray, t_min: float, t_max: float,
 
 def k1_point(model: KernelModel, x: complex,
              y: complex) -> tuple[float, complex]:
-    """K1(x, y) and its gradient in x as vx + i vy; (0, 0) on the plane."""
+    """K1(x, y) and its gradient in x as vx + i vy; (0, 0) on the plane.
+    Only the Green series is implemented: another K1 raises ValueError."""
     if model.k1 is None:
         return 0.0, 0j
+    if model.k1 != "green":
+        raise ValueError(f"k1_point has no K1 for {model.variant!r}")
     t, eta = abs(y), math.atan2(y.imag, y.real)
 
     def source(r1, r2, kk):

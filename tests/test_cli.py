@@ -402,6 +402,19 @@ def test_universal_bad_b_writes_nothing(tmp_path, capsys):
     assert not os.path.exists(out) or os.listdir(out) == []
 
 
+def test_universal_refuses_a_fold_past_the_node_cap_before_any_phi(
+        tmp_path, capsys, monkeypatch):
+    # phi_nb refuses the fold before phi_n evaluates the x grid
+    def no_phi_n(*args, **kwargs):
+        raise AssertionError("phi_n evaluated")
+
+    monkeypatch.setattr(universal, "phi_n", no_phi_n)
+    assert run_cli(["universal", "--fold", "262145",
+                    "--out", str(tmp_path)]) == 2
+    assert ("error: phi_nb requires n <= 262144, got 262145"
+            in capsys.readouterr().err)
+
+
 def test_universal_builds_each_gauss_rule_once(tmp_path, monkeypatch):
     orders = []
     leggauss = np.polynomial.legendre.leggauss

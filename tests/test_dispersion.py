@@ -9,6 +9,8 @@ import scipy.integrate
 
 from vstates import cli, cmkernel, dispersion, models
 
+import oracles
+
 
 EULER = models.euler_plane()
 
@@ -104,7 +106,7 @@ def test_v_constants_euler():
 def test_delta_inf_two_routes_agree():
     for model in (EULER, models.qgsw_plane(2.0)):
         direct = dispersion.delta_inf(model, 0.5)
-        via_psi = dispersion.delta_inf(model, 0.5, via_psi=True)
+        via_psi = oracles.delta_inf_via_psi(model, 0.5)
         assert direct == pytest.approx(via_psi, abs=1e-12)
 
 
@@ -162,7 +164,7 @@ def test_custom_column_calls_no_quad(monkeypatch):
                cmkernel.truncated_high(None, 1000.0, 1.0)):
         model = models.custom_convolution(mu)
         dispersion.dispersion_point(model, np.arange(1, 5), 0.5)
-        dispersion.delta_inf(model, 0.5, via_psi=True)
+        oracles.delta_inf_via_psi(model, 0.5)
 
 
 def _exact_moment(mu):
@@ -202,7 +204,7 @@ def test_measure_nodes_integrate_a_moment_over_the_half_line(mu):
     # at lo, and a Gauss-Jacobi panel in w = top/x beyond the cut
     want = _exact_moment(mu)
     for x_cut in (3.0, 300.0):
-        xs, ws = dispersion._measure_nodes(mu, x_cut)
+        xs, ws = cmkernel._measure_nodes(mu, x_cut)
         got = float(np.sum(ws / (1.0 + xs) ** 2))
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
@@ -216,11 +218,12 @@ def test_truncated_pair_sums_to_the_flat_closed_forms(x_star):
     pair = (cmkernel.truncated_low(None, x_star),
             cmkernel.truncated_high(None, x_star, 1.0))
     for scale in (1.0, 0.3):
-        got = sum(dispersion._lambda_quadrature(mu, ns, scale, scale)
-                  for mu in pair)
+        got = sum(models.closed_lambda(models.custom_convolution(mu), ns,
+                                       scale, scale) for mu in pair)
         np.testing.assert_allclose(got, math.pi / ns, rtol=0.0, atol=1e-11)
     b = 0.3
-    got = sum(dispersion._lambda_quadrature(mu, ns, b, 1.0) for mu in pair)
+    got = sum(models.closed_lambda(models.custom_convolution(mu), ns, b, 1.0)
+              for mu in pair)
     np.testing.assert_allclose(got, math.pi * b ** ns / ns, rtol=0.0,
                                atol=1e-11)
 
@@ -268,13 +271,13 @@ def test_custom_column_builds_measure_nodes_once_per_coefficient(
     # lam_nb, lam_n1 and lamt_nb each build their nodes once for all modes,
     # and V^1, V^2 come from the mode-1 column
     calls = []
-    measure_nodes = dispersion._measure_nodes
+    measure_nodes = cmkernel._measure_nodes
 
     def counting_nodes(*args, **kwargs):
         calls.append(args)
         return measure_nodes(*args, **kwargs)
 
-    monkeypatch.setattr(dispersion, "_measure_nodes", counting_nodes)
+    monkeypatch.setattr(cmkernel, "_measure_nodes", counting_nodes)
     model = models.custom_convolution(cmkernel.truncated_low(None, 2.0))
     dispersion.dispersion_point(model, np.arange(1, 5), 0.5)
     assert len(calls) == 3
@@ -415,8 +418,8 @@ def test_custom_v_constants_checks_b_before_any_quadrature(monkeypatch, b):
     def no_quadrature(*args, **kwargs):
         raise AssertionError("quadrature reached for an inadmissible b")
 
-    monkeypatch.setattr(dispersion, "phi_n", no_quadrature)
-    monkeypatch.setattr(dispersion, "phi_nb", no_quadrature)
+    monkeypatch.setattr(models, "phi_n", no_quadrature)
+    monkeypatch.setattr(models, "phi_nb", no_quadrature)
     model = models.custom_convolution(cmkernel.truncated_low(None, 2.0))
     with pytest.raises(ValueError, match="outside the admissible interval"):
         dispersion.v_constants(model, b)

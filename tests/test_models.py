@@ -388,7 +388,19 @@ def test_overflow_cases_are_finite():
 
 def test_plane_models_have_no_smooth_part():
     assert models.closed_p(models.euler_plane(), 3, 0.5) == (0.0, 0.0, 0.0)
-    assert models.k1_point(models.euler_plane(), 0.5, 0.3 + 0.1j) == (0.0, 0j)
+    for model in (models.euler_plane(), models.qgsw_plane(2.0),
+                  models.custom_convolution(cmkernel.gsqg_power(0.5))):
+        assert models.k1_point(model, 0.5, 0.3 + 0.1j) == (0.0, 0j)
+
+
+@pytest.mark.parametrize("model", [models.qgsw_disc(2.0, 2.0),
+                                   models.gsqg_disc(0.5, 2.0)],
+                         ids=lambda m: m.variant)
+def test_k1_point_refuses_a_k1_but_the_green_series(model):
+    # the point route has only the log kernel's Green series; on the
+    # other discs it gave that series' value instead of the model's K1
+    with pytest.raises(ValueError, match=repr(model.variant)):
+        models.k1_point(model, 0.5, 0.3 + 0.2j)
 
 
 def test_k1_series_is_private():

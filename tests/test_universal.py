@@ -1,6 +1,8 @@
 """Universal trigonometric integrals: oracles, bounds and limits."""
 
 import ast
+import importlib
+import inspect
 import math
 import pathlib
 
@@ -228,14 +230,35 @@ def test_leggauss_is_called_only_in_gauss_rule():
 
 
 def test_dispersion_names_no_density_family():
-    # the node rule of a custom measure reads only Measure.support() and
-    # Measure.density, and integrates with no scipy quad
+    # the one quadrature route of a custom measure, its node rule over
+    # Measure.support() and Measure.density, lies behind models.closed_lambda;
+    # dispersion reads neither the measure nor the universal functions, and
+    # only models imports scipy's quadrature
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "vstates"
     text = (src / "dispersion.py").read_text()
-    for family in ("euler_flat", "gsqg_power", "qgsw_shifted",
-                   "truncated_low", "truncated_high", "family"):
-        assert family not in text
-    assert "scipy.integrate" not in text and "import integrate" not in text
+    for name in ("euler_flat", "gsqg_power", "qgsw_shifted", "truncated_low",
+                 "truncated_high", "family", "support()", "density",
+                 "_node_sums", "phi_n", "phi_nb", "psi_b"):
+        assert name not in text
+    for path in sorted(src.glob("*.py")):
+        if path.name != "models.py":
+            text = path.read_text()
+            assert "scipy.integrate" not in text, path.name
+            assert "import integrate" not in text, path.name
+
+
+@pytest.mark.parametrize("name", ["specfun", "cmkernel", "universal",
+                                  "models", "dispersion", "contour"])
+def test_all_lists_exactly_the_public_functions_and_classes(name):
+    module = importlib.import_module(f"vstates.{name}")
+    public = {key for key, value in vars(module).items()
+              if not key.startswith("_")
+              and (inspect.isfunction(value) or inspect.isclass(value))
+              and value.__module__ == module.__name__}
+    listed = {key for key in module.__all__
+              if inspect.isfunction(getattr(module, key))
+              or inspect.isclass(getattr(module, key))}
+    assert listed == public
 
 
 def test_gauss_jacobi_rule_is_cached_and_integrates_its_weight():
