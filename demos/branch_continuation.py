@@ -16,12 +16,12 @@ from vstates import contour, dispersion, models
 def main():
     model = models.euler_plane()
     b, m = 0.5, 5
-    pt = dispersion.dispersion_point(model, m, b)
+    pt = dispersion.dispersion_point(model, [m], b)
+    roots = {"+": pt.omega_plus[0], "-": pt.omega_minus[0]}
     print(f"Euler plane, b = {b}, fold m = {m}: "
-          f"Omega+ = {pt.omega_plus:.8f}, Omega- = {pt.omega_minus:.8f}")
+          f"Omega+ = {roots['+']:.8f}, Omega- = {roots['-']:.8f}")
 
-    for branch in ("+", "-"):
-        omega0 = pt.omega_plus if branch == "+" else pt.omega_minus
+    for branch, omega0 in roots.items():
         pts = contour.branch_continue(model, b, m, branch=branch,
                                       s_max=5e-3, steps=5, n_modes=8)
         print(f"\nbranch {branch}:")

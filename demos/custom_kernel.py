@@ -15,17 +15,17 @@ def main():
     custom = models.custom_convolution(cmkernel.euler_flat())
     closed = models.euler_plane()
     print(f"{'n':>3} {'quadrature':>14} {'closed':>14} {'diff':>10}")
-    for n in (1, 2, 4, 8):
-        rq = dispersion.spectral_row(custom, n, 0.5)
-        rc = dispersion.spectral_row(closed, n, 0.5)
-        print(f"{n:>3} {rq.lam_nb:>14.10f} {rc.lam_nb:>14.10f} "
-              f"{abs(rq.lam_nb - rc.lam_nb):>10.2e}")
+    ns = [1, 2, 4, 8]
+    rq, rc = (dispersion.spectral_row(m, ns, 0.5) for m in (custom, closed))
+    for n, q, c in zip(ns, rq.lam_nb, rc.lam_nb):
+        print(f"{n:>3} {q:>14.10f} {c:>14.10f} {abs(q - c):>10.2e}")
 
     print("\ntruncated measure (density 1 on (0, 2), nothing closed-form):")
     mu = cmkernel.truncated_low(None, 2.0)
     model = models.custom_convolution(mu)
-    for p in dispersion.dispersion_points(model, (1, 2, 3, 4), 0.5):
-        print(f"  n = {p.n}: Delta = {p.delta:.6e}  ({p.classification})")
+    p = dispersion.dispersion_point(model, [1, 2, 3, 4], 0.5)
+    for n, delta, kind in zip(p.n, p.delta, p.classification):
+        print(f"  n = {n}: Delta = {delta:.6e}  ({kind})")
     v1, v2 = dispersion.v_constants(model, 0.5)
     print(f"  velocity constants: V1 = {v1:.8f}, V2 = {v2:.8f}")
     print(f"  large-n discriminant limit: "

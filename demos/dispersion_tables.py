@@ -5,6 +5,8 @@ to a 2x2 block; its discriminant decides whether the pair of rotation
 speeds is real (stable) or leaves the axis (unstable).
 """
 
+import numpy as np
+
 from vstates import dispersion, models
 
 
@@ -12,11 +14,14 @@ def table(model, b, n_max=8):
     print(f"\n{model.describe()}  at b = {b}")
     print(f"{'n':>3} {'A':>11} {'B':>11} {'Delta':>12} "
           f"{'Omega+':>10} {'Omega-':>10}  class")
-    for p in dispersion.dispersion_points(model, range(1, n_max + 1), b):
-        op = f"{p.omega_plus:.6f}" if p.omega_plus is not None else "   --"
-        om = f"{p.omega_minus:.6f}" if p.omega_minus is not None else "   --"
-        print(f"{p.n:>3} {p.a_nb:>11.6f} {p.b_nb:>11.6f} {p.delta:>12.3e} "
-              f"{op:>10} {om:>10}  {p.classification}")
+    p = dispersion.dispersion_point(model, np.arange(1, n_max + 1), b)
+    for n, a, bb, delta, wp, wm, kind in zip(
+            p.n, p.a_nb, p.b_nb, p.delta, p.omega_plus, p.omega_minus,
+            p.classification):
+        # the roots are NaN where Delta < 0
+        op, om = ("   --" if np.isnan(w) else f"{w:.6f}" for w in (wp, wm))
+        print(f"{n:>3} {a:>11.6f} {bb:>11.6f} {delta:>12.3e} "
+              f"{op:>10} {om:>10}  {kind}")
 
 
 def main():
@@ -31,7 +36,7 @@ def main():
     print("\nlarge-n limit: Delta_n approaches (V^1 - V^2)^2")
     for model in (models.euler_plane(), models.qgsw_plane(2.0)):
         d_inf = dispersion.delta_inf(model, 0.5)
-        d_120 = dispersion.dispersion_point(model, 120, 0.5).delta
+        d_120 = dispersion.dispersion_point(model, [120], 0.5).delta[0]
         print(f"  {model.variant:>12}: Delta_120 = {d_120:.8f}, "
               f"limit = {d_inf:.8f}")
 

@@ -12,14 +12,15 @@ from vstates import dispersion, models
 
 
 def main():
+    folds = np.arange(1, 100)
     annulus = models.euler_annulus(0.1, 10.0)
     print("Euler flow on the annulus 0.1 < |x| < 10")
     print(f"{'b':>5} {'scan':>6} {'closed':>8} {'V1':>9} {'V2':>9}")
     for b in np.linspace(0.2, 0.9, 8):
         b = round(float(b), 2)
         scan = dispersion.min_fold(annulus, b)
-        closed = next(n for n in range(1, 100)
-                      if dispersion.annulus_fold_inequality(annulus, b, n))
+        closed = folds[dispersion.annulus_fold_inequality(annulus, b,
+                                                          folds)][0]
         v1, v2 = dispersion.v_constants(annulus, b)
         print(f"{b:>5.2f} {scan:>6} {closed:>8} {v1:>9.4f} {v2:>9.4f}")
 
@@ -28,8 +29,8 @@ def main():
     print(f"{'b':>5} {'scan':>6} {'closed':>8}")
     for b in (0.3, 0.5, 0.7, 0.9):
         scan = dispersion.min_fold(exterior, b)
-        closed = next(m for m in range(1, 100)
-                      if dispersion.annulus_fold_inequality(exterior, b, m))
+        closed = folds[dispersion.annulus_fold_inequality(exterior, b,
+                                                          folds)][0]
         print(f"{b:>5.2f} {scan:>6} {closed:>8}")
 
     print("\nEuler plane for comparison (no smooth kernel part):")

@@ -16,7 +16,7 @@ def main():
     print(f"{'n':>3} {'x':>7} {'lower':>12} {'phi_n':>12} {'upper':>12}")
     for n in (1, 2, 5, 10):
         for x in (0.5, 2.0, 10.0, 50.0):
-            val = universal.phi_n(n, x)
+            val = universal.phi_n([n], x)[0]
             base = x / (n * n + x * x)
             lo = 8 * n * n / (4 * n * n + 1.0) * base
             hi = 8 * n * n / (4 * n * n - 1.0) * base
@@ -35,12 +35,12 @@ def main():
     x = 2.0
     want = np.pi * x * np.exp(-x)
     for b in (0.2, 0.05, 0.01, 0.002):
-        got = universal.phi_nb(1, b, x) / b
+        got = universal.phi_nb([1], b, x)[0] / b
         print(f"  b = {b:<6} (1/b) phi_1b({x}) = {got:.6f}   limit {want:.6f}")
 
     print("\nthe scaled product b * phi_1b(x) over b (fixed x):")
     for x in (1.0, 5.0):
-        row = ", ".join(f"{b:.1f}: {b * universal.phi_nb(1, b, x):.5f}"
+        row = ", ".join(f"{b:.1f}: {b * universal.phi_nb([1], b, x)[0]:.5f}"
                         for b in (0.1, 0.3, 0.5, 0.7, 0.9))
         print(f"  x = {x}: {row}")
 

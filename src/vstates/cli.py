@@ -204,12 +204,12 @@ def cmd_universal(args: argparse.Namespace) -> int:
     if not all(0.0 < b < 1.0 for b in bs):
         raise UsageError("universal needs b in (0, 1)")
     xs = np.linspace(0.0, x_max, points)
-    out = _out_dir(args)
     header = ["x", f"phi_{n}", f"phi_{n}_b", "psi_b"]
     for b in bs:
-        phi_b = universal.phi_nb(n, b, xs)  # refuses a bad fold first
-        columns = [xs, universal.phi_n(n, xs), phi_b, universal.psi_b(b, xs)]
-        path = os.path.join(out, f"universal_b{b:g}.csv")
+        phi_b = universal.phi_nb([n], b, xs)[0]  # refuses a bad fold first
+        columns = [xs, universal.phi_n([n], xs)[0], phi_b,
+                   universal.psi_b(b, xs)]
+        path = os.path.join(_out_dir(args), f"universal_b{b:g}.csv")
         write_csv(path, {"command": "universal", "fold": n, "b": f"{b:g}",
                          "x_max": f"{x_max:g}", "x_points": points},
                   header, columns)
@@ -316,7 +316,6 @@ def cmd_branch(args: argparse.Namespace) -> int:
     if len(bs) != 1:
         raise UsageError("branch expects a single b value")
     b, m, n_modes = bs[0], _require(args, "m"), args.modes
-    out = _out_dir(args)
     partial = None
     try:
         table = contour.branch_continue(model, b, m, branch=args.branch,
@@ -338,6 +337,7 @@ def cmd_branch(args: argparse.Namespace) -> int:
     if partial:
         meta["warning"] = (f"continuation stopped early: last converged "
                           f"s = {table[-1][0]:g}; {partial}")
+    out = _out_dir(args)
     write_csv(os.path.join(out, "branch.csv"), meta, header, columns)
     print(os.path.join(out, "branch.csv"))
     for idx, (s, st) in enumerate(table):

@@ -344,7 +344,7 @@ def branch_continue(model: KernelModel, b: float, m: int, branch: str = "+",
             raise ValueError(f"branch_continue needs {need}")
     n = n_modes
     point = _dispersion.dispersion_point(model, m * np.arange(1, n + 1), b)
-    omega0, kvec = _dispersion._kernel_root(point, branch)
+    omega0, kvec = _dispersion.kernel_root(point, branch)
     base = trivial_state(b, m, n_modes, omega0)
     # the amplitude (a1_1, a2_1) . kvec / |kvec|^2 is linear in u
     row = np.zeros(2 * n + 1)

@@ -1,21 +1,24 @@
 """Spectral engine for the linearized patch dynamics.
 
 Assembles the coefficient rows and dispersion points of the annulus
-1_{D \\ b D}.  `spectral_row` is the one assembly route: given an array of
-modes it returns columns, the lambdas of every model from one array call
-of `models.closed_lambda` per radii pair (b, b), (1, 1), (b, 1), p from
-`models.closed_p` and the K1 constants from `models.c_terms`.  Only three
-places here ask what kind of kernel a model has: the `source` label of a
-row, `has_closed_fold`, and the block size of the fold scan.
+1_{D \\ b D}.  Every function here that takes modes takes an integer array
+of them (one int is one mode) and returns columns over them.
+`spectral_row` is the one assembly route: the lambdas of every model from
+one array call of `models.closed_lambda` per radii pair (b, b), (1, 1),
+(b, 1), p from `models.closed_p` and the K1 constants from
+`models.c_terms`.  Only three places here ask what kind of kernel a model
+has: the `source` label of a row, `has_closed_fold`, and the block size of
+the fold scan.
 
 `dispersion_point` forms the velocity constants V^1, V^2 from the mode-1
 column of its row (adding mode 1 to the call when the modes do not start
-there), then A, B, the discriminant, both roots and the classification as
-arrays; `DispersionPoint.q` assembles the block Q_{n,b}(Omega).  The
-module also evaluates the discriminant's large-n limit, locates the
-smallest symmetry fold m admitting simple real eigenvalues (one array call
-per block of candidate folds), and scans the monotone ordering of the two
-branches.
+there), then A, B, the discriminant, both roots (NaN where the
+discriminant is negative) and the classification as columns;
+`DispersionPoint.q` assembles the blocks Q_{n,b}(Omega), and `kernel_root`
+reads a root and its kernel vector off the first column.  The module also
+evaluates the discriminant's large-n limit, locates the smallest symmetry
+fold m admitting simple real eigenvalues (one array call per block of
+candidate folds), and scans the monotone ordering of the two branches.
 """
 
 from __future__ import annotations
@@ -36,15 +39,13 @@ __all__ = [
     "FoldNotFound",
     "spectral_row",
     "dispersion_point",
-    "dispersion_points",
     "v_constants",
     "delta_inf",
     "min_fold",
     "has_closed_fold",
     "annulus_fold_inequality",
     "monotonicity_scan",
-    "q_matrix",
-    "kernel_vector",
+    "kernel_root",
 ]
 
 # absolute tolerance identifying a degenerate discriminant
@@ -60,17 +61,17 @@ class FoldNotFound(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectralRow:
-    """Coefficients entering the n-th Fourier block of the linearization;
-    columns over the modes when n is an array."""
+    """Coefficients entering the Fourier blocks of the linearization, one
+    column entry per mode of n."""
 
-    n: int
+    n: np.ndarray
     b: float
-    lam_nb: float
-    lam_n1: float
-    lamt_nb: float
-    p_nb: float
-    p_n1: float
-    pt_nb: float
+    lam_nb: np.ndarray
+    lam_n1: np.ndarray
+    lamt_nb: np.ndarray
+    p_nb: np.ndarray
+    p_n1: np.ndarray
+    pt_nb: np.ndarray
     c_b: float
     ct_b: float
     source: str = ""  # closed-form, quadrature or closed-form/p-quadrature
@@ -78,29 +79,29 @@ class SpectralRow:
 
 @dataclass(frozen=True)
 class DispersionPoint:
-    """Dispersion data at mode n: quadratic coefficients, discriminant, roots.
+    """Dispersion data at the modes n: quadratic coefficients, discriminant,
+    roots, each a column over the modes.
 
-    When n is an array of modes every field is a column, and the roots are
-    NaN where the discriminant is negative (None for a single mode).  The
-    eigenvalue pair -i n Omega^{+/-} leaves the imaginary axis, and the
-    mode is "unstable", exactly when the discriminant is negative.  v1, v2
-    are the annulus velocities V^1, V^2 at b.
+    The roots are NaN where the discriminant is negative.  The eigenvalue
+    pair -i n Omega^{+/-} leaves the imaginary axis, and the mode is
+    "unstable", exactly when the discriminant is negative.  v1, v2 are the
+    annulus velocities V^1, V^2 at b.
     """
 
-    n: int
+    n: np.ndarray
     b: float
-    a_nb: float
-    b_nb: float
-    delta: float
-    omega_plus: float | None
-    omega_minus: float | None
-    classification: str  # {"stable", "unstable", "degenerate"}
+    a_nb: np.ndarray
+    b_nb: np.ndarray
+    delta: np.ndarray
+    omega_plus: np.ndarray
+    omega_minus: np.ndarray
+    classification: np.ndarray  # {"stable", "unstable", "degenerate"}
     v1: float
     v2: float
     row: SpectralRow
 
     def q(self, omega: float) -> np.ndarray:
-        """The 2x2 block Q_{n,b}(Omega); per column on the last axis."""
+        """The 2x2 blocks Q_{n,b}(Omega), one per mode on the last axis."""
         off = self.row.lamt_nb + self.row.pt_nb
         return np.array([[omega - self.a_nb, off],
                          [-off, omega - self.b_nb]])
@@ -126,10 +127,9 @@ _COEFFS = ("lam_nb", "lam_n1", "lamt_nb", "p_nb", "p_n1", "pt_nb")
 
 
 def spectral_row(model: KernelModel, n, b: float) -> SpectralRow:
-    """Assemble the six coefficients and two constants of the n-th block.
-
-    n may be an integer array of modes, which gives a row of columns, each
-    coefficient from one call for all modes.
+    """Assemble the six coefficients and two constants of the blocks at the
+    integer array of modes n (one int is one mode), each coefficient a
+    column from one call for all modes.
     """
     ns = np.atleast_1d(np.asarray(n, dtype=int))
     if ns.ndim != 1 or ns.size == 0 or ns.min() < 1:
@@ -140,24 +140,15 @@ def spectral_row(model: KernelModel, n, b: float) -> SpectralRow:
     source = ("closed-form" if model.measure_obj is None else "quadrature") + (
         "/p-quadrature" if model.k1 == "subordinated" else "")
     c_b, ct_b = _models.c_terms(model, b)
-    row = SpectralRow(n=ns, b=b, **dict(zip(_COEFFS, (
+    return SpectralRow(n=ns, b=b, **dict(zip(_COEFFS, (
         *lams, *_models.closed_p(model, ns, b)))), c_b=c_b, ct_b=ct_b,
         source=source)
-    return row if np.ndim(n) else _split_row(row)[0]
-
-
-def _split_row(row: SpectralRow) -> list[SpectralRow]:
-    # one SpectralRow of floats per mode of a row of columns
-    return [SpectralRow(n, row.b, *vals, c_b=row.c_b, ct_b=row.ct_b,
-                        source=row.source)
-            for n, *vals in zip(*(getattr(row, k).tolist()
-                                  for k in ("n", *_COEFFS)))]
 
 
 def dispersion_point(model: KernelModel, n, b: float) -> DispersionPoint:
-    """Quadratic coefficients A, B, discriminant and roots at mode n.
+    """Quadratic coefficients A, B, discriminant and roots, columns over the
+    integer array of modes n (one int is one mode).
 
-    n may be an integer array of modes, which gives a point of columns.
     V^1, V^2 come from the row's mode-1 column, added to the same call
     when the modes do not start at 1.  A non-finite coefficient, mode 1
     included, raises ArithmeticError naming the model, the mode and b.
@@ -188,32 +179,12 @@ def dispersion_point(model: KernelModel, n, b: float) -> DispersionPoint:
     half_gap = np.sqrt(np.where(delta >= 0.0, delta, np.nan)) / 2.0
     tol = DEGENERACY_TOL
     kind = (delta > tol).astype(int) - (delta < -tol) + 1
-    point = DispersionPoint(
+    return DispersionPoint(
         n=row.n, b=b, a_nb=a_nb, b_nb=b_nb, delta=delta,
         omega_plus=(a_nb + b_nb) / 2.0 + half_gap,
         omega_minus=(a_nb + b_nb) / 2.0 - half_gap,
         classification=np.array(["unstable", "degenerate", "stable"])[kind],
         v1=v1, v2=v2, row=row)
-    return point if np.ndim(n) else _split(point)[0]
-
-
-def _split(point: DispersionPoint) -> list[DispersionPoint]:
-    # one DispersionPoint of floats per mode of a point of columns
-    return [DispersionPoint(
-        n=row.n, b=point.b, a_nb=a, b_nb=bb, delta=d,
-        omega_plus=wp if d >= 0.0 else None,
-        omega_minus=wm if d >= 0.0 else None, classification=cls,
-        v1=point.v1, v2=point.v2, row=row)
-        for row, a, bb, d, wp, wm, cls
-        in zip(_split_row(point.row), *(c.tolist() for c in (
-            point.a_nb, point.b_nb, point.delta, point.omega_plus,
-            point.omega_minus, point.classification)))]
-
-
-def dispersion_points(model: KernelModel, ns, b: float
-                      ) -> list[DispersionPoint]:
-    """`dispersion_point` at each mode of ns, from one call on all of them."""
-    return _split(dispersion_point(model, np.array(list(ns), dtype=int), b))
 
 
 def v_constants(model: KernelModel, b: float) -> tuple[float, float]:
@@ -242,16 +213,16 @@ def has_closed_fold(model: KernelModel) -> bool:
 
 
 def annulus_fold_inequality(model: KernelModel, b: float, n):
-    """Closed positivity condition for the discriminant at mode n.
+    """Closed positivity condition for the discriminant, a bool column over
+    the integer array of modes n (one int is one mode).
 
-    n is one mode (giving a bool) or an integer array (a bool column).
     Written for the domain (R1, R2) with R2 entering only through 1/R2, so
     the exterior R2 = inf is its limit; c is the K1 constant of `c_terms`.
     """
     if not has_closed_fold(model):
         raise ValueError("the closed fold inequality needs an annulus or "
                          "exterior domain with a log kernel")
-    ns = np.asarray(n)
+    ns = np.atleast_1d(n)
     r1, r2 = model.domain
     c = _models.c_terms(model, b)[1]
     u = 1.0 / r2
@@ -263,7 +234,7 @@ def annulus_fold_inequality(model: KernelModel, b: float, n):
         2.0 - np.float_power(r1, 2 * ns) - inner
         - np.float_power(b * u, 2 * ns) - u2n + 2.0 * s2n
         + 2.0 * (1.0 - u2n) * np.float_power(b, ns) * (1.0 - inner))
-    return ns > rhs if ns.ndim else bool(ns > rhs)
+    return ns > rhs
 
 
 def min_fold(model: KernelModel, b: float, k_max: int = 10) -> int:
@@ -322,7 +293,7 @@ def _min_fold(model: KernelModel, b: float, k_max: int
 
 
 # ---------------------------------------------------------------------------
-# monotonicity and kernel data
+# monotonicity and kernel roots
 # ---------------------------------------------------------------------------
 
 def monotonicity_scan(model: KernelModel, b: float, m_start: int,
@@ -353,30 +324,19 @@ def monotonicity_scan(model: KernelModel, b: float, m_start: int,
                               v1=v1, v2=v2)
 
 
-def q_matrix(model: KernelModel, n: int, b: float, omega: float) -> np.ndarray:
-    """The 2x2 multiplier block Q_{n,b}(Omega) of `DispersionPoint.q`."""
-    return dispersion_point(model, n, b).q(omega)
-
-
-def _kernel_root(point: DispersionPoint, branch: str
-                 ) -> tuple[float, np.ndarray]:
-    # Omega^{branch} and the generator of ker Q_{m,b}(Omega^{branch}) at
-    # the first mode m of a point of columns; needs a simple spectrum
+def kernel_root(point: DispersionPoint, branch: str
+                ) -> tuple[float, np.ndarray]:
+    """Omega^{branch} and the generator of ker Q_{m,b}(Omega^{branch}) at
+    the first mode m of the point; needs a simple spectrum there."""
     if branch not in ("+", "-"):
         raise ValueError("branch must be '+' or '-'")
-    p = _split(point)[0]
-    if p.delta <= DEGENERACY_TOL:
-        raise ValueError(f"degenerate spectrum at m = {p.n}: "
-                         f"Delta = {p.delta:.3e}")
-    omega = p.omega_plus if branch == "+" else p.omega_minus
-    q = p.q(omega)
+    delta = point.delta[0]
+    if delta <= DEGENERACY_TOL:
+        raise ValueError(f"degenerate spectrum at m = {point.n[0]}: "
+                         f"Delta = {delta:.3e}")
+    omega = (point.omega_plus if branch == "+" else point.omega_minus)[0]
+    q = point.q(omega)[..., 0]
     vec = np.array([-q[0, 1], q[0, 0]])
     if np.allclose(vec, 0.0):
         raise ValueError("kernel vector degenerated to zero")
     return omega, vec
-
-
-def kernel_vector(model: KernelModel, m: int, b: float,
-                  branch: str = "+") -> np.ndarray:
-    """Generator of ker Q_{m,b}(Omega^{branch}); needs a simple spectrum."""
-    return _kernel_root(dispersion_point(model, [m], b), branch)[1]

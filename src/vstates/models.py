@@ -16,8 +16,9 @@ Elsewhere only `dispersion` reads a kind (`measure_obj` or `k1`), in three
 places: the `source` label of a row, `has_closed_fold`, and the block size
 of its fold scan.
 
-The closed forms take one mode n or an integer array of modes and return a
-float or a column; their numerics neither over- nor underflow at large n.
+The closed forms take an integer array of modes n (one int is one mode)
+and return a column over them; their numerics neither over- nor underflow
+at large n.
 """
 
 from __future__ import annotations
@@ -244,13 +245,12 @@ def model_from_dict(d: dict) -> KernelModel:
 # convolution coefficients lambda, lambda-tilde
 # ---------------------------------------------------------------------------
 
-def _modes(n, name: str, least: int = 1) -> tuple[np.ndarray, type]:
-    # the modes as an array, and the type of the result: a float for one
-    # mode, a column for an array of modes
-    ns = np.asarray(n)
+def _modes(n, name: str, least: int = 1) -> np.ndarray:
+    # the modes as an array, one int as the array [n]
+    ns = np.atleast_1d(n)
     if ns.min() < least:
         raise ValueError(f"{name} requires n >= {least}")
-    return ns, (np.asarray if ns.ndim else float)
+    return ns
 
 
 def gsqg_capital_lambda(n, b: float, beta: float):
@@ -262,30 +262,30 @@ def gsqg_capital_lambda(n, b: float, beta: float):
     Gamma(1-beta)/Gamma(1-a)^2 times the product of (k+a)/(k+1-a).  Both
     products are O(n^(beta-1)) and exact to rounding, so nothing overflows.
     """
-    ns, out = _modes(n, "gsqg_capital_lambda", least=0)
+    ns = _modes(n, "gsqg_capital_lambda", least=0)
     if not 0.0 < b <= 1.0:
         raise ValueError("gsqg_capital_lambda requires b in (0, 1]")
     a, z = beta / 2.0, b * b
     k = np.arange(float(ns.max()))
     at_one = (math.gamma(1.0 - beta) / math.gamma(1.0 - a) ** 2
               * np.concatenate(([1.0], np.cumprod((k + a) / (k + 1.0 - a)))))
-    val = np.atleast_1d(at_one[ns])
+    val = at_one[ns]
     if b < 1.0:
         poch = np.concatenate(([1.0], np.cumprod((k + a) / (k + 1.0))))[ns]
-        val = np.atleast_1d(poch * _sp.hyp2f1(a, ns + a, ns + 1.0, z))
+        val = poch * _sp.hyp2f1(a, ns + a, ns + 1.0, z)
         far = ~np.isfinite(val)
         if far.any():
             # scipy's F forms Gamma(n+1) near z = 1, past n = 170 it
             # overflows; there the 1 - z connection formula has (a)_n / n!
             # times its two Gamma ratios equal to Lambda_{n,1} / (2 pi
             # c_beta) and Gamma(beta-1) / Gamma(a)^2
-            m, w = np.atleast_1d(ns)[far], 1.0 - z
+            m, w = ns[far], 1.0 - z
             val[far] = (at_one[m] * _positive_series(a, m + a, beta, w)
                         + math.gamma(beta - 1.0) / math.gamma(a) ** 2
                         * w ** (1.0 - beta)
                         * _positive_series(m + 1.0 - a, 1.0 - a, 2.0 - beta, w))
-        val = val * np.float_power(b, np.atleast_1d(ns))
-    return out(2.0 * math.pi * c_beta(beta) * val.reshape(ns.shape))
+        val = val * np.float_power(b, ns)
+    return 2.0 * math.pi * c_beta(beta) * val
 
 
 def _positive_series(p, q, r: float, w: float) -> np.ndarray:
@@ -312,21 +312,19 @@ def closed_lambda(model: KernelModel, n, y: float, x: float):
     the nodes built once for all modes: at y = x of int phi_n(y t) dmu(t)/t,
     otherwise of int phi_{n,y/x}(x t) dmu(t)/t, whose integrand decays like
     e^{-(x-y)t}, which sets the cut."""
-    ns, out = _modes(n, "closed_lambda")
+    ns = _modes(n, "closed_lambda")
     kind, arg = model.k0
     if kind == "log":
         # float_power rounds like the scalar (y/x) ** n
-        return out(np.float_power(y / x, ns) / (2.0 * ns))
+        return np.float_power(y / x, ns) / (2.0 * ns)
     if kind == "power":
         return x ** (-arg) * gsqg_capital_lambda(ns, y / x, arg)
     if kind == "bessel":
         return bessel_ik(ns, y * arg, x * arg)
     if y == x:
-        sums = _node_sums(arg, 300.0 / y, lambda t: phi_n(ns, y * t))
-    else:
-        x_cut = math.log(2.0 * math.pi / 1e-14) / max(x - y, 1e-3) + 10.0
-        sums = _node_sums(arg, x_cut, lambda t: phi_nb(ns, y / x, x * t))
-    return out(sums.reshape(ns.shape))
+        return _node_sums(arg, 300.0 / y, lambda t: phi_n(ns, y * t))
+    x_cut = math.log(2.0 * math.pi / 1e-14) / max(x - y, 1e-3) + 10.0
+    return _node_sums(arg, x_cut, lambda t: phi_nb(ns, y / x, x * t))
 
 
 # ---------------------------------------------------------------------------
@@ -382,24 +380,23 @@ def closed_p(model: KernelModel, n, b: float) -> tuple:
       p-tilde_{n,b} = -I_n(eps b) K_n(eps R) I_n(eps) K_n(eps R)
                        / (I_n(eps R) K_n(eps R)).
     """
-    ns, out = _modes(n, "closed_p")
+    ns = _modes(n, "closed_p")
     if model.k1 is None:
-        return (out(np.zeros(ns.shape)),) * 3
-    ks = np.atleast_1d(ns)
+        return (np.zeros(ns.shape),) * 3
     if model.k1 == "green":
         r1, r2 = model.domain
         y, x = np.array([[b, 1.0, b], [b, 1.0, 1.0]])[..., None]
-        s2n = np.float_power(r1 / r2, 2 * ks)
+        s2n = np.float_power(r1 / r2, 2 * ns)
         # e_n(y)^T C_n e_n(x) (1 - s^2n), each product of powers taken as
         # one power (float_power rounds like the scalar t ** n)
-        num = (np.float_power(y * x / (r2 * r2), ks)
-               + np.float_power(r1 * r1 / (y * x), ks)
-               - s2n * np.float_power(y / x, ks)
-               - np.float_power(r1 * r1 * x / (r2 * r2 * y), ks))
-        cols = -num / (2.0 * ks * (1.0 - s2n))
+        num = (np.float_power(y * x / (r2 * r2), ns)
+               + np.float_power(r1 * r1 / (y * x), ns)
+               - s2n * np.float_power(y / x, ns)
+               - np.float_power(r1 * r1 * x / (r2 * r2 * y), ns))
+        cols = -num / (2.0 * ns * (1.0 - s2n))
     else:
-        cols = _disc_p(ks, b, model.domain[1], _screening_nodes(model))
-    return tuple(out(c.reshape(ns.shape)) for c in cols)
+        cols = _disc_p(ns, b, model.domain[1], _screening_nodes(model))
+    return tuple(cols)
 
 
 def series_p(model: KernelModel, n: int, b: float,
@@ -428,7 +425,7 @@ def series_p(model: KernelModel, n: int, b: float,
             return 2.0 * r ** (-arg) * sneddon_integral(n, n, n, 2.0 - arg,
                                                         lo, hi)
 
-    return tuple(coeff(y / r, x / r) - closed_lambda(model, n, y, x)
+    return tuple(coeff(y / r, x / r) - closed_lambda(model, [n], y, x)[0]
                  for y, x in ((b, b), (1.0, 1.0), (b, 1.0)))
 
 

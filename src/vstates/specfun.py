@@ -62,8 +62,9 @@ def _k_ratios(x: float, size: int) -> np.ndarray:
 
 
 def bessel_ik(n, y, x):
-    """I_n(y) K_n(x) for 0 < y <= x and an integer n >= 0 or array of them;
-    y and x may be arrays of one shape, which gives a row per pair.
+    """I_n(y) K_n(x) for 0 < y <= x over an integer array of orders n >= 0
+    (one int is one order), a row per pair when y and x are arrays of one
+    shape: the shape of x, then that of the orders.
 
     The factors over- and underflow at large n, the product does not: by
     the Wronskian, I_n(x) K_n(x) = 1 / (x (K_{n+1}/K_n + I_{n+1}/I_n)), and
@@ -90,5 +91,4 @@ def bessel_ik(n, y, x):
                            * math.exp(u - v) if u != v else 1.0
                            for u, v in zip(yl, xl)])[:, None]
         val = val * ratio[:, ns]
-    val = val.reshape(np.shape(x) + np.shape(n))
-    return val if val.ndim else float(val)
+    return val.reshape(np.shape(x) + ns.shape)

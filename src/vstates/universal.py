@@ -1,15 +1,17 @@
 """Universal trigonometric-integral functions.
 
 phi_n(x), phi_{n,b}(x) and Psi_b(x) factorize the spectral coefficients of
-every completely monotone convolution kernel.  Each takes one x (giving a
-float) or an array of x, which converges when all its entries have; x = 0
-gives exactly 0.  phi_n doubles a Gauss order until two agree to 1e-13
-relative; it also takes an integer array of modes, one row each, whose
-modes share one exponential table per panel while each row doubles its
-order until it agrees on its own.  The smooth periodic integrands of
-phi_{n,b} take trapezoid sums whose nodes are doubled, from at least 4n,
-until two levels agree to 1e-12 relative; an integer array of modes shares
-one exponential table per level, each row starting and stopping on its own.
+every completely monotone convolution kernel.  Each takes one x or an
+array of x, which converges when all its entries have; x = 0 gives exactly
+0.  phi_n and phi_{n,b} take an integer array of modes (one int is one
+mode) and return one row per mode, shaped like x: the result has the shape
+of the modes followed by that of x.  phi_n doubles a Gauss order until two
+agree to 1e-13 relative, the modes sharing one exponential table per panel
+while each row doubles its order until it agrees on its own.  The smooth
+periodic integrands of phi_{n,b} take trapezoid sums whose nodes are
+doubled, from at least 4n, until two levels agree to 1e-12 relative, the
+modes sharing one exponential table per level, each row starting and
+stopping on its own.
 """
 
 from __future__ import annotations
@@ -88,10 +90,10 @@ def _values(x, name: str) -> np.ndarray:
     return xs
 
 
-def _shaped(vals: np.ndarray, x):
-    # a float for a float x, else an array shaped like x; exact 0 at x = 0
+def _rows(vals, x) -> np.ndarray:
+    # the rows of vals, one per mode, each shaped like x; exact 0 at x = 0
     vals = np.where(np.ravel(x) == 0.0, 0.0, vals)
-    return vals.reshape(np.shape(x)) if np.ndim(x) else float(vals[0])
+    return vals.reshape((len(vals),) + np.shape(x))
 
 
 @functools.lru_cache(maxsize=None)
@@ -131,9 +133,9 @@ def phi_n(n, x):
     2x|sin(eta/2)|), so the plain trapezoid rule degrades to O(h^2) there;
     Gauss-Legendre panels graded for the largest x restore rapid
     convergence.  The order is doubled until two evaluations agree.
-    n may be an integer array of modes, which gives one row per mode: the
-    modes share the exponential table, and each doubles its order until
-    its own row agrees, so a row equals the call at its mode alone.
+    One row per mode of n: the modes share the exponential table, and each
+    doubles its order until its own row agrees, so a row equals the call
+    at its mode alone.
     """
     ns = np.atleast_1d(np.asarray(n, dtype=int))
     if ns.ndim != 1 or np.any(ns < 1):
@@ -148,15 +150,14 @@ def phi_n(n, x):
         val[live] = new
         live = live[~np.all(np.abs(new - prev)
                             <= 1e-13 * np.maximum(1.0, np.abs(new)), axis=1)]
-    rows = [_shaped(row, x) for row in val]
-    return np.array(rows) if np.ndim(n) else rows[0]
+    return _rows(val, x)
 
 
 def phi_nb(n, b: float, x):
     """phi_{n,b}(x) = int_0^{2pi} exp(-x |b - e^{i eta}|) cos(n eta) d eta.
 
-    n may be an integer array of modes, one row each, which share the
-    exponential table of each trapezoid level; a row equals its mode's call.
+    One row per mode of n; the modes share the exponential table of each
+    trapezoid level, and a row equals its mode's call.
     """
     ns = np.atleast_1d(np.asarray(n, dtype=int)).tolist()
     if np.ndim(ns) != 1 or min(ns) < 1:
@@ -174,8 +175,7 @@ def phi_nb(n, b: float, x):
     # start at >= 4n nodes: on a level of n or 2n nodes cos(n eta) aliases
     # to a constant, and two aliased levels would agree
     n0 = [max(64, 1 << (4 * k - 1).bit_length()) for k in ns]
-    rows = [_shaped(row, x) for row in periodic_trapezoid(integrand, n0=n0)]
-    return np.array(rows) if np.ndim(n) else rows[0]
+    return _rows(periodic_trapezoid(integrand, n0=n0), x)
 
 
 def phi_1b_closed(b: float, x: float) -> float:
@@ -207,8 +207,8 @@ def psi_b(b: float, x):
     """Psi_b(x) = phi_1(x) + phi_1(b x) - (b + 1/b) phi_{1,b}(x)."""
     if not 0.0 < b < 1.0:
         raise ValueError("psi_b requires b in (0, 1)")
-    return (phi_n(1, x) + phi_n(1, b * np.asarray(x))
-            - (b + 1.0 / b) * phi_nb(1, b, x))
+    return (phi_n([1], x)[0] + phi_n([1], b * np.asarray(x))[0]
+            - (b + 1.0 / b) * phi_nb([1], b, x)[0])
 
 
 def psi_b_prime0(b: float) -> tuple[float, float]:

@@ -23,10 +23,11 @@ def test_criterion_01_euler_spectrum_via_measure_quadrature():
     worst = 0.0
     for b in (0.3, 0.5, 0.8):
         for n in range(1, 11):
-            row = dispersion.spectral_row(custom, n, b)
+            row = dispersion.spectral_row(custom, [n], b)
             worst = max(worst,
-                        abs(row.lam_nb - 1.0 / (2 * n)) / (1.0 / (2 * n)),
-                        abs(row.lamt_nb - b ** n / (2 * n)) / (b ** n / (2 * n)))
+                        abs(row.lam_nb[0] - 1.0 / (2 * n)) / (1.0 / (2 * n)),
+                        abs(row.lamt_nb[0] - b ** n / (2 * n))
+                        / (b ** n / (2 * n)))
     elapsed = time.monotonic() - start
     _report(1, "Euler spectrum, quadrature route",
             worst < 1e-7 and elapsed < 10.0,
@@ -34,17 +35,17 @@ def test_criterion_01_euler_spectrum_via_measure_quadrature():
 
 
 def test_criterion_02_dispersion_degenerate_and_split_points():
-    p3 = dispersion.dispersion_point(models.euler_plane(), 3, 0.5)
-    p4 = dispersion.dispersion_point(models.euler_plane(), 4, 0.5)
+    p3, p4 = (dispersion.dispersion_point(models.euler_plane(), [n], 0.5)
+              for n in (3, 4))
     half = math.sqrt(63.0) / 128.0
-    ok = (abs(p3.delta) < 1e-12
-          and abs(p3.omega_plus - 0.1875) < 1e-9
-          and abs(p3.omega_minus - 0.1875) < 1e-9
-          and abs(p4.delta - 63.0 / 4096.0) < 1e-9
-          and abs(p4.omega_plus - (0.1875 + half)) < 1e-9
-          and abs(p4.omega_minus - (0.1875 - half)) < 1e-9)
+    ok = (abs(p3.delta[0]) < 1e-12
+          and abs(p3.omega_plus[0] - 0.1875) < 1e-9
+          and abs(p3.omega_minus[0] - 0.1875) < 1e-9
+          and abs(p4.delta[0] - 63.0 / 4096.0) < 1e-9
+          and abs(p4.omega_plus[0] - (0.1875 + half)) < 1e-9
+          and abs(p4.omega_minus[0] - (0.1875 - half)) < 1e-9)
     _report(2, "degenerate point and split roots", ok,
-            f"(Delta_3 = {p3.delta:.2e}, Delta_4 = {p4.delta:.10f})")
+            f"(Delta_3 = {p3.delta[0]:.2e}, Delta_4 = {p4.delta[0]:.10f})")
 
 
 def test_criterion_03_phi_bounds_grid():
@@ -55,7 +56,7 @@ def test_criterion_03_phi_bounds_grid():
     ok = True
     for n in ns:
         for x in xs:
-            val = universal.phi_n(n, float(x))
+            val = universal.phi_n([n], float(x))[0]
             base = x / (n * n + x * x)
             lo = 8.0 * n * n / (4.0 * n * n + 1.0) * base
             hi = 8.0 * n * n / (4.0 * n * n - 1.0) * base
@@ -87,7 +88,7 @@ def test_criterion_04_phi_nb_strict_decrease():
                 ok = False
             # extended precision agrees with the library evaluator where
             # the latter is resolvable
-            lib = universal.phi_nb(1, b, x)
+            lib = universal.phi_nb([1], b, x)[0]
             if abs(lib - float(vals[0])) > 1e-10 * max(1.0, abs(lib)):
                 ok = False
     _report(4, "strict decrease of phi_{n,b} in n", ok)
@@ -161,7 +162,7 @@ def test_criterion_10_annulus_threshold_dual_route():
     for b in (0.3, 0.5, 0.8):
         direct = dispersion.min_fold(model, b)
         closed = next(n for n in range(1, 100)
-                      if dispersion.annulus_fold_inequality(model, b, n))
+                      if dispersion.annulus_fold_inequality(model, b, [n])[0])
         thresholds_agree = thresholds_agree and direct == closed
     # c_frak closed form vs Gauss-Legendre quadrature of its defining
     # radial integral int_b^1 B_0(r) r dr
@@ -187,7 +188,8 @@ def test_criterion_11_contour_jacobian():
                                contour.trivial_state(b, m, n_modes, omega))
         for k in range(1, n_modes + 1):
             n = k * m
-            target = -n * dispersion.q_matrix(model, n, b, omega)
+            point = dispersion.dispersion_point(model, [n], b)
+            target = -n * point.q(omega)[..., 0]
             i = [k - 1, n_modes + k - 1]
             block = jac[np.ix_(i, i)]
             worst = max(worst, float(np.max(np.abs(block - target))
@@ -203,9 +205,8 @@ def test_criterion_12_branch_tangent():
     ok = True
     detail = []
     for branch in ("+", "-"):
-        pt = dispersion.dispersion_point(models.euler_plane(), m, b)
-        omega0 = pt.omega_plus if branch == "+" else pt.omega_minus
-        kvec = dispersion.kernel_vector(models.euler_plane(), m, b, branch)
+        pt = dispersion.dispersion_point(models.euler_plane(), [m], b)
+        omega0, kvec = dispersion.kernel_root(pt, branch)
         s = 1e-4
         pts = contour.branch_continue(models.euler_plane(), b, m,
                                       branch=branch, s_max=s, steps=1,

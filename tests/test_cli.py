@@ -160,6 +160,7 @@ _ATOMS = "error: bad model spec: atoms needs x:m pairs,"
     (["universal", "--x-max", "inf"], "error: universal needs x_max > 0"),
     (["universal", "--fold", "262145", "--x-points", "2"],
      "error: phi_nb requires n <= 262144, got 262145"),
+    (["universal", "--fold", "0"], "error: phi_nb requires n >= 1"),
     (["branch", "--model", "EulerPlane", "--m", "5", "--steps", "0"],
      "error: branch_continue needs steps >= 1"),
     (["branch", "--model", "EulerPlane", "--m", "5", "--steps", "-2"],
@@ -185,16 +186,16 @@ _ATOMS = "error: bad model spec: atoms needs x:m pairs,"
 ], ids=["r-nan", "eps-inf", "unused-beta", "x_star-nan", "x_star-0",
         "gamma-negative", "atom-nan", "atom-no-mass", "atom-three-parts",
         "atom-not-a-number", "amplitude-negative", "flat-beta",
-        "r-missing", "s_max-nan", "x_max-inf", "fold-past-node-cap",
+        "r-missing", "s_max-nan", "x_max-inf", "fold-past-node-cap", "fold-0",
         "steps-0", "steps-negative",
         "k_max-1", "k_max-0", "m-0", "modes-0", "s_max-0", "branch-QgswDisc",
         "branch-GsqgDisc", "branch-CustomConvolution"])
 def test_bad_model_specs_are_usage_errors(tmp_path, capsys, args, message):
-    # every bad parameter is refused before any table is written
+    # every bad parameter is refused before the output directory is made
     modes = ["--n", "1:3"] if args[0] == "spectra" else []
-    assert run_cli(args + ["--b", "0.5", *modes,
-                           "--out", str(tmp_path)]) == 2
-    assert list(tmp_path.glob("*.csv")) == []
+    out = tmp_path / "out"
+    assert run_cli(args + ["--b", "0.5", *modes, "--out", str(out)]) == 2
+    assert not out.exists()
     assert (message or "error: bad model spec") in capsys.readouterr().err
 
 
@@ -654,8 +655,8 @@ def test_branch_outputs(tmp_path):
     assert float(rows[0][0]) == 0.0
     # Omega(0) equals the bifurcation eigenvalue and drifts O(s)
     from vstates import dispersion, models
-    pt = dispersion.dispersion_point(models.euler_plane(), 5, 0.5)
-    assert float(rows[0][1]) == pytest.approx(pt.omega_minus, abs=1e-12)
+    pt = dispersion.dispersion_point(models.euler_plane(), [5], 0.5)
+    assert float(rows[0][1]) == pytest.approx(pt.omega_minus[0], abs=1e-12)
     drift = abs(float(rows[-1][1]) - float(rows[0][1]))
     assert drift < 10.0 * float(rows[-1][0])
     # per-point diagnostics close the row: the eval_f calls that accepted

@@ -69,7 +69,7 @@ def test_spectral_integral_flat_phi_tilde():
     from vstates.universal import phi_nb
     b = 0.5
     mu = cmkernel.euler_flat()
-    got = oracles.spectral_integral(lambda x: phi_nb(1, b, x), mu,
+    got = oracles.spectral_integral(lambda x: phi_nb([1], b, x)[0], mu,
                                     decay=1.0 - b)
     assert got == pytest.approx(b / 2.0, abs=1e-9)
 
@@ -183,7 +183,8 @@ def test_spectral_integral_matches_lambda_quadrature(mu):
     # scipy quad over the measure against the node rule of the spectral
     # rows, on bounded supports
     for n, scale in ((1, 0.5), (3, 1.0), (6, 0.8)):
-        want = oracles.spectral_integral(lambda x: phi_n(n, scale * x), mu)
+        want = oracles.spectral_integral(
+            lambda x: phi_n([n], scale * x)[0], mu)
         (got,) = models.closed_lambda(models.custom_convolution(mu),
                                       np.array([n]), scale, scale)
         assert got == pytest.approx(want, rel=1e-10)
@@ -193,7 +194,7 @@ def test_spectral_integral_matches_lambda_quadrature(mu):
                                      (cmkernel.gsqg_power(0.5), 1e-12)])
 def test_spectral_integral_matches_lambda_tilde_quadrature(mu, rel):
     for n, b in ((1, 0.5), (4, 0.7)):
-        want = oracles.spectral_integral(lambda x: phi_nb(n, b, x), mu,
+        want = oracles.spectral_integral(lambda x: phi_nb([n], b, x)[0], mu,
                                          decay=1.0 - b)
         (got,) = models.closed_lambda(models.custom_convolution(mu),
                                       np.array([n]), b, 1.0)

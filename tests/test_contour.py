@@ -318,7 +318,8 @@ def test_fd_jacobian_matches_multiplier_blocks(model):
     assert jac.shape == (2 * n_modes, 2 * n_modes + 1)
     for k in (1, 2, 3):
         n = k * m
-        target = -n * dispersion.q_matrix(model, n, b, omega)
+        point = dispersion.dispersion_point(model, [n], b)
+        target = -n * point.q(omega)[..., 0]
         i = [k - 1, n_modes + k - 1]
         block = jac[np.ix_(i, i)]
         rel = np.max(np.abs(block - target)) / np.max(np.abs(target))
@@ -372,12 +373,12 @@ def test_preconditioner_is_the_bordered_jacobian_at_the_annulus(model):
 def _dense_newton_branch(model, b, m, s_max, steps, n_modes):
     # the reference: Newton on `jacobian` bordered by the amplitude row,
     # from the same secant predictor, to a residual at rounding level
-    kvec = dispersion.kernel_vector(model, m, b, "+")
+    omega0, kvec = dispersion.kernel_root(
+        dispersion.dispersion_point(model, [m], b), "+")
     n = n_modes
     row = np.zeros(2 * n + 1)
     row[[0, n]] = kvec / (kvec @ kvec)
-    u = np.append(np.zeros(2 * n),
-                  dispersion.dispersion_point(model, m, b).omega_plus)
+    u = np.append(np.zeros(2 * n), omega0)
     u_prev = u.copy()
     u_prev[[0, n]] -= s_max / steps * kvec
     out = []
@@ -426,13 +427,13 @@ def test_scalar_f0_linearization_rows():
     f01, f02 = contour.eval_f0(model, st)
     eps = 1e-6
     n = m
-    row = dispersion.spectral_row(model, n, b)
+    row = dispersion.spectral_row(model, [n], b)
     v1, v2 = dispersion.v_constants(model, b)
     g1, g2 = contour.eval_f0(model, replace(st, a2=st.a2 + eps * np.eye(4)[0]))
     c1 = 2.0 * np.mean((g1 - f01) / eps * np.cos(n * theta))
     c2 = 2.0 * np.mean((g2 - f02) / eps * np.cos(n * theta))
-    assert c1 == pytest.approx(row.lamt_nb + row.pt_nb, abs=1e-6)
-    assert c2 == pytest.approx(v2 + row.lam_n1 + row.p_n1, abs=1e-6)
+    assert c1 == pytest.approx(row.lamt_nb[0] + row.pt_nb[0], abs=1e-6)
+    assert c2 == pytest.approx(v2 + row.lam_n1[0] + row.p_n1[0], abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +456,7 @@ def test_branch_refuses_fewer_than_one_step(bad, name, monkeypatch):
     # are each refused by name before any spectrum is computed
     def no_spectrum(*args, **kwargs):
         raise AssertionError("computed before the argument check")
-    monkeypatch.setattr(dispersion, "kernel_vector", no_spectrum)
+    monkeypatch.setattr(dispersion, "kernel_root", no_spectrum)
     monkeypatch.setattr(dispersion, "dispersion_point", no_spectrum)
     with pytest.raises(ValueError, match=f"branch_continue needs {name}"):
         contour.branch_continue(EULER, 0.5,
@@ -465,9 +466,8 @@ def test_branch_refuses_fewer_than_one_step(bad, name, monkeypatch):
 @pytest.mark.parametrize("branch", ["+", "-"])
 def test_branch_tangent_and_speed(branch):
     b, m = 0.5, 5
-    pt = dispersion.dispersion_point(EULER, m, b)
-    omega0 = pt.omega_plus if branch == "+" else pt.omega_minus
-    kvec = dispersion.kernel_vector(EULER, m, b, branch)
+    omega0, kvec = dispersion.kernel_root(
+        dispersion.dispersion_point(EULER, [m], b), branch)
     pts = contour.branch_continue(EULER, b, m, branch=branch,
                                   s_max=4e-4, steps=4, n_modes=8)
     # the first point is the annulus at the dispersion root

@@ -17,45 +17,45 @@ EULER = models.euler_plane()
 
 def test_spectral_row_validation():
     with pytest.raises(ValueError):
-        dispersion.spectral_row(EULER, 0, 0.5)
+        dispersion.spectral_row(EULER, [0], 0.5)
     with pytest.raises(ValueError):
-        dispersion.spectral_row(models.euler_exterior(0.3), 3, 0.2)
+        dispersion.spectral_row(models.euler_exterior(0.3), [3], 0.2)
 
 
 def test_euler_row_closed_values():
-    row = dispersion.spectral_row(EULER, 4, 0.5)
-    assert row.lam_nb == pytest.approx(1.0 / 8.0, rel=1e-15)
-    assert row.lamt_nb == pytest.approx(0.5 ** 4 / 8.0, rel=1e-15)
-    assert row.p_nb == row.p_n1 == row.pt_nb == 0.0
+    row = dispersion.spectral_row(EULER, [4], 0.5)
+    assert row.lam_nb[0] == pytest.approx(1.0 / 8.0, rel=1e-15)
+    assert row.lamt_nb[0] == pytest.approx(0.5 ** 4 / 8.0, rel=1e-15)
+    assert row.p_nb[0] == row.p_n1[0] == row.pt_nb[0] == 0.0
     assert row.source == "closed-form"
 
 
 def test_euler_degenerate_and_stable_points():
     # n = 3, b = 0.5: double root Omega = 0.1875, Delta = 0
-    p3 = dispersion.dispersion_point(EULER, 3, 0.5)
-    assert abs(p3.delta) < 1e-12
-    assert p3.classification == "degenerate"
-    assert p3.omega_plus == pytest.approx(0.1875, abs=1e-9)
+    p3 = dispersion.dispersion_point(EULER, [3], 0.5)
+    assert abs(p3.delta[0]) < 1e-12
+    assert p3.classification[0] == "degenerate"
+    assert p3.omega_plus[0] == pytest.approx(0.1875, abs=1e-9)
     # n = 4, b = 0.5: Delta = 63/4096, roots 0.1875 +/- sqrt(63)/128
-    p4 = dispersion.dispersion_point(EULER, 4, 0.5)
-    assert p4.delta == pytest.approx(63.0 / 4096.0, abs=1e-12)
-    assert p4.classification == "stable"
-    assert p4.a_nb == pytest.approx(1.0 / 8.0, rel=1e-14)
-    assert p4.b_nb == pytest.approx(1.0 / 4.0, rel=1e-14)
+    p4 = dispersion.dispersion_point(EULER, [4], 0.5)
+    assert p4.delta[0] == pytest.approx(63.0 / 4096.0, abs=1e-12)
+    assert p4.classification[0] == "stable"
+    assert p4.a_nb[0] == pytest.approx(1.0 / 8.0, rel=1e-14)
+    assert p4.b_nb[0] == pytest.approx(1.0 / 4.0, rel=1e-14)
     half = math.sqrt(63.0) / 128.0
-    assert p4.omega_plus == pytest.approx(0.1875 + half, abs=1e-12)
-    assert p4.omega_minus == pytest.approx(0.1875 - half, abs=1e-12)
+    assert p4.omega_plus[0] == pytest.approx(0.1875 + half, abs=1e-12)
+    assert p4.omega_minus[0] == pytest.approx(0.1875 - half, abs=1e-12)
 
 
 def test_vieta_relations():
     for model in (EULER, models.qgsw_plane(1.5),
                   models.euler_annulus(0.1, 10.0)):
-        p = dispersion.dispersion_point(model, 5, 0.5)
-        off = p.row.lamt_nb + p.row.pt_nb
-        assert p.omega_plus + p.omega_minus == pytest.approx(
-            p.a_nb + p.b_nb, rel=1e-12)
-        assert p.omega_plus * p.omega_minus == pytest.approx(
-            p.a_nb * p.b_nb + off * off, rel=1e-10)
+        p = dispersion.dispersion_point(model, [5], 0.5)
+        off = p.row.lamt_nb[0] + p.row.pt_nb[0]
+        assert p.omega_plus[0] + p.omega_minus[0] == pytest.approx(
+            p.a_nb[0] + p.b_nb[0], rel=1e-12)
+        assert p.omega_plus[0] * p.omega_minus[0] == pytest.approx(
+            p.a_nb[0] * p.b_nb[0] + off * off, rel=1e-10)
 
 
 def test_unstable_classification_exists_for_small_folds():
@@ -63,17 +63,17 @@ def test_unstable_classification_exists_for_small_folds():
     found = False
     model = models.euler_annulus(0.1, 10.0)
     for b in (0.85, 0.9, 0.95):
-        p = dispersion.dispersion_point(model, 1, b)
-        if p.delta < -dispersion.DEGENERACY_TOL:
-            assert p.omega_plus is None
-            assert p.classification == "unstable"
+        p = dispersion.dispersion_point(model, [1], b)
+        if p.delta[0] < -dispersion.DEGENERACY_TOL:
+            assert np.isnan(p.omega_plus[0])
+            assert p.classification[0] == "unstable"
             found = True
     assert found
 
 
 def test_off_diagonal_vanishes_at_large_n():
-    rows = [dispersion.spectral_row(EULER, n, 0.5) for n in (10, 20, 40)]
-    offs = [abs(r.lamt_nb + r.pt_nb) for r in rows]
+    rows = [dispersion.spectral_row(EULER, [n], 0.5) for n in (10, 20, 40)]
+    offs = [abs(r.lamt_nb[0] + r.pt_nb[0]) for r in rows]
     assert offs[0] > offs[1] > offs[2]
     assert offs[2] < 1e-12
 
@@ -129,7 +129,7 @@ def test_gsqg_disc_point_calls_no_quad_and_builds_one_rule(monkeypatch):
     model = models.gsqg_disc(0.5, 2.0)
     for b in (0.4321, 0.7):
         for n in range(1, 5):
-            dispersion.dispersion_point(model, n, b)
+            dispersion.dispersion_point(model, [n], b)
         dispersion.dispersion_point(model, np.arange(1, 5), b)
     assert models._subordination_rule.cache_info().misses == 1
 
@@ -228,8 +228,6 @@ def test_truncated_pair_sums_to_the_flat_closed_forms(x_star):
                                atol=1e-11)
 
 
-COLUMN_FIELDS = ("n", "lam_nb", "lam_n1", "lamt_nb", "p_nb", "p_n1", "pt_nb")
-
 # (model, n_max): every row of the closed-form models is cheap, the
 # quadrature models are checked on the low modes only
 BATCH_CASES = [
@@ -245,25 +243,43 @@ BATCH_IDS = [m.variant for m, _ in BATCH_CASES[:-2]] + [
     "CustomConvolution-gsqg_power", "CustomConvolution-qgsw_shifted"]
 
 
+def _equals_column(one, many, j: int) -> bool:
+    # a row or point of one mode equals entry j of the columns of many, its
+    # row included, with NaN roots equal
+    def same(u, v):
+        if isinstance(u, dispersion.SpectralRow):
+            return _equals_column(u, v, j)
+        if isinstance(u, np.ndarray):
+            return np.array_equal(u, v[j:j + 1],
+                                  equal_nan=u.dtype.kind == "f")
+        return u == v
+
+    return all(same(getattr(one, f.name), getattr(many, f.name))
+               for f in dataclasses.fields(one))
+
+
 @pytest.mark.parametrize("model,n_max", BATCH_CASES, ids=BATCH_IDS)
 def test_dispersion_points_equal_single_points(model, n_max):
-    ns = range(1, n_max + 1)
+    # column j of an array call equals the call on [n_j] alone, bit for
+    # bit, its row included
+    ns = np.arange(1, n_max + 1)
     for b in (0.4, 0.7):
-        points = dispersion.dispersion_points(model, ns, b)
-        assert points == [dispersion.dispersion_point(model, n, b)
-                          for n in ns]
+        points = dispersion.dispersion_point(model, ns, b)
+        for j, n in enumerate(ns.tolist()):
+            assert _equals_column(dispersion.dispersion_point(model, [n], b),
+                                  points, j)
 
 
 @pytest.mark.parametrize("model,n_max", BATCH_CASES, ids=BATCH_IDS)
 def test_spectral_row_columns_equal_scalar_rows(model, n_max):
+    # column j of a spectral_row array call equals the row of [n_j] alone,
+    # bit for bit
     ns = np.arange(1, n_max + 1)
     for b in (0.4, 0.7):
-        col = dispersion.spectral_row(model, ns, b)
-        for i, n in enumerate(ns.tolist()):
-            row = dispersion.spectral_row(model, n, b)
-            assert row == dispersion.SpectralRow(**{
-                f.name: getattr(col, f.name)[i] if f.name in COLUMN_FIELDS
-                else getattr(col, f.name) for f in dataclasses.fields(col)})
+        rows = dispersion.spectral_row(model, ns, b)
+        for j, n in enumerate(ns.tolist()):
+            assert _equals_column(dispersion.spectral_row(model, [n], b),
+                                  rows, j)
 
 
 def test_custom_column_builds_measure_nodes_once_per_coefficient(
@@ -332,7 +348,7 @@ def test_min_fold_raises_for_a_non_finite_mode_past_the_accepted_fold(
     def nan_at_mode_70(model, n, y, x):
         out = np.array(closed_lambda(model, n, y, x), dtype=float)
         out[np.asarray(n) == 70] = np.nan
-        return out if np.ndim(n) else float(out)
+        return out
 
     monkeypatch.setattr(models, "closed_lambda", nan_at_mode_70)
     with pytest.raises(ArithmeticError, match=r"at n = 70, b = 0\.5"):
@@ -395,7 +411,7 @@ def test_non_finite_coefficient_names_model_mode_and_b(monkeypatch, tmp_path,
     def nan_at_mode_7(model, n, y, x):
         out = np.array(closed_lambda(model, n, y, x), dtype=float)
         out[np.asarray(n) == 7] = np.nan
-        return out if np.ndim(n) else float(out)
+        return out
 
     monkeypatch.setattr(models, "closed_lambda", nan_at_mode_7)
     with pytest.raises(ArithmeticError,
@@ -455,7 +471,7 @@ def test_non_finite_mode_1_coefficient_names_n_1(monkeypatch):
     def nan_at_mode_1(model, n, y, x):
         out = np.array(closed_lambda(model, n, y, x), dtype=float)
         out[(np.asarray(n) == 1) & (y != x)] = np.nan  # lambda-tilde only
-        return out if np.ndim(n) else float(out)
+        return out
 
     monkeypatch.setattr(models, "closed_lambda", nan_at_mode_1)
     with pytest.raises(ArithmeticError,
@@ -478,7 +494,7 @@ def test_min_fold_refuses_k_max_below_two():
     # k_max = 1 scans mode m alone and compares no gaps, so it would
     # accept m = 1 for QgswPlane(2) at b = 0.5, where Delta_2 < 0
     qgsw = models.qgsw_plane(2.0)
-    assert dispersion.dispersion_point(qgsw, 2, 0.5).delta < 0.0
+    assert dispersion.dispersion_point(qgsw, [2], 0.5).delta[0] < 0.0
     assert dispersion.min_fold(qgsw, 0.5, k_max=2) == 3
     for k_max in (1, 0):
         with pytest.raises(ValueError, match="k_max"):
@@ -490,15 +506,15 @@ def test_min_fold_dual_route_annulus():
     for b in (0.3, 0.5, 0.8):
         m = dispersion.min_fold(model, b)
         # closed-inequality route must flip exactly at m
-        assert dispersion.annulus_fold_inequality(model, b, m)
+        assert dispersion.annulus_fold_inequality(model, b, [m])[0]
         if m > 1:
-            assert not dispersion.annulus_fold_inequality(model, b, m - 1)
+            assert not dispersion.annulus_fold_inequality(model, b, [m - 1])[0]
 
 
 def test_min_fold_dual_route_exterior():
     model = models.euler_exterior(0.1)
     m = dispersion.min_fold(model, 0.5)
-    assert dispersion.annulus_fold_inequality(model, 0.5, m)
+    assert dispersion.annulus_fold_inequality(model, 0.5, [m])[0]
     assert m == 1
 
 
@@ -513,18 +529,18 @@ def test_fold_inequality_is_the_sign_of_delta(model):
     r1 = model.domain[0]
     for b in np.linspace(r1, 1.0, 102)[1:-1]:
         for n in range(1, 41):
-            delta = dispersion.dispersion_point(model, n, b).delta
+            delta = dispersion.dispersion_point(model, [n], b).delta[0]
             if abs(delta) < 1e-8:
                 continue
-            assert dispersion.annulus_fold_inequality(model, b, n) == (
+            assert dispersion.annulus_fold_inequality(model, b, [n])[0] == (
                 delta > 0), (b, n, delta)
 
 
 def test_fold_inequality_wrong_model():
     with pytest.raises(ValueError):
-        dispersion.annulus_fold_inequality(EULER, 0.5, 3)
+        dispersion.annulus_fold_inequality(EULER, 0.5, [3])
     with pytest.raises(ValueError):
-        dispersion.annulus_fold_inequality(models.euler_disc(2.0), 0.5, 3)
+        dispersion.annulus_fold_inequality(models.euler_disc(2.0), 0.5, [3])
 
 
 @pytest.mark.parametrize("model", [
@@ -541,29 +557,30 @@ def test_monotonicity_scan_high_modes(model):
 
 
 def test_q_matrix_singular_at_roots():
-    p = dispersion.dispersion_point(EULER, 4, 0.5)
-    for omega in (p.omega_plus, p.omega_minus):
-        q = dispersion.q_matrix(EULER, 4, 0.5, omega)
+    p = dispersion.dispersion_point(EULER, [4], 0.5)
+    for omega in (p.omega_plus[0], p.omega_minus[0]):
+        q = p.q(omega)[..., 0]
         assert abs(np.linalg.det(q)) < 1e-14
 
 
 def test_kernel_vector_spans_nullspace():
     for branch in ("+", "-"):
-        p = dispersion.dispersion_point(EULER, 5, 0.5)
-        omega = p.omega_plus if branch == "+" else p.omega_minus
-        vec = dispersion.kernel_vector(EULER, 5, 0.5, branch)
-        q = dispersion.q_matrix(EULER, 5, 0.5, omega)
+        p = dispersion.dispersion_point(EULER, [5], 0.5)
+        omega, vec = dispersion.kernel_root(p, branch)
+        assert omega == (p.omega_plus if branch == "+" else p.omega_minus)[0]
+        q = p.q(omega)[..., 0]
         assert np.max(np.abs(q @ vec)) < 1e-12
         assert np.linalg.norm(vec) > 0
 
 
 def test_kernel_vector_rejects_degenerate():
     with pytest.raises(ValueError):
-        dispersion.kernel_vector(EULER, 3, 0.5)
+        dispersion.kernel_root(dispersion.dispersion_point(EULER, [3], 0.5),
+                               "+")
 
 
 def test_classify_shortcut():
-    assert dispersion.dispersion_point(EULER, 4, 0.5).classification == \
-        "stable"
-    assert dispersion.dispersion_point(EULER, 2, 0.5).classification == \
-        "degenerate"
+    assert dispersion.dispersion_point(EULER, [4], 0.5).classification[0] \
+        == "stable"
+    assert dispersion.dispersion_point(EULER, [2], 0.5).classification[0] \
+        == "degenerate"

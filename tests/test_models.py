@@ -106,8 +106,8 @@ def _lambda_tilde_fourier_oracle(model, n, b):
 ])
 def test_closed_lambda_against_fourier_oracle(model):
     for n, b in ((1, 0.5), (2, 0.3), (4, 0.8)):
-        lam = models.closed_lambda(model, n, b, b)
-        lamt = models.closed_lambda(model, n, b, 1.0)
+        lam = models.closed_lambda(model, [n], b, b)[0]
+        lamt = models.closed_lambda(model, [n], b, 1.0)[0]
         # tanh-sinh stalls near 1e-8 for the strongest power singularity
         assert lam == pytest.approx(_lambda_fourier_oracle(model, n, b),
                                     rel=1e-7, abs=1e-9)
@@ -118,18 +118,18 @@ def test_closed_lambda_against_fourier_oracle(model):
 def test_euler_lambda_closed_values():
     model = models.euler_plane()
     for n in range(1, 8):
-        assert models.closed_lambda(model, n, 0.5, 0.5) == pytest.approx(
+        assert models.closed_lambda(model, [n], 0.5, 0.5)[0] == pytest.approx(
             1.0 / (2 * n), rel=1e-15)
-        assert models.closed_lambda(model, n, 0.5, 1.0) == pytest.approx(
+        assert models.closed_lambda(model, [n], 0.5, 1.0)[0] == pytest.approx(
             0.5 ** n / (2 * n), rel=1e-15)
 
 
 def test_qgsw_lambda_is_bessel_product():
     model = models.qgsw_plane(1.5)
     n, b = 3, 0.4
-    assert models.closed_lambda(model, n, b, b) == pytest.approx(
+    assert models.closed_lambda(model, [n], b, b)[0] == pytest.approx(
         sp.iv(n, b * 1.5) * sp.kv(n, b * 1.5), rel=1e-13)
-    assert models.closed_lambda(model, n, b, 1.0) == pytest.approx(
+    assert models.closed_lambda(model, [n], b, 1.0)[0] == pytest.approx(
         sp.iv(n, b * 1.5) * sp.kv(n, 1.5), rel=1e-13)
 
 
@@ -147,7 +147,7 @@ def test_gsqg_lambda_matches_gamma_ratio_weights():
                          + gammaln(n + beta / 2.0)
                          - gammaln(n + 1.0 - beta / 2.0))
             want = cmkernel.c_beta(beta) * b ** (-beta) * w
-            assert models.closed_lambda(model, n, b, b) == pytest.approx(
+            assert models.closed_lambda(model, [n], b, b)[0] == pytest.approx(
                 want, rel=1e-12)
 
 
@@ -155,8 +155,8 @@ def test_gsqg_capital_lambda_small_beta_recovers_euler():
     # Lambda_{n,b}(beta)/beta -> pi b^n / n as beta -> 0 matches the
     # 1/(2n) b^n structure after the c_beta ~ beta/4pi normalization
     n, b = 2, 0.6
-    got1 = models.gsqg_capital_lambda(n, b, 1e-5)
-    got2 = models.gsqg_capital_lambda(n, b, 2e-5)
+    got1 = models.gsqg_capital_lambda([n], b, 1e-5)[0]
+    got2 = models.gsqg_capital_lambda([n], b, 2e-5)[0]
     assert got2 / got1 == pytest.approx(1.0, abs=2e-4)
 
 
@@ -210,7 +210,7 @@ def _p_fourier_oracle(model, n, rx, ry):
 def test_closed_p_against_kernel_fourier(model):
     b = 0.5
     for n in (1, 2, 5):
-        p_nb, p_n1, pt_nb = models.closed_p(model, n, b)
+        p_nb, p_n1, pt_nb = (c[0] for c in models.closed_p(model, [n], b))
         assert p_nb == pytest.approx(_p_fourier_oracle(model, n, b, b),
                                      rel=1e-10, abs=1e-12)
         assert p_n1 == pytest.approx(_p_fourier_oracle(model, n, 1.0, 1.0),
@@ -230,10 +230,10 @@ def test_closed_forms_finite_at_the_largest_fold_mode(model, b):
     import mpmath
     from vstates import dispersion
     n = 640
-    p = models.closed_p(model, n, b)
+    p = [c[0] for c in models.closed_p(model, [n], b)]
     assert all(math.isfinite(v) for v in p)
     assert all(math.isfinite(v) for v in models.c_terms(model, b))
-    assert dispersion.annulus_fold_inequality(model, b, n) in (True, False)
+    assert dispersion.annulus_fold_inequality(model, b, [n]).dtype == bool
 
     # unscaled a_m / b_m formula at 50 digits; R2 = 10^400 for the exterior
     # leaves relative corrections of 10^-512000
@@ -365,29 +365,31 @@ def test_array_calls_equal_scalar_calls(model, b):
     ns = COLUMN_MODES
     cols = [models.closed_lambda(model, ns, b, b),
             models.closed_lambda(model, ns, b, 1.0)]
-    scalars = [[models.closed_lambda(model, int(n), b, b) for n in ns],
-               [models.closed_lambda(model, int(n), b, 1.0) for n in ns]]
+    scalars = [[models.closed_lambda(model, [n], b, b) for n in ns],
+               [models.closed_lambda(model, [n], b, 1.0) for n in ns]]
     if b < 1.0:
         cols += list(models.closed_p(model, ns, b))
-        scalars += [list(p) for p in zip(*(models.closed_p(model, int(n), b)
+        scalars += [list(p) for p in zip(*(models.closed_p(model, [n], b)
                                            for n in ns))]
     for col, ref in zip(cols, scalars):
-        assert isinstance(ref[0], float)
-        np.testing.assert_allclose(col, ref, rtol=1e-12, atol=1e-300)
+        assert all(r.shape == (1,) for r in ref)
+        np.testing.assert_allclose(col, np.concatenate(ref), rtol=1e-12,
+                                   atol=1e-300)
 
 
 def test_overflow_cases_are_finite():
     from vstates import dispersion
-    assert math.isfinite(models.gsqg_capital_lambda(171, 1.0, 0.5))
-    assert math.isfinite(
-        dispersion.dispersion_point(models.qgsw_plane(2.0), 128, 0.01).delta)
+    assert np.isfinite(models.gsqg_capital_lambda([171], 1.0, 0.5)).all()
+    assert np.isfinite(dispersion.dispersion_point(
+        models.qgsw_plane(2.0), [128], 0.01).delta).all()
     # a vstate threshold job of the benchmark: min_fold tries modes to 640
     ns = np.arange(641)
     assert np.isfinite(models.gsqg_capital_lambda(ns, 0.999709, 0.5)).all()
 
 
 def test_plane_models_have_no_smooth_part():
-    assert models.closed_p(models.euler_plane(), 3, 0.5) == (0.0, 0.0, 0.0)
+    assert [c.tolist() for c in models.closed_p(models.euler_plane(), [3],
+                                                0.5)] == [[0.0]] * 3
     for model in (models.euler_plane(), models.qgsw_plane(2.0),
                   models.custom_convolution(cmkernel.gsqg_power(0.5))):
         assert models.k1_point(model, 0.5, 0.3 + 0.1j) == (0.0, 0j)
@@ -626,7 +628,7 @@ def test_gsqg_disc_columns_finite_and_never_positive(beta, r, b):
 def test_euler_disc_p_terms_closed_values():
     r, b, n = 2.0, 0.5, 3
     model = models.euler_disc(r)
-    p_nb, p_n1, pt_nb = models.closed_p(model, n, b)
+    p_nb, p_n1, pt_nb = (c[0] for c in models.closed_p(model, [n], b))
     assert p_nb == pytest.approx(-(b * b / r ** 2) ** n / (2 * n), rel=1e-14)
     assert p_n1 == pytest.approx(-r ** (-2 * n) / (2 * n), rel=1e-14)
     assert pt_nb == pytest.approx(-(b / r ** 2) ** n / (2 * n), rel=1e-14)

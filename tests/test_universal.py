@@ -24,16 +24,16 @@ def _phi_oracle(n, x):
 @pytest.mark.parametrize("n,x", [(1, 0.5), (1, 3.0), (2, 1.0), (5, 10.0),
                                  (8, 40.0), (3, 200.0)])
 def test_phi_n_against_quadrature_oracle(n, x):
-    assert universal.phi_n(n, x) == pytest.approx(_phi_oracle(n, x),
-                                                  rel=1e-11, abs=1e-13)
+    assert universal.phi_n([n], x)[0] == pytest.approx(_phi_oracle(n, x),
+                                                       rel=1e-11, abs=1e-13)
 
 
 def test_phi_n_edge_cases():
-    assert universal.phi_n(3, 0.0) == 0.0
+    assert universal.phi_n([3], 0.0)[0] == 0.0
     with pytest.raises(ValueError):
-        universal.phi_n(0, 1.0)
+        universal.phi_n([0], 1.0)
     with pytest.raises(ValueError):
-        universal.phi_n(1, -1.0)
+        universal.phi_n([1], -1.0)
 
 
 def test_phi_n_rows_equal_single_modes():
@@ -43,10 +43,10 @@ def test_phi_n_rows_equal_single_modes():
     rows = universal.phi_n(ns, x)
     assert rows.shape == (128, 7)
     for n, row in zip(ns.tolist(), rows):
-        assert np.array_equal(row, universal.phi_n(n, x))
-    # one x gives a float per mode
+        assert np.array_equal(row, universal.phi_n([n], x)[0])
+    # one x gives one entry per mode
     assert universal.phi_n(ns, 2.0).tolist() == [
-        universal.phi_n(n, 2.0) for n in ns.tolist()]
+        universal.phi_n([n], 2.0)[0] for n in ns.tolist()]
     with pytest.raises(ValueError):
         universal.phi_n(np.array([1, 0]), 1.0)
 
@@ -54,7 +54,7 @@ def test_phi_n_rows_equal_single_modes():
 @given(st.integers(1, 30), st.floats(1e-3, 300.0))
 @settings(max_examples=80, deadline=None)
 def test_phi_n_two_sided_bounds(n, x):
-    val = universal.phi_n(n, x)
+    val = universal.phi_n([n], x)[0]
     base = x / (n * n + x * x)
     lo = 8.0 * n * n / (4.0 * n * n + 1.0) * base
     hi = 8.0 * n * n / (4.0 * n * n - 1.0) * base
@@ -67,7 +67,7 @@ def test_phi_n_two_sided_bounds(n, x):
 @given(st.integers(1, 20), st.floats(0.05, 80.0))
 @settings(max_examples=60, deadline=None)
 def test_phi_difference_bounds(n, x):
-    diff = universal.phi_n(n, x) - universal.phi_n(n + 1, x)
+    diff = universal.phi_n([n], x)[0] - universal.phi_n([n + 1], x)[0]
     base = ((2 * n + 1.0) * x
             / ((n * n + x * x) * ((n + 1.0) ** 2 + x * x)))
     assert base <= diff + 1e-13
@@ -78,17 +78,18 @@ def test_phi_n_ode_residual():
     # phi_n'' + phi_n'/x - 4(1 + n^2/x^2) phi_n = -8/x
     h = 1e-4
     for n, x in ((1, 0.7), (2, 2.0), (4, 5.0)):
-        f0 = universal.phi_n(n, x)
-        fp = (universal.phi_n(n, x + h) - universal.phi_n(n, x - h)) / (2 * h)
-        fpp = (universal.phi_n(n, x + h) - 2 * f0
-               + universal.phi_n(n, x - h)) / (h * h)
+        f0, f_plus, f_minus = (universal.phi_n([n], v)[0]
+                               for v in (x, x + h, x - h))
+        fp = (f_plus - f_minus) / (2 * h)
+        fpp = (f_plus - 2 * f0 + f_minus) / (h * h)
         res = fpp + fp / x - 4.0 * (1.0 + n * n / (x * x)) * f0 + 8.0 / x
         assert abs(res) < 1e-4
 
 
 def test_phi_1_derivative_at_zero():
     h = 1e-5
-    assert universal.phi_n(1, h) / h == pytest.approx(8.0 / 3.0, abs=1e-4)
+    assert universal.phi_n([1], h)[0] / h == pytest.approx(8.0 / 3.0,
+                                                           abs=1e-4)
 
 
 @pytest.mark.parametrize("b", [0.3, 0.9])
@@ -101,9 +102,9 @@ def test_phi_nb_rows_equal_single_modes(b):
     rows = universal.phi_nb(ns, b, x)
     assert rows.shape == (9, 7)
     for n, row in zip(ns.tolist(), rows):
-        assert np.array_equal(row, universal.phi_nb(n, b, x))
+        assert np.array_equal(row, universal.phi_nb([n], b, x)[0])
     assert universal.phi_nb(ns, b, 2.0).tolist() == [
-        universal.phi_nb(n, b, 2.0) for n in ns.tolist()]
+        universal.phi_nb([n], b, 2.0)[0] for n in ns.tolist()]
     with pytest.raises(ValueError):
         universal.phi_nb(np.array([1, 0]), b, 1.0)
     # n = 2^18 starts at 2^20 nodes; one more mode would start at the cap
@@ -134,28 +135,28 @@ def test_phi_nb_reduces_to_phi_n_at_b_one():
     for n, x in ((1, 0.5), (3, 2.0), (6, 10.0)):
         # at b = 1 the integrand of phi_nb has the same corner as phi_n but
         # is evaluated by the trapezoid rule, which stalls around 1e-11
-        assert universal.phi_nb(n, 1.0, x) == pytest.approx(
-            universal.phi_n(n, x), rel=1e-9, abs=1e-10)
+        assert universal.phi_nb([n], 1.0, x)[0] == pytest.approx(
+            universal.phi_n([n], x)[0], rel=1e-9, abs=1e-10)
 
 
 @given(st.integers(1, 10), st.floats(0.1, 0.95), st.floats(0.01, 40.0))
 @settings(max_examples=60, deadline=None)
 def test_phi_nb_positive_below_exponential_envelope(n, b, x):
-    val = universal.phi_nb(n, b, x)
+    val = universal.phi_nb([n], b, x)[0]
     assert 0.0 < val <= 2.0 * math.pi * math.exp(-(1.0 - b) * x) + 1e-14
 
 
 def test_phi_nb_strictly_decreasing_in_n():
     for b in (0.2, 0.5, 0.8, 1.0):
         for x in (0.5, 2.0, 10.0, 50.0):
-            vals = [universal.phi_nb(n, b, x) for n in range(1, 12)]
+            vals = [universal.phi_nb([n], b, x)[0] for n in range(1, 12)]
             assert all(v1 > v2 for v1, v2 in zip(vals, vals[1:]))
 
 
 def test_rodrigues_form_matches_phi_1b():
     for b, x in ((0.3, 1.0), (0.5, 4.0), (0.9, 0.7)):
         assert universal.phi_1b_closed(b, x) == pytest.approx(
-            universal.phi_nb(1, b, x), rel=1e-9, abs=1e-12)
+            universal.phi_nb([1], b, x)[0], rel=1e-9, abs=1e-12)
 
 
 def test_small_b_limit_of_phi_1b():
@@ -163,7 +164,7 @@ def test_small_b_limit_of_phi_1b():
     x = 2.0
     want = math.pi * x * math.exp(-x)
     for b, tol in ((1e-2, 2e-2), (1e-3, 2e-3)):
-        got = universal.phi_nb(1, b, x) / b
+        got = universal.phi_nb([1], b, x)[0] / b
         assert abs(got - want) < tol * want
 
 
@@ -283,7 +284,7 @@ def test_phi_nb_at_high_modes_against_mpmath(n):
                 want = 2 * mpmath.quad(f, mpmath.linspace(0, mpmath.pi,
                                                           n // 4 + 1),
                                        method="gauss-legendre")
-            assert universal.phi_nb(n, b, x) == pytest.approx(
+            assert universal.phi_nb([n], b, x)[0] == pytest.approx(
                 float(want), rel=0.0, abs=1e-14)
 
 
@@ -292,8 +293,8 @@ _XS = np.array([0.0, 0.05, 0.5, 1.0, 2.5, 7.0, 20.0, 60.0, 150.0, 300.0])
 
 @pytest.mark.parametrize("b", [0.2, 0.5, 0.9, 1.0])
 def test_array_calls_match_scalar_calls(b):
-    cases = [lambda x: universal.phi_n(3, x),
-             lambda x: universal.phi_nb(2, b, x)]
+    cases = [lambda x: universal.phi_n([3], x)[0],
+             lambda x: universal.phi_nb([2], b, x)[0]]
     if b < 1.0:
         cases.append(lambda x: universal.psi_b(b, x))
     for fun in cases:
@@ -301,7 +302,7 @@ def test_array_calls_match_scalar_calls(b):
         assert got.shape == _XS.shape and got[0] == 0.0
         want = np.array([fun(float(x)) for x in _XS])
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, abs(want)))
-    assert universal.phi_nb(1, b, 0.0) == 0.0
+    assert universal.phi_nb([1], b, 0.0)[0] == 0.0
 
 
 def _plain_trapezoid(f, n_max):
