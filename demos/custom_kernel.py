@@ -26,10 +26,8 @@ def main():
     p = dispersion.dispersion_point(model, [1, 2, 3, 4], 0.5)
     for n, delta, kind in zip(p.n, p.delta, p.classification):
         print(f"  n = {n}: Delta = {delta:.6e}  ({kind})")
-    v1, v2 = dispersion.v_constants(model, 0.5)
-    print(f"  velocity constants: V1 = {v1:.8f}, V2 = {v2:.8f}")
-    print(f"  large-n discriminant limit: "
-          f"{dispersion.delta_inf(model, 0.5):.8f}")
+    print(f"  velocity constants: V1 = {p.v1:.8f}, V2 = {p.v2:.8f}")
+    print(f"  large-n discriminant limit: {(p.v1 - p.v2) ** 2:.8f}")
 
 
 if __name__ == "__main__":

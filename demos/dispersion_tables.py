@@ -28,17 +28,16 @@ def main():
     table(models.euler_plane(), 0.5)
     print("\nmodes 2 and 3 are degenerate at b = 0.5: the quadratic has a "
           "double root,\nso the first admissible symmetry there is m = 4:")
-    print("  min_fold =", dispersion.min_fold(models.euler_plane(), 0.5))
+    print("  min_fold =", dispersion.min_fold(models.euler_plane(), 0.5)[0])
 
     table(models.qgsw_plane(2.0), 0.5)
     table(models.euler_annulus(0.1, 10.0), 0.5)
 
     print("\nlarge-n limit: Delta_n approaches (V^1 - V^2)^2")
     for model in (models.euler_plane(), models.qgsw_plane(2.0)):
-        d_inf = dispersion.delta_inf(model, 0.5)
-        d_120 = dispersion.dispersion_point(model, [120], 0.5).delta[0]
-        print(f"  {model.variant:>12}: Delta_120 = {d_120:.8f}, "
-              f"limit = {d_inf:.8f}")
+        p = dispersion.dispersion_point(model, [120], 0.5)
+        print(f"  {model.variant:>12}: Delta_120 = {p.delta[0]:.8f}, "
+              f"limit = {(p.v1 - p.v2) ** 2:.8f}")
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ for power-law kernels.  This script compares truncated series against the
 closed expressions.
 """
 
-from vstates import dispersion, models
+from vstates import models
 
 
 def main():
@@ -31,14 +31,6 @@ def main():
         c = models.sneddon_integral(bi, gi, n, q, a, b)
         print(f"{f'({bi},{gi},{n})':>9} {q:>5} {a:>5} {b:>5} "
               f"{s:>14.9f} {c:>14.9f} {abs(s - c):>10.2e}")
-
-    print("\nvelocity constants on the QGSW disc: closed form vs series")
-    for eps, r, b in ((1.0, 2.0, 0.5), (2.0, 1.5, 0.3)):
-        closed = dispersion.v_constants(models.qgsw_disc(eps, r), b)
-        series = models.qgsw_disc_v_series(eps, r, b)
-        print(f"  eps={eps}, R={r}, b={b}: "
-              f"V1 {closed[0]:.8f} / {series[0]:.8f}, "
-              f"V2 {closed[1]:.8f} / {series[1]:.8f}")
 
 
 if __name__ == "__main__":

@@ -28,9 +28,6 @@ def main():
         vals = [universal.psi_b(b, float(x)) for x in xs]
         print(f"  b = {b}: min over (0, 20] sample = {min(vals):.4e}")
 
-    deriv, inner = universal.psi_b_prime0(0.5)
-    print(f"\nPsi'_0.5(0) = {deriv:.6f} with inner integral I(0.5) = {inner:.6f}")
-
     print("\nsmall-b behaviour: (1/b) phi_1b(x) approaches pi x e^{-x}")
     x = 2.0
     want = np.pi * x * np.exp(-x)

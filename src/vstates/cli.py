@@ -61,30 +61,35 @@ def _model(args: argparse.Namespace) -> tuple[models.KernelModel, dict]:
 
 
 def _float_list(args: argparse.Namespace, key: str) -> list[float]:
-    """'0.5' | '0.2,0.3' | 'lo:hi:count' (inclusive linspace)."""
+    """'0.5' | '0.2,0.3' | 'lo:hi:count' (inclusive linspace), not empty."""
     text = _require(args, key).strip()
     try:
         if ":" in text:
             lo, hi, count = text.split(":")
-            count = int(count)
-            if count < 1:
-                raise ValueError
-            return [float(x) for x in np.linspace(float(lo), float(hi), count)]
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+            values = np.linspace(float(lo), float(hi), int(count)).tolist()
+        else:
+            values = [float(tok) for tok in text.split(",") if tok.strip()]
+        if not values:
+            raise ValueError
     except ValueError as exc:
         raise UsageError(f"cannot parse {key} specification {text!r}") from exc
+    return values
 
 
 def _int_list(args: argparse.Namespace, key: str) -> list[int]:
-    """'4' | '1,2,5' | 'lo:hi' (inclusive)."""
+    """'4' | '1,2,5' | 'lo:hi' (inclusive), not empty."""
     text = _require(args, key).strip()
     try:
         if ":" in text:
             lo, hi = text.split(":")
-            return list(range(int(lo), int(hi) + 1))
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(tok) for tok in text.split(",") if tok.strip()]
+        if not values:
+            raise ValueError
     except ValueError as exc:
         raise UsageError(f"cannot parse {key} specification {text!r}") from exc
+    return values
 
 
 def _config_flags(path: str, command: str) -> list[str]:
@@ -171,8 +176,6 @@ def _out_dir(args: argparse.Namespace) -> str:
 def cmd_spectra(args: argparse.Namespace) -> int:
     model, model_meta = _model(args)
     bs, ns = _float_list(args, "b"), _int_list(args, "n")
-    if not ns:
-        raise UsageError("empty n range")
     header = ["n", "b", "lambda_nb", "lambda_n1", "lambda_tilde_nb",
               "p_nb", "p_n1", "p_tilde_nb", "c_b", "c_tilde_b", "source",
               "a_nb", "b_nb", "delta", "omega_plus", "omega_minus",
@@ -225,7 +228,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
         header.append("closed_threshold")
     rows = []
     for b in bs:
-        fold, v1, v2 = dispersion._min_fold(model, b, args.k_max)
+        fold, v1, v2 = dispersion.min_fold(model, b, args.k_max)
         row = [b, fold, (v1 - v2) ** 2, v1, v2,
                abs(v1 - v2) > dispersion.DEGENERACY_TOL, fold is not None]
         if closed_check:
@@ -420,9 +423,8 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (dispersion.FoldNotFound, contour.GeometryError,
-            contour.BranchError, np.linalg.LinAlgError, ArithmeticError,
-            RuntimeError) as exc:
+    except (contour.GeometryError, contour.BranchError,
+            np.linalg.LinAlgError, ArithmeticError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError) as exc:

@@ -12,13 +12,14 @@ the fold scan.
 
 `dispersion_point` forms the velocity constants V^1, V^2 from the mode-1
 column of its row (adding mode 1 to the call when the modes do not start
-there), then A, B, the discriminant, both roots (NaN where the
-discriminant is negative) and the classification as columns;
+there), so a point of any modes carries them and the discriminant's
+large-n limit (V^1 - V^2)^2; then A, B, the discriminant, both roots (NaN
+where the discriminant is negative) and the classification as columns.
 `DispersionPoint.q` assembles the blocks Q_{n,b}(Omega), and `kernel_root`
 reads a root and its kernel vector off the first column.  The module also
-evaluates the discriminant's large-n limit, locates the smallest symmetry
-fold m admitting simple real eigenvalues (one array call per block of
-candidate folds), and scans the monotone ordering of the two branches.
+locates the smallest symmetry fold m admitting simple real
+eigenvalues (one array call per block of candidate folds), and scans the
+monotone ordering of the two branches.
 """
 
 from __future__ import annotations
@@ -36,11 +37,8 @@ __all__ = [
     "SpectralRow",
     "DispersionPoint",
     "MonotonicityReport",
-    "FoldNotFound",
     "spectral_row",
     "dispersion_point",
-    "v_constants",
-    "delta_inf",
     "min_fold",
     "has_closed_fold",
     "annulus_fold_inequality",
@@ -53,10 +51,6 @@ DEGENERACY_TOL = 1e-9
 
 # the largest symmetry fold min_fold tries
 _FOLD_CAP = 64
-
-
-class FoldNotFound(RuntimeError):
-    """No symmetry fold below the cap satisfies the bifurcation conditions."""
 
 
 @dataclass(frozen=True)
@@ -187,21 +181,6 @@ def dispersion_point(model: KernelModel, n, b: float) -> DispersionPoint:
         v1=v1, v2=v2, row=row)
 
 
-def v_constants(model: KernelModel, b: float) -> tuple[float, float]:
-    """(V^1, V^2) of the mode-1 `dispersion_point`.
-
-    b is checked first, so an inadmissible b never reaches a quadrature.
-    """
-    point = dispersion_point(model, [1], b)
-    return point.v1, point.v2
-
-
-def delta_inf(model: KernelModel, b: float) -> float:
-    """Large-n limit of the discriminant, (V^1 - V^2)^2."""
-    v1, v2 = v_constants(model, b)
-    return (v1 - v2) ** 2
-
-
 # ---------------------------------------------------------------------------
 # fold selection
 # ---------------------------------------------------------------------------
@@ -237,8 +216,11 @@ def annulus_fold_inequality(model: KernelModel, b: float, n):
     return ns > rhs
 
 
-def min_fold(model: KernelModel, b: float, k_max: int = 10) -> int:
-    """Smallest symmetry fold m with a simple real spectrum on all modes km.
+def min_fold(model: KernelModel, b: float, k_max: int = 10
+             ) -> tuple[int | None, float, float]:
+    """Smallest symmetry fold m with a simple real spectrum on all modes km,
+    as (m, V^1, V^2); m is None when no fold m <= 64 passes or b lies
+    outside the admissible set (|V^1 - V^2| <= tol).
 
     With tol = DEGENERACY_TOL, the conditions per candidate m are
     Delta_{km,b} > tol for k = 1..k_max, all
@@ -250,18 +232,8 @@ def min_fold(model: KernelModel, b: float, k_max: int = 10) -> int:
     (one by one for a custom measure, whose quadrature costs per mode where
     a closed form costs per call), each one `dispersion_point` call, so a
     non-finite coefficient at any mode of a block raises ArithmeticError,
-    even past the accepted fold.
+    even past the accepted fold.  V^1, V^2 come from the first block.
     """
-    m = _min_fold(model, b, k_max)[0]
-    if m is None:
-        raise FoldNotFound(f"no fold m <= {_FOLD_CAP} satisfies the "
-                           "conditions")
-    return m
-
-
-def _min_fold(model: KernelModel, b: float, k_max: int
-              ) -> tuple[int | None, float, float]:
-    # (m or None, V^1, V^2) of min_fold's scan, V from its first block
     if k_max < 2:
         raise ValueError(f"min_fold needs k_max >= 2, got {k_max}")
     tol, lo, ks = DEGENERACY_TOL, 1, np.arange(1, k_max + 1)
@@ -270,8 +242,8 @@ def _min_fold(model: KernelModel, b: float, k_max: int
         grid = np.outer(np.arange(lo, min(hi, _FOLD_CAP) + 1), ks)  # km
         modes = np.unique(grid)
         p = dispersion_point(model, modes, b)
-        if not abs(p.v1 - p.v2) > tol:
-            raise ValueError("b lies outside the admissible set: V^1 = V^2")
+        if not abs(p.v1 - p.v2) > tol:  # b outside S: no fold
+            return None, p.v1, p.v2
         at, d_inf = np.searchsorted(modes, grid), (p.v1 - p.v2) ** 2
         omegas = np.sort(np.hstack([p.omega_plus[at], p.omega_minus[at],
                                     np.tile([-p.v1, -p.v2], (len(at), 1))]))

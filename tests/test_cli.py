@@ -430,17 +430,24 @@ def test_universal_builds_each_gauss_rule_once(tmp_path, monkeypatch):
     assert orders and len(orders) == len(set(orders))
 
 
+def _mode_1_points(monkeypatch):
+    # the b of each dispersion_point call on mode 1 alone, the call that
+    # reads V^1, V^2 by themselves
+    calls, point = [], dispersion.dispersion_point
+
+    def counting_point(model, n, b):
+        if np.atleast_1d(n).tolist() == [1]:
+            calls.append(b)
+        return point(model, n, b)
+
+    monkeypatch.setattr(dispersion, "dispersion_point", counting_point)
+    return calls
+
+
 def test_spectra_takes_v_from_its_rows(tmp_path, monkeypatch):
     # V^1, V^2 come from the mode-1 column of each b's row: no separate
-    # v_constants call
-    calls = []
-    v_constants = dispersion.v_constants
-
-    def counting_v(model, b):
-        calls.append(b)
-        return v_constants(model, b)
-
-    monkeypatch.setattr(dispersion, "v_constants", counting_v)
+    # mode-1 point
+    calls = _mode_1_points(monkeypatch)
     code = run_cli(["spectra", "--model", "GsqgPlane", "--param", "beta=0.5",
                     "--b", "0.3,0.6", "--n", "1:32", "--out", str(tmp_path)])
     assert code == 0
@@ -449,15 +456,9 @@ def test_spectra_takes_v_from_its_rows(tmp_path, monkeypatch):
 
 def test_threshold_takes_v_from_the_fold_scan(tmp_path, monkeypatch):
     # V^1, V^2 come from min_fold's first block of folds, also when no fold
-    # is found: no separate v_constants call, and the same values
-    calls = []
-    v_constants = dispersion.v_constants
-
-    def counting_v(model, b):
-        calls.append((model.variant, b))
-        return v_constants(model, b)
-
-    monkeypatch.setattr(dispersion, "v_constants", counting_v)
+    # is found: no separate mode-1 point, and the same values
+    point = dispersion.dispersion_point
+    calls = _mode_1_points(monkeypatch)
     for argv, found in ((["--model", "EulerAnnulus", "--param", "r1=0.1",
                           "--param", "r2=10", "--b", "0.3,0.5,0.8"], "true"),
                         (["--model", "QgswPlane", "--param", "eps=2",
@@ -473,9 +474,9 @@ def test_threshold_takes_v_from_the_fold_scan(tmp_path, monkeypatch):
             ["threshold", *argv]))[0]
         for row in rows:
             assert row[header.index("found")] == found
-            want = v_constants(model, float(row[0]))
+            want = point(model, [1], float(row[0]))
             assert [float(row[header.index(k)]) for k in ("v1", "v2")] == [
-                float("%.15g" % v) for v in want]
+                float("%.15g" % v) for v in (want.v1, want.v2)]
 
 
 def test_write_csv_formats_each_column(tmp_path):
@@ -519,6 +520,44 @@ def test_threshold_names_the_b_without_a_fold(tmp_path, capsys):
     meta, header, rows = read_csv(os.path.join(out, "threshold.csv"))
     assert [row[header.index("found")] for row in rows] == ["true", "false"]
     warning = "no fold m <= 64 satisfies the conditions at b = 0.995"
+    assert meta["warning"] == warning
+    assert f"# warning = {warning}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, spec", [
+    (["threshold", "--model", "EulerPlane", "--b", ","], "b specification ','"),
+    (["spectra", "--model", "EulerPlane", "--b", ",", "--n", "1:3"],
+     "b specification ','"),
+    (["spectra", "--model", "EulerPlane", "--b", "0.5", "--n", ","],
+     "n specification ','"),
+    (["spectra", "--model", "EulerPlane", "--b", "0.5", "--n", "3:1"],
+     "n specification '3:1'"),
+    (["universal", "--b", ","], "b specification ','"),
+], ids=["threshold-b", "spectra-b", "spectra-n", "spectra-n-range",
+        "universal-b"])
+def test_empty_value_lists_are_usage_errors(tmp_path, capsys, args, spec):
+    # a list with no values is refused, naming its option, before the
+    # output directory is made
+    out = tmp_path / "out"
+    assert run_cli(args + ["--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: cannot parse {spec}\n"
+
+
+def test_threshold_flags_a_b_outside_s(tmp_path, capsys):
+    # V^1 - V^2 -> 0 as b -> 1: at b = 1 - 1e-11 the gap is below the
+    # degeneracy tolerance, so that row reads in_s and found false, the
+    # warning names it, and the row at b = 0.5 is written as well
+    out = str(tmp_path)
+    code = run_cli(["threshold", "--model", "EulerDisc", "--param", "r=2",
+                    "--b", "0.5,0.99999999999", "--out", out])
+    assert code == 0
+    meta, header, rows = read_csv(os.path.join(out, "threshold.csv"))
+    assert [row[header.index("in_s")] for row in rows] == ["true", "false"]
+    assert [row[header.index("found")] for row in rows] == ["true", "false"]
+    assert rows[1][header.index("min_fold")] == ""
+    warning = ("no fold m <= 64 satisfies the conditions at "
+               "b = 0.99999999999")
     assert meta["warning"] == warning
     assert f"# warning = {warning}\n" in capsys.readouterr().err
 

@@ -10,6 +10,8 @@ import pytest
 
 from vstates import cmkernel, contour, dispersion, models
 
+import oracles
+
 
 EULER = models.euler_plane()
 
@@ -143,7 +145,7 @@ def _k1_brute(model, z, y):
         f = r - z * np.conj(y) / r
         return (np.log(np.abs(f)) / (2.0 * np.pi),
                 np.conj(-np.conj(y) / r / f) / (2.0 * np.pi))
-    g = models.AnnulusGreenCoefficients(model.params["r1"], model.params["r2"])
+    g = oracles.AnnulusGreenCoefficients(model.params["r1"], model.params["r2"])
     rho, ry, dang = np.abs(z), np.abs(y), np.angle(z) - np.angle(y)
     b0 = np.array([g.b0(t) for t in ry[0]])
     val = np.array([g.a0(t) for t in ry[0]]) + b0 * np.log(rho)
@@ -428,7 +430,7 @@ def test_scalar_f0_linearization_rows():
     eps = 1e-6
     n = m
     row = dispersion.spectral_row(model, [n], b)
-    v1, v2 = dispersion.v_constants(model, b)
+    v2 = dispersion.dispersion_point(model, [1], b).v2
     g1, g2 = contour.eval_f0(model, replace(st, a2=st.a2 + eps * np.eye(4)[0]))
     c1 = 2.0 * np.mean((g1 - f01) / eps * np.cos(n * theta))
     c2 = 2.0 * np.mean((g2 - f02) / eps * np.cos(n * theta))

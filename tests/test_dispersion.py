@@ -98,23 +98,30 @@ def test_custom_measure_rows_match_closed_forms():
 
 
 def test_v_constants_euler():
-    v1, v2 = dispersion.v_constants(EULER, 0.5)
-    assert v1 == 0.0
-    assert v2 == pytest.approx(-0.375, rel=1e-14)
+    p = dispersion.dispersion_point(EULER, [1], 0.5)
+    assert p.v1 == 0.0
+    assert p.v2 == pytest.approx(-0.375, rel=1e-14)
 
 
 def test_delta_inf_two_routes_agree():
     for model in (EULER, models.qgsw_plane(2.0)):
-        direct = dispersion.delta_inf(model, 0.5)
+        p = dispersion.dispersion_point(model, [1], 0.5)
+        direct = (p.v1 - p.v2) ** 2
         via_psi = oracles.delta_inf_via_psi(model, 0.5)
         assert direct == pytest.approx(via_psi, abs=1e-12)
 
 
-def test_delta_inf_is_velocity_gap_squared():
+def test_delta_inf_is_velocity_gap_squared(tmp_path):
+    # the delta_inf column of `vstate threshold` is (V^1 - V^2)^2
     model = models.euler_annulus(0.1, 10.0)
-    v1, v2 = dispersion.v_constants(model, 0.5)
-    assert dispersion.delta_inf(model, 0.5) == pytest.approx(
-        (v1 - v2) ** 2, rel=1e-14)
+    p = dispersion.dispersion_point(model, [1], 0.5)
+    assert cli.main(["threshold", "--model", "EulerAnnulus", "--param",
+                     "r1=0.1", "--param", "r2=10", "--b", "0.5",
+                     "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "threshold.csv").read_text().splitlines()
+    header, row = (line.split(",") for line in lines[-2:])
+    assert float(row[header.index("delta_inf")]) == pytest.approx(
+        (p.v1 - p.v2) ** 2, rel=1e-14)
 
 
 def test_gsqg_disc_point_calls_no_quad_and_builds_one_rule(monkeypatch):
@@ -150,7 +157,8 @@ def test_v_constants_are_the_mode_1_combination_of_a_column(model):
         row = dispersion.spectral_row(model, np.arange(1, 5), b)
         want = (row.lam_nb[0] - row.lamt_nb[0] / b + row.c_b,
                 -row.lam_n1[0] + b * row.lamt_nb[0] + row.ct_b)
-        assert dispersion.v_constants(model, b) == want
+        p = dispersion.dispersion_point(model, [1], b)
+        assert (p.v1, p.v2) == want
 
 
 def test_custom_column_calls_no_quad(monkeypatch):
@@ -320,20 +328,19 @@ def test_min_fold_one_call_per_block_of_folds(monkeypatch):
     # closed forms: blocks of folds 1-8, 9-16, 17-32, 33-64, each one
     # call on its distinct modes km; a custom measure: one fold per call
     calls = _counting_points(monkeypatch)
-    assert dispersion.min_fold(EULER, 0.5) == 4
+    assert dispersion.min_fold(EULER, 0.5)[0] == 4
     assert calls == [_block_modes(range(1, 9))]
     calls.clear()
-    assert dispersion.min_fold(EULER, 0.88) == 12
+    assert dispersion.min_fold(EULER, 0.88)[0] == 12
     assert calls == [_block_modes(folds) for folds in (
         range(1, 9), range(9, 17))]
     calls.clear()
-    with pytest.raises(dispersion.FoldNotFound):
-        dispersion.min_fold(EULER, 0.98, k_max=2)
+    assert dispersion.min_fold(EULER, 0.98, k_max=2)[0] is None
     assert calls == [_block_modes(range(lo, hi + 1), 2) for lo, hi in (
         (1, 8), (9, 16), (17, 32), (33, 64))]
     calls.clear()
     custom = models.custom_convolution(cmkernel.truncated_low(None, 2.0))
-    assert dispersion.min_fold(custom, 0.6, k_max=3) == 5
+    assert dispersion.min_fold(custom, 0.6, k_max=3)[0] == 5
     assert calls == [[m, 2 * m, 3 * m] for m in range(1, 6)]
 
 
@@ -342,7 +349,7 @@ def test_min_fold_raises_for_a_non_finite_mode_past_the_accepted_fold(
     # EulerExterior(0.3) at b = 0.5 takes fold 1, whose modes are 1..10;
     # mode 70 belongs to fold 7 alone, yet the block 1-8 computes it
     model = models.euler_exterior(0.3)
-    assert dispersion.min_fold(model, 0.5) == 1
+    assert dispersion.min_fold(model, 0.5)[0] == 1
     closed_lambda = models.closed_lambda
 
     def nan_at_mode_70(model, n, y, x):
@@ -362,8 +369,8 @@ def _sequential_min_fold(model, b, k_max):
     for m in range(1, dispersion._FOLD_CAP + 1):
         p = dispersion.dispersion_point(model, np.arange(m, k_max * m + 1, m),
                                         b)
-        if not abs(p.v1 - p.v2) > tol:
-            raise ValueError("b lies outside the admissible set: V^1 = V^2")
+        if not abs(p.v1 - p.v2) > tol:  # b outside S: no fold
+            return (None, p.v1, p.v2)
         v = v or (p.v1, p.v2)
         d_inf = (p.v1 - p.v2) ** 2
         if (p.delta <= tol).any():
@@ -393,15 +400,12 @@ def _outcome(scan, *args):
 @pytest.mark.parametrize("model", [m for m, _ in BATCH_CASES[:8]],
                          ids=BATCH_IDS[:8])
 def test_block_scan_equals_the_sequential_scan(model):
-    # the same fold, or the same FoldNotFound, and the same V bit for bit,
-    # on 40 b over the admissible interval and k_max = 2, 5, 10
+    # the same fold, or the same None, and the same V bit for bit, on 40 b
+    # over the admissible interval and k_max = 2, 5, 10
     for b in np.linspace(model.domain[0] + 0.02, 0.98, 40).tolist():
         for k_max in (2, 5, 10):
             want = _outcome(_sequential_min_fold, model, b, k_max)
-            assert _outcome(dispersion._min_fold, model, b, k_max) == want
-            if want[0] is None:
-                with pytest.raises(dispersion.FoldNotFound):
-                    dispersion.min_fold(model, b, k_max)
+            assert _outcome(dispersion.min_fold, model, b, k_max) == want
 
 
 def test_non_finite_coefficient_names_model_mode_and_b(monkeypatch, tmp_path,
@@ -438,16 +442,15 @@ def test_custom_v_constants_checks_b_before_any_quadrature(monkeypatch, b):
     monkeypatch.setattr(models, "phi_nb", no_quadrature)
     model = models.custom_convolution(cmkernel.truncated_low(None, 2.0))
     with pytest.raises(ValueError, match="outside the admissible interval"):
-        dispersion.v_constants(model, b)
+        dispersion.dispersion_point(model, [1], b)
 
 
 @pytest.mark.parametrize("model,n_max", BATCH_CASES, ids=BATCH_IDS)
-def test_points_take_v_from_their_mode_1_row(monkeypatch, model, n_max):
+def test_points_take_v_from_their_mode_1_row(model, n_max):
     # V^1, V^2 are the mode-1 combination of the row's first column; a
     # point whose modes do not start at 1, such as the folds m (1..k) of
     # min_fold and branch_continue, adds that column to its own row and
     # drops it again, and gets the same V bit for bit
-    monkeypatch.setattr(dispersion, "v_constants", None)
     b = 0.5
     base = dispersion.dispersion_point(model, np.arange(1, n_max + 1), b)
     row = base.row
@@ -482,12 +485,12 @@ def test_non_finite_mode_1_coefficient_names_n_1(monkeypatch):
 def test_s_membership():
     # b is in the admissible set S when the velocity gap is nonzero
     for b in (0.3, 0.9):
-        v1, v2 = dispersion.v_constants(EULER, b)
-        assert abs(v1 - v2) > dispersion.DEGENERACY_TOL
+        p = dispersion.dispersion_point(EULER, [1], b)
+        assert abs(p.v1 - p.v2) > dispersion.DEGENERACY_TOL
 
 
 def test_min_fold_euler_plane():
-    assert dispersion.min_fold(EULER, 0.5) == 4
+    assert dispersion.min_fold(EULER, 0.5)[0] == 4
 
 
 def test_min_fold_refuses_k_max_below_two():
@@ -495,7 +498,7 @@ def test_min_fold_refuses_k_max_below_two():
     # accept m = 1 for QgswPlane(2) at b = 0.5, where Delta_2 < 0
     qgsw = models.qgsw_plane(2.0)
     assert dispersion.dispersion_point(qgsw, [2], 0.5).delta[0] < 0.0
-    assert dispersion.min_fold(qgsw, 0.5, k_max=2) == 3
+    assert dispersion.min_fold(qgsw, 0.5, k_max=2)[0] == 3
     for k_max in (1, 0):
         with pytest.raises(ValueError, match="k_max"):
             dispersion.min_fold(qgsw, 0.5, k_max=k_max)
@@ -504,7 +507,7 @@ def test_min_fold_refuses_k_max_below_two():
 def test_min_fold_dual_route_annulus():
     model = models.euler_annulus(0.1, 10.0)
     for b in (0.3, 0.5, 0.8):
-        m = dispersion.min_fold(model, b)
+        m = dispersion.min_fold(model, b)[0]
         # closed-inequality route must flip exactly at m
         assert dispersion.annulus_fold_inequality(model, b, [m])[0]
         if m > 1:
@@ -513,7 +516,7 @@ def test_min_fold_dual_route_annulus():
 
 def test_min_fold_dual_route_exterior():
     model = models.euler_exterior(0.1)
-    m = dispersion.min_fold(model, 0.5)
+    m = dispersion.min_fold(model, 0.5)[0]
     assert dispersion.annulus_fold_inequality(model, 0.5, [m])[0]
     assert m == 1
 

@@ -13,6 +13,8 @@ from scipy import special as sp
 from vstates import cmkernel, dispersion, models
 from vstates.universal import periodic_trapezoid
 
+import oracles
+
 
 # ---------------------------------------------------------------------------
 # constructors and closed spectra
@@ -464,7 +466,7 @@ def test_annulus_c_frak_closed_form():
     r1, r2, b = 0.1, 10.0, 0.5
     want = ((-(b * b / 2.0) * math.log(b) - (1.0 - b * b) / 4.0
              - ((1.0 - b * b) / 2.0) * math.log(r2)) / math.log(r1 / r2))
-    assert models.annulus_c_frak(r1, r2, b) == pytest.approx(want, rel=1e-15)
+    assert oracles.annulus_c_frak(r1, r2, b) == pytest.approx(want, rel=1e-15)
 
 
 def test_annulus_c_frak_against_kernel_quadrature():
@@ -472,7 +474,7 @@ def test_annulus_c_frak_against_kernel_quadrature():
     # smooth-kernel gradient over the inner circle against the patch
     r1, r2, b = 0.3, 4.0, 0.5
     model = models.euler_annulus(r1, r2)
-    v1, _ = dispersion.v_constants(model, b)
+    v1 = dispersion.dispersion_point(model, [1], b).v1
     gl_x, gl_w = np.polynomial.legendre.leggauss(64)
     rho = 0.5 * (1.0 + b) + 0.5 * (1.0 - b) * gl_x
     wts = 0.5 * (1.0 - b) * gl_w * rho
@@ -537,7 +539,7 @@ def test_qgsw_disc_series_p_converges_to_closed_form(eps, r, n, b):
     want = -ratio * np.array([i_b * i_b, i_1 * i_1, i_b * i_1])
     model = models.qgsw_disc(eps, r)
     err_500, err_4000 = (
-        np.max(np.abs(np.array(models.series_p(model, n, b, truncation=t))
+        np.max(np.abs(np.array(oracles.series_p(model, n, b, truncation=t))
                       - want))
         for t in (500, 4000))
     assert err_4000 <= 2e-7
@@ -546,30 +548,30 @@ def test_qgsw_disc_series_p_converges_to_closed_form(eps, r, n, b):
 
 def test_qgsw_disc_v_terms_closed_vs_series():
     for eps, r, b in ((1.0, 2.0, 0.5), (2.0, 1.5, 0.3), (0.5, 3.0, 0.7)):
-        closed = dispersion.v_constants(models.qgsw_disc(eps, r), b)
-        series = models.qgsw_disc_v_series(eps, r, b, truncation=500)
-        assert closed[0] == pytest.approx(series[0], abs=1e-5)
-        assert closed[1] == pytest.approx(series[1], abs=1e-5)
-        assert closed[1] < 0.0
-        assert closed[0] - closed[1] > 0.0
+        closed = dispersion.dispersion_point(models.qgsw_disc(eps, r), [1], b)
+        series = oracles.qgsw_disc_v_series(eps, r, b, truncation=500)
+        assert closed.v1 == pytest.approx(series[0], abs=1e-5)
+        assert closed.v2 == pytest.approx(series[1], abs=1e-5)
+        assert closed.v2 < 0.0
+        assert closed.v1 - closed.v2 > 0.0
 
 
 def test_gsqg_disc_v_sign_grid():
     for beta in (0.3, 0.7):
         for r in (1.5, 3.0):
             for b in (0.3, 0.6, 0.9):
-                v1, v2 = dispersion.v_constants(models.gsqg_disc(beta, r), b)
-                assert v2 < 0.0
-                assert v1 - v2 > 0.0
+                p = dispersion.dispersion_point(models.gsqg_disc(beta, r),
+                                                [1], b)
+                assert p.v2 < 0.0
+                assert p.v1 - p.v2 > 0.0
 
 
 def test_gsqg_disc_large_domain_recovers_plane():
     beta, b = 0.5, 0.5
-    v1d, v2d = dispersion.v_constants(models.gsqg_disc(beta, 50.0), b)
-    plane = models.gsqg_plane(beta)
-    v1p, v2p = dispersion.v_constants(plane, b)
-    assert abs(v1d - v1p) < 1e-4
-    assert abs(v2d - v2p) < 1e-4
+    disc = dispersion.dispersion_point(models.gsqg_disc(beta, 50.0), [1], b)
+    plane = dispersion.dispersion_point(models.gsqg_plane(beta), [1], b)
+    assert abs(disc.v1 - plane.v1) < 1e-4
+    assert abs(disc.v2 - plane.v2) < 1e-4
 
 
 GSQG_DISC_GRID = [(beta, r, b) for beta in (0.2, 0.5, 0.8)
@@ -580,12 +582,12 @@ GSQG_DISC_GRID = [(beta, r, b) for beta in (0.2, 0.5, 0.8)
 @pytest.mark.parametrize("beta, r, b", GSQG_DISC_GRID)
 def test_gsqg_disc_closed_p_against_sneddon_route(beta, r, b):
     # the node sum of QGSW-disc closed forms against the Sneddon integrals
-    # of series_p, mode by mode; 1e-11 is the Sneddon route's own error at
+    # of oracles.series_p, mode by mode; 1e-11 is the Sneddon route's own error at
     # beta = 0.2, where its quad reports that it cannot reach its tolerance
     model = models.gsqg_disc(beta, r)
     ns = np.arange(1, 6)
     got = np.array(models.closed_p(model, ns, b))
-    want = np.array([models.series_p(model, int(n), b) for n in ns]).T
+    want = np.array([oracles.series_p(model, int(n), b) for n in ns]).T
     assert np.max(np.abs(got - want)) <= 1e-11
 
 
@@ -635,12 +637,12 @@ def test_euler_disc_p_terms_closed_values():
 
 
 def test_euler_plane_v_constants():
-    v1, v2 = dispersion.v_constants(models.euler_plane(), 0.5)
-    assert v1 == 0.0
-    assert v2 == pytest.approx((0.25 - 1.0) / 2.0, rel=1e-15)
+    p = dispersion.dispersion_point(models.euler_plane(), [1], 0.5)
+    assert p.v1 == 0.0
+    assert p.v2 == pytest.approx((0.25 - 1.0) / 2.0, rel=1e-15)
 
 
 def test_exterior_v_constants():
-    v1, v2 = dispersion.v_constants(models.euler_exterior(0.1), 0.5)
-    assert v1 == pytest.approx((1.0 - 0.25) / (2.0 * 0.25), rel=1e-14)
-    assert v2 == 0.0
+    p = dispersion.dispersion_point(models.euler_exterior(0.1), [1], 0.5)
+    assert p.v1 == pytest.approx((1.0 - 0.25) / (2.0 * 0.25), rel=1e-14)
+    assert p.v2 == 0.0

@@ -13,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from vstates import universal
 
+import oracles
+
 
 def _phi_oracle(n, x):
     # direct high-precision quadrature of the defining integral
@@ -176,7 +178,7 @@ def test_psi_half_positive_on_grid():
 
 
 def test_psi_prime_zero_inner_integral():
-    deriv, inner = universal.psi_b_prime0(0.5)
+    deriv, inner = oracles.psi_b_prime0(0.5)
     # independent oracle for I(b) = int_{-1}^1 sqrt((1-y^2)/(1+b^2-2by)) dy
     f = lambda y: mpmath.sqrt((1 - y ** 2) / (1.25 - y))
     with mpmath.workdps(30):
@@ -188,7 +190,7 @@ def test_psi_prime_zero_inner_integral():
 def test_psi_prime_zero_small_x_slope():
     # Psi_b(x)/x near 0 approaches Psi_b'(0)
     b = 0.5
-    deriv, _ = universal.psi_b_prime0(b)
+    deriv, _ = oracles.psi_b_prime0(b)
     slope = universal.psi_b(b, 1e-4) / 1e-4
     assert slope == pytest.approx(deriv, abs=1e-3)
 
