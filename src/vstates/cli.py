@@ -26,6 +26,7 @@ import os
 import sys
 
 import numpy as np
+import numpy.ma
 
 from . import models, dispersion, contour, universal
 
@@ -206,14 +207,19 @@ def cmd_universal(args: argparse.Namespace) -> int:
         raise UsageError("universal needs x_max > 0 and x_points >= 2")
     if not all(0.0 < b < 1.0 for b in bs):
         raise UsageError("universal needs b in (0, 1)")
+    # each b names its file with the precision of the CSV cells
+    names = [f"{b:.15g}" for b in bs]
+    if len(set(names)) < len(names):
+        raise UsageError("universal needs distinct b values, got "
+                         + ",".join(names))
     xs = np.linspace(0.0, x_max, points)
     header = ["x", f"phi_{n}", f"phi_{n}_b", "psi_b"]
-    for b in bs:
+    for b, name in zip(bs, names):
         phi_b = universal.phi_nb([n], b, xs)[0]  # refuses a bad fold first
         columns = [xs, universal.phi_n([n], xs)[0], phi_b,
                    universal.psi_b(b, xs)]
-        path = os.path.join(_out_dir(args), f"universal_b{b:g}.csv")
-        write_csv(path, {"command": "universal", "fold": n, "b": f"{b:g}",
+        path = os.path.join(_out_dir(args), f"universal_b{name}.csv")
+        write_csv(path, {"command": "universal", "fold": n, "b": name,
                          "x_max": f"{x_max:g}", "x_points": points},
                   header, columns)
         print(path)

@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
+import numpy.fft
 
 from .cmkernel import c_beta
 from .models import KernelModel, gsqg_capital_lambda, k1_patch

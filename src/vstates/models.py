@@ -21,6 +21,10 @@ and return a column over them; their numerics neither over- nor underflow
 at large n.  The Bessel-zero series and Sneddon's formula here are what
 `vstate verify` runs; the series routes the tests check the closed p and
 V^1, V^2 of the discs against live in `tests/oracles.py`.
+
+`scipy.special` and `scipy.integrate` are lazy modules (see `specfun`).
+Building a model whose K0 is not the log kernel runs both, so no command
+pays their import inside a computation, and an Euler command never does.
 """
 
 from __future__ import annotations
@@ -31,11 +35,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate as _integrate
-from scipy import special as _sp
+import numpy.polynomial.laguerre
 
 from .cmkernel import Measure, _check_params, _node_sums, c_beta
-from .specfun import bessel_ik
+from .specfun import _lazy_import, bessel_ik
 from .universal import _gauss_rule, phi_n, phi_nb
 
 __all__ = [
@@ -61,13 +64,18 @@ __all__ = [
     "k1_patch",
 ]
 
+_sp = _lazy_import("scipy.special")
+_integrate = _lazy_import("scipy.integrate")
+
 _LOG = ("log", 0.0)
 
 # [psi(k+1) + psi(k+2)] / (4 k! (k+1)!), k = 7, ..., 0: the series part of
-# (1 - z K1(z))/z^2 in powers of z^2/4 (DLMF 10.31.1)
-_STREAM_SERIES = np.array([(_sp.digamma(k + 1.0) + _sp.digamma(k + 2.0))
-                           / (4.0 * _sp.factorial(k) * _sp.factorial(k + 1))
-                           for k in range(7, -1, -1)])
+# (1 - z K1(z))/z^2 in powers of z^2/4 (DLMF 10.31.1), with
+# psi(k+1) + psi(k+2) = 2 (H_k - gamma) + 1/(k+1) and H_k the harmonic sum
+_STREAM_SERIES = np.array([
+    (2.0 * (sum(1.0 / j for j in range(1, k + 1)) - np.euler_gamma)
+     + 1.0 / (k + 1)) / (4.0 * math.factorial(k) * math.factorial(k + 1))
+    for k in range(7, -1, -1)])
 
 
 @dataclass(frozen=True)
@@ -90,6 +98,11 @@ class KernelModel:
         if not self.domain[0] < 1.0 < self.domain[1]:
             raise ValueError(f"{self.variant} requires R1 < 1 < R2, got "
                              f"{self.domain}")
+        if self.k0[0] != "log":
+            # every other kernel computes with scipy: an attribute access
+            # runs its lazy modules now, where the model is built, and not
+            # inside the first computation
+            _sp.__name__, _integrate.__name__
 
     @property
     def k1(self) -> str | None:

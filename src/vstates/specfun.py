@@ -6,17 +6,38 @@ whose ratio tables come from one recurrence over all arguments and are
 cached, so those of the nodes carry over from one b to the next.
 Everything else (Gamma, the Gauss hypergeometric function, Bessel I, K, J
 and the zeros of J) comes straight from `math` and `scipy.special`.
+
+`scipy.special` is a lazy module (`_lazy_import`), run at its first
+attribute access: the Euler models and the universal functions compute
+with numpy alone and never run it.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
-from scipy import special as _sp
 
 __all__ = ["bessel_ik"]
+
+
+def _lazy_import(name: str):
+    # sys.modules[name]; a module not imported yet is registered there as a
+    # lazy module, which runs at its first attribute access
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_sp = _lazy_import("scipy.special")
 
 
 # (x, size) -> I ratio row of `_i_ratios`; emptied past 1024 entries

@@ -11,7 +11,8 @@ while each row doubles its order until it agrees on its own.  The smooth
 periodic integrands of phi_{n,b} take trapezoid sums whose nodes are
 doubled, from at least 4n, until two levels agree to 1e-12 relative, the
 modes sharing one exponential table per level, each row starting and
-stopping on its own.
+stopping on its own.  Only the Gauss-Jacobi rule of a custom measure's
+node rule comes from scipy, which is imported lazily (see `specfun`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,11 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy.special import roots_jacobi
+import numpy.polynomial.legendre
+
+from .specfun import _lazy_import
+
+_sp = _lazy_import("scipy.special")
 
 __all__ = [
     "periodic_trapezoid",
@@ -100,7 +105,7 @@ def _gauss_rule(order: int, a: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     # Gauss rule on [-1, 1] for the weight (1 + t)^a: Gauss-Legendre at
     # a = 0, else Gauss-Jacobi; one eigenvalue solve per order, read-only
     gx, gw = (np.polynomial.legendre.leggauss(order) if a == 0.0
-              else roots_jacobi(order, 0.0, a))
+              else _sp.roots_jacobi(order, 0.0, a))
     gx.flags.writeable = gw.flags.writeable = False
     return gx, gw
 

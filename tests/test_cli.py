@@ -403,6 +403,31 @@ def test_universal_bad_b_writes_nothing(tmp_path, capsys):
     assert not os.path.exists(out) or os.listdir(out) == []
 
 
+def test_universal_names_each_b_to_the_precision_of_its_cells(tmp_path):
+    # b values that agree to six digits get a file and a `# b` line each
+    out = str(tmp_path)
+    code = run_cli(["universal", "--b", "0.1234561,0.1234562", "--x-max",
+                    "5", "--x-points", "6", "--out", out])
+    assert code == 0
+    assert sorted(os.listdir(out)) == ["universal_b0.1234561.csv",
+                                       "universal_b0.1234562.csv"]
+    for b in ("0.1234561", "0.1234562"):
+        meta, _, _ = read_csv(os.path.join(out, f"universal_b{b}.csv"))
+        assert meta["b"] == b
+
+
+def test_universal_refuses_b_values_of_one_file_name(tmp_path, capsys):
+    # 0.5 and its float neighbour print alike to 15 digits: refused before
+    # either table is written
+    out = str(tmp_path / "out")
+    code = run_cli(["universal", "--b", "0.5,0.5000000000000001",
+                    "--x-max", "5", "--x-points", "6", "--out", out])
+    assert code == 2
+    assert ("universal needs distinct b values, got 0.5,0.5"
+            in capsys.readouterr().err)
+    assert not os.path.exists(out)
+
+
 def test_universal_refuses_a_fold_past_the_node_cap_before_any_phi(
         tmp_path, capsys, monkeypatch):
     # phi_nb refuses the fold before phi_n evaluates the x grid

@@ -191,6 +191,15 @@ def test_k0_split_sums_to_the_unsplit_kernel(model):
                     <= 1e-14 * np.max(np.abs(whole))), (g, stream)
 
 
+def test_stream_series_from_harmonic_sums_equals_the_digamma_form():
+    # the series of the QGSW stream kernel, built from math, is bit for bit
+    # [psi(k+1) + psi(k+2)] / (4 k! (k+1)!) from scipy's digamma, factorial
+    digamma = np.array([(sp.digamma(k + 1.0) + sp.digamma(k + 2.0))
+                        / (4.0 * sp.factorial(k) * sp.factorial(k + 1))
+                        for k in range(7, -1, -1)])
+    assert models._STREAM_SERIES.tobytes() == digamma.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # smooth kernel part: values, gradients, Fourier coefficients
 # ---------------------------------------------------------------------------
