@@ -220,7 +220,7 @@ def cmd_universal(args: argparse.Namespace) -> int:
                    universal.psi_b(b, xs)]
         path = os.path.join(_out_dir(args), f"universal_b{name}.csv")
         write_csv(path, {"command": "universal", "fold": n, "b": name,
-                         "x_max": f"{x_max:g}", "x_points": points},
+                         "x_max": f"{x_max:.15g}", "x_points": points},
                   header, columns)
         print(path)
     return 0
@@ -340,8 +340,8 @@ def cmd_branch(args: argparse.Namespace) -> int:
               + ["iterations", "residual"])
     columns = list(zip(*([s, st.omega, *st.a1, *st.a2, st.iterations,
                           st.residual] for s, st in table)))
-    meta = {"command": "branch", **model_meta, "b": f"{b:g}",
-            "m": m, "branch": args.branch, "s_max": f"{args.s_max:g}",
+    meta = {"command": "branch", **model_meta, "b": f"{b:.15g}",
+            "m": m, "branch": args.branch, "s_max": f"{args.s_max:.15g}",
             "steps": args.steps, "modes": n_modes}
     if partial:
         meta["warning"] = (f"continuation stopped early: last converged "

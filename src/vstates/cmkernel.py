@@ -6,7 +6,9 @@ builds the measures and holds the one quadrature rule of a custom measure:
 `_measure_nodes` places nodes on the whole half-line from the atoms,
 `Measure.support()` and `Measure.density`, and `_node_sums` takes
 int g(x) dmu(x)/x over them, through which the spectral coefficients
-factorize.
+factorize.  Its half-line rule, `_graded_nodes`, also takes the two
+integrals of `vstate verify` (`models.sneddon_integral` and the McMahon
+tail of the Bessel-zero series).
 """
 
 from __future__ import annotations
@@ -156,16 +158,31 @@ def _panel(p: float, q: float, e: float) -> tuple[np.ndarray, np.ndarray]:
     return u, w * (0.5 * (q - p)) ** (1.0 + e) / (u - p) ** e
 
 
+def _graded_nodes(lo: float, top: float, a: float,
+                  tail: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of int F(x) dx for F ~ (x - lo)^a at lo: panels
+    graded geometrically toward lo on lo < x < top, the first Gauss-Jacobi
+    for that weight and the others Gauss-Legendre, and given a tail
+    exponent, one Gauss-Jacobi panel in w = top/x for the weight w^tail on
+    x > top, as F(top/w) top/w^2 is for F ~ x^-(tail + 2) at infinity."""
+    edges = lo + (top - lo) * 2.0 ** np.arange(-14.0, 1.0)
+    panels = [_panel(lo, edges[0], a)] + [
+        _panel(p, q, 0.0) for p, q in zip(edges[:-1], edges[1:])]
+    if tail is not None:
+        w, ww = _panel(0.0, 1.0, tail)
+        panels.append((top / w, ww * top / (w * w)))
+    return tuple(map(np.concatenate, zip(*panels)))
+
+
 def _measure_nodes(mu: Measure, x_cut: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of mu on the whole half-line: its atoms, then the
     nodes of its density part.  An atom at 0 raises ValueError.
 
     Weights include the density value.  With (lo, hi, a, b) =
-    mu.support(), panels graded geometrically toward lo cover lo < x < top,
-    the first one Gauss-Jacobi for the weight (x - lo)^a and the others
-    Gauss-Legendre; top is hi on a bounded support and max(x_cut, lo + 10)
-    otherwise, and then one Gauss-Jacobi panel in w = top/x for the weight
-    w^(-b) takes the rest of the half-line.
+    mu.support(), `_graded_nodes` covers lo < x < top for the weight
+    (x - lo)^a, where top is hi on a bounded support and max(x_cut, lo + 10)
+    otherwise, and then the rest of the half-line with the tail exponent
+    -b: the integrands g(x)/x of `_node_sums` fall like 1/x^2.
     """
     if any(x == 0.0 for x, _ in mu.atoms):
         raise ValueError("spectral coefficient undefined for atom at 0")
@@ -174,14 +191,9 @@ def _measure_nodes(mu: Measure, x_cut: float) -> tuple[np.ndarray, np.ndarray]:
     if support is None:
         return atoms[:, 0], atoms[:, 1]
     lo, hi, a, b = support
-    top = hi if math.isfinite(hi) else max(x_cut, lo + 10.0)
-    edges = lo + (top - lo) * 2.0 ** np.arange(-14.0, 1.0)
-    panels = [_panel(lo, edges[0], a)] + [
-        _panel(p, q, 0.0) for p, q in zip(edges[:-1], edges[1:])]
-    if not math.isfinite(hi):
-        w, ww = _panel(0.0, 1.0, -b)
-        panels.append((top / w, ww * top / (w * w)))
-    xs, ws = map(np.concatenate, zip(*panels))
+    bounded = math.isfinite(hi)
+    xs, ws = _graded_nodes(lo, hi if bounded else max(x_cut, lo + 10.0), a,
+                           None if bounded else -b)
     return (np.concatenate([atoms[:, 0], xs]),
             np.concatenate([atoms[:, 1], ws * np.vectorize(mu.density)(xs)]))
 

@@ -19,12 +19,14 @@ of its fold scan.
 The closed forms take an integer array of modes n (one int is one mode)
 and return a column over them; their numerics neither over- nor underflow
 at large n.  The Bessel-zero series and Sneddon's formula here are what
-`vstate verify` runs; the series routes the tests check the closed p and
-V^1, V^2 of the discs against live in `tests/oracles.py`.
+`vstate verify` runs, their integrals node sums of `cmkernel`'s half-line
+rule; the series routes the tests check the closed p and V^1, V^2 of the
+discs against live in `tests/oracles.py`.
 
-`scipy.special` and `scipy.integrate` are lazy modules (see `specfun`).
-Building a model whose K0 is not the log kernel runs both, so no command
-pays their import inside a computation, and an Euler command never does.
+`scipy.special`, a lazy module (see `specfun`), is the one scipy module
+the package runs: building a model whose K0 is not the log kernel runs
+it, so no command pays its import inside a computation, and an Euler
+command never does.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from functools import lru_cache
 import numpy as np
 import numpy.polynomial.laguerre
 
-from .cmkernel import Measure, _check_params, _node_sums, c_beta
+from .cmkernel import (Measure, _check_params, _graded_nodes, _node_sums,
+                       c_beta)
 from .specfun import _lazy_import, bessel_ik
 from .universal import _gauss_rule, phi_n, phi_nb
 
@@ -65,6 +68,8 @@ __all__ = [
 ]
 
 _sp = _lazy_import("scipy.special")
+# no vstates code runs scipy.integrate; it stays registered because the
+# span tracer of perfbench/spans.py looks it up in sys.modules to wrap quad
 _integrate = _lazy_import("scipy.integrate")
 
 _LOG = ("log", 0.0)
@@ -99,10 +104,10 @@ class KernelModel:
             raise ValueError(f"{self.variant} requires R1 < 1 < R2, got "
                              f"{self.domain}")
         if self.k0[0] != "log":
-            # every other kernel computes with scipy: an attribute access
-            # runs its lazy modules now, where the model is built, and not
-            # inside the first computation
-            _sp.__name__, _integrate.__name__
+            # every other kernel computes with scipy.special: an attribute
+            # access runs the lazy module now, where the model is built, and
+            # not inside the first computation
+            _sp.__name__
 
     @property
     def k1(self) -> str | None:
@@ -176,7 +181,8 @@ class KernelModel:
 
     def describe(self) -> str:
         if self.params:
-            inner = ",".join(f"{k}={v:g}" for k, v in sorted(self.params.items()))
+            inner = ",".join(f"{k}={v:.15g}"
+                             for k, v in sorted(self.params.items()))
             return f"{self.variant}({inner})"
         return self.variant
 
@@ -478,33 +484,34 @@ def _cached_zeros(n: int, count: int) -> np.ndarray:
     return zeros
 
 
-def _mcmahon_tail_sum(n: int, k_start: int, weight) -> float:
-    """sum_{k >= k_start} weight(x_{n,k}) using the McMahon zero locations.
+def _mcmahon_tail_sum(n: int, k_start: int, weight, q: float) -> float:
+    """sum_{k >= k_start} weight(x_{n,k}) using the McMahon zero locations,
+    for a weight that decays like x^-q, q > 1.
 
     Euler-Maclaurin on the smooth function k -> weight(x_{n,k}(asymptotic));
     used only for the slowly decaying mean part of oscillatory series tails.
+    The integral over k > k_start - 1/2 is a node sum of `_graded_nodes`.
     """
-    def g(k: float) -> float:
+    def g(k):
         beta = (k + 0.5 * n - 0.25) * math.pi
-        mu = 4.0 * n * n
-        x = beta - (mu - 1.0) / (8.0 * beta)
-        return weight(x)
+        return weight(beta - (4.0 * n * n - 1.0) / (8.0 * beta))
 
-    val, _ = _integrate.quad(g, k_start - 0.5, np.inf, limit=200)
+    lo = k_start - 0.5
+    ks, ws = _graded_nodes(lo, 2.0 * lo, 0.0, q - 2.0)
     # midpoint-rule form of Euler-Maclaurin; the derivative correction
-    d1 = (g(k_start - 0.5 + 1e-3) - g(k_start - 0.5 - 1e-3)) / 2e-3
-    return val + d1 / 24.0
+    d1 = (g(lo + 1e-3) - g(lo - 1e-3)) / 2e-3
+    return float(np.sum(ws * g(ks))) + d1 / 24.0
 
 
 def _jn_zero_series(n: int, beta: int, gamma: int, a1: float, a2: float,
-                    weight, truncation: int) -> float:
+                    weight, truncation: int, q: float = 2.0) -> float:
     """sum_k J_beta(a1 x_k) J_gamma(a2 x_k) weight(x_k) / J_{n+1}^2(x_k).
 
     The sum runs over the first `truncation` zeros x_k of J_n; `weight`
-    takes the array of zeros (and a float, for the tail).  When both
-    factors coincide (a1 == a2, beta == gamma) the tail has the
-    non-oscillating mean J_beta(a x)^2 / J_{n+1}(x)^2 ~ 1/(2a), summed
-    analytically through the McMahon asymptotics of the remaining zeros.
+    takes an array of x and decays like x^-q.  When both factors coincide
+    (a1 == a2, beta == gamma) the tail has the non-oscillating mean
+    J_beta(a x)^2 / J_{n+1}(x)^2 ~ 1/(2a), summed analytically through the
+    McMahon asymptotics of the remaining zeros.
     """
     zeros = _cached_zeros(n, truncation)
     same = a1 == a2 and beta == gamma
@@ -513,7 +520,7 @@ def _jn_zero_series(n: int, beta: int, gamma: int, a1: float, a2: float,
     jden = _sp.jv(n + 1, zeros)
     total = float(np.sum(j1 * j2 * weight(zeros) / (jden * jden)))
     if same:
-        total += _mcmahon_tail_sum(n, truncation + 1, weight) / (2.0 * a1)
+        total += _mcmahon_tail_sum(n, truncation + 1, weight, q) / (2.0 * a1)
     return total
 
 
@@ -553,7 +560,7 @@ def sneddon_series(beta_idx: int, gamma_idx: int, n: int, q: float,
     if not 1.0 < q < beta_idx + gamma_idx - 2 * n + 2:
         raise ValueError("sneddon_series requires 1 < q < beta+gamma-2n+2")
     return _jn_zero_series(n, beta_idx, gamma_idx, a, b,
-                           lambda x: x ** (-q), truncation)
+                           lambda x: x ** (-q), truncation, q)
 
 
 def sneddon_integral(beta_idx: int, gamma_idx: int, n: int, q: float,
@@ -589,16 +596,19 @@ def sneddon_integral(beta_idx: int, gamma_idx: int, n: int, q: float,
 
     sin_fac = math.sin(math.pi / 2.0 * (beta_idx + gamma_idx - 2 * n - q))
 
-    def integrand(rho: float) -> float:
-        if rho == 0.0:
-            return 0.0
-        scaled = (_sp.ive(beta_idx, a * rho) * _sp.ive(gamma_idx, b * rho)
-                  * _sp.kve(n, rho) / _sp.ive(n, rho))
-        return rho ** (1.0 - q) * scaled * math.exp((a + b - 2.0) * rho)
-
-    integral, _ = _integrate.quad(integrand, 0.0, np.inf, limit=400,
-                                  epsabs=1e-13, epsrel=1e-12)
-    return jterm + sin_fac / math.pi * integral
+    # the integrand is rho^(1-q+beta+gamma-2n) at 0, times a series with a
+    # log term, and falls like rho^-q e^{-(2-a-b) rho}: panels graded toward
+    # 0 up to rho = 8, then toward 8 until the exponential has fallen by
+    # e^-40 (or 1000 beyond 8), and the tail panel takes rho^-q
+    rho, w = map(np.concatenate, zip(
+        _graded_nodes(0.0, 8.0, 1.0 - q + beta_idx + gamma_idx - 2 * n, None),
+        _graded_nodes(8.0, 8.0 + 40.0 / max(2.0 - a - b, 0.04), 0.0,
+                      q - 2.0)))
+    scaled = (_sp.ive(beta_idx, a * rho) * _sp.ive(gamma_idx, b * rho)
+              * _sp.kve(n, rho) / _sp.ive(n, rho))
+    integral = np.sum(w * rho ** (1.0 - q) * scaled
+                      * np.exp((a + b - 2.0) * rho))
+    return jterm + sin_fac / math.pi * float(integral)
 
 
 # ---------------------------------------------------------------------------

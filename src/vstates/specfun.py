@@ -9,7 +9,8 @@ and the zeros of J) comes straight from `math` and `scipy.special`.
 
 `scipy.special` is a lazy module (`_lazy_import`), run at its first
 attribute access: the Euler models and the universal functions compute
-with numpy alone and never run it.
+with numpy alone and never run it.  It is the only scipy module the
+package runs: its quadratures and Gauss rules are numpy node sums.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ while each row doubles its order until it agrees on its own.  The smooth
 periodic integrands of phi_{n,b} take trapezoid sums whose nodes are
 doubled, from at least 4n, until two levels agree to 1e-12 relative, the
 modes sharing one exponential table per level, each row starting and
-stopping on its own.  Only the Gauss-Jacobi rule of a custom measure's
-node rule comes from scipy, which is imported lazily (see `specfun`).
+stopping on its own.  The Gauss rules of `_gauss_rule`, Legendre and
+Jacobi alike, come from numpy: this module runs no scipy.
 """
 
 from __future__ import annotations
@@ -21,10 +21,6 @@ import functools
 
 import numpy as np
 import numpy.polynomial.legendre
-
-from .specfun import _lazy_import
-
-_sp = _lazy_import("scipy.special")
 
 __all__ = [
     "periodic_trapezoid",
@@ -100,12 +96,39 @@ def _rows(vals, x) -> np.ndarray:
     return vals.reshape((len(vals),) + np.shape(x))
 
 
+def _jacobi(n: int, a: float, x: np.ndarray):
+    # P_n and P_n' of the Jacobi family (0, a), a != 0, at x in (-1, 1):
+    # the three-term recurrence (DLMF 18.9.1) from P_{-1} = 0, P_0 = 1, and
+    # the derivative from P_n and P_{n-1} (DLMF 18.9.16)
+    prev, cur = np.zeros_like(x), np.ones_like(x)
+    for k in range(1, n + 1):
+        c = 2.0 * k + a
+        prev, cur = cur, (((c - 1.0) * (c * (c - 2.0) * x - a * a) * cur
+                           - 2.0 * (k - 1.0) * (k + a - 1.0) * c * prev)
+                          / (2.0 * k * (k + a) * (c - 2.0)))
+    c = 2.0 * n + a
+    return cur, (n * ((-a - c * x) * cur + 2.0 * (n + a) * prev)
+                 / (c * (1.0 - x) * (1.0 + x)))
+
+
 @functools.lru_cache(maxsize=None)
 def _gauss_rule(order: int, a: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     # Gauss rule on [-1, 1] for the weight (1 + t)^a: Gauss-Legendre at
-    # a = 0, else Gauss-Jacobi; one eigenvalue solve per order, read-only
-    gx, gw = (np.polynomial.legendre.leggauss(order) if a == 0.0
-              else _sp.roots_jacobi(order, 0.0, a))
+    # a = 0, else Gauss-Jacobi by Golub-Welsch: the eigenvalues of the
+    # Jacobi matrix, refined by one Newton step on P_order^(0, a), and the
+    # weights mu0 v_0^2 from the first components of its eigenvectors,
+    # mu0 = 2^(a+1) / (a+1); one eigenvalue solve per order, read-only
+    if a == 0.0:
+        gx, gw = np.polynomial.legendre.leggauss(order)
+    else:
+        k = np.arange(1.0, order)
+        c = 2.0 * np.append(0.0, k) + a
+        # the Jacobi matrix, of which eigh reads the lower triangle
+        gx, v = np.linalg.eigh(np.diag(a * a / (c * (c + 2.0))) + np.diag(
+            2.0 * k * (k + a) / (c[1:] * np.sqrt(c[1:] ** 2 - 1.0)), -1))
+        p, slope = _jacobi(order, a, gx)
+        gx = gx - p / slope
+        gw = 2.0 ** (a + 1.0) / (a + 1.0) * v[0] ** 2
     gx.flags.writeable = gw.flags.writeable = False
     return gx, gw
 

@@ -179,7 +179,7 @@ def series_p(model: KernelModel, n: int, b: float,
     The n-th angular Fourier coefficient of the full disc Green function is
     a series over the zeros of J_n; subtracting the whole-plane coefficient
     lambda_{n,b} leaves p_{n,b}.  For the gSQG disc the series is summed by
-    Sneddon's integral, a scipy quad per coefficient; for the QGSW disc it
+    Sneddon's integral, a node sum per coefficient; for the QGSW disc it
     is truncated.
     """
     if model.k1 not in ("bessel_ik", "subordinated"):

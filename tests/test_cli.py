@@ -416,6 +416,23 @@ def test_universal_names_each_b_to_the_precision_of_its_cells(tmp_path):
         assert meta["b"] == b
 
 
+def test_metadata_keeps_the_inputs_to_fifteen_digits(tmp_path):
+    # x_max, a branch's b and s_max, and a model's description print with
+    # %.15g, as the cells do, not to six digits
+    out = str(tmp_path)
+    assert run_cli(["universal", "--b", "0.5", "--x-max", "5.0000001",
+                    "--x-points", "3", "--out", out]) == 0
+    meta, _, rows = read_csv(os.path.join(out, "universal_b0.5.csv"))
+    assert meta["x_max"] == "5.0000001" == rows[-1][0]
+    assert run_cli(["branch", "--model", "EulerPlane", "--b", "0.5000001",
+                    "--m", "5", "--modes", "4", "--s-max", "0.0012345678",
+                    "--steps", "1", "--out", out]) == 0
+    meta, _, _ = read_csv(os.path.join(out, "branch.csv"))
+    assert (meta["b"], meta["s_max"]) == ("0.5000001", "0.0012345678")
+    assert (models.gsqg_plane(0.1234567).describe()
+            == "GsqgPlane(beta=0.1234567)")
+
+
 def test_universal_refuses_b_values_of_one_file_name(tmp_path, capsys):
     # 0.5 and its float neighbour print alike to 15 digits: refused before
     # either table is written

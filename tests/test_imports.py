@@ -1,5 +1,6 @@
 """Import policy: the Euler family and the universal functions run on
-numpy alone, and every other kernel loads scipy when its model is built.
+numpy alone, every other kernel loads scipy.special when its model is
+built, and no command runs scipy.integrate or scipy.linalg.
 
 Each case runs in a fresh interpreter, since the test process itself has
 imported scipy long before."""
@@ -33,10 +34,10 @@ def _run(code: str) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-# source of the scipy.special and scipy.integrate submodules in sys.modules,
-# present only once those modules have run
+# source of the scipy.special and scipy.integrate submodules, present only
+# once those lazy modules have run, and of scipy.linalg, in sys.modules
 _SCIPY_LOADED = ("sorted(m for m in sys.modules if m.startswith("
-                 "('scipy.special.', 'scipy.integrate.')))")
+                 "('scipy.special.', 'scipy.integrate.', 'scipy.linalg')))")
 
 
 def _cli_runs(argvs: list[list[str]], out: str) -> dict:
@@ -77,7 +78,8 @@ def test_universal_runs_no_scipy(tmp_path):
     {"variant": "CustomConvolution", "family": "gsqg_power", "beta": "0.5"},
 ], ids=lambda spec: spec["variant"])
 def test_building_a_scipy_kernel_loads_scipy(spec):
-    # both modules run while the model is built, not in its first job
+    # scipy.special runs while the model is built, not in its first job;
+    # scipy.integrate and scipy.linalg, which no model computes with, do not
     result = _run(f"""
 import json, sys
 from vstates import models
@@ -87,8 +89,37 @@ after = {_SCIPY_LOADED}
 print(json.dumps({{"before": before, "after": after}}))
 """)
     assert result["before"] == []
-    for name in ("scipy.special.", "scipy.integrate."):
-        assert any(m.startswith(name) for m in result["after"]), name
+    assert result["after"]
+    assert all(m.startswith("scipy.special.") for m in result["after"])
+
+
+def test_no_command_runs_scipy_integrate_or_linalg(tmp_path):
+    # every kind of model built, then every command: the custom measure's
+    # Gauss-Jacobi rules and verify's quadratures come from numpy, so no
+    # scipy.integrate submodule and no scipy.linalg appears in sys.modules
+    models = {
+        "QgswPlane": ["--param", "eps=2"],
+        "GsqgPlane": ["--param", "beta=0.5"],
+        "GsqgDisc": ["--param", "beta=0.5", "--param", "r=2"],
+        "QgswDisc": ["--param", "eps=2", "--param", "r=2"],
+        "CustomConvolution": ["--param", "family=qgsw_shifted",
+                              "--param", "eps=2"],
+    }
+    argvs = []
+    for variant, params in models.items():
+        model = ["--model", variant, *params]
+        argvs += [["spectra", *model, "--b", "0.5", "--n", "1:16"],
+                  ["threshold", *model, "--b", "0.6"]]
+        if variant.endswith("Plane"):  # the models branch supports
+            argvs.append(["branch", *model, "--b", "0.5", "--m", "5",
+                          "--modes", "4", "--s-max", "0.01", "--steps", "1"])
+    argvs += [["spectra", "--model", "CustomConvolution", "--param",
+               "family=gsqg_power", "--param", "beta=0.5", "--b", "0.5",
+               "--n", "1:4"], ["verify"], ["universal", "--b", "0.5"]]
+    result = _cli_runs(argvs, str(tmp_path))
+    assert result["codes"] == [0] * len(argvs)
+    assert result["scipy"]
+    assert all(m.startswith("scipy.special.") for m in result["scipy"])
 
 
 def test_cli_import_registers_what_a_tracer_looks_up():

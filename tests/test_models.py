@@ -528,6 +528,72 @@ def test_sneddon_series_matches_integral_form():
         assert abs(series - closed) < 1e-5
 
 
+# vstate verify's Sneddon sets, and the (x, y, eps) samples of its
+# summation identity
+_VERIFY_SNEDDON = [(1, 1, 1, 1.5, 0.6, 0.6), (2, 2, 2, 1.5, 0.8, 0.8),
+                   (1, 1, 1, 1.25, 0.4, 0.9)]
+_VERIFY_IDENTITY = [(0.9, 0.4, 1.0), (0.7, 0.7, 2.0), (0.5, 0.2, 0.5),
+                    (0.95, 0.9, 3.0), (0.8, 0.6, 1.0)]
+
+
+def _power_free(fun, e, lo, hi):
+    # int_lo^hi fun(x) dx for fun ~ (x - lo)^e at lo, e > -1, by mpmath
+    # after x = lo + (hi - lo) v^m, m = 1/(e + 1), which removes the power
+    import mpmath
+    m = 1 / (e + 1)
+    return mpmath.quad(lambda v: fun(lo + (hi - lo) * v ** m) * (hi - lo)
+                       * m * v ** (m - 1), [0, 1])
+
+
+@pytest.mark.parametrize("bi, gi, n, q, a, b", _VERIFY_SNEDDON)
+def test_sneddon_integral_against_mpmath(bi, gi, n, q, a, b):
+    # the node sum against mpmath at 20 digits: the same hypergeometric
+    # term plus the integral, whose rho^(1-q+beta+gamma-2n) at 0 is taken
+    # out by a change of variable
+    import mpmath
+    with mpmath.workdps(20):
+        a_, b_, q_ = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(q)
+        f = lambda r: (r ** (1 - q_) * mpmath.besseli(bi, a_ * r)
+                       * mpmath.besseli(gi, b_ * r) * mpmath.besselk(n, r)
+                       / mpmath.besseli(n, r))
+        integral = (_power_free(f, 1 - q_ + bi + gi - 2 * n, 0, 1)
+                    + mpmath.quad(f, [1, 4, 16, 64, mpmath.inf]))
+        jterm = (a_ ** bi * mpmath.gamma(1 + (bi + gi - q_) / 2)
+                 * mpmath.rgamma((gi - bi + q_) / 2)
+                 / (2 ** q_ * b_ ** (2 + bi - q_) * mpmath.gamma(bi + 1))
+                 * mpmath.hyp2f1(1 + (bi + gi - q_) / 2,
+                                 1 + (bi - gi - q_) / 2, bi + 1,
+                                 a_ * a_ / (b_ * b_)))
+        want = jterm + (mpmath.sin(mpmath.pi / 2 * (bi + gi - 2 * n - q_))
+                        / mpmath.pi * integral)
+    got = models.sneddon_integral(bi, gi, n, q, a, b)
+    assert abs(got - float(want)) <= 1e-12
+
+
+@pytest.mark.parametrize("n, k_start, q, eps", sorted(
+    {(n, 2001, q, None) for _, _, n, q, _, _ in _VERIFY_SNEDDON}
+    | {(0, 501, 2.0, eps) for _, _, eps in _VERIFY_IDENTITY}, key=str))
+def test_mcmahon_tail_sum_against_mpmath(n, k_start, q, eps):
+    # the tails of verify's series, x^-q for Sneddon and 1/(x^2 + eps^2)
+    # for the identity: the integral over k > k_start - 1/2 in w = lo/k,
+    # where it is w^(q-2) times a smooth function, plus the same
+    # derivative correction
+    import mpmath
+    weight = ((lambda x: x ** -q) if eps is None
+              else (lambda x: 1.0 / (x * x + eps * eps)))
+    with mpmath.workdps(30):
+        def g(k):
+            beta = (k + mpmath.mpf(n) / 2 - mpmath.mpf(1) / 4) * mpmath.pi
+            x = beta - (4 * n * n - 1) / (8 * beta)
+            return x ** -mpmath.mpf(q) if eps is None else 1 / (x * x + eps ** 2)
+
+        lo, h = mpmath.mpf(k_start) - mpmath.mpf(1) / 2, mpmath.mpf("1e-3")
+        want = (_power_free(lambda w: g(lo / w) * lo / w ** 2, q - 2, 0, 1)
+                + (g(lo + h) - g(lo - h)) / (2 * h) / 24)
+    got = models._mcmahon_tail_sum(n, k_start, weight, q)
+    assert got == pytest.approx(float(want), rel=1e-12)
+
+
 def test_sneddon_admissibility_window():
     with pytest.raises(ValueError):
         models.sneddon_series(1, 1, 1, 0.5, 0.5, 0.6)   # q <= 1
@@ -587,17 +653,16 @@ GSQG_DISC_GRID = [(beta, r, b) for beta in (0.2, 0.5, 0.8)
                   for r in (1.1, 2.0) for b in (0.3, 0.8)]
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 @pytest.mark.parametrize("beta, r, b", GSQG_DISC_GRID)
 def test_gsqg_disc_closed_p_against_sneddon_route(beta, r, b):
     # the node sum of QGSW-disc closed forms against the Sneddon integrals
-    # of oracles.series_p, mode by mode; 1e-11 is the Sneddon route's own error at
-    # beta = 0.2, where its quad reports that it cannot reach its tolerance
+    # of oracles.series_p, mode by mode; the two agree to 1.4e-14 on this
+    # grid
     model = models.gsqg_disc(beta, r)
     ns = np.arange(1, 6)
     got = np.array(models.closed_p(model, ns, b))
     want = np.array([oracles.series_p(model, int(n), b) for n in ns]).T
-    assert np.max(np.abs(got - want)) <= 1e-11
+    assert np.max(np.abs(got - want)) <= 1e-13
 
 
 @pytest.mark.parametrize("beta, r, b", [(0.5, 2.0, 0.5), (0.2, 1.1, 0.8),

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vstates import universal
+from vstates import cmkernel, universal
 
 import oracles
 
@@ -213,7 +213,9 @@ def test_gauss_rule_is_cached_and_read_only():
 
 def test_leggauss_is_called_only_in_gauss_rule():
     # each Gauss rule is an eigenvalue solve; the package takes every
-    # Gauss-Legendre and Gauss-Jacobi rule from the cache of _gauss_rule
+    # Gauss-Legendre and Gauss-Jacobi rule from the cache of _gauss_rule,
+    # which builds the Jacobi rules itself: scipy's roots_jacobi is called
+    # nowhere
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "vstates"
     inside, outside = {"leggauss(": 0, "roots_jacobi(": 0}, []
     for path in sorted(src.glob("*.py")):
@@ -229,7 +231,7 @@ def test_leggauss_is_called_only_in_gauss_rule():
                 else:
                     outside.append(f"{path.name}:{lineno}")
     assert outside == []
-    assert inside == {"leggauss(": 1, "roots_jacobi(": 1}
+    assert inside == {"leggauss(": 1, "roots_jacobi(": 0}
 
 
 def test_dispersion_names_no_density_family():
@@ -272,6 +274,64 @@ def test_gauss_jacobi_rule_is_cached_and_integrates_its_weight():
     # int_{-1}^{1} (1 + t)^a t^2 dt, exact for a rule of order 32
     want = 2 ** 1.5 * (4 / 3.5 - 4 / 2.5 + 1 / 1.5)
     assert float(np.sum(gw * gx ** 2)) == pytest.approx(want, rel=1e-14)
+
+
+def _jacobi_exponents() -> list[float]:
+    # every a != 0 the package passes to _gauss_rule(32, a): the endpoint
+    # exponent and the tail -b of Measure.support() for the measures of the
+    # tests and the benchmark, and the endpoint and tail exponents of
+    # Sneddon's integral and of the McMahon tail at vstate verify's sets
+    # and on the gSQG disc test route (q = 2 - beta)
+    support = [cmkernel.gsqg_power(beta).support() for beta in (0.5, 0.6)]
+    support.append(cmkernel.qgsw_shifted(2.0).support())
+    exps = {e for _, _, a, b in support for e in (a, -b)}
+    sneddon = [(1, 1, 1, 1.5), (2, 2, 2, 1.5), (1, 1, 1, 1.25)]
+    sneddon += [(n, n, n, 2.0 - beta) for n in (1, 2) for beta in (0.2, 0.5)]
+    exps |= {e for bi, gi, n, q in sneddon
+             for e in (1.0 - q + bi + gi - 2 * n, q - 2.0)}
+    return sorted(exps - {0.0})
+
+
+@pytest.mark.parametrize("a", _jacobi_exponents())
+def test_gauss_jacobi_rule_matches_roots_jacobi(a):
+    # the numpy Golub-Welsch rule against scipy's, whose nodes it matches
+    # to rounding (worst 2.2e-16).  scipy's weights, from P_31 P_32' by its
+    # hypergeometric route, are themselves off the exact ones by up to
+    # 1.7e-12 relative on these exponents, so they are met to 2e-12; the
+    # exact weights, at the nodes refined at 40 digits, are met to 2e-13
+    # (worst 8.3e-14, at a = 0.6)
+    from scipy.special import roots_jacobi
+    gx, gw = universal._gauss_rule(32, a)
+    sx, sw = roots_jacobi(32, 0.0, a)
+    assert np.max(np.abs(gx - sx)) <= 1e-15
+    assert np.max(np.abs(gw / sw - 1.0)) <= 2e-12
+    with mpmath.workdps(40):
+        am = mpmath.mpf(a)
+        for x, w in zip(gx, gw):
+            x = mpmath.mpf(x)
+            for _ in range(3):
+                slope = (33 + am) / 2 * mpmath.jacobi(31, 1, am + 1, x)
+                x -= mpmath.jacobi(32, 0, am, x) / slope
+            # Gauss-Jacobi weight for (0, a), from P_33 and P_32' at x
+            exact = -(2 ** am * (66 + am) / (33 * (33 + am))
+                      / (mpmath.jacobi(33, 0, am, x) * slope))
+            assert abs(float(w / exact - 1)) <= 2e-13
+
+
+@pytest.mark.parametrize("a", [-0.9, -0.5, 0.5, 0.9])
+def test_gauss_jacobi_rule_is_exact_on_polynomials(a):
+    # int_{-1}^{1} (1 + t)^a t^k dt for k <= 63, exact for order 32, from
+    # the binomial sum over (s - 1)^k, s = 1 + t, at 90 digits; the worst
+    # error is 6.8e-15 mu0, at a = -0.9
+    gx, gw = universal._gauss_rule(32, a)
+    mu0 = 2.0 ** (a + 1.0) / (a + 1.0)
+    with mpmath.workdps(90):
+        am = mpmath.mpf(a)
+        for k in range(64):
+            want = mpmath.fsum(mpmath.binomial(k, j) * (-1) ** (k - j)
+                               * 2 ** (am + j + 1) / (am + j + 1)
+                               for j in range(k + 1))
+            assert abs(float(np.sum(gw * gx ** k) - want)) <= 2e-14 * mu0
 
 
 @pytest.mark.parametrize("n", [64, 128, 256])
