@@ -26,7 +26,6 @@ import os
 import sys
 
 import numpy as np
-import numpy.ma
 
 from . import models, dispersion, contour, universal
 
@@ -130,33 +129,149 @@ def _config_flags(path: str, command: str) -> list[str]:
     return flags
 
 
-def _column_format(column) -> tuple[str, list]:
-    """Row-format field and values of one column: '%.15g' for floats, and
-    text for the rest, with true/false for booleans and an empty cell for
-    None or a masked entry.  A constant column is formatted once."""
+# ---------------------------------------------------------------------------
+# float cells: '%.15g' of a whole table in one numpy pass
+# ---------------------------------------------------------------------------
+#
+# A cell x with decimal exponent e = floor(log10|x|) is scaled to
+# y = |x| 10^(14 - e) in long double, and its 15 significant digits are y
+# rounded to an integer.  The power is parsed, so correctly rounded, and
+# the product rounds once: y is within eps y of the exact product (eps of
+# the long double).  A cell is taken where its fraction lies farther from
+# 1/2 than twice that bound, plus the double rounding of the fraction, and
+# y lies in [1e14, 1e15); its digits are then laid out by a template of
+# the %g rules.  Every other cell (a near-tie, a log10 one off, 0, nan,
+# inf, |x| outside [1e-290, 1e290)) gets Python's '%.15g'.
+
+# 10^k for k in [-280, 310], at index 294 - e for the scale 10^(14 - e)
+_POW10 = np.array([np.longdouble(f"1e{k}") for k in range(-280, 311)])
+_TIE = 2.0 * float(np.finfo(np.longdouble).eps)
+# the three digits of each chunk c = 0..999 of a 15-digit integer, and, at
+# 1000 j + c, the digit count to the last nonzero digit when chunk j is c
+_CHUNK_DIGITS = (np.arange(1000)[:, None] // [100, 10, 1] % 10
+                 + ord("0")).astype(np.uint8)
+_CHUNK_AT = 1000 * np.arange(5)[:, None]
+_CHUNK_SIG = np.where(  # 3j + 3 less the trailing zeros of c, 0 for c = 0
+    np.arange(1000) > 0, 3 * np.arange(1, 6)[:, None]
+    - (np.arange(1000) % 10 == 0) - (np.arange(1000) % 100 == 0), 0).ravel()
+_THOUSANDS = (10.0 ** np.arange(15, -1, -3))[:, None]
+# the sign and three digits of each exponent, at e + 300
+_EXPONENT = np.hstack([
+    np.where(np.arange(-300, 301)[:, None] < 0, ord("-"), ord("+")),
+    abs(np.arange(-300, 301)[:, None]) // [100, 10, 1] % 10 + ord("0")
+]).astype(np.uint8)
+# what a template picks from a cell's source row: 15 digits, the marks
+# '.', '0', '-', 'e', the exponent's sign and digits, and NUL padding
+_SOURCE = 24
+_MARKS = np.frombuffer(b".0-e", dtype=np.uint8)
+_WIDTH = 22  # '-1.23456789012345e-100'
+
+
+def _layout(e: int, sig: int, neg: bool) -> list[int]:
+    """The source columns of the %g text of a cell with exponent e and sig
+    significant digits: fixed notation for -4 <= e < 15, else d.ddde+XX,
+    trailing zeros and a bare point dropped."""
+    cols = [17] if neg else []
+    if e < -4 or e >= 15:
+        cols += [0] + ([15, *range(1, sig)] if sig > 1 else [])
+        cols += [18, 19, *range(20 if abs(e) >= 100 else 21, 23)]
+    elif e < 0:
+        cols += [16, 15] + [16] * (-e - 1) + list(range(sig))
+    else:
+        cols += list(range(e + 1))
+        cols += [15, *range(e + 1, sig)] if sig > e + 1 else []
+    return cols + [_SOURCE - 1] * (_WIDTH - len(cols))
+
+
+# templates at 32 c + 2 sig + neg, by the class c of the exponent: e + 4
+# in fixed notation, 19 for two exponent digits and 20 for three
+_LAYOUTS = np.array([_layout(e, sig, neg) for e in [*range(-4, 15), 15, 100]
+                     for sig in range(16) for neg in (False, True)],
+                    dtype=np.intp)
+_CLASS = np.array([32 * (e + 4 if -4 <= e < 15 else 19 + (abs(e) >= 100))
+                   for e in range(-300, 301)])
+
+
+def _format_floats(values: np.ndarray) -> np.ndarray:
+    """'%.15g' % x of each x of a 1-d float64 array, as a str array."""
+    size = values.size
+    mag = np.abs(values)
+    fast = (mag >= 1e-290) & (mag < 1e290)
+    mag[~fast] = 1.0
+    e = np.floor(np.log10(mag)).astype(np.intp)
+    y = mag.astype(np.longdouble) * _POW10[294 - e]
+    floor = np.floor(y.astype(float))
+    frac = (y - floor).astype(float)  # exact in long double
+    fast &= ((np.abs(frac - 0.5) > _TIE * floor + 1e-15)
+             & (floor >= 1e14) & (floor < 1e15))
+    digits = floor + (frac > 0.5)  # the 15 digits as one integer
+    carry = digits == 1e15  # rounded up to the next power of 10
+    digits[carry] = 1e14
+    e += carry
+    # its five 3-digit chunks: floor(digits / 10^3k) is exact below 2^50
+    thousands = np.floor(digits / _THOUSANDS)
+    chunks = (thousands[1:] - 1000.0 * thousands[:-1]).astype(np.intp)
+    sig = np.take(_CHUNK_SIG, chunks + _CHUNK_AT).max(axis=0)
+    source = np.empty((size, _SOURCE), dtype=np.uint8)
+    source[:, :15] = np.take(_CHUNK_DIGITS, chunks.T, axis=0).reshape(size, 15)
+    source[:, 15:19] = _MARKS
+    source[:, 19:23] = np.take(_EXPONENT, e + 300, axis=0)
+    source[:, 23] = 0
+    at = np.take(_LAYOUTS, np.take(_CLASS, e + 300) + 2 * sig
+                 + np.signbit(values), axis=0)
+    at += np.arange(0, _SOURCE * size, _SOURCE)[:, None]
+    text = np.take(source, at).astype(np.uint32).view(f"U{_WIDTH}")[:, 0]
+    slow = np.flatnonzero(~fast)
+    text[slow] = ["%.15g" % x for x in values[slow].tolist()]
+    return text
+
+
+def _column_cells(column):
+    """The cells of one column as text: true/false for booleans, str for
+    the rest, and an empty cell for None or a masked entry; a constant
+    column is formatted once.  A column of floats comes back instead as its
+    values and the indices of its empty cells, for the table's numpy pass;
+    only an exact ndarray skips the list route, so no mask is dropped."""
+    if type(column) is np.ndarray and column.dtype.kind == "f" and column.size:
+        first = column.flat[0]
+        if (column == first).all():
+            return ["%.15g" % first] * column.size
+        return column, []
     values = column.tolist() if hasattr(column, "tolist") else list(column)
     first = next((v for v in values if v is not None), None)
     if first is None:
-        return "%s", [""] * len(values)
+        return [""] * len(values)
     if isinstance(first, bool):
         fmt = {True: "true", False: "false"}.__getitem__
     else:
         fmt = "%.15g".__mod__ if isinstance(first, float) else str
     if values.count(first) == len(values):
-        return "%s", [fmt(first)] * len(values)
-    if isinstance(first, float) and None not in values:
-        return "%.15g", values
-    return "%s", ["" if v is None else fmt(v) for v in values]
+        return [fmt(first)] * len(values)
+    if isinstance(first, float):
+        floats = np.array(values, dtype=float)  # None gives nan
+        nan = np.flatnonzero(np.isnan(floats)).tolist()
+        blank = [i for i in nan if values[i] is None]
+        floats[blank] = 1.0  # a cell the numpy pass takes, then emptied
+        return floats, blank
+    return ["" if v is None else fmt(v) for v in values]
 
 
 def write_csv(path: str, metadata: dict, header: list[str],
               columns: list) -> None:
     """Write one table given as columns, each a sequence or array with one
-    entry per row; the format of each field is chosen per column."""
-    fields, values = zip(*map(_column_format, columns))
+    entry per row.  The float cells of all columns are formatted in one
+    numpy pass, each exactly '%.15g' % x."""
+    cells = [_column_cells(column) for column in columns]
+    floats = [i for i, c in enumerate(cells) if isinstance(c, tuple)]
+    if floats:
+        text = _format_floats(np.concatenate([cells[i][0] for i in floats],
+                                             dtype=float))
+        for i, col in zip(floats, text.reshape(len(floats), -1)):
+            col[cells[i][1]] = ""
+            cells[i] = col.tolist()
     lines = [f"# {key} = {metadata[key]}" for key in metadata]
     lines.append(",".join(header))
-    lines += map(",".join(fields).__mod__, zip(*values))
+    lines += map(",".join, zip(*cells))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -181,18 +296,19 @@ def cmd_spectra(args: argparse.Namespace) -> int:
               "p_nb", "p_n1", "p_tilde_nb", "c_b", "c_tilde_b", "source",
               "a_nb", "b_nb", "delta", "omega_plus", "omega_minus",
               "classification"]
-    columns = [[] for _ in header]
+    blocks = []
     for b in bs:
         p = dispersion.dispersion_point(model, np.array(ns), b)
-        r = p.row
-        no_root, k = p.delta < 0.0, len(ns)
-        block = [p.n, [b] * k, r.lam_nb, r.lam_n1, r.lamt_nb, r.p_nb,
-                 r.p_n1, r.pt_nb, [r.c_b] * k, [r.ct_b] * k, [r.source] * k,
-                 p.a_nb, p.b_nb, p.delta,
-                 np.ma.array(p.omega_plus, mask=no_root),
-                 np.ma.array(p.omega_minus, mask=no_root), p.classification]
-        for column, values in zip(columns, block):
-            column += values if isinstance(values, list) else values.tolist()
+        r, k = p.row, len(ns)
+        # no root where the discriminant is negative: an empty cell
+        omega = [np.where(p.delta < 0.0, None, w)
+                 for w in (p.omega_plus, p.omega_minus)]
+        blocks.append([p.n, [b] * k, r.lam_nb, r.lam_n1, r.lamt_nb, r.p_nb,
+                       r.p_n1, r.pt_nb, [r.c_b] * k, [r.ct_b] * k,
+                       [r.source] * k, p.a_nb, p.b_nb, p.delta, *omega,
+                       p.classification])
+    columns = [np.concatenate(parts) if isinstance(parts[0], np.ndarray)
+               else sum(parts, []) for parts in zip(*blocks)]
     path = os.path.join(_out_dir(args), "spectra.csv")
     meta = {"command": "spectra", **model_meta, "b": args.b, "n": args.n}
     write_csv(path, meta, header, columns)
@@ -345,7 +461,7 @@ def cmd_branch(args: argparse.Namespace) -> int:
             "steps": args.steps, "modes": n_modes}
     if partial:
         meta["warning"] = (f"continuation stopped early: last converged "
-                          f"s = {table[-1][0]:g}; {partial}")
+                          f"s = {table[-1][0]:.15g}; {partial}")
     out = _out_dir(args)
     write_csv(os.path.join(out, "branch.csv"), meta, header, columns)
     print(os.path.join(out, "branch.csv"))

@@ -354,7 +354,7 @@ def branch_continue(model: KernelModel, b: float, m: int, branch: str = "+",
     results: list[tuple[float, PerturbationState]] = [(0.0, base)]
 
     def failure(s, cause) -> BranchError:
-        return BranchError(f"continuation failed at s = {s:g}: {cause}",
+        return BranchError(f"continuation failed at s = {s:.15g}: {cause}",
                            results)
 
     s_grid = np.linspace(0.0, s_max, steps + 1)[1:]

@@ -240,7 +240,7 @@ def min_fold(model: KernelModel, b: float, k_max: int = 10
     while lo <= _FOLD_CAP:
         hi = lo if model.measure_obj is not None else max(8, 2 * lo - 2)
         grid = np.outer(np.arange(lo, min(hi, _FOLD_CAP) + 1), ks)  # km
-        modes = np.unique(grid)
+        modes = np.array(sorted(set(grid.flat)))  # np.unique loads numpy.ma
         p = dispersion_point(model, modes, b)
         if not abs(p.v1 - p.v2) > tol:  # b outside S: no fold
             return None, p.v1, p.v2

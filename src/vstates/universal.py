@@ -18,6 +18,7 @@ Jacobi alike, come from numpy: this module runs no scipy.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 import numpy.polynomial.legendre
@@ -32,6 +33,9 @@ __all__ = [
 
 # most values one integrand call of periodic_trapezoid may return (1 MiB)
 _TRAPEZOID_CHUNK = 1 << 17
+# most periods of cos(2n u) on one Gauss piece of phi_n; a mode n <= 8 takes
+# each graded panel whole
+_PANEL_PERIODS = 4
 
 
 def _level_sum(f, eta: np.ndarray, chunk: int):
@@ -145,11 +149,20 @@ def _phi_gauss(ns: list[int], xs: np.ndarray, order: int) -> np.ndarray:
     edges = np.concatenate([[0.0], (np.pi / 2.0) * 2.0 ** np.arange(-k, 1.0)])
     total = np.zeros((len(ns), xs.size))
     for a, c in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + c), 0.5 * (c - a)
-        u = mid + half * gx
-        e = np.exp(-2.0 * xs[:, None] * np.sin(u))
-        for row, n in zip(total, ns):
-            row += half * (e * np.cos(2.0 * n * u)) @ gw
+        # a mode whose cos(2n u) has more than _PANEL_PERIODS periods on the
+        # panel takes it in equal pieces of at most that many, which the
+        # rule resolves; modes of one piece count share each table
+        pieces = [max(1, math.ceil((c - a) * n / (_PANEL_PERIODS * np.pi)))
+                  for n in ns]
+        for count in sorted(set(pieces)):
+            cuts = np.linspace(a, c, count + 1)
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+                u = mid + half * gx
+                e = np.exp(-2.0 * xs[:, None] * np.sin(u))
+                for row, n, p in zip(total, ns, pieces):
+                    if p == count:
+                        row += half * (e * np.cos(2.0 * n * u)) @ gw
     return total * 4.0
 
 
@@ -159,7 +172,9 @@ def phi_n(n, x):
     The periodic integrand has a corner at eta = 0 (the kernel argument is
     2x|sin(eta/2)|), so the plain trapezoid rule degrades to O(h^2) there;
     Gauss-Legendre panels graded for the largest x restore rapid
-    convergence.  The order is doubled until two evaluations agree.
+    convergence, each cut into pieces that resolve cos(n eta).  The order
+    is doubled from 24 until two evaluations agree; a row that has not
+    agreed at order 192 raises ArithmeticError naming its mode and x.
     One row per mode of n: the modes share the exponential table, and each
     doubles its order until its own row agrees, so a row equals the call
     at its mode alone.
@@ -168,15 +183,18 @@ def phi_n(n, x):
     if ns.ndim != 1 or np.any(ns < 1):
         raise ValueError("phi_n requires n >= 1")
     xs = _values(x, "phi_n")
-    order = 24
+    order, live = 24, np.arange(ns.size)
     val = _phi_gauss(ns.tolist(), xs, order)
-    live = np.arange(ns.size)
-    while order < 200 and live.size:
+    while live.size:
+        if order == 192:
+            raise ArithmeticError(
+                f"phi_n has not converged at n = {ns[live[0]]}, x = "
+                f"{xs[np.argmax(off[0])]:.15g} with {order}-point Gauss panels")
         order *= 2
         prev, new = val[live], _phi_gauss(ns[live].tolist(), xs, order)
         val[live] = new
-        live = live[~np.all(np.abs(new - prev)
-                            <= 1e-13 * np.maximum(1.0, np.abs(new)), axis=1)]
+        off = np.abs(new - prev) > 1e-13 * np.maximum(1.0, np.abs(new))
+        live, off = live[off.any(axis=1)], off[off.any(axis=1)]
     return _rows(val, x)
 
 

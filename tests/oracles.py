@@ -8,7 +8,9 @@ limit of the discriminant through Psi_b instead of the velocity constants.
 function and its constant in the classical radial form, `series_p` and
 `qgsw_disc_v_series` the discs' p and V^1, V^2 as Bessel-zero series or
 Sneddon integrals, and `psi_b_prime0` the slope of Psi_b at 0 with the
-integral it contains.
+integral it contains.  `write_csv_per_cell` is the CSV writer that formats
+each cell on its own with Python's '%.15g', against which the numpy pass
+of `cli.write_csv` is checked.
 """
 
 from __future__ import annotations
@@ -234,3 +236,34 @@ def psi_b_prime0(b: float) -> tuple[float, float]:
 
     inner = 0.5 * periodic_trapezoid(integrand)
     return (8.0 / 3.0) * (1.0 + b) - 2.0 * (b * b + 1.0) * inner, inner
+
+
+def _column_format(column) -> tuple[str, list]:
+    """Row-format field and values of one column: '%.15g' for floats, and
+    text for the rest, with true/false for booleans and an empty cell for
+    None or a masked entry.  A constant column is formatted once."""
+    values = column.tolist() if hasattr(column, "tolist") else list(column)
+    first = next((v for v in values if v is not None), None)
+    if first is None:
+        return "%s", [""] * len(values)
+    if isinstance(first, bool):
+        fmt = {True: "true", False: "false"}.__getitem__
+    else:
+        fmt = "%.15g".__mod__ if isinstance(first, float) else str
+    if values.count(first) == len(values):
+        return "%s", [fmt(first)] * len(values)
+    if isinstance(first, float) and None not in values:
+        return "%.15g", values
+    return "%s", ["" if v is None else fmt(v) for v in values]
+
+
+def write_csv_per_cell(path: str, metadata: dict, header: list[str],
+                       columns: list) -> None:
+    """`cli.write_csv` with every cell formatted by Python on its own: the
+    format of each field is chosen per column, and each row is one `%`."""
+    fields, values = zip(*map(_column_format, columns))
+    lines = [f"# {key} = {metadata[key]}" for key in metadata]
+    lines.append(",".join(header))
+    lines += map(",".join(fields).__mod__, zip(*values))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -772,6 +772,37 @@ def test_branch_numerical_failure_exit_1(tmp_path, capsys):
     assert cause in capsys.readouterr().err
 
 
+def test_branch_messages_give_s_to_fifteen_digits(tmp_path, capsys):
+    # the warning's last converged s is the last s cell, and the failure
+    # names its s to the digits of the cells as well
+    out = str(tmp_path)
+    code = run_cli(["branch", "--model", "EulerPlane", "--b", "0.5",
+                    "--m", "5", "--s-max", "2.5", "--steps", "3",
+                    "--out", out])
+    assert code == 1
+    meta, _, rows = read_csv(os.path.join(out, "branch.csv"))
+    assert rows[-1][0] == "0.833333333333333"
+    assert meta["warning"].startswith(
+        "continuation stopped early: last converged s = 0.833333333333333; "
+        "continuation failed at s = 1.66666666666667: ")
+    assert "continuation failed at s = 1.66666666666667: " in (
+        capsys.readouterr().err)
+
+
+def test_universal_unconverged_phi_n_exits_1(tmp_path, capsys, monkeypatch):
+    # a row that has not converged at the order cap is a numerical failure,
+    # never a written cell
+    monkeypatch.setattr(universal, "_phi_gauss",
+                        lambda ns, xs, order: np.full((len(ns), xs.size),
+                                                      float(order)))
+    code = run_cli(["universal", "--fold", "3", "--x-max", "2",
+                    "--x-points", "3", "--out", str(tmp_path)])
+    assert code == 1
+    assert ("numerical failure: phi_n has not converged at n = 3, x = 0 "
+            "with 192-point Gauss panels") in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
 def test_entry_point_installed():
     proc = subprocess.run([sys.executable, "-m", "vstates.cli", "spectra",
                            "--model", "EulerPlane", "--b", "0.5",

@@ -1,6 +1,7 @@
 """Import policy: the Euler family and the universal functions run on
 numpy alone, every other kernel loads scipy.special when its model is
-built, and no command runs scipy.integrate or scipy.linalg.
+built, no command runs scipy.integrate or scipy.linalg, and neither the
+import nor the Euler commands load numpy.ma.
 
 Each case runs in a fresh interpreter, since the test process itself has
 imported scipy long before."""
@@ -133,3 +134,23 @@ print(json.dumps({{"present": [m in sys.modules for m in (
     "scipy": {_SCIPY_LOADED}}}))
 """)
     assert result == {"present": [True, True, True], "scipy": []}
+
+
+def test_cli_and_euler_commands_load_no_numpy_ma(tmp_path):
+    # the CSV writer takes masks only from its callers' masked arrays, and
+    # the fold scan dedupes its modes without np.unique, which loads it
+    argvs = [["spectra", "--model", "EulerPlane", "--b", "0.5", "--n", "1:16"],
+             ["threshold", "--model", "EulerPlane", "--b", "0.5"],
+             ["branch", "--model", "EulerPlane", "--b", "0.5", "--m", "5",
+              "--modes", "4", "--s-max", "0.01", "--steps", "1"]]
+    result = _run(f"""
+import contextlib, io, json, sys
+import vstates.cli
+loaded = ["numpy.ma" in sys.modules]
+for argv in {argvs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = vstates.cli.main(argv + ["--out", {str(tmp_path)!r}])
+    loaded.append([code, "numpy.ma" in sys.modules])
+print(json.dumps(loaded))
+""")
+    assert result == [False, [0, False], [0, False], [0, False]]

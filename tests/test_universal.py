@@ -30,6 +30,20 @@ def test_phi_n_against_quadrature_oracle(n, x):
                                                        rel=1e-11, abs=1e-13)
 
 
+@pytest.mark.parametrize("x", [0.5, 5.0])
+def test_phi_n_resolves_high_modes(x):
+    # at n = 1000 whole graded panels hold up to 250 periods of cos(2nu):
+    # they gave -0.0358 at x = 0.5 and 5.82e-7 at x = 5 (against 1.0e-6 and
+    # 1.0e-5); Gauss pieces of a few periods each agree with mpmath
+    n = 1000
+    with mpmath.workdps(30):
+        f = lambda u: (mpmath.e ** (-2 * x * mpmath.sin(u))
+                       * mpmath.cos(2 * n * u))
+        cuts = [mpmath.pi / 2 * k / 500 for k in range(501)]
+        want = float(4 * mpmath.quad(f, cuts, method="gauss-legendre"))
+    assert universal.phi_n([n], x)[0] == pytest.approx(want, rel=1e-11)
+
+
 def test_phi_n_edge_cases():
     assert universal.phi_n([3], 0.0)[0] == 0.0
     with pytest.raises(ValueError):
