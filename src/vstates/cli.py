@@ -12,7 +12,8 @@ refused.  A config file (flat INI-style text) is the flags it spells:
 `key = val` is --key val and `param.key = val` is --param key=val; they
 go ahead of the command line's flags, which therefore win, and a key the
 command does not take exits 2.  Output is plain CSV with '#'-prefixed
-metadata lines, 15 significant digits, deterministic across reruns.
+metadata lines, 15 significant digits, deterministic across reruns; each
+table goes through `_write`, which echoes its warning and prints its path.
 """
 
 from __future__ import annotations
@@ -60,31 +61,20 @@ def _model(args: argparse.Namespace) -> tuple[models.KernelModel, dict]:
                    **{f"param.{key}": params[key] for key in sorted(params)}}
 
 
-def _float_list(args: argparse.Namespace, key: str) -> list[float]:
-    """'0.5' | '0.2,0.3' | 'lo:hi:count' (inclusive linspace), not empty."""
+def _list(args: argparse.Namespace, key: str, kind=float) -> list:
+    """A list of floats, '0.5' | '0.2,0.3' | 'lo:hi:count' (inclusive
+    linspace), or with kind=int of ints, '4' | '1,2,5' | 'lo:hi'
+    (inclusive); not empty."""
     text = _require(args, key).strip()
     try:
-        if ":" in text:
-            lo, hi, count = text.split(":")
-            values = np.linspace(float(lo), float(hi), int(count)).tolist()
-        else:
-            values = [float(tok) for tok in text.split(",") if tok.strip()]
-        if not values:
-            raise ValueError
-    except ValueError as exc:
-        raise UsageError(f"cannot parse {key} specification {text!r}") from exc
-    return values
-
-
-def _int_list(args: argparse.Namespace, key: str) -> list[int]:
-    """'4' | '1,2,5' | 'lo:hi' (inclusive), not empty."""
-    text = _require(args, key).strip()
-    try:
-        if ":" in text:
+        if ":" not in text:
+            values = [kind(tok) for tok in text.split(",") if tok.strip()]
+        elif kind is int:
             lo, hi = text.split(":")
             values = list(range(int(lo), int(hi) + 1))
         else:
-            values = [int(tok) for tok in text.split(",") if tok.strip()]
+            lo, hi, count = text.split(":")
+            values = np.linspace(float(lo), float(hi), int(count)).tolist()
         if not values:
             raise ValueError
     except ValueError as exc:
@@ -276,13 +266,21 @@ def write_csv(path: str, metadata: dict, header: list[str],
         fh.write("\n".join(lines) + "\n")
 
 
-def _out_dir(args: argparse.Namespace) -> str:
+def _write(args: argparse.Namespace, name: str, meta: dict,
+           header: list[str], columns: list) -> None:
+    """Write one table of a command as the file `name` under --out: a
+    metadata warning goes to stderr first, as its '# warning = ...' line,
+    then the CSV is written and its path printed."""
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
         raise UsageError(f"cannot use output directory {args.out}: "
                          f"{exc.strerror}") from exc
-    return args.out
+    path = os.path.join(args.out, name)
+    if "warning" in meta:
+        print(f"# warning = {meta['warning']}", file=sys.stderr)
+    write_csv(path, meta, header, columns)
+    print(path)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +289,7 @@ def _out_dir(args: argparse.Namespace) -> str:
 
 def cmd_spectra(args: argparse.Namespace) -> int:
     model, model_meta = _model(args)
-    bs, ns = _float_list(args, "b"), _int_list(args, "n")
+    bs, ns = _list(args, "b"), _list(args, "n", int)
     header = ["n", "b", "lambda_nb", "lambda_n1", "lambda_tilde_nb",
               "p_nb", "p_n1", "p_tilde_nb", "c_b", "c_tilde_b", "source",
               "a_nb", "b_nb", "delta", "omega_plus", "omega_minus",
@@ -309,16 +307,14 @@ def cmd_spectra(args: argparse.Namespace) -> int:
                        p.classification])
     columns = [np.concatenate(parts) if isinstance(parts[0], np.ndarray)
                else sum(parts, []) for parts in zip(*blocks)]
-    path = os.path.join(_out_dir(args), "spectra.csv")
-    meta = {"command": "spectra", **model_meta, "b": args.b, "n": args.n}
-    write_csv(path, meta, header, columns)
-    print(path)
+    _write(args, "spectra.csv", {"command": "spectra", **model_meta,
+                                 "b": args.b, "n": args.n}, header, columns)
     return 0
 
 
 def cmd_universal(args: argparse.Namespace) -> int:
     n, x_max, points = args.fold, args.x_max, args.x_points
-    bs = _float_list(args, "b")
+    bs = _list(args, "b")
     if points < 2 or not 0.0 < x_max < math.inf:
         raise UsageError("universal needs x_max > 0 and x_points >= 2")
     if not all(0.0 < b < 1.0 for b in bs):
@@ -334,16 +330,14 @@ def cmd_universal(args: argparse.Namespace) -> int:
         phi_b = universal.phi_nb([n], b, xs)[0]  # refuses a bad fold first
         columns = [xs, universal.phi_n([n], xs)[0], phi_b,
                    universal.psi_b(b, xs)]
-        path = os.path.join(_out_dir(args), f"universal_b{name}.csv")
-        write_csv(path, {"command": "universal", "fold": n, "b": name,
-                         "x_max": f"{x_max:.15g}", "x_points": points},
-                  header, columns)
-        print(path)
+        _write(args, f"universal_b{name}.csv",
+               {"command": "universal", "fold": n, "b": name,
+                "x_max": f"{x_max:.15g}", "x_points": points}, header, columns)
     return 0
 
 
 def cmd_threshold(args: argparse.Namespace) -> int:
-    (model, model_meta), bs = _model(args), _float_list(args, "b")
+    (model, model_meta), bs = _model(args), _list(args, "b")
     header = ["b", "min_fold", "delta_inf", "v1", "v2", "in_s", "found"]
     closed_check = dispersion.has_closed_fold(model)
     if closed_check:
@@ -356,15 +350,12 @@ def cmd_threshold(args: argparse.Namespace) -> int:
         if closed_check:
             row.append(_closed_threshold(model, b))
         rows.append(row)
-    path = os.path.join(_out_dir(args), "threshold.csv")
     meta = {"command": "threshold", **model_meta, "b": args.b}
     missing = ", ".join(f"{b:.15g}" for b, fold, *_ in rows if fold is None)
     if missing:  # valid rows (found false), named in a warning
         meta["warning"] = (f"no fold m <= {dispersion._FOLD_CAP} satisfies "
                            f"the conditions at b = {missing}")
-        print(f"# warning = {meta['warning']}", file=sys.stderr)
-    write_csv(path, meta, header, list(zip(*rows)))
-    print(path)
+    _write(args, "threshold.csv", meta, header, list(zip(*rows)))
     return 0
 
 
@@ -429,15 +420,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         rows.append([name, err, tol, ok])
         print(f"{name}: {'PASS' if ok else 'FAIL'} "
               f"(max error {err:.3e}, tolerance {tol:g})")
-    path = os.path.join(_out_dir(args), "verify.csv")
-    write_csv(path, {"command": "verify"},
-              ["suite", "max_error", "tolerance", "passed"], list(zip(*rows)))
-    print(path)
+    _write(args, "verify.csv", {"command": "verify"},
+           ["suite", "max_error", "tolerance", "passed"], list(zip(*rows)))
     return 1 if failed else 0
 
 
 def cmd_branch(args: argparse.Namespace) -> int:
-    (model, model_meta), bs = _model(args), _float_list(args, "b")
+    (model, model_meta), bs = _model(args), _list(args, "b")
     if len(bs) != 1:
         raise UsageError("branch expects a single b value")
     b, m, n_modes = bs[0], _require(args, "m"), args.modes
@@ -462,20 +451,15 @@ def cmd_branch(args: argparse.Namespace) -> int:
     if partial:
         meta["warning"] = (f"continuation stopped early: last converged "
                           f"s = {table[-1][0]:.15g}; {partial}")
-    out = _out_dir(args)
-    write_csv(os.path.join(out, "branch.csv"), meta, header, columns)
-    print(os.path.join(out, "branch.csv"))
+    _write(args, "branch.csv", meta, header, columns)
     for idx, (s, st) in enumerate(table):
         inner, outer = contour.boundary_export(st)
-        path = os.path.join(out, f"boundary_{idx:03d}.csv")
-        write_csv(path, {"command": "branch", "s": "%.15g" % s},
-                  ["theta", "x_inner", "y_inner", "x_outer", "y_outer"],
-                  [st.theta_grid(), inner.real, inner.imag, outer.real,
-                   outer.imag])
-    if partial:
-        print(partial, file=sys.stderr)
-        return 1
-    return 0
+        _write(args, f"boundary_{idx:03d}.csv",
+               {"command": "branch", "s": "%.15g" % s},
+               ["theta", "x_inner", "y_inner", "x_outer", "y_outer"],
+               [st.theta_grid(), inner.real, inner.imag, outer.real,
+                outer.imag])
+    return 1 if partial else 0
 
 
 _COMMANDS = {
@@ -545,8 +529,8 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (contour.GeometryError, contour.BranchError,
-            np.linalg.LinAlgError, ArithmeticError, RuntimeError) as exc:
+    except (contour.GeometryError, np.linalg.LinAlgError, ArithmeticError,
+            RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError) as exc:

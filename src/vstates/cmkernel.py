@@ -1,14 +1,15 @@
 """Completely monotone kernel engine.
 
 A kernel K0 with -K0' completely monotone is represented through its
-Bernstein measure mu (atoms plus an optional density family).  This module
+Bernstein measure mu (atoms plus an optional density family, whose
+parameters, support and density are one entry of `_FAMILIES`).  This module
 builds the measures and holds the one quadrature rule of a custom measure:
-`_measure_nodes` places nodes on the whole half-line from the atoms,
-`Measure.support()` and `Measure.density`, and `_node_sums` takes
-int g(x) dmu(x)/x over them, through which the spectral coefficients
-factorize.  Its half-line rule, `_graded_nodes`, also takes the two
-integrals of `vstate verify` (`models.sneddon_integral` and the McMahon
-tail of the Bessel-zero series).
+`_measure_nodes` places nodes on the whole half-line from the atoms and
+`Measure.support()`, weighted by one `Measure.density` call on the nodes,
+and `_node_sums` takes int g(x) dmu(x)/x over them, through which the
+spectral coefficients factorize.  Its half-line rule, `_graded_nodes`,
+also takes the two integrals of `vstate verify` (`models.sneddon_integral`
+and the McMahon tail of the Bessel-zero series).
 """
 
 from __future__ import annotations
@@ -32,10 +33,20 @@ __all__ = [
     "measure_from_dict",
 ]
 
-# each density family and the names of its parameters
-_FAMILIES = {"euler_flat": (), "gsqg_power": ("beta",),
-             "qgsw_shifted": ("eps",), "truncated_low": ("x_star",),
-             "truncated_high": ("x_star", "gamma")}
+# each density family: its parameter names, its `Measure.support` with a
+# name for that parameter's value, and its density at an array x inside the
+# support, None if truncated: then f (float_power rounds like x ** beta)
+_FAMILIES = {
+    "euler_flat": ((), (0.0, math.inf, 0.0, 0.0),
+                   lambda x: 1.0 / (2.0 * math.pi)),
+    "gsqg_power": (("beta",), (0.0, math.inf, "beta", "beta"), lambda x, beta:
+                   c_beta(beta) * np.float_power(x, beta) / math.gamma(beta)),
+    "qgsw_shifted": (("eps",), ("eps", math.inf, -0.5, 0.0), lambda x, eps:
+                     x / (2.0 * math.pi * np.sqrt(x * x - eps * eps))),
+    "truncated_low": (("x_star",), (0.0, "x_star", 0.0, None), None),
+    "truncated_high": (("x_star", "gamma"), ("x_star", math.inf, 0.0, 0.0),
+                       None),
+}
 
 
 def _check_params(owner: str, params: dict, names) -> None:
@@ -86,7 +97,8 @@ class Measure:
             raise ValueError(f"unknown density family {self.family!r}")
         if self.family is None and not self.atoms:
             raise ValueError("measure must not be identically zero")
-        _check_params(self.family, self.params, _FAMILIES.get(self.family, ()))
+        if self.family is not None:
+            _check_params(self.family, self.params, _FAMILIES[self.family][0])
 
     @property
     def alpha(self) -> float:
@@ -98,34 +110,28 @@ class Measure:
             return min(0.5, self.params["gamma"] / 2.0)
         return 0.5
 
-    def density(self, x: float) -> float:
-        """Density w with dmu = w(x) dx (zero outside the support)."""
-        support = self.support()
-        if support is None or not support[0] < x < support[1]:
-            return 0.0
-        if self.family == "euler_flat":
-            return 1.0 / (2.0 * math.pi)
-        if self.family == "gsqg_power":
-            beta = self.params["beta"]
-            return c_beta(beta) * x ** beta / math.gamma(beta)
-        if self.family == "qgsw_shifted":
-            eps = self.params["eps"]
-            return x / (2.0 * math.pi * math.sqrt(x * x - eps * eps))
-        return self.f(x) if self.f is not None else 1.0
+    def density(self, x):
+        """Density w with dmu = w(x) dx (zero outside the support), a float
+        at one x and an array at an array of x."""
+        xs, support = np.asarray(x, dtype=float), self.support()
+        w = np.zeros(xs.shape)
+        if support is not None:
+            inside = (support[0] < xs) & (xs < support[1])
+            names, _, rule = _FAMILIES[self.family]
+            w[inside] = (rule(xs[inside], *map(self.params.get, names))
+                         if rule else [self.f(v) for v in xs[inside].tolist()]
+                         if self.f else 1.0)
+        return w if np.ndim(x) else float(w)
 
     def support(self) -> tuple[float, float, float, float | None] | None:
         """(lo, hi, a, b): the density lives on lo < x < hi (hi = inf when
         unbounded) and behaves like (x - lo)^a at lo and like x^b at
         infinity (b is None on a bounded support); None without a density.
         """
-        p, inf = self.params, math.inf
-        return {None: None,
-                "euler_flat": (0.0, inf, 0.0, 0.0),
-                "gsqg_power": (0.0, inf, p.get("beta"), p.get("beta")),
-                "qgsw_shifted": (p.get("eps"), inf, -0.5, 0.0),
-                "truncated_low": (0.0, p.get("x_star"), 0.0, None),
-                "truncated_high": (p.get("x_star"), inf, 0.0, 0.0),
-                }[self.family]
+        if self.family is None:
+            return None
+        return tuple(self.params[v] if isinstance(v, str) else v
+                     for v in _FAMILIES[self.family][1])
 
 
 def euler_flat() -> Measure:
@@ -195,7 +201,7 @@ def _measure_nodes(mu: Measure, x_cut: float) -> tuple[np.ndarray, np.ndarray]:
     xs, ws = _graded_nodes(lo, hi if bounded else max(x_cut, lo + 10.0), a,
                            None if bounded else -b)
     return (np.concatenate([atoms[:, 0], xs]),
-            np.concatenate([atoms[:, 1], ws * np.vectorize(mu.density)(xs)]))
+            np.concatenate([atoms[:, 1], ws * mu.density(xs)]))
 
 
 def _node_sums(mu: Measure, x_cut: float, fun) -> np.ndarray:
@@ -226,10 +232,11 @@ def measure_from_dict(d: dict) -> Measure:
                                  f"{piece.strip()!r}") from None
             atoms.append((x, m))
     family = d.get("family", "").strip() or None
-    names = _FAMILIES.get(family, ())
+    # an atomic measure or an unknown family has no parameters and no f
+    names, _, rule = _FAMILIES.get(family, ((), None, 0))
     keys = {"variant", "family", "atoms", *names}
     f = None
-    if "x_star" in names:  # a truncated family: f is the constant amplitude
+    if rule is None:  # a truncated family: f is the constant amplitude
         keys.add("amplitude")
         amp = float(d.get("amplitude", 1.0))
         if not 0.0 < amp < math.inf:

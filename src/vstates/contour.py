@@ -126,8 +126,6 @@ class PerturbationState:
 class ResidualVector:
     """Sine coefficients of F at frequencies m, 2m, ..., n_modes*m."""
 
-    m: int
-    n_modes: int
     s1: np.ndarray
     s2: np.ndarray
 
@@ -281,8 +279,7 @@ def eval_f(model: KernelModel, state: PerturbationState) -> ResidualVector:
     f1 = state.omega * d1[:half] + np.real(u1 * np.conj(w1p[:half]))
     f2 = state.omega * d2[:half] + np.real(u2 * np.conj(w2p[:half]))
     basis = np.sin(np.outer(state._modes(), theta[:half])) * (2.0 / half)
-    return ResidualVector(m=state.m, n_modes=state.n_modes,
-                          s1=basis @ f1, s2=basis @ f2)
+    return ResidualVector(s1=basis @ f1, s2=basis @ f2)
 
 
 def jacobian(model: KernelModel, state: PerturbationState) -> np.ndarray:

@@ -31,6 +31,7 @@ import numpy as np
 
 from . import models as _models
 from .models import KernelModel
+from .universal import _modes
 
 __all__ = [
     "DEGENERACY_TOL",
@@ -125,9 +126,7 @@ def spectral_row(model: KernelModel, n, b: float) -> SpectralRow:
     integer array of modes n (one int is one mode), each coefficient a
     column from one call for all modes.
     """
-    ns = np.atleast_1d(np.asarray(n, dtype=int))
-    if ns.ndim != 1 or ns.size == 0 or ns.min() < 1:
-        raise ValueError("spectral_row requires modes n >= 1")
+    ns = _modes(n, "spectral_row")
     model.require_b(b)
     lams = [_models.closed_lambda(model, ns, y, x)
             for y, x in ((b, b), (1.0, 1.0), (b, 1.0))]
@@ -147,8 +146,8 @@ def dispersion_point(model: KernelModel, n, b: float) -> DispersionPoint:
     when the modes do not start at 1.  A non-finite coefficient, mode 1
     included, raises ArithmeticError naming the model, the mode and b.
     """
-    ns = np.atleast_1d(np.asarray(n, dtype=int))
-    lead = ns[:1].tolist() not in ([1], [])  # add a mode-1 column
+    ns = _modes(n, "dispersion_point")
+    lead = ns[0] != 1  # add a mode-1 column
     row = spectral_row(model, np.concatenate(([1], ns)) if lead else ns, b)
     cols = {k: getattr(row, k) for k in _COEFFS}
     lam, lam1, lamt = (cols[k][0] for k in ("lam_nb", "lam_n1", "lamt_nb"))
@@ -198,10 +197,10 @@ def annulus_fold_inequality(model: KernelModel, b: float, n):
     Written for the domain (R1, R2) with R2 entering only through 1/R2, so
     the exterior R2 = inf is its limit; c is the K1 constant of `c_terms`.
     """
+    ns = _modes(n, "annulus_fold_inequality")
     if not has_closed_fold(model):
         raise ValueError("the closed fold inequality needs an annulus or "
                          "exterior domain with a log kernel")
-    ns = np.atleast_1d(n)
     r1, r2 = model.domain
     c = _models.c_terms(model, b)[1]
     u = 1.0 / r2

@@ -42,7 +42,7 @@ import numpy.polynomial.laguerre
 from .cmkernel import (Measure, _check_params, _graded_nodes, _node_sums,
                        c_beta)
 from .specfun import _lazy_import, bessel_ik
-from .universal import _gauss_rule, phi_n, phi_nb
+from .universal import _gauss_rule, _modes, phi_n, phi_nb
 
 __all__ = [
     "KernelModel",
@@ -251,14 +251,6 @@ def model_from_dict(d: dict) -> KernelModel:
 # ---------------------------------------------------------------------------
 # convolution coefficients lambda, lambda-tilde
 # ---------------------------------------------------------------------------
-
-def _modes(n, name: str, least: int = 1) -> np.ndarray:
-    # the modes as an array, one int as the array [n]
-    ns = np.atleast_1d(n)
-    if ns.min() < least:
-        raise ValueError(f"{name} requires n >= {least}")
-    return ns
-
 
 def gsqg_capital_lambda(n, b: float, beta: float):
     """Lambda_{n,b}(beta) = 2 pi c_beta b^n (beta/2)_n / n! F(beta/2, n+beta/2; n+1; b^2).
@@ -545,20 +537,25 @@ def qgsw_disc_identity(x_outer: float, y_inner: float, eps: float,
     return (series, float(closed))
 
 
+def _sneddon_window(name: str, order: int, q: float, a: float,
+                    b: float) -> None:
+    # 0 < a <= b <= 1 and 1 < q < order + 2, order = beta + gamma - 2n
+    if not (0.0 < a <= 1.0 and 0.0 < b <= 1.0):
+        raise ValueError(f"{name} requires 0 < a, b <= 1")
+    if a > b:
+        raise ValueError(f"{name} requires a <= b")
+    if not 1.0 < q < order + 2:
+        raise ValueError(f"{name} requires 1 < q < beta+gamma-2n+2")
+
+
 def sneddon_series(beta_idx: int, gamma_idx: int, n: int, q: float,
                    a: float, b: float, truncation: int = 500) -> float:
     """Left side of Sneddon's formula, truncated with a mean-tail correction.
 
     sum_k J_beta(a x_{n,k}) J_gamma(b x_{n,k}) / (x_{n,k}^q J_{n+1}^2(x_{n,k})).
-    Admissibility window as for the closed form: 0 < a <= b <= 1 and
-    1 < q < beta + gamma - 2n + 2.
+    Admissible as the closed form: 0 < a <= b <= 1, 1 < q < beta+gamma-2n+2.
     """
-    if not (0.0 < a <= 1.0 and 0.0 < b <= 1.0):
-        raise ValueError("sneddon_series requires 0 < a, b <= 1")
-    if a > b:
-        raise ValueError("sneddon_series requires a <= b")
-    if not 1.0 < q < beta_idx + gamma_idx - 2 * n + 2:
-        raise ValueError("sneddon_series requires 1 < q < beta+gamma-2n+2")
+    _sneddon_window("sneddon_series", beta_idx + gamma_idx - 2 * n, q, a, b)
     return _jn_zero_series(n, beta_idx, gamma_idx, a, b,
                            lambda x: x ** (-q), truncation, q)
 
@@ -572,12 +569,7 @@ def sneddon_integral(beta_idx: int, gamma_idx: int, n: int, q: float,
     I_gamma(b rho) K_n(rho)/I_n(rho) d rho.
     Requires 0 < a <= b <= 1 and 1 < q < beta + gamma - 2n + 2.
     """
-    if not (0.0 < a <= 1.0 and 0.0 < b <= 1.0):
-        raise ValueError("sneddon_integral requires 0 < a, b <= 1")
-    if a > b:
-        raise ValueError("sneddon_integral requires a <= b")
-    if not 1.0 < q < beta_idx + gamma_idx - 2 * n + 2:
-        raise ValueError("sneddon_integral requires 1 < q < beta+gamma-2n+2")
+    _sneddon_window("sneddon_integral", beta_idx + gamma_idx - 2 * n, q, a, b)
 
     # J-term: Gamma-ratio prefactor times F(.; a^2/b^2).  The denominator
     # Gamma may sit at a negative argument or a pole (where 1/Gamma = 0).

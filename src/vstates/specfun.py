@@ -22,6 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .universal import _modes
+
 __all__ = ["bessel_ik"]
 
 
@@ -93,11 +95,9 @@ def bessel_ik(n, y, x):
     I_n(y) / I_n(x) is I_0(y) / I_0(x) times the product of the ratios
     (I_{k+1}/I_k)(y) / (I_{k+1}/I_k)(x) over k < n.
     """
-    ns = np.atleast_1d(n)
+    ns = _modes(n, "bessel_ik", least=0)
     ys, xs = (np.array(v, dtype=float, ndmin=1) for v in (y, x))
     yl, xl = ys.tolist(), xs.tolist()
-    if ns.min() < 0:
-        raise ValueError("bessel_ik requires n >= 0")
     if not all(0.0 < u <= v for u, v in zip(yl, xl)):
         raise ValueError(f"bessel_ik requires 0 < y <= x, got y={y}, x={x}")
     top = int(ns.max())

@@ -4,15 +4,17 @@ phi_n(x), phi_{n,b}(x) and Psi_b(x) factorize the spectral coefficients of
 every completely monotone convolution kernel.  Each takes one x or an
 array of x, which converges when all its entries have; x = 0 gives exactly
 0.  phi_n and phi_{n,b} take an integer array of modes (one int is one
-mode) and return one row per mode, shaped like x: the result has the shape
-of the modes followed by that of x.  phi_n doubles a Gauss order until two
-agree to 1e-13 relative, the modes sharing one exponential table per panel
-while each row doubles its order until it agrees on its own.  The smooth
-periodic integrands of phi_{n,b} take trapezoid sums whose nodes are
-doubled, from at least 4n, until two levels agree to 1e-12 relative, the
-modes sharing one exponential table per level, each row starting and
-stopping on its own.  The Gauss rules of `_gauss_rule`, Legendre and
-Jacobi alike, come from numpy: this module runs no scipy.
+mode; `_modes` is the package's one check of such an array) and return one
+row per mode, shaped like x: the result has the shape of the modes followed
+by that of x.  phi_n doubles a Gauss order until two agree to 1e-13
+relative, the modes sharing one exponential table per panel while each row
+doubles its order until it agrees on its own.  phi_{n,1} is phi_n; for
+b < 1 the smooth periodic integrands of phi_{n,b} take trapezoid sums whose
+nodes are doubled, from at least 4n, until two levels agree to 1e-12
+relative, the modes sharing one exponential table per level, each row
+starting and stopping on its own, or raising ArithmeticError at the cap as
+phi_n does.  The Gauss rules of `_gauss_rule`, Legendre and Jacobi alike,
+come from numpy: this module runs no scipy.
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ def periodic_trapezoid(f, tol: float = 1e-12, n0=64, n_max: int = 1 << 21):
     listed rows in turn, and each row doubles from its own n0 until its own
     entries agree, as in the call with that n0 alone, which must lie below
     n_max.  `f` is called on at most _TRAPEZOID_CHUNK values (per row) at a
-    time.
+    time.  A row that has not agreed at n_max nodes raises ArithmeticError,
+    whose `row` is its index.
     """
     if np.ndim(n0) == 0:
         return periodic_trapezoid(lambda eta, _: [f(eta)], tol, [n0], n_max)[0]
@@ -83,7 +86,20 @@ def periodic_trapezoid(f, tol: float = 1e-12, n0=64, n_max: int = 1 << 21):
                     <= tol * np.maximum(1.0, np.abs(total[i])))]
         m *= 2
         h *= 0.5
+    if live:
+        exc = ArithmeticError(f"periodic_trapezoid has not converged in row "
+                              f"{live[0]} at {n_max} nodes")
+        exc.row = live[0]
+        raise exc
     return [t if np.ndim(t) else float(t) for _, t in sorted(total.items())]
+
+
+def _modes(n, name: str, least: int = 1) -> np.ndarray:
+    # the modes as a 1-d int array ([n] for one int), not empty, each >= least
+    ns = np.atleast_1d(np.asarray(n, dtype=int))
+    if ns.ndim != 1 or ns.size == 0 or ns.min() < least:
+        raise ValueError(f"{name} requires n >= {least}")
+    return ns
 
 
 def _values(x, name: str) -> np.ndarray:
@@ -179,10 +195,7 @@ def phi_n(n, x):
     doubles its order until its own row agrees, so a row equals the call
     at its mode alone.
     """
-    ns = np.atleast_1d(np.asarray(n, dtype=int))
-    if ns.ndim != 1 or np.any(ns < 1):
-        raise ValueError("phi_n requires n >= 1")
-    xs = _values(x, "phi_n")
+    ns, xs = _modes(n, "phi_n"), _values(x, "phi_n")
     order, live = 24, np.arange(ns.size)
     val = _phi_gauss(ns.tolist(), xs, order)
     while live.size:
@@ -201,17 +214,19 @@ def phi_n(n, x):
 def phi_nb(n, b: float, x):
     """phi_{n,b}(x) = int_0^{2pi} exp(-x |b - e^{i eta}|) cos(n eta) d eta.
 
-    One row per mode of n; the modes share the exponential table of each
-    trapezoid level, and a row equals its mode's call.
+    At b = 1 it is phi_n(n, x), as |1 - e^{i eta}| = 2|sin(eta/2)|.  One
+    row per mode of n; the modes share the exponential table of each
+    trapezoid level, and a row equals its mode's call.  A row not agreed at
+    2^21 nodes raises ArithmeticError naming its mode, b and the largest x.
     """
-    ns = np.atleast_1d(np.asarray(n, dtype=int)).tolist()
-    if np.ndim(ns) != 1 or min(ns) < 1:
-        raise ValueError("phi_nb requires n >= 1")
+    ns = _modes(n, "phi_nb").tolist()
     if max(ns) > 1 << 18:  # above, the 4n-node start reaches the 2^21 cap
         raise ValueError(f"phi_nb requires n <= 262144, got {max(ns)}")
     if not 0.0 < b <= 1.0:
         raise ValueError("phi_nb requires b in (0, 1]")
     xs = _values(x, "phi_nb")[:, None]
+    if b == 1.0:
+        return phi_n(ns, x)
 
     def integrand(eta, rows):
         e = np.exp(-xs * np.sqrt(1.0 + b * b - 2.0 * b * np.cos(eta)))
@@ -220,17 +235,22 @@ def phi_nb(n, b: float, x):
     # start at >= 4n nodes: on a level of n or 2n nodes cos(n eta) aliases
     # to a constant, and two aliased levels would agree
     n0 = [max(64, 1 << (4 * k - 1).bit_length()) for k in ns]
-    return _rows(periodic_trapezoid(integrand, n0=n0), x)
+    try:
+        return _rows(periodic_trapezoid(integrand, n0=n0), x)
+    except ArithmeticError as exc:
+        raise ArithmeticError(
+            f"phi_nb has not converged at n = {ns[exc.row]}, b = {b:.15g}, "
+            f"x = {xs.max():.15g} with 2^21 trapezoid nodes") from None
 
 
 def phi_1b_closed(b: float, x: float) -> float:
     """Single-integral form of phi_{1,b}; independent oracle for n = 1.
 
     2 b x int_{-1}^{1} exp(-x sqrt(1+b^2-2by)) sqrt(1-y^2)/sqrt(1+b^2-2by) dy,
-    evaluated after y = cos(t), which makes the integrand smooth-periodic.
+    evaluated after y = cos(t), which makes it smooth-periodic for b < 1.
     """
-    if not 0.0 < b <= 1.0:
-        raise ValueError("phi_1b_closed requires b in (0, 1]")
+    if not 0.0 < b < 1.0:
+        raise ValueError("phi_1b_closed requires b in (0, 1)")
     if x < 0:
         raise ValueError("phi_1b_closed requires x >= 0")
     if x == 0.0:
@@ -238,14 +258,10 @@ def phi_1b_closed(b: float, x: float) -> float:
 
     def integrand(t):
         root = np.sqrt(1.0 + b * b - 2.0 * b * np.cos(t))
-        s = np.sin(t)
-        # at b = 1 the t = 0 endpoint is a removable 0/0: sin t / (2 sin(t/2))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(root > 0, s * s / np.maximum(root, 1e-300), 0.0)
-        return np.exp(-x * root) * ratio
+        return np.exp(-x * root) * (np.sin(t) ** 2 / root)
 
     # the even periodic extension doubles the [0, pi] integral
-    return 2.0 * b * x * 0.5 * periodic_trapezoid(lambda t: integrand(t))
+    return 2.0 * b * x * 0.5 * periodic_trapezoid(integrand)
 
 
 def psi_b(b: float, x):

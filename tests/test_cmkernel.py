@@ -110,6 +110,40 @@ def test_density_supports():
     assert mu.density(3.0) > 0.0
 
 
+@pytest.mark.parametrize("mu", [
+    cmkernel.euler_flat(), cmkernel.gsqg_power(0.6),
+    cmkernel.qgsw_shifted(2.0), cmkernel.truncated_low(lambda x: math.exp(-x), 3.0),
+    cmkernel.truncated_high(None, 3.0, 0.5),
+    cmkernel.Measure(atoms=((1.0, 2.0),)),
+], ids=lambda mu: mu.family or "atoms")
+def test_density_of_an_array_is_the_scalar_densities(mu):
+    # one call on an array, as the node rule makes it, equals the calls at
+    # each x bit for bit, on and off the support, and on the support the
+    # family's formula in Python floats (numpy's vectorised power may differ
+    # from it in the last bit, float_power does not)
+    x = np.concatenate([[0.0, 2.0, 3.0, 1e-12, 1e6],
+                        np.linspace(0.0, 40.0, 997) ** 1.5])
+    got = mu.density(x)
+    assert got.shape == x.shape
+    want = [mu.density(v) for v in x.tolist()]
+    assert all(type(v) is float for v in want)
+    assert got.tobytes() == np.array(want).tobytes()
+    assert mu.density(x.reshape(2, -1)).shape == (2, x.size // 2)
+    formula = {
+        "euler_flat": lambda v: 1.0 / (2.0 * math.pi),
+        "gsqg_power": lambda v: (cmkernel.c_beta(0.6) * v ** 0.6
+                                 / math.gamma(0.6)),
+        "qgsw_shifted": lambda v: v / (2.0 * math.pi * math.sqrt(v * v - 4.0)),
+        "truncated_low": lambda v: math.exp(-v),
+        "truncated_high": lambda v: 1.0,
+    }.get(mu.family)
+    if formula is not None:
+        lo, hi = mu.support()[:2]
+        inside = [v for v in x.tolist() if lo < v < hi]
+        assert len(inside) > 40
+        assert [mu.density(v) for v in inside] == list(map(formula, inside))
+
+
 @pytest.mark.parametrize("mu,c0", [
     (cmkernel.euler_flat(), 0.0),
     (cmkernel.gsqg_power(0.6), 1.0),

@@ -511,3 +511,45 @@ def test_branch_error_reports_progress():
     # before the failure
     assert len(err.value.points) >= 2
     assert err.value.points[0][0] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# branch oracles that need no reference data
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("model", [
+    models.euler_plane(), models.qgsw_plane(2.0), models.gsqg_plane(0.5),
+    models.euler_disc(2.0), models.euler_exterior(0.3),
+    models.euler_annulus(0.1, 10.0)], ids=lambda model: model.variant)
+def test_branch_at_negative_amplitude_is_the_branch_turned_by_pi_over_m(
+        model):
+    # turning a V-state by pi/m maps the amplitude s to -s: the cosine
+    # coefficient a_k of mode k m changes by (-1)^k and Omega is unchanged.
+    # The turn shifts the grid by whole points, so each iterate of the
+    # -s_max branch mirrors that of the +s_max branch to rounding
+    b, m = 0.6, 5
+    plus, minus = (contour.branch_continue(model, b, m, s_max=s_max, steps=4,
+                                           n_modes=8)
+                   for s_max in (0.05, -0.05))
+    sign = (-1.0) ** np.arange(1, 9)
+    assert [s for s, _ in minus] == [-s for s, _ in plus]
+    for (_, p), (_, q) in zip(plus, minus):
+        assert abs(q.omega - p.omega) < 1e-12
+        assert np.max(np.abs(q.a1 - sign * p.a1)) < 1e-14
+        assert np.max(np.abs(q.a2 - sign * p.a2)) < 1e-14
+        assert q.iterations == p.iterations
+
+
+def test_branch_speed_starts_quadratically_from_the_root():
+    # Omega is even in s, so (Omega(s) - Omega^+)/s^2 tends to a limit: the
+    # gaps between its values at s = 0.04, 0.02, 0.01, 0.005 shrink by 4
+    pts = contour.branch_continue(EULER, 0.5, 5, branch="+", s_max=0.04,
+                                  steps=8, n_modes=8)
+    omega0 = pts[0][1].omega
+    quotient = np.array([(st.omega - omega0) / s ** 2
+                         for s, st in pts[1:]])[[7, 3, 1, 0]]
+    gaps = np.abs(np.diff(quotient))
+    assert np.all(gaps[:-1] / gaps[1:] > 3.5)
+    assert np.all(gaps[:-1] / gaps[1:] < 4.5)
+    assert gaps[0] < 2e-6
+    assert quotient[-1] == pytest.approx(-0.020095, abs=1e-6)

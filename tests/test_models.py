@@ -61,8 +61,9 @@ def test_admissible_interval():
 def _lambda_fourier_oracle(model, n, b):
     """lambda_{n,b} from its defining angular integral of K0(2b|sin(eta/2)|).
 
-    The integrand is singular at eta = 0, so tanh-sinh quadrature on the
-    split interval is used instead of the trapezoid rule."""
+    The integrand is singular at eta = 0, so tanh-sinh quadrature is used
+    instead of the trapezoid rule; it is symmetric about eta = pi, so the
+    integral over [0, 2 pi] is twice that over [0, pi]."""
     import mpmath
     variant = model.variant
     if variant.startswith("Euler"):
@@ -78,8 +79,7 @@ def _lambda_fourier_oracle(model, n, b):
     # the power-law endpoint singularity needs the extra working precision
     # for tanh-sinh nodes to resolve it
     with mpmath.workdps(40):
-        return float(mpmath.quad(f, [0, mpmath.pi, 2 * mpmath.pi],
-                                 maxdegree=12))
+        return float(2 * mpmath.quad(f, [0, mpmath.pi], maxdegree=12))
 
 
 def _lambda_tilde_fourier_oracle(model, n, b):

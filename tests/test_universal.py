@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vstates import cmkernel, universal
+from vstates import cmkernel, dispersion, models, specfun, universal
 
 import oracles
 
@@ -129,16 +129,32 @@ def test_phi_nb_rows_equal_single_modes(b):
 
 
 def test_trapezoid_rows_start_and_stop_on_their_own():
-    # rows with a corner at eta = 0 never agree and run to the cap, the
-    # smooth row stops early; each equals the call with its n0 alone
-    funs = [lambda eta: np.exp(-np.abs(np.sin(eta / 2.0))) * np.cos(eta),
+    # the entire rows agree after one refinement of their start, the row
+    # with poles at distance 0.045 from the real axis after three; each
+    # equals the call with its n0 alone
+    funs = [lambda eta: np.exp(np.cos(eta)) * np.cos(eta),
             lambda eta: np.exp(np.cos(eta)),
-            lambda eta: np.abs(np.sin(eta / 2.0)) * np.cos(3 * eta)]
-    n0 = [128, 64, 256]
-    rows = universal.periodic_trapezoid(
-        lambda eta, live: (funs[i](eta) for i in live), n0=n0, n_max=512)
-    assert rows == [universal.periodic_trapezoid(f, n0=n, n_max=512)
+            lambda eta: np.cos(3 * eta) / (1.001 - np.cos(eta))]
+    n0, levels = [128, 64, 256], {0: [], 1: [], 2: []}
+
+    def rows_of(eta, live):
+        for i in live:
+            levels[i].append(eta.size)
+            yield funs[i](eta)
+
+    rows = universal.periodic_trapezoid(rows_of, n0=n0, n_max=1 << 14)
+    assert rows == [universal.periodic_trapezoid(f, n0=n, n_max=1 << 14)
                     for f, n in zip(funs, n0)]
+    # the probe of the value size, then each row's start and midpoints
+    assert levels == {0: [1, 128, 128], 1: [64, 64],
+                      2: [256, 256, 512, 1024]}
+    # a row that has not agreed at the cap raises, naming its index
+    corner = lambda eta: np.abs(np.sin(eta / 2.0)) * np.cos(3 * eta)
+    with pytest.raises(ArithmeticError, match="in row 1 at 512 nodes") as exc:
+        universal.periodic_trapezoid(
+            lambda eta, live: ([funs[1], corner][i](eta) for i in live),
+            n0=[64, 128], n_max=512)
+    assert exc.value.row == 1
     # a row that starts at the cap would be summed once and never checked
     calls = []
     for start in (512, [128, 1024]):
@@ -148,11 +164,60 @@ def test_trapezoid_rows_start_and_stop_on_their_own():
 
 
 def test_phi_nb_reduces_to_phi_n_at_b_one():
-    for n, x in ((1, 0.5), (3, 2.0), (6, 10.0)):
-        # at b = 1 the integrand of phi_nb has the same corner as phi_n but
-        # is evaluated by the trapezoid rule, which stalls around 1e-11
-        assert universal.phi_nb([n], 1.0, x)[0] == pytest.approx(
-            universal.phi_n([n], x)[0], rel=1e-9, abs=1e-10)
+    # |1 - e^{i eta}| = 2|sin(eta/2)|: phi_{n,1} is phi_n, bit for bit
+    x = np.array([0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0])
+    for n in ([1], [3], [6], [1, 3, 6], 2):
+        assert np.array_equal(universal.phi_nb(n, 1.0, x),
+                              universal.phi_n(n, x))
+    assert universal.phi_nb([3], 1.0, 2.0)[0] == universal.phi_n([3], 2.0)[0]
+    with pytest.raises(ValueError, match="phi_nb requires x >= 0"):
+        universal.phi_nb([1], 1.0, -1.0)
+
+
+def test_phi_nb_raises_where_its_trapezoid_reaches_the_cap():
+    # at b = 1 - 1e-6 the integrand's poles sit 1e-6 from the real axis,
+    # so 2^21 nodes do not resolve it; the value that used to come back,
+    # 0.009993819230921503, is 4.9e-9 off mpmath's 0.00999381918165883
+    with pytest.raises(ArithmeticError, match=(
+            "phi_nb has not converged at n = 5, b = 0.999999, x = 200 "
+            "with 2\\^21 trapezoid nodes")):
+        universal.phi_nb([5], 0.999999, np.array([1.0, 200.0]))
+
+
+_ANNULUS = models.euler_annulus(0.1, 10.0)
+
+# each function that takes modes, called at the modes n, and the least
+# mode it takes
+_MODE_TAKERS = {
+    "phi_n": (lambda n: universal.phi_n(n, 1.0), 1),
+    "phi_nb": (lambda n: universal.phi_nb(n, 0.5, 1.0), 1),
+    "spectral_row": (lambda n: dispersion.spectral_row(
+        _ANNULUS, n, 0.5).lam_nb, 1),
+    "dispersion_point": (lambda n: dispersion.dispersion_point(
+        _ANNULUS, n, 0.5).delta, 1),
+    "annulus_fold_inequality": (lambda n: dispersion.annulus_fold_inequality(
+        _ANNULUS, 0.5, n), 1),
+    "closed_lambda": (lambda n: models.closed_lambda(
+        models.gsqg_plane(0.5), n, 0.5, 1.0), 1),
+    "closed_p": (lambda n: models.closed_p(_ANNULUS, n, 0.5)[2], 1),
+    "gsqg_capital_lambda": (lambda n: models.gsqg_capital_lambda(
+        n, 0.5, 0.5), 0),
+    "bessel_ik": (lambda n: specfun.bessel_ik(n, 0.5, 1.0), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MODE_TAKERS))
+def test_every_function_that_takes_modes_checks_them_alike(name):
+    # one check, universal._modes: a 1-d int array, not empty, each mode
+    # at least the least one; one int is a column of one mode
+    fun, least = _MODE_TAKERS[name]
+    for bad in (least - 1, [least + 1, least - 1], [], [[least + 1]]):
+        with pytest.raises(ValueError,
+                           match=f"^{name} requires n >= {least}$"):
+            fun(bad)
+    column = fun(least + 2)
+    assert column.shape == (1,)
+    assert np.array_equal(column, fun([least + 2]))
 
 
 @given(st.integers(1, 10), st.floats(0.1, 0.95), st.floats(0.01, 40.0))
@@ -381,37 +446,41 @@ def test_array_calls_match_scalar_calls(b):
     assert universal.phi_nb([1], b, 0.0)[0] == 0.0
 
 
-def _plain_trapezoid(f, n_max):
-    # the node-doubling recurrence with one unchunked sum per level
+def _plain_trapezoid(f, tol=1e-12):
+    # the node-doubling recurrence with one unchunked sum per level, until
+    # two levels agree; the sum and its node count
     m, h = 64, 2.0 * np.pi / 64
     total = np.sum(f(np.arange(m) * h), axis=-1) * h
-    while m < n_max:
+    while True:
         mid = np.arange(m) * h + 0.5 * h
+        prev = total
         total = 0.5 * total + np.sum(f(mid), axis=-1) * (0.5 * h)
         m, h = 2 * m, 0.5 * h
-    return total
+        if np.all(np.abs(total - prev) <= tol * np.maximum(1.0, abs(total))):
+            return total, m
 
 
-@pytest.mark.parametrize("x,n_max", [(np.linspace(0.0, 20.0, 201), 1 << 12),
-                                     (np.array([1.6]), 1 << 20)])
-def test_trapezoid_chunks_keep_integrand_arrays_under_the_cap(x, n_max):
-    # b = 1 puts a corner at eta = 0, so the sum never converges and runs
-    # to n_max; the last levels are wider than the cap.  At x = 1.6 the
-    # four chunk sums of the widest level, added in a row instead of
-    # pairwise, would change the last bit of the result
+@pytest.mark.parametrize("x,b,nodes", [
+    (np.linspace(0.0, 20.0, 201), 0.998, 1 << 14),
+    (np.array([1.7]), 0.999985, 1 << 20)])
+def test_trapezoid_chunks_keep_integrand_arrays_under_the_cap(x, b, nodes):
+    # the integrand of phi_{1,b}, whose poles at distance -log b from the
+    # real axis make the sum agree only at `nodes`, on levels wider than
+    # the cap.  At x = 1.7 the four chunk sums of the widest level, added
+    # in a row instead of pairwise, would change the last bit of the result
     rows, xs = x.size, x[:, None]
     sizes = []
 
     def integrand(eta):
-        vals = np.exp(-2.0 * xs * np.abs(np.sin(eta / 2.0)))
-        vals *= np.cos(2 * eta)
+        vals = np.exp(-xs * np.sqrt(1.0 + b * b - 2.0 * b * np.cos(eta)))
+        vals *= np.cos(eta)
         sizes.append(vals.size)
         return vals
 
-    got = universal.periodic_trapezoid(integrand, n_max=n_max)
+    got = universal.periodic_trapezoid(integrand)
     assert max(sizes) <= universal._TRAPEZOID_CHUNK
-    assert rows * n_max // 2 > universal._TRAPEZOID_CHUNK
-    want = _plain_trapezoid(integrand, n_max)
+    want, agreed = _plain_trapezoid(integrand)
+    assert agreed == nodes and rows * nodes // 2 > universal._TRAPEZOID_CHUNK
     if rows == 1:  # chunk sums are added as numpy adds one long row
         assert got == want
     else:
