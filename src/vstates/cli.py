@@ -57,8 +57,16 @@ def _model(args: argparse.Namespace) -> tuple[models.KernelModel, dict]:
             {"variant": _require(args, "model"), **params})
     except ValueError as exc:
         raise UsageError(f"bad model spec: {exc}") from exc
-    return model, {"model": args.model,
-                   **{f"param.{key}": params[key] for key in sorted(params)}}
+    meta = {"model": args.model,
+            **{f"param.{key}": params[key] for key in sorted(params)}}
+    _warn(meta, models.model_warning(model))
+    return model, meta
+
+
+def _warn(meta: dict, text: str | None) -> None:
+    """Add text to the metadata warning, after any warning already there."""
+    if text:
+        meta["warning"] = "; ".join(filter(None, (meta.get("warning"), text)))
 
 
 def _list(args: argparse.Namespace, key: str, kind=float) -> list:
@@ -353,8 +361,8 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     meta = {"command": "threshold", **model_meta, "b": args.b}
     missing = ", ".join(f"{b:.15g}" for b, fold, *_ in rows if fold is None)
     if missing:  # valid rows (found false), named in a warning
-        meta["warning"] = (f"no fold m <= {dispersion._FOLD_CAP} satisfies "
-                           f"the conditions at b = {missing}")
+        _warn(meta, f"no fold m <= {dispersion._FOLD_CAP} satisfies the "
+                    f"conditions at b = {missing}")
     _write(args, "threshold.csv", meta, header, list(zip(*rows)))
     return 0
 
@@ -449,8 +457,8 @@ def cmd_branch(args: argparse.Namespace) -> int:
             "m": m, "branch": args.branch, "s_max": f"{args.s_max:.15g}",
             "steps": args.steps, "modes": n_modes}
     if partial:
-        meta["warning"] = (f"continuation stopped early: last converged "
-                          f"s = {table[-1][0]:.15g}; {partial}")
+        _warn(meta, f"continuation stopped early: last converged "
+                    f"s = {table[-1][0]:.15g}; {partial}")
     _write(args, "branch.csv", meta, header, columns)
     for idx, (s, st) in enumerate(table):
         inner, outer = contour.boundary_export(st)

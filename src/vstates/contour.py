@@ -62,6 +62,17 @@ class BranchError(RuntimeError):
         self.points = points
 
 
+def _grid_theta(size: int) -> np.ndarray:
+    return 2.0 * np.pi * np.arange(size) / size
+
+
+def _mode_tables(theta: np.ndarray,
+                 kk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos(k theta) and its derivative -k sin(k theta), a column per k."""
+    arg = np.outer(theta, kk)
+    return np.cos(arg), -np.sin(arg) * kk
+
+
 @dataclass(frozen=True)
 class PerturbationState:
     """Cosine-mode perturbation of the annulus b < |x| < 1.
@@ -97,24 +108,24 @@ class PerturbationState:
         return 4 * self.n_modes * self.m
 
     def theta_grid(self) -> np.ndarray:
-        size = self.grid_size
-        return 2.0 * np.pi * np.arange(size) / size
+        return _grid_theta(self.grid_size)
 
     def _modes(self) -> np.ndarray:
         return self.m * np.arange(1, self.n_modes + 1)
 
     def r_values(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        kk = self._modes()
-        cos = np.cos(np.outer(theta, kk))
+        cos, _ = _mode_tables(theta, self._modes())
         return cos @ self.a1, cos @ self.a2
 
     def r_derivatives(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        kk = self._modes()
-        dsin = -np.sin(np.outer(theta, kk)) * kk
+        _, dsin = _mode_tables(theta, self._modes())
         return dsin @ self.a1, dsin @ self.a2
 
     def radii(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        r1, r2 = self.r_values(theta)
+        return self._radii(*self.r_values(theta))
+
+    def _radii(self, r1: np.ndarray,
+               r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         sq1 = self.b * self.b + 2.0 * r1
         sq2 = 1.0 + 2.0 * r2
         if np.any(sq1 <= 0.0) or np.any(sq2 <= 0.0):
@@ -224,14 +235,29 @@ def _check_geometry(model: KernelModel, ra: np.ndarray,
                             f"(by {hi - r2:.1e})")
 
 
+@lru_cache(maxsize=32)
+def _grid_tables(size: int, m: int, n_modes: int) -> tuple:
+    """The tables of a state's grid, read-only: theta, the `_mode_tables`
+    of its modes k m, k <= n_modes, e^{i theta}, and the sine basis with
+    which `eval_f` projects on its cell."""
+    theta = _grid_theta(size)
+    kk = m * np.arange(1, n_modes + 1)
+    half = size // (2 * m)
+    tables = (theta, *_mode_tables(theta, kk), np.exp(1j * theta),
+              np.sin(np.outer(kk, theta[:half])) * (2.0 / half))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def _boundary_data(model: KernelModel, state: PerturbationState):
-    theta = state.theta_grid()
-    ra, rb = state.radii(theta)
+    theta, cos, dsin, phase, _ = _grid_tables(state.grid_size, state.m,
+                                              state.n_modes)
+    ra, rb = state._radii(cos @ state.a1, cos @ state.a2)
     _check_geometry(model, ra, rb)
-    d1, d2 = state.r_derivatives(theta)
+    d1, d2 = dsin @ state.a1, dsin @ state.a2
     rap = d1 / ra
     rbp = d2 / rb
-    phase = np.exp(1j * theta)
     w1 = ra * phase
     w2 = rb * phase
     w1p = (rap + 1j * ra) * phase
@@ -272,13 +298,13 @@ def eval_f(model: KernelModel, state: PerturbationState) -> ResidualVector:
     with weight 2/H, which equals the full-grid projection.
     """
     data = _boundary_data(model, state)
-    theta, _, _, _, _, w1p, w2p, d1, d2, _ = data
+    _, _, _, _, _, w1p, w2p, d1, d2, _ = data
     half = state.grid_size // (2 * state.m)
     u1, u2 = _boundary_field(model, data, half, stream=False)
     # d/dtheta F0_j = grad psi(z_j) . z_j'
     f1 = state.omega * d1[:half] + np.real(u1 * np.conj(w1p[:half]))
     f2 = state.omega * d2[:half] + np.real(u2 * np.conj(w2p[:half]))
-    basis = np.sin(np.outer(state._modes(), theta[:half])) * (2.0 / half)
+    basis = _grid_tables(state.grid_size, state.m, state.n_modes)[4]
     return ResidualVector(s1=basis @ f1, s2=basis @ f2)
 
 
@@ -402,7 +428,7 @@ def boundary_export(state: PerturbationState,
     if samples is None:
         theta = state.theta_grid()
     else:
-        theta = 2.0 * np.pi * np.arange(samples) / samples
+        theta = _grid_theta(samples)
     ra, rb = state.radii(theta)
     phase = np.exp(1j * theta)
     return ra * phase, rb * phase

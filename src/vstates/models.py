@@ -23,16 +23,15 @@ at large n.  The Bessel-zero series and Sneddon's formula here are what
 rule; the series routes the tests check the closed p and V^1, V^2 of the
 discs against live in `tests/oracles.py`.
 
-`scipy.special`, a lazy module (see `specfun`), is the one scipy module
-the package runs: building a model whose K0 is not the log kernel runs
-it, so no command pays its import inside a computation, and an Euler
-command never does.
+Every special function comes from `specfun`, on numpy alone: no command
+runs scipy.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
-import warnings
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -41,7 +40,8 @@ import numpy.polynomial.laguerre
 
 from .cmkernel import (Measure, _check_params, _graded_nodes, _node_sums,
                        c_beta)
-from .specfun import _lazy_import, bessel_ik
+from .specfun import (_cached_rows, bessel_i, bessel_ik, bessel_j,
+                      bessel_j_zeros, bessel_k, hyp2f1, power_series)
 from .universal import _gauss_rule, _modes, phi_n, phi_nb
 
 __all__ = [
@@ -63,24 +63,35 @@ __all__ = [
     "qgsw_disc_identity",
     "sneddon_series",
     "sneddon_integral",
+    "model_warning",
     "k1_point",
     "k1_patch",
 ]
 
-_sp = _lazy_import("scipy.special")
+
+def _lazy_import(name: str):
+    # sys.modules[name]; a module not imported yet is registered there as a
+    # lazy module, which runs at its first attribute access.  None when its
+    # top-level package is not installed: find_spec of a dotted name would
+    # import that package and raise
+    if name in sys.modules:
+        return sys.modules[name]
+    if importlib.util.find_spec(name.partition(".")[0]) is None:
+        return None
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 # no vstates code runs scipy.integrate; it stays registered because the
-# span tracer of perfbench/spans.py looks it up in sys.modules to wrap quad
+# span tracer of perfbench/spans.py looks it up in sys.modules to wrap quad.
+# scipy is optional at run time: without it nothing is registered
 _integrate = _lazy_import("scipy.integrate")
 
 _LOG = ("log", 0.0)
-
-# [psi(k+1) + psi(k+2)] / (4 k! (k+1)!), k = 7, ..., 0: the series part of
-# (1 - z K1(z))/z^2 in powers of z^2/4 (DLMF 10.31.1), with
-# psi(k+1) + psi(k+2) = 2 (H_k - gamma) + 1/(k+1) and H_k the harmonic sum
-_STREAM_SERIES = np.array([
-    (2.0 * (sum(1.0 / j for j in range(1, k + 1)) - np.euler_gamma)
-     + 1.0 / (k + 1)) / (4.0 * math.factorial(k) * math.factorial(k + 1))
-    for k in range(7, -1, -1)])
 
 
 @dataclass(frozen=True)
@@ -103,11 +114,6 @@ class KernelModel:
         if not self.domain[0] < 1.0 < self.domain[1]:
             raise ValueError(f"{self.variant} requires R1 < 1 < R2, got "
                              f"{self.domain}")
-        if self.k0[0] != "log":
-            # every other kernel computes with scipy.special: an attribute
-            # access runs the lazy module now, where the model is built, and
-            # not inside the first computation
-            _sp.__name__
 
     @property
     def k1(self) -> str | None:
@@ -144,7 +150,9 @@ class KernelModel:
         (k, i) with k(z) - log(z) i(z) analytic (DLMF 10.31.2): (K0, I0) for
         the velocity and ((1 - z K1)/z^2, I1/z) for the stream, z = eps d;
         as log d = log g + log s, its factors are -i/(2 pi) and
-        (k + log(d/g) i)/(2 pi).
+        (k + log(d/g) i)/(2 pi).  Both take i and k + log(z/2) i (plus
+        gamma I0 for the velocity) as power series (`specfun.power_series`),
+        so the split evaluates no K.
         """
         kind, arg = self.k0
         if kind == "power":
@@ -157,18 +165,20 @@ class KernelModel:
                 return -(np.log(d) - shift) / den, None
             return -1.0 / den, -(np.log(g) - shift) / den
         z = arg * d
-        k = (1.0 - z * _sp.k1(z)) / (z * z) if stream else _sp.k0(z)
-        if stream:
-            # below z = 1, where 1 - z K1(z) cancels, k is -log(z/2) I1(z)/z
-            # plus the series of _STREAM_SERIES
-            small = z < 1.0
-            zs = z[small]
-            k[small] = (-np.log(zs / 2.0) * _sp.i1(zs) / zs
-                        + np.polyval(_STREAM_SERIES, zs * zs / 4.0))
-        if g is None:
-            return k / (2.0 * np.pi), None
-        i = _sp.i1(z) / z if stream else _sp.i0(z)
-        return -i / (2.0 * np.pi), (k + np.log(d / g) * i) / (2.0 * np.pi)
+        names = ("i1", "k1") if stream else ("i0", "k0")
+        if g is not None:
+            i, k = power_series(z, names)
+            shift = np.log(arg * g / 2.0) + (0.0 if stream else np.euler_gamma)
+            return -i / (2.0 * np.pi), (k - shift * i) / (2.0 * np.pi)
+        if not stream:
+            return bessel_k(z, 0)[0] / (2.0 * np.pi), None
+        # (1 - z K1)/z^2, by its series up to z = 2, where 1 - z K1 cancels
+        k, near = np.empty(z.shape), z <= 2.0
+        i, k[near] = power_series(z[near], names)
+        k[near] -= np.log(z[near] / 2.0) * i
+        far = z[~near]
+        k[~near] = (1.0 - far * bessel_k(far)[1]) / (far * far)
+        return k / (2.0 * np.pi), None
 
     def contains_b(self, b: float) -> bool:
         return self.domain[0] < b < 1.0
@@ -255,50 +265,69 @@ def model_from_dict(d: dict) -> KernelModel:
 def gsqg_capital_lambda(n, b: float, beta: float):
     """Lambda_{n,b}(beta) = 2 pi c_beta b^n (beta/2)_n / n! F(beta/2, n+beta/2; n+1; b^2).
 
-    With a = beta/2, (a)_n / n! is the running product of (k+a)/(k+1) over
-    k < n.  At b = 1 Gauss's sum F(.; 1) = n! Gamma(1-beta) /
-    (Gamma(n+1-a) Gamma(1-a)) joins it, and Lambda_{n,1} is
-    Gamma(1-beta)/Gamma(1-a)^2 times the product of (k+a)/(k+1-a).  Both
-    products are O(n^(beta-1)) and exact to rounding, so nothing overflows.
+    With a = beta/2 that is 2 pi c_beta c_n, c_n the n-th Fourier
+    coefficient of |b - e^{i eta}|^-beta.  At b = 1 Gauss's sum gives c_n =
+    c_0 g_n, c_0 = Gamma(1-beta)/Gamma(1-a)^2 and g_n the product of
+    (k+a)/(k+1-a) over k < n, O(n^(beta-1)) and exact to rounding.  Below
+    1 the c_n solve, with e = (1-b)^2/b = b + 1/b - 2,
+      (n+1-a) c_{n+1} = (2 + e) n c_n - (n-1+a) c_{n-1},
+    whose other solution grows like b^-n (`_power_fourier`).
     """
     ns = _modes(n, "gsqg_capital_lambda", least=0)
     if not 0.0 < b <= 1.0:
         raise ValueError("gsqg_capital_lambda requires b in (0, 1]")
-    a, z = beta / 2.0, b * b
-    k = np.arange(float(ns.max()))
-    at_one = (math.gamma(1.0 - beta) / math.gamma(1.0 - a) ** 2
-              * np.concatenate(([1.0], np.cumprod((k + a) / (k + 1.0 - a)))))
-    val = at_one[ns]
+    a, top = beta / 2.0, int(ns.max())
+    k = np.arange(float(top))
+    g = np.concatenate(([1.0], np.cumprod((k + a) / (k + 1.0 - a))))
     if b < 1.0:
-        poch = np.concatenate(([1.0], np.cumprod((k + a) / (k + 1.0))))[ns]
-        val = poch * _sp.hyp2f1(a, ns + a, ns + 1.0, z)
-        far = ~np.isfinite(val)
-        if far.any():
-            # scipy's F forms Gamma(n+1) near z = 1, past n = 170 it
-            # overflows; there the 1 - z connection formula has (a)_n / n!
-            # times its two Gamma ratios equal to Lambda_{n,1} / (2 pi
-            # c_beta) and Gamma(beta-1) / Gamma(a)^2
-            m, w = ns[far], 1.0 - z
-            val[far] = (at_one[m] * _positive_series(a, m + a, beta, w)
-                        + math.gamma(beta - 1.0) / math.gamma(a) ** 2
-                        * w ** (1.0 - beta)
-                        * _positive_series(m + 1.0 - a, 1.0 - a, 2.0 - beta, w))
-        val = val * np.float_power(b, ns)
-    return 2.0 * math.pi * c_beta(beta) * val
+        # a column at least top long of the same (b, a) serves: a mode's
+        # value does not depend on the column's length
+        if (b, a) in _POWER_COLUMNS and _POWER_COLUMNS[b, a].size <= top:
+            del _POWER_COLUMNS[b, a]  # too short: built again below
+        val, = _cached_rows(_POWER_COLUMNS, [(b, a)],
+                            lambda _: [_power_fourier(top, b, a, g)])
+    else:
+        val = math.gamma(1.0 - beta) / math.gamma(1.0 - a) ** 2 * g
+    return 2.0 * math.pi * c_beta(beta) * val[ns]
 
 
-def _positive_series(p, q, r: float, w: float) -> np.ndarray:
-    # F(p, q; r; w) = sum_k (p)_k (q)_k / ((r)_k k!) w^k for p, q, r, w > 0,
-    # elementwise: the terms are positive and end below half an ulp of each
-    # entry's sum, so later terms leave every entry unchanged
-    p, q = np.broadcast_arrays(np.asarray(p, dtype=float),
-                               np.asarray(q, dtype=float))
-    total, term, k = np.ones(p.shape), np.ones(p.shape), 0
-    while (term > 1e-17 * total).any():
-        term = term * ((p + k) * (q + k) / ((r + k) * (k + 1.0)) * w)
-        total = total + term
-        k += 1
-    return total
+# (b, a) -> the longest column c_0 ... of `_power_fourier` built so far
+_POWER_COLUMNS: dict = {}
+
+
+# `_power_fourier` takes the forward recurrence up to the mode where the
+# growth b^(-2n) of its rounding errors reaches 1/_FORWARD_GROWTH
+_FORWARD_GROWTH = 0.05
+
+
+def _power_fourier(top: int, b: float, a: float, g: np.ndarray) -> np.ndarray:
+    # c_0 ... c_top of |b - e^{i eta}|^-2a for 0 < b < 1 from c_0 =
+    # F(a, a; 1; b^2) and their recurrence, written with e = (1-b)^2/b so
+    # that its coefficients keep b to rounding next to 1.  Forward up to
+    # mode `fwd` as u_n = c_n / g_n from c_1 = a b F(a, 1+a; 2; b^2), by the
+    # differences (small next to b = 1, where u is constant)
+    #   (n+a) (u_{n+1} - u_n) = (n-a) (u_n - u_{n-1}) + e n u_n;
+    # above it backward (Miller) as the ratios c_n/c_{n-1}, started from 0
+    # where b^(2 depth) < e^-50.  Neither depends on top past rounding, so
+    # a mode has one value in every column.
+    z, e = b * b, (1.0 - b) ** 2 / b
+    fwd = min(top, int(math.log(_FORWARD_GROWTH) / (2.0 * math.log(b))))
+    u = [hyp2f1(a, a, 1.0, z)]
+    if fwd:
+        u.append(b * (1.0 - a) * hyp2f1(a, 1.0 + a, 2.0, z))
+        d, k = u[1] - u[0], np.arange(1.0, fwd)
+        for p, q, r in zip(*(v.tolist() for v in (k - a, e * k, k + a))):
+            d = (p * d + q * u[-1]) / r
+            u.append(u[-1] + d)
+    rho, ratios = 0.0, []
+    if fwd < top:
+        k = np.arange(top + math.ceil(-50.0 / math.log(z)), fwd, -1.0)
+        for p, q, r, t in zip(*(v.tolist() for v in
+                                (k - 1 + a, 2.0 * k, k + 1 - a, e * k))):
+            rho = p / (q - r * rho + t)
+            ratios.append(rho)
+    c = np.array(u) * g[:fwd + 1]
+    return np.append(c, c[-1] * np.cumprod(ratios[:fwd - top - 1:-1]))
 
 
 def closed_lambda(model: KernelModel, n, y: float, x: float):
@@ -408,7 +437,16 @@ def _screening_nodes(model: KernelModel) -> tuple[np.ndarray, np.ndarray]:
     kind, arg = model.k0
     if kind == "bessel":
         return np.array([arg]), np.array([1.0])
-    return _subordination_rule(arg, model.domain[1])
+    return _subordination_rule(arg, model.domain[1])[:2]
+
+
+def model_warning(model: KernelModel) -> str | None:
+    """Why the model's numbers may miss their tolerance, or None: the gSQG
+    disc's rho rule not converged at its last order (`_subordination_rule`).
+    """
+    if model.k1 != "subordinated":
+        return None
+    return _subordination_rule(model.k0[1], model.domain[1])[2]
 
 
 def _disc_p(ns: np.ndarray, b: float, r: float, nodes) -> np.ndarray:
@@ -427,21 +465,26 @@ def _disc_c(b: float, r: float, nodes) -> tuple[float, float]:
     # (c_b, c-tilde_b) of the disc R D summed over the nodes, with K_0/I_0
     # and I_1 scaled by exp(2 eps R) and exp(-eps R): nothing overflows
     eps, w = nodes
-    k = w * _sp.kve(0, eps * r) / _sp.ive(0, eps * r)
-    i1b, i1 = (_sp.ive(1, eps * x) * np.exp(eps * (x - r)) for x in (b, 1.0))
+    (i0r, _, _), (_, i1b, i1) = bessel_i(np.stack([eps * r, eps * b, eps]),
+                                         scaled=True)
+    k = w * bessel_k(eps * r, 0, scaled=True)[0] / i0r
+    i1b, i1 = i1b * np.exp(eps * (b - r)), i1 * np.exp(eps * (1.0 - r))
     c = (-k * i1b * (i1 / b - i1b), -k * i1 * (i1 - b * i1b))
     return tuple(float(sum(t[1:], t[0])) for t in c)
 
 
 @lru_cache(maxsize=16)
 def _subordination_rule(beta: float, r: float) -> tuple:
-    # Gauss-Legendre in u = rho^(beta/2) for rho < s = max(1, 1/(R - 1)),
-    # where rho^(beta-1) d rho = (2/beta) u du and the terms' rho^2 log rho
-    # is u^(4/beta) log u, then Gauss-Laguerre at their decay rate 2 (R - 1).
+    # (nodes, weights, None), or with the text of a warning last when no
+    # two orders agree.  Gauss-Legendre in u = rho^(beta/2) for
+    # rho < s = max(1, 1/(R - 1)), where rho^(beta-1) d rho = (2/beta) u du
+    # and the terms' rho^2 log rho is u^(4/beta) log u, then Gauss-Laguerre
+    # at their decay rate 2 (R - 1).
     # The probe columns are p_{n,1}, n <= 4, and c at b = 1/2.  Below
     # rho = 1e-100 the terms equal their rho -> 0 limit to rounding.
     s, rate = max(1.0, 1.0 / (r - 1.0)), 2.0 * (r - 1.0)
-    pref, last = 2.0 * math.sin(math.pi * beta / 2.0) / math.pi, None
+    pref = 2.0 * math.sin(math.pi * beta / 2.0) / math.pi
+    last = note = None
     for order in (16, 32, 64, 128):
         (gx, gw), (lx, lw) = (_gauss_rule(order),
                               np.polynomial.laguerre.laggauss(order))
@@ -457,11 +500,11 @@ def _subordination_rule(beta: float, r: float) -> tuple:
             break
         last = nodes, val
     else:
-        warnings.warn(f"gSQG disc rho rule at beta = {beta}, R = {r} is not "
-                      f"converged to {_SUBORDINATION_TOL:g}")
+        note = (f"gSQG disc rho rule at beta = {beta:.15g}, R = {r:.15g} is "
+                f"not converged to {_SUBORDINATION_TOL:g} at order {order}")
     for arr in nodes:
         arr.flags.writeable = False
-    return nodes
+    return (*nodes, note)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +514,7 @@ def _subordination_rule(beta: float, r: float) -> tuple:
 @lru_cache(maxsize=64)
 def _cached_zeros(n: int, count: int) -> np.ndarray:
     # the first `count` positive zeros of J_n, read-only
-    zeros = _sp.jn_zeros(n, count)
+    zeros = bessel_j_zeros(n, count)
     zeros.flags.writeable = False
     return zeros
 
@@ -507,9 +550,9 @@ def _jn_zero_series(n: int, beta: int, gamma: int, a1: float, a2: float,
     """
     zeros = _cached_zeros(n, truncation)
     same = a1 == a2 and beta == gamma
-    j1 = _sp.jv(beta, a1 * zeros)
-    j2 = j1 if same else _sp.jv(gamma, a2 * zeros)
-    jden = _sp.jv(n + 1, zeros)
+    j1 = bessel_j(beta, a1 * zeros)
+    j2 = j1 if same else bessel_j(gamma, a2 * zeros)
+    jden = bessel_j(n + 1, zeros)
     total = float(np.sum(j1 * j2 * weight(zeros) / (jden * jden)))
     if same:
         total += _mcmahon_tail_sum(n, truncation + 1, weight, q) / (2.0 * a1)
@@ -531,9 +574,10 @@ def qgsw_disc_identity(x_outer: float, y_inner: float, eps: float,
         raise ValueError("qgsw_disc_identity requires 0 < Y <= X <= 1")
     series = _jn_zero_series(0, 1, 1, x_outer, y_inner,
                              lambda x: 1.0 / (x * x + eps * eps), truncation)
-    closed = 0.5 * (_sp.iv(1, y_inner * eps) / _sp.iv(0, eps)) * (
-        _sp.iv(1, x_outer * eps) * _sp.kv(0, eps)
-        + _sp.iv(0, eps) * _sp.kv(1, x_outer * eps))
+    (i0, _, _), (_, i1y, i1x) = bessel_i(
+        np.array([eps, y_inner * eps, x_outer * eps]))
+    (k0, _), (_, k1x) = bessel_k(np.array([eps, x_outer * eps]))
+    closed = 0.5 * (i1y / i0) * (i1x * k0 + i0 * k1x)
     return (series, float(closed))
 
 
@@ -582,9 +626,9 @@ def sneddon_integral(beta_idx: int, gamma_idx: int, n: int, q: float,
             * math.gamma(1.0 + (beta_idx + gamma_idx - q) / 2.0) * inv_den
             / (2.0 ** q * b ** (2.0 + beta_idx - q)
                * math.gamma(beta_idx + 1.0)))
-    jterm = pref * float(_sp.hyp2f1(1.0 + (beta_idx + gamma_idx - q) / 2.0,
-                                    1.0 + (beta_idx - gamma_idx - q) / 2.0,
-                                    beta_idx + 1.0, a * a / (b * b)))
+    jterm = pref * hyp2f1(1.0 + (beta_idx + gamma_idx - q) / 2.0,
+                          1.0 + (beta_idx - gamma_idx - q) / 2.0,
+                          beta_idx + 1.0, a * a / (b * b))
 
     sin_fac = math.sin(math.pi / 2.0 * (beta_idx + gamma_idx - 2 * n - q))
 
@@ -596,8 +640,9 @@ def sneddon_integral(beta_idx: int, gamma_idx: int, n: int, q: float,
         _graded_nodes(0.0, 8.0, 1.0 - q + beta_idx + gamma_idx - 2 * n, None),
         _graded_nodes(8.0, 8.0 + 40.0 / max(2.0 - a - b, 0.04), 0.0,
                       q - 2.0)))
-    scaled = (_sp.ive(beta_idx, a * rho) * _sp.ive(gamma_idx, b * rho)
-              * _sp.kve(n, rho) / _sp.ive(n, rho))
+    scaled = (bessel_i(a * rho, beta_idx, True)[beta_idx]
+              * bessel_i(b * rho, gamma_idx, True)[gamma_idx]
+              * bessel_k(rho, n, True)[n] / bessel_i(rho, n, True)[n])
     integral = np.sum(w * rho ** (1.0 - q) * scaled
                       * np.exp((a + b - 2.0) * rho))
     return jterm + sin_fac / math.pi * float(integral)

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -564,6 +565,30 @@ def test_threshold_names_the_b_without_a_fold(tmp_path, capsys):
     warning = "no fold m <= 64 satisfies the conditions at b = 0.995"
     assert meta["warning"] == warning
     assert f"# warning = {warning}\n" in capsys.readouterr().err
+
+
+def test_unconverged_rho_rule_reaches_the_metadata(tmp_path, capsys):
+    # at beta = 0.01, R = 2 no two orders of the gSQG disc's rho rule agree
+    # to 1e-12: the rows are written, exit 0, and the note goes to the CSV
+    # metadata and stderr of every table of the model, after any warning
+    # of the command itself, and never as a Python warning
+    out = str(tmp_path)
+    model = ["--model", "GsqgDisc", "--param", "beta=0.01", "--param", "r=2"]
+    note = ("gSQG disc rho rule at beta = 0.01, R = 2 is not converged to "
+            "1e-12 at order 128")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["spectra", *model, "--b", "0.5", "--n", "1:4",
+                        "--out", out]) == 0
+        assert run_cli(["threshold", *model, "--b", "0.5,0.995",
+                        "--out", out]) == 0
+    meta = read_csv(os.path.join(out, "spectra.csv"))[0]
+    assert meta["warning"] == note
+    meta, header, rows = read_csv(os.path.join(out, "threshold.csv"))
+    if rows[1][header.index("found")] == "false":
+        note += "; no fold m <= 64 satisfies the conditions at b = 0.995"
+    assert meta["warning"] == note
+    assert f"# warning = {note}\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args, spec", [

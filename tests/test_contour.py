@@ -553,3 +553,16 @@ def test_branch_speed_starts_quadratically_from_the_root():
     assert np.all(gaps[:-1] / gaps[1:] < 4.5)
     assert gaps[0] < 2e-6
     assert quotient[-1] == pytest.approx(-0.020095, abs=1e-6)
+
+
+def test_grid_tables_are_built_once_and_read_only():
+    # eval_f's trig tables are cached per (grid size, m, n_modes) and
+    # read-only; the state's methods build theirs from the same helpers
+    st = contour.PerturbationState(b=0.5, m=3, n_modes=5,
+                                   a1=0.01 * np.arange(1, 6),
+                                   a2=-0.02 * np.arange(1, 6))
+    tables = contour._grid_tables(st.grid_size, st.m, st.n_modes)
+    assert contour._grid_tables(st.grid_size, st.m, st.n_modes) is tables
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[0] = 0.0

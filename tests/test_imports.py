@@ -1,11 +1,12 @@
-"""Import policy: the Euler family and the universal functions run on
-numpy alone, every other kernel loads scipy.special when its model is
-built, no command runs scipy.integrate or scipy.linalg, and neither the
-import nor the Euler commands load numpy.ma.
+"""Import policy: every model and command runs on numpy alone, so no
+command loads scipy.special, runs scipy.integrate or loads scipy.linalg;
+`src/` names scipy only where it registers scipy.integrate for a tracer;
+and neither the import nor the Euler commands load numpy.ma.
 
 Each case runs in a fresh interpreter, since the test process itself has
 imported scipy long before."""
 
+import ast
 import json
 import os
 import pathlib
@@ -35,10 +36,10 @@ def _run(code: str) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-# source of the scipy.special and scipy.integrate submodules, present only
-# once those lazy modules have run, and of scipy.linalg, in sys.modules
+# source of scipy.special, of the scipy.integrate submodules, present only
+# once that lazy module has run, and of scipy.linalg, in sys.modules
 _SCIPY_LOADED = ("sorted(m for m in sys.modules if m.startswith("
-                 "('scipy.special.', 'scipy.integrate.', 'scipy.linalg')))")
+                 "('scipy.special', 'scipy.integrate.', 'scipy.linalg')))")
 
 
 def _cli_runs(argvs: list[list[str]], out: str) -> dict:
@@ -79,25 +80,24 @@ def test_universal_runs_no_scipy(tmp_path):
     {"variant": "CustomConvolution", "family": "gsqg_power", "beta": "0.5"},
 ], ids=lambda spec: spec["variant"])
 def test_building_a_scipy_kernel_loads_scipy(spec):
-    # scipy.special runs while the model is built, not in its first job;
-    # scipy.integrate and scipy.linalg, which no model computes with, do not
+    # the kernels that once computed with scipy.special: building the model
+    # and computing a row with it loads none of scipy.special,
+    # scipy.integrate or scipy.linalg
     result = _run(f"""
 import json, sys
-from vstates import models
-before = {_SCIPY_LOADED}
-models.model_from_dict({spec!r})
-after = {_SCIPY_LOADED}
-print(json.dumps({{"before": before, "after": after}}))
+from vstates import dispersion, models
+model = models.model_from_dict({spec!r})
+dispersion.dispersion_point(model, [1, 2, 3], 0.5)
+print(json.dumps({{"after": {_SCIPY_LOADED}}}))
 """)
-    assert result["before"] == []
-    assert result["after"]
-    assert all(m.startswith("scipy.special.") for m in result["after"])
+    assert result == {"after": []}
 
 
 def test_no_command_runs_scipy_integrate_or_linalg(tmp_path):
-    # every kind of model built, then every command: the custom measure's
-    # Gauss-Jacobi rules and verify's quadratures come from numpy, so no
-    # scipy.integrate submodule and no scipy.linalg appears in sys.modules
+    # every kind of model built, then every command: the special functions,
+    # the custom measure's Gauss-Jacobi rules and verify's quadratures and
+    # Bessel zeros come from numpy, so no scipy.special, no scipy.integrate
+    # submodule and no scipy.linalg appears in sys.modules
     models = {
         "QgswPlane": ["--param", "eps=2"],
         "GsqgPlane": ["--param", "beta=0.5"],
@@ -118,9 +118,56 @@ def test_no_command_runs_scipy_integrate_or_linalg(tmp_path):
                "family=gsqg_power", "--param", "beta=0.5", "--b", "0.5",
                "--n", "1:4"], ["verify"], ["universal", "--b", "0.5"]]
     result = _cli_runs(argvs, str(tmp_path))
-    assert result["codes"] == [0] * len(argvs)
-    assert result["scipy"]
-    assert all(m.startswith("scipy.special.") for m in result["scipy"])
+    assert result == {"codes": [0] * len(argvs), "scipy": []}
+
+
+def test_src_names_scipy_only_in_the_integrate_registration():
+    # outside docstrings and comments, the one mention of scipy in the
+    # package is the scipy.integrate registration of models, which a span
+    # tracer looks up in sys.modules
+    found = []
+    for path in sorted((ROOT / "src" / "vstates").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        docs = {id(node.body[0].value) for node in ast.walk(tree)
+                if isinstance(node, (ast.Module, ast.ClassDef,
+                                     ast.FunctionDef))
+                and ast.get_docstring(node) is not None}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and id(node) not in docs:
+                text = node.value
+            elif isinstance(node, ast.Name):
+                text = node.id
+            elif isinstance(node, ast.Attribute):
+                text = node.attr
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                text = " ".join([getattr(node, "module", None) or ""]
+                                + [a.name for a in node.names])
+            else:
+                continue
+            if "scipy" in str(text):
+                found.append((path.name, text))
+    assert found == [("models.py", "scipy.integrate")]
+
+
+def test_commands_run_where_scipy_is_not_installed(tmp_path):
+    # scipy is a test dependency only: with it blocked, the import of cli
+    # registers no scipy.integrate and a QGSW and an Euler command succeed
+    result = _run(f"""
+import contextlib, io, json, sys
+sys.modules["scipy"] = None
+from vstates import cli, models
+codes = []
+for argv in (["spectra", "--model", "QgswPlane", "--param", "eps=2",
+              "--b", "0.5", "--n", "1:8"],
+             ["threshold", "--model", "EulerDisc", "--param", "r=2",
+              "--b", "0.5"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv + ["--out", {str(tmp_path)!r}]))
+print(json.dumps({{"codes": codes, "integrate": models._integrate,
+                  "scipy": sorted(m for m in sys.modules
+                                  if m.startswith("scipy."))}}))
+""")
+    assert result == {"codes": [0, 0], "integrate": None, "scipy": []}
 
 
 def test_cli_import_registers_what_a_tracer_looks_up():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from vstates import cmkernel, dispersion, models
+from vstates import cmkernel, dispersion, models, specfun
 from vstates.universal import periodic_trapezoid
 
 import oracles
@@ -197,7 +197,8 @@ def test_stream_series_from_harmonic_sums_equals_the_digamma_form():
     digamma = np.array([(sp.digamma(k + 1.0) + sp.digamma(k + 2.0))
                         / (4.0 * sp.factorial(k) * sp.factorial(k + 1))
                         for k in range(7, -1, -1)])
-    assert models._STREAM_SERIES.tobytes() == digamma.tobytes()
+    stream = specfun._series_rows()[specfun._SERIES["k1"], 7::-1]
+    assert stream.tobytes() == digamma.tobytes()
 
 
 # ---------------------------------------------------------------------------
