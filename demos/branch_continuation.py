@@ -27,17 +27,17 @@ def main():
         print(f"\nbranch {branch}:")
         print(f"{'s':>9} {'Omega':>12} {'Omega-Omega0':>13} "
               f"{'|a1_1|':>10} {'|a2_1|':>10} {'residual':>10}")
-        for s, st in pts[1:]:  # pts[0] is the annulus itself
+        for st in pts[1:]:  # pts[0] is the annulus itself
             res = contour.eval_f(model, st).norm()
-            print(f"{s:>9.2e} {st.omega:>12.8f} "
+            print(f"{st.s:>9.2e} {st.omega:>12.8f} "
                   f"{st.omega - omega0:>13.3e} {abs(st.a1[0]):>10.2e} "
                   f"{abs(st.a2[0]):>10.2e} {res:>10.2e}")
 
-        s, st = pts[-1]
+        st = pts[-1]
         inner, outer = contour.boundary_export(st, samples=720)
         dev_in = np.max(np.abs(np.abs(inner) - b))
         dev_out = np.max(np.abs(np.abs(outer) - 1.0))
-        print(f"  boundary deviation from circles at s = {s:g}: "
+        print(f"  boundary deviation from circles at s = {st.s:g}: "
               f"inner {dev_in:.2e}, outer {dev_out:.2e}")
 
 

@@ -1,7 +1,7 @@
 """Linear-spectral toolkit for doubly connected rotating vortex patches.
 
 Submodules:
-    specfun     the Bessel products I_n(y) K_n(x) for columns of orders
+    specfun     every special function: Bessel I, K, J, zeros of J, Gauss 2F1
     cmkernel    completely monotone kernel engine (Bernstein measures)
     universal   universal trigonometric-integral functions phi, Psi
     models      geophysical kernel model catalog with closed-form spectra

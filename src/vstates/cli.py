@@ -380,7 +380,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     samples = [(0.9, 0.4, 1.0), (0.7, 0.7, 2.0), (0.5, 0.2, 0.5),
                (0.95, 0.9, 3.0), (0.8, 0.6, 1.0)]
     err = max(abs(s - c) for s, c in
-              (models.qgsw_disc_identity(x, y, e, truncation=500)
+              (models.qgsw_disc_identity(x, y, e)
                for x, y, e in samples))
     suites.append(("qgsw-summation-identity", err, 1e-6))
 
@@ -397,7 +397,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # dual-Bessel summation against the hypergeometric-plus-integral form
     sets = [(1, 1, 1, 1.5, 0.6, 0.6), (2, 2, 2, 1.5, 0.8, 0.8),
             (1, 1, 1, 1.25, 0.4, 0.9)]
-    err = max(abs(models.sneddon_series(bi, gi, n, q, a, bb, truncation=2000)
+    err = max(abs(models.sneddon_series(bi, gi, n, q, a, bb)
                   - models.sneddon_integral(bi, gi, n, q, a, bb))
               for bi, gi, n, q, a, bb in sets)
     suites.append(("dual-bessel-summation", err, 1e-5))
@@ -451,19 +451,19 @@ def cmd_branch(args: argparse.Namespace) -> int:
               + [f"a1_{k}" for k in range(1, n_modes + 1)]
               + [f"a2_{k}" for k in range(1, n_modes + 1)]
               + ["iterations", "residual"])
-    columns = list(zip(*([s, st.omega, *st.a1, *st.a2, st.iterations,
-                          st.residual] for s, st in table)))
+    columns = list(zip(*([st.s, st.omega, *st.a1, *st.a2, st.iterations,
+                          st.residual] for st in table)))
     meta = {"command": "branch", **model_meta, "b": f"{b:.15g}",
             "m": m, "branch": args.branch, "s_max": f"{args.s_max:.15g}",
             "steps": args.steps, "modes": n_modes}
     if partial:
         _warn(meta, f"continuation stopped early: last converged "
-                    f"s = {table[-1][0]:.15g}; {partial}")
+                    f"s = {table[-1].s:.15g}; {partial}")
     _write(args, "branch.csv", meta, header, columns)
-    for idx, (s, st) in enumerate(table):
+    for idx, st in enumerate(table):
         inner, outer = contour.boundary_export(st)
         _write(args, f"boundary_{idx:03d}.csv",
-               {"command": "branch", "s": "%.15g" % s},
+               {"command": "branch", "s": "%.15g" % st.s},
                ["theta", "x_inner", "y_inner", "x_outer", "y_outer"],
                [st.theta_grid(), inner.real, inner.imag, outer.real,
                 outer.imag])

@@ -11,9 +11,9 @@ per grid), and the model integrates the smooth kernel part K1 of bounded
 domains over the patch (`models.k1_patch`).  Only `models` reads the kind
 of K0 and K1; this module reads none.  F is odd and 2 pi/m-periodic, so
 its targets are the grid points on [0, pi/m) only.
-Continuation in the kernel-mode amplitude, preconditioned by the annulus
-blocks -n Q_{n,b}(Omega) that the finite-difference `jacobian` checks,
-produces the local bifurcation branches.
+A branch follows the kernel-mode amplitude: a secant predictor over one
+corrector, `_correct`, preconditioned by the annulus blocks -n Q_{n,b}(Omega)
+that the finite-difference `jacobian` checks.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ __all__ = [
     "boundary_export",
 ]
 
-# branch_continue: residual sup-norm that accepts a point, cap on its eval_f
+# _correct: residual sup-norm that accepts a point, cap on its eval_f
 # calls (over twice the worst measured, 17 at s = 1.2), Anderson depth
 _ACCEPT_TOL = 1e-11
 _MAX_EVALS = 40
@@ -55,11 +55,15 @@ class GeometryError(ValueError):
 
 
 class BranchError(RuntimeError):
-    """Branch continuation failed; carries the last converged points."""
+    """Branch continuation failed; `points` are the states accepted before."""
 
-    def __init__(self, message: str, points: list):
+    def __init__(self, message: str, points: list[PerturbationState]):
         super().__init__(message)
         self.points = points
+
+
+class _NoConvergence(ArithmeticError):
+    """`_correct` spent its eval_f calls without accepting the point."""
 
 
 def _grid_theta(size: int) -> np.ndarray:
@@ -148,7 +152,7 @@ class ResidualVector:
         return np.concatenate([self.s1, self.s2])
 
 
-def trivial_state(b: float, m: int, n_modes: int = 64,
+def trivial_state(b: float, m: int, n_modes: int,
                   omega: float = 0.0) -> PerturbationState:
     z = np.zeros(n_modes)
     return PerturbationState(b=b, m=m, n_modes=n_modes, a1=z, a2=z.copy(),
@@ -256,13 +260,9 @@ def _boundary_data(model: KernelModel, state: PerturbationState):
     ra, rb = state._radii(cos @ state.a1, cos @ state.a2)
     _check_geometry(model, ra, rb)
     d1, d2 = dsin @ state.a1, dsin @ state.a2
-    rap = d1 / ra
-    rbp = d2 / rb
-    w1 = ra * phase
-    w2 = rb * phase
-    w1p = (rap + 1j * ra) * phase
-    w2p = (rbp + 1j * rb) * phase
-    return theta, ra, rb, w1, w2, w1p, w2p, d1, d2, state.m
+    w1p = (d1 / ra + 1j * ra) * phase
+    w2p = (d2 / rb + 1j * rb) * phase
+    return theta, ra, rb, ra * phase, rb * phase, w1p, w2p, d1, d2, state.m
 
 
 def _boundary_field(model: KernelModel, data: tuple, rows: int,
@@ -346,20 +346,48 @@ def _preconditioner(point, row: np.ndarray, u: np.ndarray) -> np.ndarray:
     return pre
 
 
+def _correct(model: KernelModel, point, base: PerturbationState,
+             row: np.ndarray, s: float, u: np.ndarray) -> tuple:
+    """The corrector: solves G(u) = {F = 0, row . u = s}, u = (a1, a2, Omega),
+    from a guess by u <- u - P(u)^{-1} G(u), P = `_preconditioner`, mixed by
+    Anderson to depth 5 (Walker & Ni, SIAM J. Numer. Anal. 49, 2011) with one
+    eval_f call per iteration, to a residual sup-norm below 1e-11.  Returns u
+    and its state, with s, the eval_f calls and the sup-norm of F; raises
+    GeometryError, LinAlgError (P singular) or, at 40 calls, _NoConvergence."""
+    n = base.n_modes
+    # Anderson history: differences of the iterates and of their
+    # preconditioned residuals f = -P^{-1} G
+    dx, df, last = [], [], None
+    for evals in range(1, _MAX_EVALS + 1):
+        state = replace(base, a1=u[:n], a2=u[n:2 * n], omega=u[2 * n])
+        res = np.append(eval_f(model, state).stacked(), row @ u - s)
+        if np.max(np.abs(res)) < _ACCEPT_TOL:
+            return u, replace(state, s=float(s), iterations=evals,
+                              residual=float(np.max(np.abs(res[:-1]))))
+        f = -np.linalg.solve(_preconditioner(point, row, u), res)
+        step = f
+        if last is not None:
+            dx = [*dx, u - last[0]][-_ANDERSON_DEPTH:]
+            df = [*df, f - last[1]][-_ANDERSON_DEPTH:]
+            mix = np.column_stack(df)
+            gamma = np.linalg.lstsq(mix, f, rcond=None)[0]
+            step = f - (np.column_stack(dx) + mix) @ gamma
+        last = u, f
+        u = u + step
+    raise _NoConvergence(f"no convergence in {_MAX_EVALS} iterations, "
+                         f"residual {np.max(np.abs(res)):.1e}")
+
+
 def branch_continue(model: KernelModel, b: float, m: int, branch: str = "+",
-                    s_max: float = 1e-2, steps: int = 10,
-                    n_modes: int = 8) -> list[tuple[float, PerturbationState]]:
+                    *, s_max: float, steps: int,
+                    n_modes: int) -> list[PerturbationState]:
     """Amplitude-parameterized branch of m-fold V-states near the annulus.
 
-    Solves G(u) = {F = 0, kernel-direction amplitude = s} for the cosine
-    coefficients and Omega, u = (a1, a2, Omega), marching s from 0 to s_max
-    in steps >= 1 equal steps from a secant predictor.  Each point iterates
-    u <- u - P(u)^{-1} G(u), P = `_preconditioner`, with Anderson mixing of
-    depth 5 (Walker & Ni, SIAM J. Numer. Anal. 49, 2011): one eval_f call
-    per iteration, until the residual sup-norm is below 1e-11.
-    The first point is the annulus itself, s = 0 at the dispersion root
-    Omega^{+/-}; a BranchError names the cause of the failure and carries
-    the points accepted before it, that one first.
+    Marches the kernel-direction amplitude s from 0 to s_max in steps >= 1
+    equal steps, `_correct` solving from a secant predictor at each.  A
+    point is its state; the first is the annulus, s = 0 at the dispersion
+    root Omega^{+/-}.  A BranchError names the cause of a failure and
+    carries the states accepted before it.
     """
     for need, ok in (("m >= 1", m >= 1), ("n_modes >= 1", n_modes >= 1),
                      ("steps >= 1", steps >= 1), ("s_max != 0", s_max != 0),
@@ -369,56 +397,28 @@ def branch_continue(model: KernelModel, b: float, m: int, branch: str = "+",
     n = n_modes
     point = _dispersion.dispersion_point(model, m * np.arange(1, n + 1), b)
     omega0, kvec = _dispersion.kernel_root(point, branch)
-    base = trivial_state(b, m, n_modes, omega0)
+    points = [trivial_state(b, m, n, omega0)]
     # the amplitude (a1_1, a2_1) . kvec / |kvec|^2 is linear in u
     row = np.zeros(2 * n + 1)
     row[[0, n]] = kvec / (kvec @ kvec)
     u = np.append(np.zeros(2 * n), omega0)
-    results: list[tuple[float, PerturbationState]] = [(0.0, base)]
-
-    def failure(s, cause) -> BranchError:
-        return BranchError(f"continuation failed at s = {s:.15g}: {cause}",
-                           results)
-
     s_grid = np.linspace(0.0, s_max, steps + 1)[1:]
     # secant predictor 2 u - u_prev; seeded one step back along the kernel
     # direction, its first step is the tangent step u + s_1 kvec
     u_prev = u.copy()
     u_prev[[0, n]] -= s_grid[0] * kvec
     for s in s_grid:
-        cur = 2.0 * u - u_prev
-        # Anderson history: differences of the iterates and of their
-        # preconditioned residuals f = -P^{-1} G
-        dx, df, last = [], [], None
-        for evals in range(1, _MAX_EVALS + 1):
-            state = replace(base, a1=cur[:n], a2=cur[n:2 * n],
-                            omega=cur[2 * n])
-            try:
-                res = np.append(eval_f(model, state).stacked(), row @ cur - s)
-                if np.max(np.abs(res)) < _ACCEPT_TOL:
-                    break
-                f = -np.linalg.solve(_preconditioner(point, row, cur), res)
-            except GeometryError as exc:
-                raise failure(s, exc) from exc
-            except np.linalg.LinAlgError as exc:
-                raise failure(s, "singular preconditioner") from exc
-            step = f
-            if last is not None:
-                dx = [*dx, cur - last[0]][-_ANDERSON_DEPTH:]
-                df = [*df, f - last[1]][-_ANDERSON_DEPTH:]
-                mix = np.column_stack(df)
-                gamma = np.linalg.lstsq(mix, f, rcond=None)[0]
-                step = f - (np.column_stack(dx) + mix) @ gamma
-            last = cur, f
-            cur = cur + step
-        else:
-            raise failure(s, f"no convergence in {_MAX_EVALS} "
-                             f"iterations, residual {np.max(np.abs(res)):.1e}")
+        try:
+            cur, state = _correct(model, point, points[0], row, s,
+                                  2.0 * u - u_prev)
+        except (GeometryError, np.linalg.LinAlgError, _NoConvergence) as exc:
+            cause = ("singular preconditioner"
+                     if isinstance(exc, np.linalg.LinAlgError) else exc)
+            raise BranchError(f"continuation failed at s = {s:.15g}: {cause}",
+                              points) from exc
         u_prev, u = u, cur
-        results.append((float(s), replace(
-            state, s=float(s), iterations=evals,
-            residual=float(np.max(np.abs(res[:-1]))))))
-    return results
+        points.append(state)
+    return points
 
 
 def boundary_export(state: PerturbationState,

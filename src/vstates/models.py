@@ -40,7 +40,7 @@ import numpy.polynomial.laguerre
 
 from .cmkernel import (Measure, _check_params, _graded_nodes, _node_sums,
                        c_beta)
-from .specfun import (_cached_rows, bessel_i, bessel_ik, bessel_j,
+from .specfun import (_cached_rows, _rgamma, bessel_i, bessel_ik, bessel_j,
                       bessel_j_zeros, bessel_k, hyp2f1, power_series)
 from .universal import _gauss_rule, _modes, phi_n, phi_nb
 
@@ -92,6 +92,8 @@ def _lazy_import(name: str):
 _integrate = _lazy_import("scipy.integrate")
 
 _LOG = ("log", 0.0)
+# terms of the Bessel-zero series of qgsw_disc_identity and sneddon_series
+_QGSW_TERMS, _SNEDDON_TERMS = 500, 2000
 
 
 @dataclass(frozen=True)
@@ -559,8 +561,8 @@ def _jn_zero_series(n: int, beta: int, gamma: int, a1: float, a2: float,
     return total
 
 
-def qgsw_disc_identity(x_outer: float, y_inner: float, eps: float,
-                       truncation: int = 500) -> tuple[float, float]:
+def qgsw_disc_identity(x_outer: float, y_inner: float,
+                       eps: float) -> tuple[float, float]:
     """Bessel-zero series vs closed form of the QGSW summation identity.
 
     Returns (series_value, closed_value) for
@@ -573,7 +575,7 @@ def qgsw_disc_identity(x_outer: float, y_inner: float, eps: float,
     if not 0.0 < y_inner <= x_outer <= 1.0:
         raise ValueError("qgsw_disc_identity requires 0 < Y <= X <= 1")
     series = _jn_zero_series(0, 1, 1, x_outer, y_inner,
-                             lambda x: 1.0 / (x * x + eps * eps), truncation)
+                             lambda x: 1.0 / (x * x + eps * eps), _QGSW_TERMS)
     (i0, _, _), (_, i1y, i1x) = bessel_i(
         np.array([eps, y_inner * eps, x_outer * eps]))
     (k0, _), (_, k1x) = bessel_k(np.array([eps, x_outer * eps]))
@@ -593,7 +595,7 @@ def _sneddon_window(name: str, order: int, q: float, a: float,
 
 
 def sneddon_series(beta_idx: int, gamma_idx: int, n: int, q: float,
-                   a: float, b: float, truncation: int = 500) -> float:
+                   a: float, b: float) -> float:
     """Left side of Sneddon's formula, truncated with a mean-tail correction.
 
     sum_k J_beta(a x_{n,k}) J_gamma(b x_{n,k}) / (x_{n,k}^q J_{n+1}^2(x_{n,k})).
@@ -601,7 +603,7 @@ def sneddon_series(beta_idx: int, gamma_idx: int, n: int, q: float,
     """
     _sneddon_window("sneddon_series", beta_idx + gamma_idx - 2 * n, q, a, b)
     return _jn_zero_series(n, beta_idx, gamma_idx, a, b,
-                           lambda x: x ** (-q), truncation, q)
+                           lambda x: x ** (-q), _SNEDDON_TERMS, q)
 
 
 def sneddon_integral(beta_idx: int, gamma_idx: int, n: int, q: float,
@@ -615,15 +617,9 @@ def sneddon_integral(beta_idx: int, gamma_idx: int, n: int, q: float,
     """
     _sneddon_window("sneddon_integral", beta_idx + gamma_idx - 2 * n, q, a, b)
 
-    # J-term: Gamma-ratio prefactor times F(.; a^2/b^2).  The denominator
-    # Gamma may sit at a negative argument or a pole (where 1/Gamma = 0).
-    den_arg = (gamma_idx - beta_idx + q) / 2.0
-    if den_arg <= 0 and den_arg == int(den_arg):
-        inv_den = 0.0
-    else:
-        inv_den = 1.0 / math.gamma(den_arg)
-    pref = (a ** beta_idx
-            * math.gamma(1.0 + (beta_idx + gamma_idx - q) / 2.0) * inv_den
+    # J-term: Gamma-ratio prefactor (_rgamma: 0 at a pole) times F(.; a^2/b^2)
+    pref = (a ** beta_idx * math.gamma(1.0 + (beta_idx + gamma_idx - q) / 2.0)
+            * _rgamma((gamma_idx - beta_idx + q) / 2.0)
             / (2.0 ** q * b ** (2.0 + beta_idx - q)
                * math.gamma(beta_idx + 1.0)))
     jterm = pref * hyp2f1(1.0 + (beta_idx + gamma_idx - q) / 2.0,

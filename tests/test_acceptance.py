@@ -111,7 +111,7 @@ def test_criterion_06_qgsw_summation_identity():
                (0.95, 0.9, 3.0), (0.8, 0.6, 1.0)]
     worst = 0.0
     for x, y, e in samples:
-        series, closed = models.qgsw_disc_identity(x, y, e, truncation=500)
+        series, closed = models.qgsw_disc_identity(x, y, e)
         worst = max(worst, abs(series - closed))
     elapsed = time.monotonic() - start
     _report(6, "Bessel-zero summation identity (K=500)",
@@ -122,8 +122,7 @@ def test_criterion_06_qgsw_summation_identity():
 def test_criterion_07_sneddon_formula():
     sets = [(1, 1, 1, 1.5, 0.6, 0.6), (2, 2, 2, 1.5, 0.8, 0.8),
             (1, 1, 1, 1.25, 0.4, 0.9)]
-    worst = max(abs(models.sneddon_series(bi, gi, n, q, a, b,
-                                          truncation=2000)
+    worst = max(abs(models.sneddon_series(bi, gi, n, q, a, b)
                     - models.sneddon_integral(bi, gi, n, q, a, b))
                 for bi, gi, n, q, a, b in sets)
     _report(7, "dual Bessel summation formula", worst < 1e-5,
@@ -215,7 +214,7 @@ def test_criterion_12_branch_tangent():
         pts = contour.branch_continue(models.euler_plane(), b, m,
                                       branch=branch, s_max=s, steps=1,
                                       n_modes=8)
-        _, st = pts[-1]
+        st = pts[-1]
         theta = st.theta_grid()
         r1, r2 = st.r_values(theta)
         want1 = kvec[0] * np.cos(m * theta)

@@ -770,8 +770,9 @@ def test_branch_outputs(tmp_path):
     assert header[-2:] == ["iterations", "residual"]
     assert len(header) == 2 + 2 * 8 + 2
     assert [int(r[-2]) for r in rows] == [0] + [
-        st.iterations for _, st in contour.branch_continue(
-            models.euler_plane(), 0.5, 5, "-", s_max=4e-4, steps=2)[1:]]
+        st.iterations for st in contour.branch_continue(
+            models.euler_plane(), 0.5, 5, "-", s_max=4e-4, steps=2,
+            n_modes=8)[1:]]
     assert float(rows[0][-1]) == 0.0
     assert all(int(r[-2]) > 0 and float(r[-1]) < 1e-11
                for r in rows[1:])
@@ -779,6 +780,26 @@ def test_branch_outputs(tmp_path):
     _, bh, brows = read_csv(os.path.join(out, "boundary_000.csv"))
     r_in = [np.hypot(float(r[1]), float(r[2])) for r in brows]
     assert max(abs(v - 0.5) for v in r_in) < 1e-13
+
+
+def test_branch_row_is_a_complete_state(tmp_path):
+    # a row of branch.csv holds the whole state: rebuilt from its 15-digit
+    # cells, it solves the discretized problem to the residual it records
+    out = str(tmp_path)
+    assert run_cli(["branch", "--model", "EulerPlane", "--b", "0.5",
+                    "--m", "5", "--modes", "8", "--s-max", "0.3",
+                    "--steps", "3", "--out", out]) == 0
+    meta, header, rows = read_csv(os.path.join(out, "branch.csv"))
+    model = models.model_from_dict({"variant": meta["model"]})
+    assert len(rows) == 4
+    for row in rows:
+        vals = [float(c) for c in row]
+        st = contour.PerturbationState(
+            b=float(meta["b"]), m=int(meta["m"]), n_modes=8, a1=vals[2:10],
+            a2=vals[10:18], omega=vals[1], s=vals[0])
+        res = contour.eval_f(model, st).norm()
+        assert res < 1e-11
+        assert abs(res - vals[header.index("residual")]) <= 1e-15
 
 
 def test_branch_numerical_failure_exit_1(tmp_path, capsys):

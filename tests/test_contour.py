@@ -1,6 +1,8 @@
 """Contour-dynamics discretization, linearization checks and branches."""
 
+import ast
 import math
+import pathlib
 import re
 from dataclasses import replace
 
@@ -330,8 +332,8 @@ def test_fd_jacobian_matches_multiplier_blocks(model):
 
 def test_jacobian_omega_column_is_exact():
     # at a converged branch point, far enough out that r' is not small
-    _, st = contour.branch_continue(EULER, 0.5, 5, s_max=0.3, steps=1,
-                                    n_modes=8)[-1]
+    st = contour.branch_continue(EULER, 0.5, 5, s_max=0.3, steps=1,
+                                 n_modes=8)[-1]
     h = 1e-7
     rp, rm = (contour.eval_f(EULER, replace(st, omega=st.omega + d)).stacked()
               for d in (h, -h))
@@ -354,7 +356,7 @@ def test_branch_point_costs_one_eval_f_per_iteration(monkeypatch):
     pts = contour.branch_continue(EULER, 0.5, 5, s_max=0.3, steps=1,
                                   n_modes=8)
     assert len(calls) == 10
-    assert [st.iterations for _, st in pts] == [0, 10]
+    assert [st.iterations for st in pts] == [0, 10]
 
 
 @pytest.mark.parametrize("model", [
@@ -370,6 +372,55 @@ def test_preconditioner_is_the_bordered_jacobian_at_the_annulus(model):
     pre = contour._preconditioner(point, row, u)
     want = np.vstack([contour.jacobian(model, _state(b, m, n, omega)), row])
     assert np.max(np.abs(pre - want)) < 1e-6 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("model", [
+    EULER, models.qgsw_plane(2.0), models.euler_disc(2.0)],
+    ids=lambda model: model.variant)
+def test_corrector_reconverges_a_prolonged_state(model, monkeypatch):
+    # a point accepted at 8 modes, zero-padded to 16, is a guess that the
+    # corrector at 16 modes accepts within a few eval_f calls, with Omega
+    # all but unchanged: one corrector call certifies a point on a finer grid
+    b, m, n = 0.5, 5, 16
+    st = contour.branch_continue(model, b, m, s_max=0.3, steps=1,
+                                 n_modes=8)[-1]
+    point = dispersion.dispersion_point(model, m * np.arange(1, n + 1), b)
+    _, kvec = dispersion.kernel_root(point, "+")
+    row = np.zeros(2 * n + 1)
+    row[[0, n]] = kvec / (kvec @ kvec)
+    pad = np.zeros(n - 8)
+    u = np.concatenate([st.a1, pad, st.a2, pad, [st.omega]])
+    calls = []
+    eval_f = contour.eval_f
+    monkeypatch.setattr(contour, "eval_f",
+                        lambda *args: calls.append(1) or eval_f(*args))
+    got_u, got = contour._correct(model, point, _state(b, m, n), row, st.s, u)
+    assert len(calls) == got.iterations <= 4
+    assert abs(got.omega - st.omega) <= 1e-12
+    assert got.s == st.s and got.n_modes == n
+    assert np.array_equal(got_u, np.concatenate([got.a1, got.a2,
+                                                 [got.omega]]))
+    assert got.residual == eval_f(model, got).norm() < 1e-11
+
+
+def test_anderson_loop_lives_only_in_the_corrector():
+    # the mixing least squares and the preconditioner are called only in
+    # `_correct`, and `branch_continue` evaluates no residual itself: a
+    # later predictor reuses the corrector instead of copying its loop
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "vstates"
+    callers = {"np.linalg.lstsq": set(), "_preconditioner": set(),
+               "eval_f": set()}
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in tree.body:
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Call)
+                        and ast.unparse(node.func) in callers):
+                    callers[ast.unparse(node.func)].add(
+                        (path.name, getattr(func, "name", "<module>")))
+    assert callers["np.linalg.lstsq"] == {("contour.py", "_correct")}
+    assert callers["_preconditioner"] == {("contour.py", "_correct")}
+    assert ("contour.py", "branch_continue") not in callers["eval_f"]
 
 
 def _dense_newton_branch(model, b, m, s_max, steps, n_modes):
@@ -403,7 +454,7 @@ def test_branch_matches_dense_newton(model):
     pts = contour.branch_continue(model, b, m, s_max=s_max, steps=steps,
                                   n_modes=n_modes)
     want = _dense_newton_branch(model, b, m, s_max, steps, n_modes)
-    for (_, st), ref in zip(pts[1:], want):
+    for st, ref in zip(pts[1:], want):
         got = np.concatenate([st.a1, st.a2, [st.omega]])
         assert np.max(np.abs(got - ref)) < 1e-10
         assert st.residual == contour.eval_f(model, st).norm() < 1e-11
@@ -444,7 +495,8 @@ def test_scalar_f0_linearization_rows():
 
 def test_branch_requires_simple_eigenvalue():
     with pytest.raises(ValueError):
-        contour.branch_continue(EULER, 0.5, 3)   # degenerate fold
+        contour.branch_continue(EULER, 0.5, 3, s_max=1e-2, steps=10,
+                                n_modes=8)   # degenerate fold
 
 
 @pytest.mark.parametrize("bad, name", [
@@ -461,8 +513,8 @@ def test_branch_refuses_fewer_than_one_step(bad, name, monkeypatch):
     monkeypatch.setattr(dispersion, "kernel_root", no_spectrum)
     monkeypatch.setattr(dispersion, "dispersion_point", no_spectrum)
     with pytest.raises(ValueError, match=f"branch_continue needs {name}"):
-        contour.branch_continue(EULER, 0.5,
-                                **{"m": 5, "s_max": 0.1, "steps": 3, **bad})
+        contour.branch_continue(EULER, 0.5, **{
+            "m": 5, "s_max": 0.1, "steps": 3, "n_modes": 8, **bad})
 
 
 @pytest.mark.parametrize("branch", ["+", "-"])
@@ -473,24 +525,26 @@ def test_branch_tangent_and_speed(branch):
     pts = contour.branch_continue(EULER, b, m, branch=branch,
                                   s_max=4e-4, steps=4, n_modes=8)
     # the first point is the annulus at the dispersion root
-    s0, st0 = pts[0]
-    assert s0 == 0.0 and st0.omega == omega0
+    st0 = pts[0]
+    assert st0.s == 0.0 and st0.omega == omega0
     assert not st0.a1.any() and not st0.a2.any()
-    s, st = pts[1]
-    assert st.s == pytest.approx(s)
+    st = pts[1]
+    # the first point sits on the grid, at s_max / steps
+    s = st.s
+    assert s == 1e-4
     got = np.array([st.a1[0], st.a2[0]])
     rel = np.linalg.norm(got - s * kvec) / np.linalg.norm(s * kvec)
     assert rel < 1e-4
     assert abs(st.omega - omega0) < 1e-4
     # every accepted point is an equilibrium of the discretized functional
-    for s_i, st_i in pts:
+    for st_i in pts:
         assert contour.eval_f(EULER, st_i).norm() < 1e-10
 
 
 def test_branch_states_nontrivial_and_m_fold():
     pts = contour.branch_continue(EULER, 0.5, 5, branch="+",
                                   s_max=1e-3, steps=2, n_modes=8)
-    _, st = pts[-1]
+    st = pts[-1]
     assert abs(st.a1[0]) > 0 or abs(st.a2[0]) > 0
     inner, outer = contour.boundary_export(st)
     size = len(inner)
@@ -510,7 +564,7 @@ def test_branch_error_reports_progress():
     # the annulus, then the small-amplitude prefix that still converged
     # before the failure
     assert len(err.value.points) >= 2
-    assert err.value.points[0][0] == 0.0
+    assert err.value.points[0].s == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +586,8 @@ def test_branch_at_negative_amplitude_is_the_branch_turned_by_pi_over_m(
                                            n_modes=8)
                    for s_max in (0.05, -0.05))
     sign = (-1.0) ** np.arange(1, 9)
-    assert [s for s, _ in minus] == [-s for s, _ in plus]
-    for (_, p), (_, q) in zip(plus, minus):
+    assert [q.s for q in minus] == [-p.s for p in plus]
+    for p, q in zip(plus, minus):
         assert abs(q.omega - p.omega) < 1e-12
         assert np.max(np.abs(q.a1 - sign * p.a1)) < 1e-14
         assert np.max(np.abs(q.a2 - sign * p.a2)) < 1e-14
@@ -545,9 +599,9 @@ def test_branch_speed_starts_quadratically_from_the_root():
     # gaps between its values at s = 0.04, 0.02, 0.01, 0.005 shrink by 4
     pts = contour.branch_continue(EULER, 0.5, 5, branch="+", s_max=0.04,
                                   steps=8, n_modes=8)
-    omega0 = pts[0][1].omega
-    quotient = np.array([(st.omega - omega0) / s ** 2
-                         for s, st in pts[1:]])[[7, 3, 1, 0]]
+    omega0 = pts[0].omega
+    quotient = np.array([(st.omega - omega0) / st.s ** 2
+                         for st in pts[1:]])[[7, 3, 1, 0]]
     gaps = np.abs(np.diff(quotient))
     assert np.all(gaps[:-1] / gaps[1:] > 3.5)
     assert np.all(gaps[:-1] / gaps[1:] < 4.5)
