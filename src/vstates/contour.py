@@ -24,8 +24,7 @@ from functools import lru_cache
 import numpy as np
 import numpy.fft
 
-from .cmkernel import c_beta
-from .models import KernelModel, gsqg_capital_lambda, k1_patch
+from .models import KernelModel, k1_patch, singular_weights
 from . import dispersion as _dispersion
 
 __all__ = [
@@ -167,8 +166,8 @@ def trivial_state(b: float, m: int, n_modes: int,
 def _singular_tables(size: int, rows: int,
                      beta: float | None) -> tuple[np.ndarray, np.ndarray]:
     """|2 sin((theta_i - eta_j)/2)|, with 1 where i = j, and the circulant
-    c[(i - j) mod size] of the singular weight |2 sin(u/2)|^-beta, or of
-    log|2 sin(u/2)| when beta is None, for targets i < rows.
+    c[(i - j) mod size] of the singular weight of exponent beta
+    (`models.singular_weights`), for targets i < rows.
 
     c = ifft(W-hat) is real because W-hat is even, and the row sum
     sum_j S_ij c[(i - j) mod size] is the spectral product
@@ -177,12 +176,8 @@ def _singular_tables(size: int, rows: int,
     lag = (np.arange(rows)[:, None] - np.arange(size)[None, :]) % size
     sin_fac = 2.0 * np.sin(np.pi * lag / size)
     sin_fac[lag == 0] = 1.0
-    # Fourier coefficients of |2 sin(u/2)|^{-beta}, Lambda_{k,1}/c_beta, or
-    # of log(2|sin(u/2)|), -pi/|k| with zero mean
-    k = np.abs(np.fft.fftfreq(size, d=1.0 / size)).astype(int)
-    w_hat = (np.where(k > 0, -np.pi / np.maximum(k, 1), 0.0) if beta is None
-             else gsqg_capital_lambda(k, 1.0, beta) / c_beta(beta))
-    circ = np.fft.ifft(w_hat).real[lag]
+    k = np.fft.fftfreq(size, d=1.0 / size).astype(int)
+    circ = np.fft.ifft(singular_weights(beta, k)).real[lag]
     sin_fac.flags.writeable = circ.flags.writeable = False
     return sin_fac, circ
 

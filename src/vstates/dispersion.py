@@ -307,7 +307,6 @@ def kernel_root(point: DispersionPoint, branch: str
                          f"Delta = {delta:.3e}")
     omega = (point.omega_plus if branch == "+" else point.omega_minus)[0]
     q = point.q(omega)[..., 0]
-    vec = np.array([-q[0, 1], q[0, 0]])
-    if np.allclose(vec, 0.0):
-        raise ValueError("kernel vector degenerated to zero")
-    return omega, vec
+    # the rows of Q are parallel at a simple root: take the longer one
+    row = q[0] if np.hypot(*q[0]) >= np.hypot(*q[1]) else -q[1]
+    return omega, np.array([-row[1], row[0]])

@@ -11,7 +11,8 @@ lambda-tilde, the interaction coefficients p / p-tilde, and the velocity
 constants V^1, V^2 of the unperturbed annulus 1_{D \\ b D}.  This module
 dispatches on the kind of K0 and K1: `closed_lambda` and `closed_p` are
 their coefficients between two circles, every kind included,
-`KernelModel.k0_factors` and `k1_patch` what `contour` integrates.
+`KernelModel.k0_factors`, `singular_weights` and `k1_patch` what `contour`
+integrates.
 Elsewhere only `dispersion` reads a kind (`measure_obj` or `k1`), in three
 places: the `source` label of a row, `has_closed_fold`, and the block size
 of its fold scan.
@@ -64,7 +65,7 @@ __all__ = [
     "sneddon_series",
     "sneddon_integral",
     "model_warning",
-    "k1_point",
+    "singular_weights",
     "k1_patch",
 ]
 
@@ -197,6 +198,17 @@ class KernelModel:
                              for k, v in sorted(self.params.items()))
             return f"{self.variant}({inner})"
         return self.variant
+
+
+def singular_weights(beta: float | None, k: np.ndarray) -> np.ndarray:
+    """Fourier coefficients at the integer modes k of the singular weight
+    that `KernelModel.k0_factors` splits off, beta its `singular_exponent`:
+    Lambda_{k,1}/c_beta for |2 sin(u/2)|^-beta, and for log|2 sin(u/2)|
+    (beta None) -pi/|k| with zero mean."""
+    k = np.abs(k)
+    if beta is None:
+        return np.where(k > 0, -np.pi / np.maximum(k, 1), 0.0)
+    return gsqg_capital_lambda(k, 1.0, beta) / c_beta(beta)
 
 
 def euler_plane() -> KernelModel:
@@ -645,7 +657,7 @@ def sneddon_integral(beta_idx: int, gamma_idx: int, n: int, q: float,
 
 
 # ---------------------------------------------------------------------------
-# smooth kernel part K1 at a point and over the contour's patch
+# smooth kernel part K1 over the contour's patch
 # ---------------------------------------------------------------------------
 
 # K1 is the regular part of the Green function of the annulus R1 < |x| < R2,
@@ -653,8 +665,8 @@ def sneddon_integral(beta_idx: int, gamma_idx: int, n: int, q: float,
 #   2 pi K1(rho e^{i theta}, t e^{i eta}) = [1, log rho] C0 [1, log t]^T
 #       - sum_{k>=1} (1/k) e_k(rho)^T C_k e_k(t) cos k(theta - eta),
 # e_k(t) = ((t/R2)^k, (R1/t)^k), C_k = [[1, -s^k], [-s^k, 1]] / (1 - s^{2k}),
-# s = R1/R2.  A source enters only through its weights on [1, log t] and its
-# mode sums of e_k(t) e^{-i k eta}, so a point and a patch share the series.
+# s = R1/R2.  The patch enters only through its weights on [1, log t] and
+# its mode sums of e_k(t) e^{-i k eta}.
 
 _K1_TERM_TOL = 1e-16
 _K1_TERM_CAP = 400
@@ -671,69 +683,32 @@ def _k1_domain(model: KernelModel) -> tuple[float, float, np.ndarray]:
     return r1, r2, np.array([[l1 * l2, -l2], [-l2, 1.0]]) / (l1 - l2)
 
 
-def _k1_series(model: KernelModel, x: np.ndarray, t_min: float, t_max: float,
-               fold: int, source) -> tuple[np.ndarray, np.ndarray]:
-    """Stream and velocity (vx + i vy) of K1 against a source, at points x.
-
-    The source lies at radii in [t_min, t_max] and is invariant under
-    rotation by 2 pi/fold, so its mode sums vanish unless fold divides k.
-    ``source(r1, r2, kk)`` returns its weights on [1, log t] and, one row
-    per mode k in kk = fold, 2 fold, ..., its sums of e_k(t) e^{-i k eta}.
-    The series stops once the largest term ratio q has q^k < 1e-16, at
-    k <= 400.
-    """
-    r1, r2, c0 = _k1_domain(model)
-    rho, theta = np.abs(x), np.angle(x)
-    q = max(float(np.max(rho)) * t_max / r2 ** 2,
-            r1 ** 2 / (float(np.min(rho)) * t_min))
-    cap = min(_K1_TERM_CAP, max(8, math.ceil(math.log(_K1_TERM_TOL)
-                                             / math.log(q))))
-    kk = np.arange(fold, cap + 1, fold)
-    s0, sk = source(r1, r2, kk)
-    s = (r1 / r2) ** kk
-    u_out = (sk[:, 0] - s * sk[:, 1]) / (1.0 - s * s)
-    u_in = (sk[:, 1] - s * sk[:, 0]) / (1.0 - s * s)
-    rot = np.exp(1j * np.outer(theta, kk))
-    e_out = (rho[:, None] / r2) ** kk * rot
-    e_in = (r1 / rho[:, None]) ** kk * rot
-    val = (c0[0] @ s0 + (c0[1] @ s0) * np.log(rho)
-           - np.real(e_out @ (u_out / kk) + e_in @ (u_in / kk)))
-    # rho d/drho + i d/dtheta of the mode sums: e_in u_in - conj(e_out u_out)
-    grad = (np.exp(1j * theta) / rho
-            * (c0[1] @ s0 + e_in @ u_in - np.conj(e_out @ u_out)))
-    return val / (2.0 * math.pi), grad / (2.0 * math.pi)
-
-
-def k1_point(model: KernelModel, x: complex,
-             y: complex) -> tuple[float, complex]:
-    """K1(x, y) and its gradient in x as vx + i vy; (0, 0) on the plane.
-    Only the Green series is implemented: another K1 raises ValueError."""
-    if model.k1 is None:
-        return 0.0, 0j
-    if model.k1 != "green":
-        raise ValueError(f"k1_point has no K1 for {model.variant!r}")
-    t, eta = abs(y), math.atan2(y.imag, y.real)
-
-    def source(r1, r2, kk):
-        e_k = np.stack([(t / r2) ** kk, (r1 / t) ** kk], axis=1)
-        return (np.array([1.0, math.log(t)]),
-                e_k * np.exp(-1j * kk * eta)[:, None])
-
-    val, grad = _k1_series(model, np.array([complex(x)]), t, t, 1, source)
-    return float(val[0]), complex(grad[0])
+def _k1_primitives(t: np.ndarray, r1: float, r2: float, kk: np.ndarray):
+    # antiderivatives in t of t, t log t and t e_k(t)
+    t = t[:, None]
+    t2 = t * t
+    base = np.hstack([t2 / 2.0, t2 * (np.log(t) - 0.5) / 2.0])
+    # t (R1/t)^k integrates to t^2 (R1/t)^k / (2 - k); R1^2 log t at k = 2
+    inner = t2 * (r1 / t) ** kk / np.where(kk == 2, 1, 2 - kk)
+    inner[:, kk == 2] = r1 * r1 * np.log(t)
+    outer = t2 * (t / r2) ** kk / (kk + 2.0)
+    return base, np.stack([outer, inner], axis=-1)
 
 
 def k1_patch(model: KernelModel, fold: int, theta: np.ndarray,
              ra: np.ndarray, rb: np.ndarray,
              rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stream and velocity of K1 over the fold-symmetric patch ra(eta) <
-    |y| < rb(eta), eta the uniform grid theta, at the first ``rows`` points
-    of its inner (row 0) and outer (row 1) boundary; zero on the plane.
+    """Stream and velocity (vx + i vy) of K1 over the fold-symmetric patch
+    ra(eta) < |y| < rb(eta), eta the uniform grid theta, at the first
+    ``rows`` points of its inner (row 0) and outer (row 1) boundary; zero on
+    the plane.
 
     Each term of the K1 series is a radial factor times cos k(theta - eta):
     the factor is integrated from ra(eta) to rb(eta) in closed form, and the
-    columns by the trapezoid rule.  A custom measure (no `k0_factors`) or a
-    K1 but the Green series has no contour dynamics: ValueError.
+    columns by the trapezoid rule.  The patch's mode sums vanish unless fold
+    divides k.  The series stops once the largest term ratio q has
+    q^k < 1e-16, at k <= 400.  A custom measure (no `k0_factors`) or a K1
+    but the Green series has no contour dynamics: ValueError.
     """
     if model.measure_obj is not None or model.k1 not in (None, "green"):
         raise ValueError(
@@ -741,27 +716,30 @@ def k1_patch(model: KernelModel, fold: int, theta: np.ndarray,
     if model.k1 is None:
         return np.zeros((2, rows)), np.zeros((2, rows), dtype=complex)
     step = 2.0 * np.pi / len(theta)
-
-    def primitives(t, r1, r2, kk):
-        # antiderivatives in t of t, t log t and t e_k(t)
-        t = t[:, None]
-        t2 = t * t
-        base = np.hstack([t2 / 2.0, t2 * (np.log(t) - 0.5) / 2.0])
-        # t (R1/t)^k integrates to t^2 (R1/t)^k / (2 - k); R1^2 log t at k = 2
-        inner = t2 * (r1 / t) ** kk / np.where(kk == 2, 1, 2 - kk)
-        inner[:, kk == 2] = r1 * r1 * np.log(t)
-        outer = t2 * (t / r2) ** kk / (kk + 2.0)
-        return base, np.stack([outer, inner], axis=-1)
-
-    def source(r1, r2, kk):
-        base_a, modes_a = primitives(ra, r1, r2, kk)
-        base_b, modes_b = primitives(rb, r1, r2, kk)
-        rot = np.exp(-1j * np.outer(theta, kk)) * step
-        return (step * (base_b - base_a).sum(axis=0),
-                np.einsum("mk,mkj->kj", rot, modes_b - modes_a))
-
-    z = (np.concatenate([ra[:rows], rb[:rows]])
+    x = (np.concatenate([ra[:rows], rb[:rows]])
          * np.tile(np.exp(1j * theta[:rows]), 2))
-    psi, vel = _k1_series(model, z, float(np.min(ra)), float(np.max(rb)),
-                          fold, source)
-    return psi.reshape(2, rows), vel.reshape(2, rows)
+    r1, r2, c0 = _k1_domain(model)
+    rho, ang = np.abs(x), np.angle(x)
+    q = max(float(np.max(rho)) * float(np.max(rb)) / r2 ** 2,
+            r1 ** 2 / (float(np.min(rho)) * float(np.min(ra))))
+    cap = min(_K1_TERM_CAP, max(8, math.ceil(math.log(_K1_TERM_TOL)
+                                             / math.log(q))))
+    kk = np.arange(fold, cap + 1, fold)
+    base_a, modes_a = _k1_primitives(ra, r1, r2, kk)
+    base_b, modes_b = _k1_primitives(rb, r1, r2, kk)
+    s0 = step * (base_b - base_a).sum(axis=0)
+    sk = np.einsum("mk,mkj->kj", np.exp(-1j * np.outer(theta, kk)) * step,
+                   modes_b - modes_a)
+    s = (r1 / r2) ** kk
+    u_out = (sk[:, 0] - s * sk[:, 1]) / (1.0 - s * s)
+    u_in = (sk[:, 1] - s * sk[:, 0]) / (1.0 - s * s)
+    rot = np.exp(1j * np.outer(ang, kk))
+    e_out = (rho[:, None] / r2) ** kk * rot
+    e_in = (r1 / rho[:, None]) ** kk * rot
+    psi = (c0[0] @ s0 + (c0[1] @ s0) * np.log(rho)
+           - np.real(e_out @ (u_out / kk) + e_in @ (u_in / kk)))
+    # rho d/drho + i d/dtheta of the mode sums: e_in u_in - conj(e_out u_out)
+    vel = (np.exp(1j * ang) / rho
+           * (c0[1] @ s0 + e_in @ u_in - np.conj(e_out @ u_out)))
+    return ((psi / (2.0 * math.pi)).reshape(2, rows),
+            (vel / (2.0 * math.pi)).reshape(2, rows))

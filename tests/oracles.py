@@ -5,7 +5,9 @@ with adaptive scipy quadrature, apart from the node rule of
 `cmkernel._measure_nodes`; `delta_inf_via_psi` assembles the large-n
 limit of the discriminant through Psi_b instead of the velocity constants.
 `AnnulusGreenCoefficients` and `annulus_c_frak` give the annulus Green
-function and its constant in the classical radial form, `series_p` and
+function and its constant in the classical radial form, and `k1_green` the
+regular part K1 of the Euler domains' Green functions from it or from the
+image log kernel, which `models.k1_patch` is checked against; `series_p` and
 `qgsw_disc_v_series` the discs' p and V^1, V^2 as Bessel-zero series or
 Sneddon integrals, and `psi_b_prime0` the slope of Psi_b at 0 with the
 integral it contains.  `write_csv_per_cell` is the CSV writer that formats
@@ -135,7 +137,7 @@ def delta_inf_via_psi(model: KernelModel, b: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# annulus Green-function coefficients and the constant c_frak
+# annulus Green-function coefficients, the Euler domains' K1 and c_frak
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -160,6 +162,35 @@ class AnnulusGreenCoefficients:
         r1, r2 = self.r1, self.r2
         return (r1 ** (2 * m) * ((r2 * r2 / r) ** m - r ** m)
                 / (r2 ** (2 * m) - r1 ** (2 * m)))
+
+
+def k1_green(model: KernelModel, z: np.ndarray,
+             y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K1(z_i, y_q) of a Euler disc, exterior or annulus and its gradient in
+    z (vx + i vy), a row per z: the disc and the exterior from the image log
+    kernel log|R - z conj(y)/R|/(2 pi), the annulus from the first 100
+    terms of the `AnnulusGreenCoefficients` series."""
+    z, y = np.asarray(z)[:, None], np.asarray(y)[None, :]
+    if model.variant != "EulerAnnulus":
+        r = model.params["r"]
+        f = r - z * np.conj(y) / r
+        return (np.log(np.abs(f)) / (2.0 * np.pi),
+                np.conj(-np.conj(y) / r / f) / (2.0 * np.pi))
+    g = AnnulusGreenCoefficients(model.params["r1"], model.params["r2"])
+    rho, ry, dang = np.abs(z), np.abs(y), np.angle(z) - np.angle(y)
+    b0 = np.array([g.b0(t) for t in ry[0]])
+    val = np.array([g.a0(t) for t in ry[0]]) + b0 * np.log(rho)
+    d_rho = b0 / rho
+    d_theta = 0.0
+    for k in range(1, 101):
+        am, bm = g.a_m(k, ry), g.b_m(k, ry)
+        term = am * rho ** k + bm * rho ** -k
+        val = val - term / k * np.cos(k * dang)
+        d_rho = d_rho - ((am * rho ** k - bm * rho ** -k) / rho
+                         * np.cos(k * dang))
+        d_theta = d_theta + term * np.sin(k * dang)
+    grad = np.exp(1j * np.angle(z)) * (d_rho + 1j * d_theta / rho)
+    return val / (2.0 * np.pi), grad / (2.0 * np.pi)
 
 
 def annulus_c_frak(r1: float, r2: float, b: float) -> float:

@@ -136,6 +136,14 @@ def test_usage_errors_exit_2(tmp_path):
                     "--m", "3", "--out", out]) == 2  # degenerate fold
 
 
+def test_minus_branch_runs_at_a_high_fold(tmp_path):
+    # at m = 22, b = 0.5 the coupling of the annulus block is 5.4e-9: the
+    # kernel vector of the - branch used to be that small and was refused
+    assert run_cli(["branch", "--model", "EulerPlane", "--b", "0.5", "--m",
+                    "22", "--branch", "-", "--modes", "4", "--s-max", "1e-4",
+                    "--steps", "2", "--out", str(tmp_path)]) == 0
+
+
 _CUSTOM = ["spectra", "--model", "CustomConvolution", "--param"]
 _ATOMS = "error: bad model spec: atoms needs x:m pairs,"
 

@@ -138,44 +138,26 @@ def test_qgsw_annulus_stream_matches_mode_0_bessel_values(eps, b, m, n_modes):
     assert np.max(np.abs(f02 - float(outer))) < 1e-12
 
 
-def _k1_brute(model, z, y):
-    """K1(z_i, y_q) and its z-gradient, from the image log kernel or the
-    AnnulusGreenCoefficients series."""
-    z, y = z[:, None], y[None, :]
-    if model.variant != "EulerAnnulus":
-        r = model.params["r"]
-        f = r - z * np.conj(y) / r
-        return (np.log(np.abs(f)) / (2.0 * np.pi),
-                np.conj(-np.conj(y) / r / f) / (2.0 * np.pi))
-    g = oracles.AnnulusGreenCoefficients(model.params["r1"], model.params["r2"])
-    rho, ry, dang = np.abs(z), np.abs(y), np.angle(z) - np.angle(y)
-    b0 = np.array([g.b0(t) for t in ry[0]])
-    val = np.array([g.a0(t) for t in ry[0]]) + b0 * np.log(rho)
-    d_rho = b0 / rho
-    d_theta = 0.0
-    for k in range(1, 101):
-        am, bm = g.a_m(k, ry), g.b_m(k, ry)
-        term = am * rho ** k + bm * rho ** -k
-        val = val - term / k * np.cos(k * dang)
-        d_rho = d_rho - (am * rho ** k - bm * rho ** -k) / rho * np.cos(k * dang)
-        d_theta = d_theta + term * np.sin(k * dang)
-    grad = np.exp(1j * np.angle(z)) * (d_rho + 1j * d_theta / rho)
-    return val / (2.0 * np.pi), grad / (2.0 * np.pi)
-
-
-@pytest.mark.parametrize("model", [
-    models.euler_disc(2.0), models.euler_exterior(0.3),
-    models.euler_annulus(0.3, 1.6)])
-def test_k1_area_term_off_the_annulus(model):
+@pytest.mark.parametrize("model, b, scale", [
+    pytest.param(models.euler_disc(2.0), 0.6, 1.0, id="model0"),
+    pytest.param(models.euler_exterior(0.3), 0.6, 1.0, id="model1"),
+    pytest.param(models.euler_annulus(0.3, 1.6), 0.6, 1.0, id="model2"),
+    # perturbations of about 1e-4 where the largest term ratio q is about
+    # 0.90, and the series runs 364-380 terms
+    pytest.param(models.euler_exterior(0.3), 0.3163, 0.005,
+                 id="high-q-exterior"),
+    pytest.param(models.euler_disc(1.05), 0.6, 0.005, id="high-q-disc")])
+def test_k1_area_term_off_the_annulus(model, b, scale):
     # the K0 parts of the bounded and plane Euler models agree, so the
     # differences of eval_f0 and eval_f are the K1 stream and its residual;
-    # the brute-force sum uses the state's own eta trapezoid and 40-node
-    # radial Gauss per column; m = 2 keeps the k = 2 mode, whose radial
-    # integral is the logarithmic case, and m = 3 has no k = 2 mode
+    # the brute-force sum (`oracles.k1_green`) uses the state's own eta
+    # trapezoid and 40-node radial Gauss per column; m = 2 keeps the k = 2
+    # mode, whose radial integral is the logarithmic case, and m = 3 has no
+    # k = 2 mode
     for m in (2, 3):
-        st = replace(_state(b=0.6, m=m, n=6, omega=0.2),
-                     a1=np.array([0.02, -0.02, 0.015, 0.01, 0.0, 0.0]),
-                     a2=np.array([-0.02, 0.015, 0.0, 0.02, 0.0, 0.0]))
+        st = replace(_state(b=b, m=m, n=6, omega=0.2),
+                     a1=scale * np.array([0.02, -0.02, 0.015, 0.01, 0, 0]),
+                     a2=scale * np.array([-0.02, 0.015, 0.0, 0.02, 0, 0]))
         eta = st.theta_grid()
         ra, rb = st.radii(eta)
         gx, gw = np.polynomial.legendre.leggauss(40)
@@ -192,7 +174,7 @@ def test_k1_area_term_off_the_annulus(model):
         want_f = []
         for i, (r, dr) in enumerate(((ra, d1), (rb, d2))):
             z = r * np.exp(1j * eta)
-            val, grad = _k1_brute(model, z, y)
+            val, grad = oracles.k1_green(model, z, y)
             got = f0_model[i] - f0_plane[i]
             assert np.max(np.abs(got - val @ wts)) < 1e-13
             zp = (dr / r + 1j * r) * np.exp(1j * eta)
@@ -421,6 +403,25 @@ def test_anderson_loop_lives_only_in_the_corrector():
     assert callers["np.linalg.lstsq"] == {("contour.py", "_correct")}
     assert callers["_preconditioner"] == {("contour.py", "_correct")}
     assert ("contour.py", "branch_continue") not in callers["eval_f"]
+
+
+def test_contour_takes_its_kernel_formulas_from_models():
+    # contour integrates what `models` hands it: the K0 factors, the
+    # singular weights and the K1 patch term; it imports no kernel formula
+    # and reads no kind of K0 or K1
+    path = pathlib.Path(contour.__file__)
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.setdefault(node.module, set()).update(
+                alias.name for alias in node.names)
+    assert "cmkernel" not in imported
+    assert imported["models"] == {"KernelModel", "k1_patch",
+                                  "singular_weights"}
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    assert not read & {"k0", "k1", "measure_obj"}
 
 
 def _dense_newton_branch(model, b, m, s_max, steps, n_modes):

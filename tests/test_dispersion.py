@@ -576,6 +576,19 @@ def test_kernel_vector_spans_nullspace():
         assert np.linalg.norm(vec) > 0
 
 
+@pytest.mark.parametrize("m", [5, 22, 30])
+@pytest.mark.parametrize("branch", ["+", "-"], ids=["plus", "minus"])
+def test_kernel_vector_keeps_its_length_at_high_folds(m, branch):
+    # on the - branch Omega ~ A, so Q's first row (Omega - A, off) shrinks
+    # with off ~ b^m; the vector comes from the longer row, whose norm is at
+    # least |A - B|/2 at a simple root
+    p = dispersion.dispersion_point(EULER, [m], 0.5)
+    omega, vec = dispersion.kernel_root(p, branch)
+    norm = np.linalg.norm(vec)
+    assert np.linalg.norm(p.q(omega)[..., 0] @ vec) <= 1e-12 * norm
+    assert norm >= 0.5 * abs(p.a_nb[0] - p.b_nb[0])
+
+
 def test_kernel_vector_rejects_degenerate():
     with pytest.raises(ValueError):
         dispersion.kernel_root(dispersion.dispersion_point(EULER, [3], 0.5),

@@ -3,7 +3,6 @@ identities.  Every closed form is checked against an independent numeric
 route (measure quadrature, Fourier integration of the kernel, or truncated
 Bessel-zero series)."""
 
-import cmath
 import math
 
 import numpy as np
@@ -207,9 +206,10 @@ def test_stream_series_from_harmonic_sums_equals_the_digamma_form():
 
 def _p_fourier_oracle(model, n, rx, ry):
     def f(eta):
-        return np.array([models.k1_point(model, rx,
-                                         ry * cmath.exp(1j * float(e)))[0]
-                         * math.cos(n * float(e)) for e in np.atleast_1d(eta)])
+        eta = np.atleast_1d(eta)
+        return (oracles.k1_green(model, np.array([rx + 0j]),
+                                 ry * np.exp(1j * eta))[0][0]
+                * np.cos(n * eta))
 
     return periodic_trapezoid(f, tol=1e-13, n0=256, n_max=4096)
 
@@ -402,74 +402,21 @@ def test_overflow_cases_are_finite():
 def test_plane_models_have_no_smooth_part():
     assert [c.tolist() for c in models.closed_p(models.euler_plane(), [3],
                                                 0.5)] == [[0.0]] * 3
-    for model in (models.euler_plane(), models.qgsw_plane(2.0),
-                  models.custom_convolution(cmkernel.gsqg_power(0.5))):
-        assert models.k1_point(model, 0.5, 0.3 + 0.1j) == (0.0, 0j)
-
-
-@pytest.mark.parametrize("model", [models.qgsw_disc(2.0, 2.0),
-                                   models.gsqg_disc(0.5, 2.0)],
-                         ids=lambda m: m.variant)
-def test_k1_point_refuses_a_k1_but_the_green_series(model):
-    # the point route has only the log kernel's Green series; on the
-    # other discs it gave that series' value instead of the model's K1
-    with pytest.raises(ValueError, match=repr(model.variant)):
-        models.k1_point(model, 0.5, 0.3 + 0.2j)
+    theta = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+    ra, rb = np.full(16, 0.5), np.full(16, 1.0)
+    for model in (models.euler_plane(), models.gsqg_plane(0.5),
+                  models.qgsw_plane(2.0)):
+        psi, vel = models.k1_patch(model, 2, theta, ra, rb, 4)
+        assert psi.tolist() == [[0.0] * 4] * 2
+        assert vel.tolist() == [[0j] * 4] * 2
 
 
 def test_k1_series_is_private():
-    # K1 is read at a point or over the patch, never through its series
-    assert "k1_series" not in models.__all__
-    assert {"k1_point", "k1_patch"} <= set(models.__all__)
-
-
-def test_k1_symmetry():
-    for model in (models.euler_disc(3.0), models.euler_annulus(0.2, 5.0)):
-        x, y = 0.5 * cmath.exp(0.3j), 0.8 * cmath.exp(-1.1j)
-        assert models.k1_point(model, x, y)[0] == pytest.approx(
-            models.k1_point(model, y, x)[0], rel=1e-12)
-        # rotation invariance
-        rot = cmath.exp(0.7j)
-        assert models.k1_point(model, rot * x, rot * y)[0] == pytest.approx(
-            models.k1_point(model, x, y)[0], rel=1e-12)
-
-
-@pytest.mark.parametrize("model", [
-    models.euler_disc(2.0),
-    models.euler_annulus(0.1, 10.0),
-    models.euler_exterior(0.1),
-])
-def test_k1_grad_matches_finite_differences(model):
-    x, y = 0.6 * cmath.exp(0.4j), 0.9 * cmath.exp(-0.8j)
-    g = models.k1_point(model, x, y)[1]
-    h = 1e-6
-    fd_re = (models.k1_point(model, x + h, y)[0]
-             - models.k1_point(model, x - h, y)[0]) / (2 * h)
-    fd_im = (models.k1_point(model, x + 1j * h, y)[0]
-             - models.k1_point(model, x - 1j * h, y)[0]) / (2 * h)
-    assert g.real == pytest.approx(fd_re, abs=1e-8)
-    assert g.imag == pytest.approx(fd_im, abs=1e-8)
-
-
-@pytest.mark.parametrize("model, radii", [
-    # q = rho t / R^2 for the disc, R^2 / (rho t) for the exterior; the
-    # last pair of each sits at q >= 0.9, where the series runs ~360 terms
-    (models.euler_disc(2.0), [(0.3, 1.2), (1.0, 1.0), (1.5, 1.8),
-                              (1.9, 1.9)]),
-    (models.euler_exterior(0.3), [(0.9, 2.0), (0.5, 0.6), (0.35, 0.4),
-                                  (0.3154, 0.3154)]),
-])
-def test_k1_matches_image_log_kernel(model, radii):
-    r = model.params["r"]
-    for rho, t in radii:
-        for dang in (0.0, 0.4, 2.5):
-            x, y = rho * cmath.exp(0.3j + 1j * dang), t * cmath.exp(0.3j)
-            f = r - x * y.conjugate() / r
-            want = math.log(abs(f)) / (2.0 * math.pi)
-            want_grad = (-y.conjugate() / r / f).conjugate() / (2.0 * math.pi)
-            val, grad = models.k1_point(model, x, y)
-            assert abs(val - want) < 1e-13
-            assert abs(grad - want_grad) < 1e-13
+    # K1 has one evaluator, over the contour's patch; the tests hold the
+    # independent K1 (`oracles.k1_green`)
+    assert not hasattr(models, "k1_point")
+    assert not hasattr(models, "_k1_series")
+    assert {"k1_patch", "singular_weights"} <= set(models.__all__)
 
 
 def test_annulus_c_frak_closed_form():
@@ -490,13 +437,10 @@ def test_annulus_c_frak_against_kernel_quadrature():
     wts = 0.5 * (1.0 - b) * gl_w * rho
 
     def angular(eta):
-        vals = np.zeros_like(eta)
-        for r, w in zip(rho, wts):
-            for i, e in enumerate(np.atleast_1d(eta)):
-                g = models.k1_point(model, b + 0j,
-                                    r * cmath.exp(1j * float(e)))[1]
-                vals[i] += w * g.real
-        return vals
+        eta = np.atleast_1d(eta)
+        y = (rho[:, None] * np.exp(1j * eta)).ravel()
+        g = oracles.k1_green(model, np.array([b + 0j]), y)[1][0]
+        return wts @ g.real.reshape(len(rho), len(eta))
 
     # d/drho of int int K1(rho e^{i theta}, y) dA(y) at rho = b equals b V^1
     flux = periodic_trapezoid(angular, tol=1e-11, n0=32, n_max=256)
